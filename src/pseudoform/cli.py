@@ -143,9 +143,9 @@ def _write_json(document, out):
 
 
 def _write_csv(header, rows, out):
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("%.17g" % v for v in row))
+    lines += [fmt % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
     _write_text("\n".join(lines) + "\n", out)
 
 
@@ -348,6 +348,17 @@ def _cmd_foucault_sim(config, args):
     return EXIT_OK
 
 
+def _nearest_index(times, t):
+    """Index of the uniformly spaced sample time nearest t, the earlier on a tie.
+
+    Scans the rounded guess and both its neighbours, so the result equals
+    ``argmin(|times - t|)`` over the whole array.
+    """
+    guess = int(round((t - times[0]) / (times[1] - times[0])))
+    lo = max(guess - 1, 0)
+    return lo + int(np.argmin(np.abs(times[lo : guess + 2] - t)))
+
+
 def _cmd_foucault_precession(config, args):
     cfg = _merge(
         config,
@@ -374,7 +385,7 @@ def _cmd_foucault_precession(config, args):
     else:
         rows = []
         for center, angle in zip(estimate.window_centers, estimate.angles):
-            idx = int(np.argmin(np.abs(traj.times - center)))
+            idx = _nearest_index(traj.times, center)
             rows.append([center, *traj.states[idx], angle])
         _write_csv(["t", "x", "y", "vx", "vy", "plane_angle_rad"], rows, args.out)
     return EXIT_OK

@@ -22,20 +22,6 @@ def validate_steps(steps, h):
         raise ValidationError(f"step size must be finite and non-zero, got {h!r}")
 
 
-def rk4_orbit(f, t0, y0, h, steps):
-    """Integrate and record every state; returns (t, states)."""
-    validate_steps(steps, h)
-    y = np.asarray(y0, dtype=float)
-    t = t0
-    out = np.empty((steps + 1, y.size))
-    out[0] = y
-    for k in range(steps):
-        y = rk4_step(f, t, y, h)
-        t = t0 + (k + 1) * h
-        out[k + 1] = y
-    return t0 + h * np.arange(steps + 1), out
-
-
 def rk4_transition_matrix(a, h):
     """One-step RK4 update matrix for the linear system y' = A y."""
     a = np.asarray(a, dtype=float)
@@ -79,4 +65,5 @@ def linear_rk4_orbit(a, y0, h, steps):
         n = np.arange(start, stop)[:, None]
         powers = np.exp(n * loglam[None, :])
         out[start:stop] = ((powers * coeff[None, :]) @ vecs.T).real
+    out[0] = y0  # the power path reproduces y0 only up to rounding
     return out

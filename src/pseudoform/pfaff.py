@@ -2,7 +2,7 @@
 
 The three normal forms (d mu, lambda d mu, d phi + lambda d mu) are
 decided pointwise from |d theta| and the Frobenius 3-form theta ^ d theta,
-sampled over a user box with a deterministic low-discrepancy sequence.
+sampled over a user box with a seeded scrambled Halton sequence.
 Magnitudes are normalized per sample (|d theta| by |theta|, the Frobenius
 coefficient by |theta|^2) so the verdict is invariant under constant
 rescaling of theta.
@@ -11,16 +11,17 @@ rescaling of theta.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .calculus import as_point, exterior_derivative
 from .errors import DegeneratePfaffianError, ValidationError
 
 DEGENERACY_TOL = 1e-12
 DEFAULT_TOL = 1e-8
+HALTON_BASES = (2, 3, 5)
 
 
 class NormalForm(enum.Enum):
@@ -61,8 +62,35 @@ class RegionSampler:
     def points(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        unit = qmc.Halton(d=3, scramble=True, seed=self.seed).random(self.count)
+        unit = _scrambled_halton(self.count, self.seed)
         return lo + unit * (hi - lo)
+
+
+def _scrambled_halton(count, seed):
+    """First ``count`` points of a digit-scrambled Halton sequence in [0, 1)^3.
+
+    Axis j takes the radical inverse of the point index in base
+    ``HALTON_BASES[j]``, with every digit position passed through its own
+    random permutation of the digits (Owen, arXiv:1706.02808, Algorithm 1).
+    Positions run while ``base**-k > 2**-54``, so the fixed tail digits
+    of short indices are scrambled too and fill a double.
+    """
+    rng = np.random.default_rng(seed)
+    unit = np.empty((count, len(HALTON_BASES)))
+    for axis, base in enumerate(HALTON_BASES):
+        index = np.arange(count)
+        value = np.zeros(count)
+        scale = 1.0 / base
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            perm = rng.permutation(base)
+            if index.any():
+                value += perm[index % base] * scale
+                index //= base
+            else:  # every index is out of digits: all take the scrambled 0
+                value += perm[0] * scale
+            scale /= base
+        unit[:, axis] = value
+    return unit
 
 
 def frobenius_coefficient(theta, p):

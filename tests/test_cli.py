@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pseudoform import cli
+from pseudoform import foucault as fc
 
 
 def _run(tmp_path, capsys, argv, config=None):
@@ -145,6 +146,43 @@ def test_foucault_precession_csv_and_json(tmp_path, capsys):
     assert np.isclose(
         doc["result"]["plane_frame_rate"], 2 * doc["result"]["oracle_rate"], rtol=1e-12
     )
+
+
+def test_csv_rows_match_per_value_format(tmp_path):
+    rows = np.array(
+        [
+            [-0.0, 5e-324, 1e-310, 1e300, -1e300],
+            [3.0, -7.0, 0.1, 1.0 / 3.0, 2.0**53],
+            [math.inf, -math.inf, math.nan, 0.0, -5e-324],
+        ]
+    )
+    out = tmp_path / "rows.csv"
+    cli._write_csv(["a", "b", "c", "d", "e"], rows, str(out))
+    lines = ["a,b,c,d,e"] + [",".join("%.17g" % v for v in row) for row in rows]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("window", [60.0, 60.01])  # even and odd samples per window
+def test_foucault_precession_csv_rows_match_full_scan(tmp_path, capsys, window):
+    config = {
+        "latitude": 0.853,
+        "length": 10.0,
+        "initial": [0.2, 0.05, 0.0, 0.0],
+        "dt": 0.01,
+        "duration": 600.0,
+        "window": window,
+    }
+    code, out, _ = _run(tmp_path, capsys, ["foucault", "precession"], config)
+    assert code == 0
+    pendulum = fc.FoucaultConfig(latitude=0.853, length=10.0)
+    traj = fc.simulate_pendulum(pendulum, config["initial"], 0.01, 600.0)
+    estimate = fc.measure_precession(traj, window_seconds=window)
+    lines = ["t,x,y,vx,vy,plane_angle_rad"]
+    for center, angle in zip(estimate.window_centers, estimate.angles):
+        idx = int(np.argmin(np.abs(traj.times - center)))
+        row = [center, *traj.states[idx], angle]
+        lines.append(",".join("%.17g" % v for v in row))
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_transport_csv(tmp_path, capsys):

@@ -203,6 +203,12 @@ def test_sim_reversibility():
     assert np.max(np.abs(back.states[-1] - fwd.states[0])) < 1e-6 * 0.1
 
 
+def test_sim_first_state_is_initial_exactly():
+    for initial in [(0.0731, 0.0412, 0.0, 0.0), (0.08, -0.03, 0.001, 0.002)]:
+        traj = fc.simulate_pendulum(PARIS, initial, 1e-3, 10.0)
+        assert traj.states[0].tobytes() == np.array(initial).tobytes()
+
+
 def test_sim_amplitude_validation():
     with pytest.raises(ValidationError):
         fc.simulate_pendulum(PARIS, (100.0, 0.0, 0.0, 0.0), 1e-3, 1.0)

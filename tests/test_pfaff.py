@@ -1,10 +1,15 @@
 """Integrability classification of Pfaff equations."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudoform
 from pseudoform.errors import DegeneratePfaffianError, ValidationError
 from pseudoform.formlang import parse_oneform
 from pseudoform.pfaff import (
@@ -104,6 +109,52 @@ def test_region_sampler_validation():
         RegionSampler((0, 0, 0), (0, 1, 1))
     with pytest.raises(ValidationError):
         RegionSampler((0, 0, 0), (1, 1, 1), count=0)
+
+
+def test_region_sampler_seeded_determinism():
+    a = RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=7).points()
+    b = RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=7).points()
+    c = RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=8).points()
+    assert a.tobytes() == b.tobytes()
+    assert not np.any(np.all(a == c, axis=1))
+
+
+def test_region_sampler_reference_points():
+    # scipy.stats.qmc.Halton(d=3, scramble=True, seed=0).random(3), SciPy 1.17
+    got = RegionSampler((0, 0, 0), (1, 1, 1), count=3, seed=0).points()
+    expected = [
+        [0.0991217798843752, 0.05391376185363979, 0.30077622909743845],
+        [0.5991217798843752, 0.7205804285203065, 0.7007762290974384],
+        [0.3491217798843752, 0.38724709518697303, 0.1007762290974384],
+    ]
+    assert got.tolist() == expected
+
+
+def test_region_sampler_points_inside_box():
+    lo, hi = np.array([-2.0, 0.5, 10.0]), np.array([-1.5, 3.0, 10.25])
+    for seed in (0, 1, 2**64 - 1):
+        pts = RegionSampler(tuple(lo), tuple(hi), count=2000, seed=seed).points()
+        assert pts.shape == (2000, 3)
+        assert np.all(pts >= lo) and np.all(pts <= hi)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 401])
+def test_region_sampler_halton_stratification(seed):
+    # Scrambling permutes the digits at each position, so the first b^k
+    # points of the base-b axis still fill the b^k cells of width b^-k.
+    for axis, base in enumerate((2, 3, 5)):
+        for k in (1, 2, 3):
+            n = base**k
+            unit = RegionSampler((0, 0, 0), (1, 1, 1), count=n, seed=seed).points()[:, axis]
+            cells = np.floor(unit * n).astype(int)
+            assert sorted(cells.tolist()) == list(range(n))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(pseudoform.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import pseudoform.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class _Path:
