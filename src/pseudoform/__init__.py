@@ -14,7 +14,6 @@ from .calculus import (
     ConstantField,
     OneForm,
     ScalarField,
-    SymmetricBilinear,
     ThreeForm,
     TwoForm,
     differentiate,

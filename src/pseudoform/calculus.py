@@ -78,26 +78,6 @@ class ScalarField:
     def hessian(self, p):
         return self.differentiate(p)[2]
 
-    def at(self, coords):
-        """Evaluate at coordinates that may be Dual numbers.
-
-        Generic second-order chain-rule composition; subclasses with a
-        native dual evaluator override this with the exact version.
-        """
-        if not any(isinstance(c, Dual) for c in coords):
-            return self.value([float(c) for c in coords])
-        duals = [c if isinstance(c, Dual) else Dual(c) for c in coords]
-        p = [d.v for d in duals]
-        v, g, h = self._vgh(as_point(p))
-        out_g = sum(g[i] * duals[i].g for i in range(3))
-        out_h = sum(g[i] * duals[i].h for i in range(3))
-        if h is not None:
-            for i in range(3):
-                for j in range(3):
-                    if h[i, j] != 0.0:
-                        out_h = out_h + h[i, j] * np.outer(duals[i].g, duals[j].g)
-        return Dual(v, out_g, out_h)
-
 
 class DualScalarField(ScalarField):
     """Scalar field defined by an evaluator over dual numbers (exact)."""
@@ -110,12 +90,6 @@ class DualScalarField(ScalarField):
         if not isinstance(d, Dual):  # constant expression
             d = Dual(d)
         return d.v, d.g, d.h
-
-    def at(self, coords):
-        out = self.fn(*coords)
-        if any(isinstance(c, Dual) for c in coords) and not isinstance(out, Dual):
-            return Dual(out)
-        return out
 
 
 class FiniteDifferenceScalarField(ScalarField):
@@ -185,9 +159,6 @@ class ConstantField(ScalarField):
 
     def _vgh(self, p):
         return self.c, np.zeros(3), np.zeros((3, 3))
-
-    def at(self, coords):
-        return self.c
 
 
 def scalar_field(fn):
@@ -287,34 +258,6 @@ class ThreeForm:
     def __call__(self, p, u, v, w):
         m = np.column_stack([u, v, w]).astype(float)
         return self.coefficient_at(p) * float(np.linalg.det(m))
-
-
-class SymmetricBilinear:
-    """3x3 symmetric matrix of scalar fields (symmetric by construction)."""
-
-    def __init__(self, grid):
-        self.grid = [[_as_field(grid[i][j]) for j in range(3)] for i in range(3)]
-
-    @staticmethod
-    def from_oneform(theta):
-        """The symmetrized differential d_s(theta) as a lazy field."""
-        return _SymmetrizedDifferential(theta)
-
-    def matrix_at(self, p):
-        p = as_point(p)
-        m = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                m[i, j] = m[j, i] = self.grid[i][j].value(p)
-        return m
-
-
-class _SymmetrizedDifferential(SymmetricBilinear):
-    def __init__(self, theta):
-        self.theta = theta
-
-    def matrix_at(self, p):
-        return symmetric_part(self.theta, p)
 
 
 def exterior_derivative(theta, p):

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 import numpy as np
@@ -46,14 +44,6 @@ class ConfigError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map to 1
         raise UsageError(message)
-
-
-def _thread_cap():
-    raw = os.environ.get("PSEUDOFORM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"PSEUDOFORM_THREADS must be an integer, got {raw!r}")
 
 
 def _load_config(path):
@@ -163,7 +153,6 @@ def _document(subcommand, config, seed, result):
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
-        "threads": _thread_cap(),
         "result": result,
     }
 

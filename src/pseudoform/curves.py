@@ -10,7 +10,7 @@ fundamental form on the unit tangent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     StraightLineError,
     ValidationError,
 )
-from .geometry import connection_form, second_form_via_connection
+from .geometry import connection_form, connection_from_frame, second_form_via_connection
 from .integrate import rk4_step, validate_steps
 
 STRAIGHT_TOL = 1e-10
@@ -189,9 +189,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
         x = y[:3]
         nu = y[3:]
         mat, dmat = frame.matrix_and_derivative(x)
-        if abs(np.linalg.det(mat)) < 1e-12:
-            raise FrameSingularityError(f"frame matrix singular at point {tuple(x)}")
-        omega = np.einsum("nk,nmj,im->ijk", mat, dmat, np.linalg.inv(mat))
+        omega = connection_from_frame(mat, dmat, x)
         om_sym = 0.5 * (omega[:2, :2, :2] + omega[:2, :2, :2].transpose(0, 2, 1))
         nu_dot = -np.einsum("abc,b,c->a", om_sym, nu, nu)
         x_dot = mat[:, :2] @ nu

@@ -207,10 +207,11 @@ def dynamics_matrix(cfg):
 def simulate_pendulum(cfg, initial, dt, duration):
     """Fixed-step RK4 trajectory of the small-angle pendulum over [0, T].
 
-    ``initial`` is a PendulumState or an (x, y, vx, vy) sequence.  The
-    linear system is advanced through its exact one-step RK4 transition
-    matrix, so the result is the RK4 orbit even for multi-million-step
-    runs.
+    ``initial`` is a PendulumState or an (x, y, vx, vy) sequence; it is
+    row 0 of the states exactly.  The states are ``linear_rk4_orbit`` of
+    the linearized dynamics; over 2e5 steps the tests hold them to within
+    1e-12 of the largest state component from stepping the one-step RK4
+    matrix.
     """
     if dt == 0.0 or not math.isfinite(dt):
         raise ValidationError(f"step size dt must be finite and non-zero, got {dt!r}")

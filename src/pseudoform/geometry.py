@@ -174,10 +174,14 @@ def connection_form(frame, p):
     frames omega[i, j, :] = -omega[j, i, :].
     """
     x, dx = frame.matrix_and_derivative(p)
+    return connection_from_frame(x, dx, as_point(p))
+
+
+def connection_from_frame(x, dx, p):
+    """``connection_form`` from a frame matrix X and derivatives dX already evaluated at p."""
     if abs(np.linalg.det(x)) < 1e-12:
-        raise FrameSingularityError(f"frame matrix singular at point {tuple(as_point(p))}")
-    xinv = np.linalg.inv(x)
-    return np.einsum("nk,nmj,im->ijk", x, dx, xinv)
+        raise FrameSingularityError(f"frame matrix singular at point {tuple(p)}")
+    return np.einsum("nk,nmj,im->ijk", x, dx, np.linalg.inv(x))
 
 
 def structure_functions(frame, p):

@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+BLOCK = 1024  # rows advanced per stacked product in linear_rk4_orbit
+
 
 def rk4_step(f, t, y, h):
     k1 = f(t, y)
@@ -35,35 +37,26 @@ def rk4_transition_matrix(a, h):
 
 
 def linear_rk4_orbit(a, y0, h, steps):
-    """All RK4 iterates of y' = A y, via powers of the one-step matrix.
+    """All RK4 iterates of y' = A y, as a (steps + 1, n) array.
 
-    Identical scheme to stepping with ``rk4_step``, evaluated through an
-    eigendecomposition so multi-million-step runs stay fast.  Falls back
-    to explicit stepping if the eigenbasis is ill-conditioned.
+    Row 0 is ``y0`` exactly.  With M the one-step matrix, the powers
+    M^1 ... M^B (B = ``BLOCK``, at most ``steps``) are formed once and row
+    s + j is M^j applied to row s, so each block of B rows costs one
+    stacked matrix product.  This is the scheme of stepping ``y = M @ y``
+    with a different rounding order; the tests bound its deviation from
+    explicit stepping (at most 1e-12 of the largest state component over
+    2e5 steps of the Paris pendulum).
     """
     validate_steps(steps, h)
     m = rk4_transition_matrix(a, h)
     y0 = np.asarray(y0, dtype=float)
-    try:
-        lam, vecs = np.linalg.eig(m)
-        if np.linalg.cond(vecs) > 1e8:
-            raise np.linalg.LinAlgError("ill-conditioned eigenbasis")
-        coeff = np.linalg.solve(vecs, y0.astype(complex))
-    except np.linalg.LinAlgError:
-        out = np.empty((steps + 1, y0.size))
-        out[0] = y0
-        y = y0
-        for k in range(steps):
-            y = m @ y
-            out[k + 1] = y
-        return out
-    loglam = np.log(lam)
+    powers = np.empty((min(BLOCK, steps), y0.size, y0.size))
+    powers[0] = m
+    for j in range(1, len(powers)):
+        powers[j] = powers[j - 1] @ m
     out = np.empty((steps + 1, y0.size))
-    chunk = 1_000_000
-    for start in range(0, steps + 1, chunk):
-        stop = min(start + chunk, steps + 1)
-        n = np.arange(start, stop)[:, None]
-        powers = np.exp(n * loglam[None, :])
-        out[start:stop] = ((powers * coeff[None, :]) @ vecs.T).real
-    out[0] = y0  # the power path reproduces y0 only up to rounding
+    out[0] = y0
+    for s in range(0, steps, len(powers)):
+        stop = min(s + len(powers), steps)
+        out[s + 1 : stop + 1] = powers[: stop - s] @ out[s]
     return out

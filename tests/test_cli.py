@@ -276,16 +276,6 @@ def test_galilean_surface_numerical_error(tmp_path, capsys):
     assert code == 3 and "numerical error" in err
 
 
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PSEUDOFORM_THREADS", "4")
-    config = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
-    code, out, _ = _run(tmp_path, capsys, ["classify"], config)
-    assert code == 0 and json.loads(out)["threads"] == 4
-    monkeypatch.setenv("PSEUDOFORM_THREADS", "lots")
-    code, _, err = _run(tmp_path, capsys, ["classify"], config)
-    assert code == 2 and "PSEUDOFORM_THREADS" in err
-
-
 def test_json_keys_sorted(tmp_path, capsys):
     config = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
     _, out, _ = _run(tmp_path, capsys, ["classify"], config)
