@@ -2,10 +2,11 @@
 
 Curves come in two flavors: analytic (``ParamCurve``, callables with
 finite-difference fallbacks for missing derivatives) and sampled
-(``SampledCurve``, fixed-step RK4 output).  The curvature split uses the
-adapted-frame connection: the geodesic curvature is the tangential part
-of the covariant acceleration, the normal curvature is the second
-fundamental form on the unit tangent.
+(``SampledCurve``, fixed-step RK4 output).  The curvature split reads
+the geodesic curvature as the tangential part of the acceleration in
+the adapted frame, and the normal curvature as the second fundamental
+form on the unit tangent.  Geodesics carry the chart velocity, so no
+frame enters their equations after the initial velocity.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .errors import (
     ConstraintViolationError,
     DegeneratePfaffianError,
     EvaluationDomainError,
-    FrameSingularityError,
     StraightLineError,
     ValidationError,
 )
-from .geometry import connection_form, connection_from_frame, second_form_via_connection
+from .geometry import second_form_via_connection, unit_normal
 from .integrate import rk4_step, validate_steps
 
 STRAIGHT_TOL = 1e-10
@@ -122,9 +122,11 @@ class CurvatureSplit:
 def curvature_split(curve, surface, s):
     """Split the curvature of an arclength curve lying in theta = 0.
 
-    geodesic^a = nu-dot^a + omega^a_b(tangent) nu^b  (a, b tangential);
-    normal = H_ab nu^a nu^b.  The tangent must satisfy the Pfaffian
-    constraint to 1e-6 (normalized) or ``ConstraintViolationError``.
+    With the adapted frame X at the curve point, nu = X^-1 x-dot and
+    acc = x-double-dot: geodesic^a = (X^-1 acc)^a, the tangential part
+    of the acceleration (a, b tangential); normal = H_ab nu^a nu^b.  The
+    tangent must satisfy the Pfaffian constraint to 1e-6 (normalized) or
+    ``ConstraintViolationError``.
     """
     if not getattr(curve, "arclength", True):
         raise ValidationError("curvature split requires an arclength parameterization")
@@ -132,24 +134,15 @@ def curvature_split(curve, surface, s):
     v = curve.velocity_at(s)
     frame = surface.frame
     xinv = frame.inverse_at(p)
-    nu_full = xinv @ v
-    residual = abs(nu_full[2]) / np.linalg.norm(v)
+    nu = xinv @ v
+    residual = abs(nu[2]) / np.linalg.norm(v)
     if residual > CONSTRAINT_TOL:
         raise ConstraintViolationError(
             f"tangent violates the Pfaffian constraint at s={s!r}", residual
         )
-
-    def nu_of(t):
-        return frame.inverse_at(curve.position_at(t)) @ curve.velocity_at(t)
-
-    h = 1e-4 * max(1.0, abs(s))
-    nu_dot = _fd4(nu_of, s, h)
-    omega = connection_form(frame, p)
-    # omega^a_b evaluated on the tangent: contract the leg index with nu_full
-    omega_on_t = np.einsum("abk,k->ab", omega[:2, :2, :], nu_full)
-    kg = nu_dot[:2] + omega_on_t @ nu_full[:2]
+    kg = xinv[:2] @ curve.acceleration_at(s)
     h_ab = second_form_via_connection(frame, p)
-    kn = float(nu_full[:2] @ h_ab @ nu_full[:2])
+    kn = float(nu[:2] @ h_ab @ nu[:2])
     return CurvatureSplit(kg, kn, float(np.linalg.norm(kg)))
 
 
@@ -160,7 +153,6 @@ class SampledCurve:
     s: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
-    nu: Optional[np.ndarray] = None
     arclength: bool = True
     aborted: bool = False
     abort_reason: str = ""
@@ -170,11 +162,14 @@ class SampledCurve:
 
 
 def integrate_geodesic(surface, p0, nu0, ds, steps):
-    """RK4-integrate the geodesic equations of the adapted frame.
+    """RK4-integrate the geodesic equations in chart position and velocity.
 
-    State is (x^i, nu^a); nu-dot^a = -omega^a_(bc) nu^b nu^c and
-    x-dot^i = X^i_a nu^a.  A frame singularity along the way aborts and
-    returns the partial curve with ``aborted`` set.
+    The initial velocity is x-dot(0) = X(p0)[:, :2] nu0 in the adapted
+    frame X.  A geodesic has no tangential acceleration, so the state
+    (x, v) obeys x-dot = v and v-dot = -(v . du . v) u, with u the unit
+    normal and du[i, j] = d_i u_j (the normal component keeps u . v = 0).
+    A degenerate Pfaffian or a field leaving its domain along the way
+    aborts and returns the partial curve with ``aborted`` set.
     """
     validate_steps(steps, ds)
     p0 = as_point(p0)
@@ -183,19 +178,14 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
         raise ValidationError("initial frame velocity nu must have 2 components")
     if np.linalg.norm(nu0) <= 1e-15:
         raise ValidationError("initial frame velocity nu must be non-zero")
-    frame = surface.frame
+    pfaffian, metric = surface.pfaffian, surface.metric
 
     def rhs(_s, y):
-        x = y[:3]
-        nu = y[3:]
-        mat, dmat = frame.matrix_and_derivative(x)
-        omega = connection_from_frame(mat, dmat, x)
-        om_sym = 0.5 * (omega[:2, :2, :2] + omega[:2, :2, :2].transpose(0, 2, 1))
-        nu_dot = -np.einsum("abc,b,c->a", om_sym, nu, nu)
-        x_dot = mat[:, :2] @ nu
-        return np.concatenate([x_dot, nu_dot])
+        v = y[3:]
+        u, du = unit_normal(pfaffian, metric, y[:3])
+        return np.concatenate([v, -(v @ du @ v) * u])
 
-    y = np.concatenate([p0, nu0])
+    y = np.concatenate([p0, surface.frame.matrix_at(p0)[:, :2] @ nu0])
     s_vals = [0.0]
     states = [y]
     aborted = False
@@ -203,11 +193,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     for k in range(steps):
         try:
             y = rk4_step(rhs, k * ds, y, ds)
-        except (
-            FrameSingularityError,
-            DegeneratePfaffianError,
-            EvaluationDomainError,
-        ) as err:
+        except (DegeneratePfaffianError, EvaluationDomainError) as err:
             aborted = True
             reason = str(err)
             break
@@ -218,12 +204,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
         s_vals.append((k + 1) * ds)
         states.append(y)
     states = np.asarray(states)
-    points = states[:, :3]
-    nus = states[:, 3:]
-    velocities = np.empty_like(points)
-    for i, (x, nu) in enumerate(zip(points, nus)):
-        velocities[i] = frame.matrix_at(x)[:, :2] @ nu
     return SampledCurve(
-        np.asarray(s_vals), points, velocities, nu=nus,
+        np.asarray(s_vals), states[:, :3], states[:, 3:],
         aborted=aborted, abort_reason=reason,
     )

@@ -92,12 +92,10 @@ class AdaptedFrame:
     when not requested).
     """
 
-    def __init__(self, pair_fn, pfaffian, metric, chart="spatial", orthonormal=True):
+    def __init__(self, pair_fn, pfaffian, metric):
         self.pair_fn = pair_fn
         self.pfaffian = pfaffian
         self.metric = metric
-        self.chart = chart
-        self.orthonormal = orthonormal
 
     def matrix_at(self, p):
         return self.pair_fn(as_point(p), False)[0]
@@ -113,6 +111,25 @@ class AdaptedFrame:
         return np.linalg.inv(x)
 
 
+def unit_normal(pfaffian, metric, p):
+    """Unit normal u = N / |N| of a Pfaffian N at p and du[i, j] = d_i u_j.
+
+    Raises ``DegeneratePfaffianError`` where N vanishes and
+    ``DegenerateNormalizationError`` where a degenerate metric is asked
+    to normalize a space-time Pfaffian with a time component.
+    """
+    comps, jac = pfaffian.values_and_jacobian(p)
+    norm = np.linalg.norm(comps)
+    if norm <= 1e-12:
+        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {tuple(p)}")
+    if metric.degenerate and pfaffian.chart == "spacetime" and abs(comps[0]) > 1e-9 * norm:
+        raise DegenerateNormalizationError(
+            "Galilean metric cannot normalize a Pfaffian with a time component"
+        )
+    dnorm = jac @ comps / norm  # d_i |N|
+    return comps / norm, jac / norm - np.outer(dnorm, comps) / norm**2
+
+
 def adapt_frame(pfaffian, metric=EUCLIDEAN):
     """Build the deterministic adapted frame for a Pfaffian N.
 
@@ -124,24 +141,12 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
     constant, so frame derivatives are valid away from seed-switching
     loci.
     """
-    chart = getattr(pfaffian, "chart", "spatial")
+    spacetime = pfaffian.chart == "spacetime"
 
     def pair_fn(p, need_derivative):
-        if need_derivative:
-            comps, jac = pfaffian.values_and_jacobian(p)
-        else:
-            comps = pfaffian.components_at(p)
-            jac = None
-        norm = np.linalg.norm(comps)
-        if norm <= 1e-12:
-            raise DegeneratePfaffianError(f"Pfaffian vanishes at point {tuple(p)}")
-        if metric.degenerate and chart == "spacetime" and abs(comps[0]) > 1e-9 * norm:
-            raise DegenerateNormalizationError(
-                "Galilean metric cannot normalize a Pfaffian with a time component"
-            )
-        u = comps / norm  # e3
+        u, du = unit_normal(pfaffian, metric, p)  # u is e3
         unit_vals = np.abs(u)
-        if chart == "spacetime" and unit_vals[0] < 0.9:
+        if spacetime and unit_vals[0] < 0.9:
             k = 0
         else:
             k = int(np.argmin(unit_vals))
@@ -154,9 +159,6 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
         x = np.column_stack([e1, e2, u])
         if not need_derivative:
             return x, None
-        # du[i, j] = d_i u_j  (chain rule through the normalization)
-        dnorm = jac @ comps / norm
-        du = jac / norm - np.outer(dnorm, comps) / norm**2
         de1_raw = -np.outer(du[:, k], u) - u[k] * du
         dm = de1_raw @ e1_raw / m
         de1 = de1_raw / m - np.outer(dm, e1_raw) / m**2
@@ -164,7 +166,7 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
         dx = np.stack([de1, de2, du], axis=2)
         return x, dx
 
-    return AdaptedFrame(pair_fn, pfaffian, metric, chart=chart)
+    return AdaptedFrame(pair_fn, pfaffian, metric)
 
 
 def connection_form(frame, p):
@@ -173,12 +175,8 @@ def connection_form(frame, p):
     omega[i, j, k] = (e_k x^m_j) xtilde^i_m; for metric-orthonormal
     frames omega[i, j, :] = -omega[j, i, :].
     """
+    p = as_point(p)
     x, dx = frame.matrix_and_derivative(p)
-    return connection_from_frame(x, dx, as_point(p))
-
-
-def connection_from_frame(x, dx, p):
-    """``connection_form`` from a frame matrix X and derivatives dX already evaluated at p."""
     if abs(np.linalg.det(x)) < 1e-12:
         raise FrameSingularityError(f"frame matrix singular at point {tuple(p)}")
     return np.einsum("nk,nmj,im->ijk", x, dx, np.linalg.inv(x))
@@ -216,19 +214,6 @@ class CurvatureReport:
     degenerate: bool = False
 
 
-def _unit_normal_components(source, p):
-    if isinstance(source, OneForm):
-        comps = source.components_at(p)
-    elif isinstance(source, ScalarField):
-        comps = source.gradient(p)
-    else:
-        raise TypeError("source must be a OneForm (pfaffian) or ScalarField (level set)")
-    norm = np.linalg.norm(comps)
-    if norm <= 1e-12:
-        raise DegeneratePfaffianError(f"normal direction vanishes at point {tuple(p)}")
-    return comps / norm
-
-
 def fundamental_forms(source, frame, metric, p):
     """First and second fundamental forms at p.
 
@@ -239,7 +224,18 @@ def fundamental_forms(source, frame, metric, p):
     p = as_point(p)
     x = frame.matrix_at(p)
     tangent = x[:, :2]
-    unit = _unit_normal_components(source, p)
+    if isinstance(source, OneForm):
+        unit, du = unit_normal(source, metric, p)
+        h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
+    elif isinstance(source, ScalarField):
+        _, grad, hess = source.differentiate(p)
+        norm = np.linalg.norm(grad)
+        if norm <= 1e-12:
+            raise DegeneratePfaffianError(f"normal direction vanishes at point {tuple(p)}")
+        unit = grad / norm
+        h = -(tangent.T @ hess @ tangent) / norm
+    else:
+        raise TypeError("source must be a OneForm (pfaffian) or ScalarField (level set)")
     theta3 = np.linalg.inv(x)[2]
     if np.max(np.abs(theta3 - unit)) > 1e-9:
         raise FramePfaffianMismatchError(
@@ -249,17 +245,6 @@ def fundamental_forms(source, frame, metric, p):
         )
     g = tangent.T @ metric.matrix @ tangent
     g = 0.5 * (g + g.T)
-    if isinstance(source, ScalarField):
-        _, grad, hess = source.differentiate(p)
-        h = -(tangent.T @ hess @ tangent) / np.linalg.norm(grad)
-    else:
-        comps = source.components_at(p)
-        jac = source.jacobian_at(p)  # jac[i, j] = d_i N_j
-        norm = np.linalg.norm(comps)
-        dnorm = jac @ comps / norm  # d_i |N|
-        jac_unit = jac / norm - np.outer(dnorm, comps) / norm**2
-        sym = 0.5 * (jac_unit + jac_unit.T)
-        h = -(tangent.T @ sym @ tangent)
     h = 0.5 * (h + h.T)
     return FundamentalForms(g, h, p, metric)
 

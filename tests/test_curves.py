@@ -13,11 +13,12 @@ from pseudoform.curves import (
 )
 from pseudoform.errors import (
     ConstraintViolationError,
+    DegenerateNormalizationError,
     StraightLineError,
     ValidationError,
 )
-from pseudoform.formlang import parse_scalar
-from pseudoform.geometry import PseudoSurface
+from pseudoform.formlang import parse_oneform, parse_scalar
+from pseudoform.geometry import GALILEAN, PseudoSurface
 from pseudoform.pfaff import constraint_residual
 
 
@@ -29,6 +30,18 @@ def _equator_start():
     p0 = np.array([math.cos(0.3), math.sin(0.3), 0.0])
     v = np.array([-math.sin(0.3), math.cos(0.3), 0.0])
     return p0, v
+
+
+def _tilted_start(p0, tilt):
+    """Unit start point off the z axis and a unit tangent tilted up from the horizontal."""
+    p0 = np.asarray(p0, dtype=float) / np.linalg.norm(p0)
+    leg = np.cross((0.0, 0.0, 1.0), p0)
+    leg /= np.linalg.norm(leg)
+    return p0, math.cos(tilt) * leg + math.sin(tilt) * np.cross(p0, leg)
+
+
+def _frame_nu(surface, p0, v):
+    return (np.linalg.inv(surface.frame.matrix_at(p0)) @ v)[:2]
 
 
 def test_unit_circle_frenet():
@@ -86,9 +99,17 @@ def test_zero_velocity_is_invalid():
 def test_great_circle_is_geodesic():
     surface = _sphere()
     eq = ParamCurve(lambda s: (math.cos(0.3 + s), math.sin(0.3 + s), 0.0))
-    cs = curvature_split(eq, surface, 0.2)
-    assert np.linalg.norm(cs.geodesic) < 1e-6
-    assert np.isclose(abs(cs.normal), 1.0, atol=1e-8)
+    # the tilted circle through (1,0,0), sampled where the frame's seed axis
+    # switches: |x| = |z| at tan s = +-1/sin(tilt), and |y| = |z| at s = 0, pi
+    p0, d = _tilted_start((1.0, 0.0, 0.0), 0.7)
+    tilted = ParamCurve(lambda s: math.cos(s) * p0 + math.sin(s) * d)
+    turn = math.atan(1.0 / math.sin(0.7))
+    switches = (0.0, turn, math.pi - turn, math.pi, math.pi + turn, 2 * math.pi - turn)
+    for curve, samples in ((eq, (0.2,)), (tilted, switches)):
+        for s in samples:
+            cs = curvature_split(curve, surface, s)
+            assert np.linalg.norm(cs.geodesic) < 1e-6
+            assert np.isclose(abs(cs.normal), 1.0, atol=1e-8)
 
 
 def test_latitude_circle_geodesic_curvature():
@@ -112,7 +133,7 @@ def test_curvature_split_rejects_transverse_curve():
 def test_geodesic_great_circle_closure():
     surface = _sphere()
     p0, v = _equator_start()
-    nu0 = (np.linalg.inv(surface.frame.matrix_at(p0)) @ v)[:2]
+    nu0 = _frame_nu(surface, p0, v)
     ds = 1e-3
     steps = int(round(2 * math.pi / ds))
     curve = integrate_geodesic(surface, p0, nu0, ds, steps)
@@ -123,18 +144,33 @@ def test_geodesic_great_circle_closure():
 def test_geodesic_constraint_and_speed_conservation():
     surface = _sphere()
     p0, v = _equator_start()
-    nu0 = (np.linalg.inv(surface.frame.matrix_at(p0)) @ v)[:2]
+    nu0 = _frame_nu(surface, p0, v)
     ds = 0.01
     curve = integrate_geodesic(surface, p0, nu0, ds, 400)
     assert constraint_residual(surface.pfaffian, curve) < 10 * ds**4
-    norms = np.linalg.norm(curve.nu, axis=1)
+    norms = np.linalg.norm(curve.velocities, axis=1)
     assert np.max(np.abs(norms - norms[0])) < 1e-8 * len(curve.s) * ds
+
+
+def test_tilted_great_circles_close_across_seed_switches():
+    # the frame's seed axis switches along these circles; the geodesic must not notice
+    surface = _sphere()
+    ds = 1e-3
+    steps = int(round(2 * math.pi / ds))
+    for start in ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)):
+        for tilt in (0.35, 0.7, 1.2):
+            p0, v = _tilted_start(start, tilt)
+            curve = integrate_geodesic(surface, p0, _frame_nu(surface, p0, v), ds, steps)
+            assert not curve.aborted
+            assert curve.closure_error() <= 1e-3 * 2 * math.pi, (start, tilt)
+            normal = np.cross(p0, v)
+            assert np.max(np.abs(curve.points @ normal)) <= 1e-6, (start, tilt)
 
 
 def test_geodesic_rk4_order():
     surface = _sphere()
     p0, v = _equator_start()
-    nu0 = (np.linalg.inv(surface.frame.matrix_at(p0)) @ v)[:2]
+    nu0 = _frame_nu(surface, p0, v)
 
     def exact(s):
         return np.array([math.cos(0.3 + s), math.sin(0.3 + s), 0.0])
@@ -171,11 +207,18 @@ def test_geodesic_validation():
 def test_geodesic_abort_on_frame_breakdown():
     # normal coefficient sqrt(1-x) leaves its domain at x = 1: the run
     # aborts there and returns the partial curve
-    from pseudoform.formlang import parse_oneform
-
     surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "0", "sqrt(1-x)"]))
     curve = integrate_geodesic(surface, (0.0, 0.0, 0.0), (1.0, 0.0), 0.05, 100)
     assert curve.aborted
     assert curve.abort_reason
     assert 2 <= len(curve.points) < 101
     assert np.all(curve.points[:, 0] < 1.0)
+
+
+def test_geodesic_refuses_galilean_time_component_along_path():
+    # theta = t dt + dy has no time component at t = 0 but gains one as soon
+    # as the path moves along e1 = d/dt
+    theta = parse_oneform(["t", "0", "1"], chart="spacetime")
+    surface = PseudoSurface.from_pfaffian(theta, GALILEAN)
+    with pytest.raises(DegenerateNormalizationError):
+        integrate_geodesic(surface, (0.0, 0.0, 0.0), (1.0, 0.0), 0.01, 10)
