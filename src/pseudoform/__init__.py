@@ -16,7 +16,6 @@ from .calculus import (
     ScalarField,
     ThreeForm,
     TwoForm,
-    differentiate,
     exterior_derivative,
     gradient_oneform,
     opaque_field,

@@ -33,10 +33,6 @@ class Dual:
         g[index] = 1.0
         return Dual(value, g)
 
-    @staticmethod
-    def constant(value):
-        return Dual(value)
-
     def __repr__(self):
         return f"Dual({self.v!r}, grad={self.g!r})"
 

@@ -34,15 +34,18 @@ def as_point(p):
     return arr
 
 
-def _check_finite(value, grad, hess, p):
-    ok = np.isfinite(value) and np.all(np.isfinite(grad))
-    if ok and hess is not None:
-        ok = np.all(np.isfinite(hess))
-    if not ok:
-        raise EvaluationDomainError(
-            f"non-finite field value or derivative at point "
-            f"(x1={p[0]!r}, x2={p[1]!r}, x3={p[2]!r})"
-        )
+def format_point(p):
+    """A chart point as a tuple of plain floats, for messages."""
+    return str(tuple(float(c) for c in p))
+
+
+def _check_finite(p, *parts):
+    """Raise ``EvaluationDomainError`` unless every value in ``parts`` is finite."""
+    for part in parts:
+        if not np.isfinite(part).all():
+            raise EvaluationDomainError(
+                f"non-finite field value or derivative at point {format_point(p)}"
+            )
 
 
 class ScalarField:
@@ -59,20 +62,23 @@ class ScalarField:
     def differentiate(self, p):
         p = as_point(p)
         v, g, h = self._vgh(p)
-        _check_finite(v, g, h, p)
         if h is None:
             raise PseudoformError(
                 "second derivatives unavailable for this derived field"
             )
+        _check_finite(p, v, g, h)
         return v, g, h
 
     def value(self, p):
-        return self._vgh(as_point(p))[0]
+        p = as_point(p)
+        v = self._vgh(p)[0]
+        _check_finite(p, v)
+        return v
 
     def gradient(self, p):
         p = as_point(p)
         v, g, _ = self._vgh(p)
-        _check_finite(v, g, None, p)
+        _check_finite(p, v, g)
         return g
 
     def hessian(self, p):
@@ -86,7 +92,10 @@ class DualScalarField(ScalarField):
         self.fn = fn
 
     def _vgh(self, p):
-        d = self.fn(*autodiff.seed_point(p))
+        try:
+            d = self.fn(*autodiff.seed_point(p))
+        except (OverflowError, ZeroDivisionError) as err:
+            raise EvaluationDomainError(f"{err} at point {format_point(p)}") from err
         if not isinstance(d, Dual):  # constant expression
             d = Dual(d)
         return d.v, d.g, d.h
@@ -171,11 +180,6 @@ def opaque_field(fn):
     return FiniteDifferenceScalarField(fn)
 
 
-def differentiate(f, p):
-    """Return (value, gradient, hessian) of the scalar field at p."""
-    return f.differentiate(p)
-
-
 def _as_field(c):
     if isinstance(c, ScalarField):
         return c
@@ -195,7 +199,9 @@ class OneForm:
 
     def components_at(self, p):
         p = as_point(p)
-        return np.array([c.value(p) for c in self.components])
+        vals = np.array([c._vgh(p)[0] for c in self.components])
+        _check_finite(p, vals)
+        return vals
 
     def __call__(self, p, v):
         return float(self.components_at(p) @ np.asarray(v, dtype=float))
@@ -211,7 +217,7 @@ class OneForm:
         jac = np.empty((3, 3))
         for j, c in enumerate(self.components):
             v, g, _ = c._vgh(p)
-            _check_finite(v, g, None, p)
+            _check_finite(p, v, g)
             vals[j] = v
             jac[:, j] = g
         return vals, jac

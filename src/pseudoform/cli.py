@@ -23,7 +23,7 @@ from . import geometry, pfaff
 from .curves import integrate_geodesic
 from .errors import FormSyntaxError, PseudoformError, ValidationError
 from .formlang import parse_oneform, parse_scalar
-from .geometry import EUCLIDEAN, GALILEAN, MINKOWSKI, MetricKind, MetricSignature
+from .geometry import MetricKind, MetricSignature
 
 SCHEMA_VERSION = 1
 
@@ -75,38 +75,40 @@ def _merge(config, defaults, required=()):
     return merged
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(cfg, key):
     v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"config field {key!r} must be a number, got {v!r}")
     return float(v)
 
 
+def _integer(cfg, key):
+    v = cfg[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"config field {key!r} must be an integer, got {v!r}")
+    return v
+
+
 def _vector(cfg, key, size):
     v = cfg[key]
-    if not isinstance(v, (list, tuple)) or len(v) != size:
+    if not isinstance(v, (list, tuple)) or len(v) != size or not all(map(_is_number, v)):
         raise ConfigError(f"config field {key!r} must be a list of {size} numbers")
     return [float(c) for c in v]
 
 
-_METRICS = {
-    "euclidean": MetricKind.EUCLIDEAN,
-    "galilean": MetricKind.GALILEAN,
-    "minkowski": MetricKind.MINKOWSKI,
-}
-
-
 def _metric(cfg):
-    name = cfg["metric"]
-    if name not in _METRICS:
+    try:
+        kind = MetricKind(cfg["metric"])
+    except ValueError:
+        names = sorted(k.value for k in MetricKind)
         raise ConfigError(
-            f"config field 'metric' must be one of {sorted(_METRICS)}, got {name!r}"
-        )
-    if name == "euclidean":
-        return EUCLIDEAN
-    if name == "galilean":
-        return GALILEAN
-    return MetricSignature(MetricKind.MINKOWSKI, _number(cfg, "light_speed"))
+            f"config field 'metric' must be one of {names}, got {cfg['metric']!r}"
+        ) from None
+    return MetricSignature(kind, _number(cfg, "light_speed"))
 
 
 def _complex_json(z):
@@ -123,7 +125,6 @@ def _report_json(report):
         "kappa2": _complex_json(report.kappa2),
         "gaussian": _complex_json(report.gaussian),
         "mean": _complex_json(report.mean),
-        "degenerate": report.degenerate,
     }
 
 
@@ -191,7 +192,7 @@ def _cmd_classify(config, args):
     region = pfaff.RegionSampler(
         tuple(_vector(cfg, "lower", 3)),
         tuple(_vector(cfg, "upper", 3)),
-        count=int(cfg["count"]),
+        count=_integer(cfg, "count"),
         seed=args.seed,
     )
     verdict = pfaff.classify(theta, region, tol=_number(cfg, "tol"))
@@ -251,12 +252,9 @@ def _cmd_geodesic(config, args):
         required=("point", "nu", "ds", "steps"),
     )
     surface = _surface_from_config(cfg)
+    steps = _integer(cfg, "steps")
     curve = integrate_geodesic(
-        surface,
-        _vector(cfg, "point", 3),
-        _vector(cfg, "nu", 2),
-        _number(cfg, "ds"),
-        int(cfg["steps"]),
+        surface, _vector(cfg, "point", 3), _vector(cfg, "nu", 2), _number(cfg, "ds"), steps
     )
     if args.format == "json":
         result = {
@@ -270,6 +268,10 @@ def _cmd_geodesic(config, args):
     else:
         rows = np.column_stack([curve.s, curve.points, curve.velocities])
         _write_csv(["t", "x", "y", "z", "vx", "vy", "vz"], rows, args.out)
+    if curve.aborted:
+        raise PseudoformError(
+            f"geodesic aborted after {len(curve.s) - 1} of {steps} steps: {curve.abort_reason}"
+        )
     return EXIT_OK
 
 
@@ -282,13 +284,12 @@ _FOUCAULT_DEFAULTS = {
 
 
 def _foucault_config(cfg):
-    rate = cfg["frame_rate"]
     return fc.FoucaultConfig(
         latitude=_number(cfg, "latitude"),
         length=_number(cfg, "length"),
         gravity=_number(cfg, "gravity"),
         omega_earth=_number(cfg, "omega_earth"),
-        frame_rate=None if rate is None else float(rate),
+        frame_rate=None if cfg["frame_rate"] is None else _number(cfg, "frame_rate"),
     )
 
 
@@ -360,7 +361,7 @@ def _cmd_foucault_precession(config, args):
     traj = fc.simulate_pendulum(
         pendulum, _vector(cfg, "initial", 4), _number(cfg, "dt"), _number(cfg, "duration")
     )
-    window = None if cfg["window"] is None else float(cfg["window"])
+    window = None if cfg["window"] is None else _number(cfg, "window")
     estimate = fc.measure_precession(traj, window_seconds=window)
     if args.format == "json":
         result = {

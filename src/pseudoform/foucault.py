@@ -126,25 +126,15 @@ def foucault_geometry(cfg, metric=EUCLIDEAN, t=0.0):
     """Frobenius coefficient and fundamental forms of the constraint plane.
 
     The first fundamental form is reported in physical units (Minkowski:
-    diag(c^2, -1)); curvature eigenvalues for the Minkowski case use the
-    c-normalized metric so they stay O(phi_dot).  A degenerate g (the
-    Galilean case) yields report=None.
+    diag(c^2, -1)); the curvature report raises indices as every
+    ``shape_and_curvatures`` call does.  A degenerate g (the Galilean
+    case) yields report=None.
     """
     theta = theta2_oneform(cfg)
-    frame = adapt_frame(theta, metric)
     p = (t, 0.0, 0.0)
     frob = frobenius_coefficient(theta, p)
-    forms = fundamental_forms(theta, frame, metric, p)
-    if metric.degenerate:
-        report = None
-    elif metric.indefinite:
-        x = frame.matrix_at(p)[:, :2]
-        g_norm = x.T @ metric.normalized_matrix @ x
-        report = shape_and_curvatures(
-            type(forms)(0.5 * (g_norm + g_norm.T), forms.h, forms.point, metric)
-        )
-    else:
-        report = shape_and_curvatures(forms)
+    forms = fundamental_forms(theta, adapt_frame(theta, metric), metric, p)
+    report = None if metric.degenerate else shape_and_curvatures(forms)
     return FoucaultGeometry(frob, forms.g, forms.h, report, metric)
 
 
@@ -181,10 +171,6 @@ class Trajectory:
     @property
     def vy(self):
         return self.states[:, 3]
-
-    def state_at(self, index):
-        x, y, vx, vy = self.states[index]
-        return PendulumState(float(self.times[index]), x, y, vx, vy)
 
 
 def dynamics_matrix(cfg):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import OneForm, ScalarField, as_point, gradient_oneform
+from .calculus import OneForm, ScalarField, as_point, format_point, gradient_oneform
 from .errors import (
     DegenerateMetricError,
     DegenerateNormalizationError,
@@ -107,7 +107,7 @@ class AdaptedFrame:
     def inverse_at(self, p):
         x = self.matrix_at(p)
         if abs(np.linalg.det(x)) < 1e-12:
-            raise FrameSingularityError(f"frame matrix singular at point {tuple(p)}")
+            raise FrameSingularityError(f"frame matrix singular at point {format_point(p)}")
         return np.linalg.inv(x)
 
 
@@ -121,7 +121,7 @@ def unit_normal(pfaffian, metric, p):
     comps, jac = pfaffian.values_and_jacobian(p)
     norm = np.linalg.norm(comps)
     if norm <= 1e-12:
-        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {tuple(p)}")
+        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {format_point(p)}")
     if metric.degenerate and pfaffian.chart == "spacetime" and abs(comps[0]) > 1e-9 * norm:
         raise DegenerateNormalizationError(
             "Galilean metric cannot normalize a Pfaffian with a time component"
@@ -178,7 +178,7 @@ def connection_form(frame, p):
     p = as_point(p)
     x, dx = frame.matrix_and_derivative(p)
     if abs(np.linalg.det(x)) < 1e-12:
-        raise FrameSingularityError(f"frame matrix singular at point {tuple(p)}")
+        raise FrameSingularityError(f"frame matrix singular at point {format_point(p)}")
     return np.einsum("nk,nmj,im->ijk", x, dx, np.linalg.inv(x))
 
 
@@ -199,10 +199,14 @@ def structure_functions(frame, p):
 
 @dataclass(frozen=True)
 class FundamentalForms:
+    """First and second forms at a point; ``g`` is in physical units and
+    ``tangent`` holds the frame's tangent legs as columns."""
+
     g: np.ndarray
     h: np.ndarray
     point: np.ndarray
     metric: MetricSignature
+    tangent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,6 @@ class CurvatureReport:
     kappa2: complex
     gaussian: complex
     mean: complex
-    degenerate: bool = False
 
 
 def fundamental_forms(source, frame, metric, p):
@@ -231,7 +234,7 @@ def fundamental_forms(source, frame, metric, p):
         _, grad, hess = source.differentiate(p)
         norm = np.linalg.norm(grad)
         if norm <= 1e-12:
-            raise DegeneratePfaffianError(f"normal direction vanishes at point {tuple(p)}")
+            raise DegeneratePfaffianError(f"normal direction vanishes at point {format_point(p)}")
         unit = grad / norm
         h = -(tangent.T @ hess @ tangent) / norm
     else:
@@ -240,13 +243,13 @@ def fundamental_forms(source, frame, metric, p):
     if np.max(np.abs(theta3 - unit)) > 1e-9:
         raise FramePfaffianMismatchError(
             "frame normal coframe leg differs from the given Pfaffian "
-            f"at point {tuple(p)} (max deviation "
+            f"at point {format_point(p)} (max deviation "
             f"{np.max(np.abs(theta3 - unit)):.3e})"
         )
     g = tangent.T @ metric.matrix @ tangent
     g = 0.5 * (g + g.T)
     h = 0.5 * (h + h.T)
-    return FundamentalForms(g, h, p, metric)
+    return FundamentalForms(g, h, p, metric, tangent)
 
 
 def second_form_via_frame(frame, p):
@@ -267,19 +270,24 @@ def second_form_via_connection(frame, p):
 
 
 def shape_and_curvatures(ff):
-    """Raise an index with g and report principal/Gaussian/mean curvature.
+    """Raise an index and report principal/Gaussian/mean curvature.
 
-    Eigenvalues are first-class complex outputs (an indefinite raise can
-    make them imaginary); a degenerate g is an error since g^ab does not
-    exist.
+    Every route raises with the metric's c-normalized matrix induced on
+    the tangent legs: diag(1, -1, -1) for Minkowski, so eigenvalues stay
+    O(phi_dot) rather than shrinking by c, and the physical matrix for
+    the other metrics.  Eigenvalues are first-class complex outputs (an
+    indefinite raise can make them imaginary); a degenerate induced
+    metric is an error since g^ab does not exist.
     """
-    det_g = np.linalg.det(ff.g)
+    g = ff.tangent.T @ ff.metric.normalized_matrix @ ff.tangent
+    g = 0.5 * (g + g.T)
+    det_g = np.linalg.det(g)
     if abs(det_g) < 1e-12:
         raise DegenerateMetricError(
             "first fundamental form is degenerate: g^ab does not exist, "
             "so no index can be raised"
         )
-    mixed = np.linalg.solve(ff.g, ff.h)
+    mixed = np.linalg.solve(g, ff.h)
     eigs = np.linalg.eigvals(mixed.astype(complex))
     order = np.lexsort((eigs.imag, eigs.real))[::-1]
     eigs = eigs[order]
@@ -316,12 +324,6 @@ class PseudoSurface:
     def fundamental_forms(self, p):
         source = self.levelset if self.levelset is not None else self.pfaffian
         return fundamental_forms(source, self.frame, self.metric, p)
-
-    def connection(self, p):
-        return connection_form(self.frame, p)
-
-    def structure_functions(self, p):
-        return structure_functions(self.frame, p)
 
     def curvature_report(self, p):
         return shape_and_curvatures(self.fundamental_forms(p))

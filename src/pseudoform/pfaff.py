@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import as_point, exterior_derivative
+from .calculus import as_point, exterior_derivative, format_point
 from .errors import DegeneratePfaffianError, ValidationError
 
 DEGENERACY_TOL = 1e-12
@@ -102,7 +102,7 @@ def frobenius_coefficient(theta, p):
     p = as_point(p)
     comps = theta.components_at(p)
     if np.linalg.norm(comps) <= DEGENERACY_TOL:
-        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {tuple(p)}")
+        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {format_point(p)}")
     return float(comps @ exterior_derivative(theta, p).components)
 
 
@@ -116,9 +116,7 @@ def classify(theta, region, tol=DEFAULT_TOL):
         comps = theta.components_at(p)
         norm = np.linalg.norm(comps)
         if norm <= DEGENERACY_TOL:
-            raise DegeneratePfaffianError(
-                f"Pfaffian vanishes at sample point {tuple(p)}"
-            )
+            raise DegeneratePfaffianError(f"Pfaffian vanishes at sample point {format_point(p)}")
         d = exterior_derivative(theta, p).components
         dtheta_mag[k] = np.linalg.norm(d) / norm
         frobenius_raw[k] = comps @ d

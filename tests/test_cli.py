@@ -263,6 +263,89 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     config = {"levelset": "x^2+y^2+z^2", "points": [[0.0, 0.0, 0.0]]}
     code, _, err = _run(tmp_path, capsys, ["surface"], config)
     assert code == 3 and err.startswith("numerical error:")
+    assert "(0.0, 0.0, 0.0)" in err and "np.float64" not in err
+
+
+_CLASSIFY_BOX = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
+_OVERFLOW_BOX = {"lower": [800, 0, 0], "upper": [900, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "config, code, message",
+    [
+        pytest.param({**_OVERFLOW_BOX, "theta": ["0", "0", "exp(x)"]}, 3, "numerical error:",
+                     id="exp-overflow"),
+        pytest.param({**_OVERFLOW_BOX, "theta": ["0", "0", "x^400"]}, 3, "numerical error:",
+                     id="pow-overflow"),
+        pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "1/0"]}, 3, "numerical error:",
+                     id="constant-division-by-zero"),
+        pytest.param({**_CLASSIFY_BOX, "lower": ["a", 0, 0]}, 2, "'lower'", id="string-bound"),
+        pytest.param({**_CLASSIFY_BOX, "count": "many"}, 2, "'count'", id="string-count"),
+        pytest.param({**_CLASSIFY_BOX, "count": None}, 2, "'count'", id="null-count"),
+        pytest.param({**_CLASSIFY_BOX, "count": 2.7}, 2, "'count'", id="fractional-count"),
+    ],
+)
+def test_classify_failures_are_typed(tmp_path, capsys, config, code, message):
+    got, out, err = _run(tmp_path, capsys, ["classify"], config)
+    assert (got, out) == (code, "")
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_aborted_geodesic_writes_partial_output_and_exits_3(tmp_path, capsys, fmt):
+    config = {
+        "pfaffian": ["0", "0", "sqrt(1-x)"],
+        "point": [0, 0, 0],
+        "nu": [1, 0],
+        "ds": 0.05,
+        "steps": 100,
+    }
+    code, out, err = _run(tmp_path, capsys, ["--format", fmt, "geodesic"], config)
+    assert code == 3
+    if fmt == "csv":
+        k = len(out.strip().splitlines()) - 2  # header and the start point
+    else:
+        result = json.loads(out)["result"]
+        assert result["aborted"] and "np.float64" not in result["abort_reason"]
+        k = len(result["s"]) - 1
+    assert 0 < k < 100
+    assert err.startswith(f"numerical error: geodesic aborted after {k} of 100 steps: ")
+
+
+THETA2_LATITUDE = 0.8527
+
+
+def _theta2_surface(metric):
+    rate = repr(fc.FoucaultConfig(latitude=THETA2_LATITUDE).phi_dot)
+    return {
+        "pfaffian": ["0*t", f"-sin({rate}*t)", f"cos({rate}*t)"],
+        "chart": "spacetime",
+        "metric": metric,
+        "points": [[0.0, 0.0, 0.0]],
+    }
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
+def test_surface_curvatures_match_foucault_geometry(tmp_path, capsys, metric):
+    code, out, _ = _run(tmp_path, capsys, ["surface"], _theta2_surface(metric))
+    assert code == 0
+    entry = json.loads(out)["result"][0]
+    code, out, _ = _run(
+        tmp_path, capsys, ["foucault", "geometry"], {"latitude": THETA2_LATITUDE, "metric": metric}
+    )
+    assert code == 0
+    expected = json.loads(out)["result"]
+    assert np.allclose(entry["g"], expected["g"], rtol=1e-12, atol=0)
+    assert np.allclose(entry["h"], expected["h"], rtol=1e-12, atol=0)
+    for key in ("kappa1", "kappa2", "gaussian", "mean"):
+        got = complex(entry["curvatures"][key]["re"], entry["curvatures"][key]["im"])
+        want = complex(expected["curvatures"][key]["re"], expected["curvatures"][key]["im"])
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_surface_theta2_galilean_numerical_error(tmp_path, capsys):
+    code, _, err = _run(tmp_path, capsys, ["surface"], _theta2_surface("galilean"))
+    assert code == 3 and err.startswith("numerical error:")
 
 
 def test_galilean_surface_numerical_error(tmp_path, capsys):

@@ -15,6 +15,7 @@ from pseudoform.geometry import (
     EUCLIDEAN,
     GALILEAN,
     MINKOWSKI,
+    PseudoSurface,
     connection_form,
     structure_functions,
 )
@@ -154,6 +155,12 @@ def test_geometry_minkowski():
     assert np.isclose(eigs[0].imag, -0.5 * rate, rtol=1e-10)
     assert np.isclose(eigs[1].imag, 0.5 * rate, rtol=1e-10)
     assert abs(eigs[0].real) < 1e-10 * rate and abs(eigs[1].real) < 1e-10 * rate
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, MINKOWSKI], ids=["euclidean", "minkowski"])
+def test_surface_route_curvatures_match_foucault_geometry(metric):
+    surface = PseudoSurface.from_pfaffian(fc.theta2_oneform(PARIS), metric)
+    assert surface.curvature_report((0.0, 0.0, 0.0)) == fc.foucault_geometry(PARIS, metric).report
 
 
 def test_geometry_galilean_degenerate():

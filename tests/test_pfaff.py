@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pseudoform
-from pseudoform.errors import DegeneratePfaffianError, ValidationError
+from pseudoform.errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
 from pseudoform.formlang import parse_oneform
 from pseudoform.pfaff import (
     NormalForm,
@@ -169,6 +169,18 @@ def test_constraint_residual_spiral():
     vel = np.column_stack([-np.sin(s), np.cos(s), np.zeros_like(s)])
     theta = parse_oneform(["0", "0", "1"])
     assert constraint_residual(theta, _Path(pts, vel)) < 1e-14
+
+
+def test_constraint_residual_rejects_non_finite_components():
+    # every sample but x = 0 has an infinite third component
+    x = np.linspace(0.0, 1.0, 11)
+    pts = np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
+    vel = np.tile([0.0, 1.0, 0.5], (len(x), 1))
+    theta = parse_oneform(["0", "0", "1 + x*1e300*1e300"])
+    # the dual gradient overflows first, with a NumPy warning; the finite
+    # check on the evaluated components is what must report it
+    with np.errstate(over="ignore"), pytest.raises(EvaluationDomainError, match="non-finite"):
+        constraint_residual(theta, _Path(pts, vel))
 
 
 def test_constraint_residual_axis_integral_curve():
