@@ -50,6 +50,7 @@ from .formlang import parse_expression, parse_oneform, parse_scalar, pretty
 from .foucault import (
     FoucaultConfig,
     FoucaultGeometry,
+    PendulumOrbit,
     PendulumState,
     Trajectory,
     TransportState,
@@ -60,9 +61,11 @@ from .foucault import (
     foucault_geometry,
     measure_precession,
     parallel_transport,
+    pendulum_orbit,
     precession_per_day,
     simulate_pendulum,
     theta2_oneform,
+    transport_blocks,
 )
 from .geometry import (
     EUCLIDEAN,

@@ -39,6 +39,12 @@ def format_point(p):
     return str(tuple(float(c) for c in p))
 
 
+# Wraps each public evaluation (the methods that call ``_check_finite``): an
+# overflow inside the field, such as a Dual gradient reaching inf, stays
+# silent in NumPy, and the finite check raises the typed error instead.
+_field_evaluation = np.errstate(over="ignore", invalid="ignore")
+
+
 def _check_finite(p, *parts):
     """Raise ``EvaluationDomainError`` unless every value in ``parts`` is finite."""
     for part in parts:
@@ -59,6 +65,7 @@ class ScalarField:
     def _vgh(self, p):
         raise NotImplementedError
 
+    @_field_evaluation
     def differentiate(self, p):
         p = as_point(p)
         v, g, h = self._vgh(p)
@@ -69,12 +76,14 @@ class ScalarField:
         _check_finite(p, v, g, h)
         return v, g, h
 
+    @_field_evaluation
     def value(self, p):
         p = as_point(p)
         v = self._vgh(p)[0]
         _check_finite(p, v)
         return v
 
+    @_field_evaluation
     def gradient(self, p):
         p = as_point(p)
         v, g, _ = self._vgh(p)
@@ -197,6 +206,7 @@ class OneForm:
         self.components = tuple(_as_field(c) for c in components)
         self.chart = chart
 
+    @_field_evaluation
     def components_at(self, p):
         p = as_point(p)
         vals = np.array([c._vgh(p)[0] for c in self.components])
@@ -210,6 +220,7 @@ class OneForm:
         """J[i, j] = d_i theta_j."""
         return self.values_and_jacobian(p)[1]
 
+    @_field_evaluation
     def values_and_jacobian(self, p):
         """Component values and J[i, j] = d_i theta_j in one evaluation."""
         p = as_point(p)

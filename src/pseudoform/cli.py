@@ -13,6 +13,7 @@ components) extend the same layout with a z / time-component column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -129,23 +130,32 @@ def _report_json(report):
 
 
 def _write_json(document, out):
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    _write_text(text, out)
+    with _output(out) as fh:
+        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(header, rows, out):
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines += [fmt % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
-    _write_text("\n".join(lines) + "\n", out)
+def _write_csv(header, blocks, out):
+    """Write the header, then each block of rows as it arrives.
+
+    ``blocks`` is an iterable of 2-D arrays.  Each block is formatted by one
+    ``%`` over its flattened values, ``%.17g`` each, so only one block's text
+    is held at a time.
+    """
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with _output(out) as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            block = np.asarray(block, dtype=float)
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
-def _write_text(text, out):
+@contextlib.contextmanager
+def _output(out):
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _document(subcommand, config, seed, result):
@@ -267,7 +277,7 @@ def _cmd_geodesic(config, args):
         _write_json(_document("geodesic", cfg, args.seed, result), args.out)
     else:
         rows = np.column_stack([curve.s, curve.points, curve.velocities])
-        _write_csv(["t", "x", "y", "z", "vx", "vy", "vz"], rows, args.out)
+        _write_csv(["t", "x", "y", "z", "vx", "vy", "vz"], [rows], args.out)
     if curve.aborted:
         raise PseudoformError(
             f"geodesic aborted after {len(curve.s) - 1} of {steps} steps: {curve.abort_reason}"
@@ -317,36 +327,36 @@ def _cmd_foucault_geometry(config, args):
     return EXIT_OK
 
 
+def _pendulum_orbit(cfg):
+    if cfg["initial"] is None:
+        raise ConfigError("missing required config field 'initial'")
+    return fc.pendulum_orbit(
+        _foucault_config(cfg),
+        _vector(cfg, "initial", 4),
+        _number(cfg, "dt"),
+        _number(cfg, "duration"),
+    )
+
+
+def _rows(blocks):
+    """(times, states) blocks as row blocks with the time in column 0."""
+    return (np.column_stack(block) for block in blocks)
+
+
 def _cmd_foucault_sim(config, args):
     cfg = _merge(
         config,
         defaults={**_FOUCAULT_DEFAULTS, "initial": None},
         required=("latitude", "dt", "duration"),
     )
-    if cfg["initial"] is None:
-        raise ConfigError("missing required config field 'initial'")
-    pendulum = _foucault_config(cfg)
-    traj = fc.simulate_pendulum(
-        pendulum, _vector(cfg, "initial", 4), _number(cfg, "dt"), _number(cfg, "duration")
-    )
+    rows = _rows(_pendulum_orbit(cfg).blocks())
     if args.format == "json":
-        result = {"times": traj.times.tolist(), "states": traj.states.tolist()}
+        table = np.concatenate(list(rows))
+        result = {"times": table[:, 0].tolist(), "states": table[:, 1:].tolist()}
         _write_json(_document("foucault-sim", cfg, args.seed, result), args.out)
     else:
-        rows = np.column_stack([traj.times, traj.states])
         _write_csv(["t", "x", "y", "vx", "vy"], rows, args.out)
     return EXIT_OK
-
-
-def _nearest_index(times, t):
-    """Index of the uniformly spaced sample time nearest t, the earlier on a tie.
-
-    Scans the rounded guess and both its neighbours, so the result equals
-    ``argmin(|times - t|)`` over the whole array.
-    """
-    guess = int(round((t - times[0]) / (times[1] - times[0])))
-    lo = max(guess - 1, 0)
-    return lo + int(np.argmin(np.abs(times[lo : guess + 2] - t)))
 
 
 def _cmd_foucault_precession(config, args):
@@ -355,29 +365,21 @@ def _cmd_foucault_precession(config, args):
         defaults={**_FOUCAULT_DEFAULTS, "initial": None, "window": None},
         required=("latitude", "dt", "duration"),
     )
-    if cfg["initial"] is None:
-        raise ConfigError("missing required config field 'initial'")
-    pendulum = _foucault_config(cfg)
-    traj = fc.simulate_pendulum(
-        pendulum, _vector(cfg, "initial", 4), _number(cfg, "dt"), _number(cfg, "duration")
-    )
+    orbit = _pendulum_orbit(cfg)
     window = None if cfg["window"] is None else _number(cfg, "window")
-    estimate = fc.measure_precession(traj, window_seconds=window)
+    estimate = fc.measure_precession(orbit, window_seconds=window)
     if args.format == "json":
         result = {
             "rate": estimate.rate,
-            "oracle_rate": pendulum.precession_rate,
-            "plane_frame_rate": pendulum.phi_dot,
+            "oracle_rate": orbit.config.precession_rate,
+            "plane_frame_rate": orbit.config.phi_dot,
             "window_centers": estimate.window_centers.tolist(),
             "angles": estimate.angles.tolist(),
         }
         _write_json(_document("foucault-precession", cfg, args.seed, result), args.out)
     else:
-        rows = []
-        for center, angle in zip(estimate.window_centers, estimate.angles):
-            idx = _nearest_index(traj.times, center)
-            rows.append([center, *traj.states[idx], angle])
-        _write_csv(["t", "x", "y", "vx", "vy", "plane_angle_rad"], rows, args.out)
+        rows = np.column_stack([estimate.window_centers, estimate.center_states, estimate.angles])
+        _write_csv(["t", "x", "y", "vx", "vy", "plane_angle_rad"], [rows], args.out)
     return EXIT_OK
 
 
@@ -389,19 +391,21 @@ def _cmd_transport(config, args):
     )
     if cfg["kind"] not in ("vector", "covector"):
         raise ConfigError(f"config field 'kind' must be 'vector' or 'covector', got {cfg['kind']!r}")
-    result_obj = fc.parallel_transport(
-        _foucault_config(cfg),
-        cfg["kind"],
-        _vector(cfg, "initial", 3),
-        _number(cfg, "t0"),
-        _number(cfg, "t1"),
-        _number(cfg, "dt"),
+    rows = _rows(
+        fc.transport_blocks(
+            _foucault_config(cfg),
+            cfg["kind"],
+            _vector(cfg, "initial", 3),
+            _number(cfg, "t0"),
+            _number(cfg, "t1"),
+            _number(cfg, "dt"),
+        )
     )
     if args.format == "json":
-        result = {"times": result_obj.times.tolist(), "components": result_obj.components.tolist()}
+        table = np.concatenate(list(rows))
+        result = {"times": table[:, 0].tolist(), "components": table[:, 1:].tolist()}
         _write_json(_document("transport", cfg, args.seed, result), args.out)
     else:
-        rows = np.column_stack([result_obj.times, result_obj.components])
         _write_csv(["t", "ct", "cx", "cy"], rows, args.out)
     return EXIT_OK
 

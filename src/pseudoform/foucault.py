@@ -34,7 +34,7 @@ from .geometry import (
     fundamental_forms,
     shape_and_curvatures,
 )
-from .integrate import linear_rk4_orbit, validate_steps
+from .integrate import linear_rk4_blocks, linear_rk4_orbit, validate_steps
 from .pfaff import frobenius_coefficient
 
 OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
@@ -172,6 +172,52 @@ class Trajectory:
     def vy(self):
         return self.states[:, 3]
 
+    @property
+    def dt(self):
+        """Sample spacing, read from the first two times."""
+        return float(self.times[1] - self.times[0])
+
+    @property
+    def rows(self):
+        return len(self.times)
+
+    def blocks(self):
+        """The samples as a single (times, states) block."""
+        yield self.times, self.states
+
+
+@dataclass(frozen=True)
+class PendulumOrbit:
+    """A pendulum run computed one row block at a time.
+
+    ``blocks()`` yields (times, states) pairs, times ``dt * k``; their rows,
+    concatenated, are ``simulate_pendulum``'s bit for bit.  Only the block
+    being read is held, so ``measure_precession`` and the CLI's CSV writer
+    never hold the whole trajectory.
+    """
+
+    config: "FoucaultConfig"
+    initial: np.ndarray  # x, y, vx, vy
+    dt: float
+    steps: int
+
+    @property
+    def rows(self):
+        return self.steps + 1
+
+    def blocks(self):
+        dt = self.dt
+        states = linear_rk4_blocks(dynamics_matrix(self.config), self.initial, dt, self.steps)
+        return _with_times(states, lambda k: dt * k)
+
+
+def _with_times(state_blocks, time_of):
+    """Pair each state block with ``time_of`` its row indices."""
+    k = 0
+    for states in state_blocks:
+        yield time_of(np.arange(k, k + len(states))), states
+        k += len(states)
+
 
 def dynamics_matrix(cfg):
     """Linearized co-rotating equations of motion for z = (x, y, vx, vy).
@@ -190,14 +236,12 @@ def dynamics_matrix(cfg):
     )
 
 
-def simulate_pendulum(cfg, initial, dt, duration):
-    """Fixed-step RK4 trajectory of the small-angle pendulum over [0, T].
+def pendulum_orbit(cfg, initial, dt, duration):
+    """The small-angle pendulum's fixed-step RK4 run over [0, T], unevaluated.
 
-    ``initial`` is a PendulumState or an (x, y, vx, vy) sequence; it is
-    row 0 of the states exactly.  The states are ``linear_rk4_orbit`` of
-    the linearized dynamics; over 2e5 steps the tests hold them to within
-    1e-12 of the largest state component from stepping the one-step RK4
-    matrix.
+    ``initial`` is a PendulumState or an (x, y, vx, vy) sequence.  The
+    arguments are checked here; the returned ``PendulumOrbit`` computes its
+    rows only as its blocks are read.
     """
     if dt == 0.0 or not math.isfinite(dt):
         raise ValidationError(f"step size dt must be finite and non-zero, got {dt!r}")
@@ -214,9 +258,21 @@ def simulate_pendulum(cfg, initial, dt, duration):
             f"initial amplitude {amplitude:.3g} m exceeds the pendulum length "
             f"{cfg.length:.3g} m: small-angle model invalid"
         )
-    states = linear_rk4_orbit(dynamics_matrix(cfg), z0, dt, steps)
-    times = dt * np.arange(steps + 1)
-    return Trajectory(times, states, cfg)
+    return PendulumOrbit(cfg, z0, dt, steps)
+
+
+def simulate_pendulum(cfg, initial, dt, duration):
+    """Fixed-step RK4 trajectory of the small-angle pendulum over [0, T].
+
+    The whole ``pendulum_orbit`` held in memory: 32 bytes of states per
+    step, so prefer the orbit's blocks for long runs.  Row 0 is the initial
+    state exactly.  The states are ``linear_rk4_orbit`` of the linearized
+    dynamics; over 2e5 steps the tests hold them to within 1e-12 of the
+    largest state component from stepping the one-step RK4 matrix.
+    """
+    orbit = pendulum_orbit(cfg, initial, dt, duration)
+    states = linear_rk4_orbit(dynamics_matrix(cfg), orbit.initial, dt, orbit.steps)
+    return Trajectory(dt * np.arange(orbit.rows), states, cfg)
 
 
 def decompose_acceleration(cfg, state, restoring):
@@ -252,6 +308,7 @@ class PrecessionEstimate:
     rate: float  # rad/s, least-squares slope of the plane angle
     window_centers: np.ndarray
     angles: np.ndarray  # unwrapped plane angles (mod pi) per window
+    center_states: np.ndarray  # (x, y, vx, vy) at the sample nearest each centre
 
 
 def _window_angle(x, y):
@@ -274,13 +331,41 @@ def _window_angle(x, y):
     return 0.5 * math.atan2(2.0 * mxy, mxx - myy)
 
 
+def _windows(blocks, size, count):
+    """The first ``count`` windows of ``size`` rows from (times, states) blocks.
+
+    Each window is copied into one reused buffer, so the caller must be done
+    with a window before it asks for the next.
+    """
+    times = np.empty(size)
+    states = np.empty((size, 4))
+    fill = 0
+    for block_times, block_states in blocks:
+        start = 0
+        while start < len(block_times):
+            take = min(size - fill, len(block_times) - start)
+            times[fill : fill + take] = block_times[start : start + take]
+            states[fill : fill + take] = block_states[start : start + take]
+            fill += take
+            start += take
+            if fill == size:
+                yield times, states
+                count -= 1
+                if count == 0:
+                    return
+                fill = 0
+
+
 def measure_precession(traj, window_seconds=None):
     """Least-squares precession rate of the swing plane.
 
-    The trajectory is cut into non-overlapping windows (default and
-    minimum: two pendulum periods, so the plane angle is averaged over
-    whole swings); each window contributes a principal-axis angle, the
-    angles are unwrapped modulo pi and fit by least squares.
+    ``traj`` is a ``Trajectory`` or a ``PendulumOrbit``; either is read
+    through its row blocks with one window of rows held at a time.  The
+    samples are cut into non-overlapping windows (default and minimum: two
+    pendulum periods, so the plane angle is averaged over whole swings);
+    each window contributes a principal-axis angle and the state at its
+    sample nearest the window centre (the earlier on a tie).  The angles
+    are unwrapped modulo pi and fit by least squares.
     """
     cfg = traj.config
     if window_seconds is None:
@@ -290,20 +375,19 @@ def measure_precession(traj, window_seconds=None):
             f"window {window_seconds:.3g} s shorter than two pendulum "
             f"periods ({2 * cfg.period:.3g} s)"
         )
-    times = traj.times
-    dt = float(times[1] - times[0])
-    per_window = max(2, int(round(window_seconds / dt)))
-    n_windows = len(times) // per_window
+    per_window = max(2, int(round(window_seconds / traj.dt)))
+    n_windows = traj.rows // per_window
     if n_windows < 2:
         raise ValidationError(
             f"trajectory too short: {n_windows} window(s) of {window_seconds:.3g} s"
         )
     centers = np.empty(n_windows)
     angles = np.empty(n_windows)
-    for k in range(n_windows):
-        sl = slice(k * per_window, (k + 1) * per_window)
-        centers[k] = float(np.mean(times[sl]))
-        angles[k] = _window_angle(traj.x[sl], traj.y[sl])
+    center_states = np.empty((n_windows, 4))
+    for k, (times, states) in enumerate(_windows(traj.blocks(), per_window, n_windows)):
+        centers[k] = float(np.mean(times))
+        angles[k] = _window_angle(states[:, 0], states[:, 1])
+        center_states[k] = states[int(np.argmin(np.abs(times - centers[k])))]
     # unwrap modulo pi (the plane angle is direction-free)
     for k in range(1, n_windows):
         while angles[k] - angles[k - 1] > math.pi / 2:
@@ -311,7 +395,7 @@ def measure_precession(traj, window_seconds=None):
         while angles[k] - angles[k - 1] < -math.pi / 2:
             angles[k] += math.pi
     slope = np.polyfit(centers, angles, 1)[0]
-    return PrecessionEstimate(float(slope), centers, angles)
+    return PrecessionEstimate(float(slope), centers, angles, center_states)
 
 
 # -- parallel transport ---------------------------------------------------
@@ -338,8 +422,8 @@ def transport_generator(cfg, kind="vector"):
     raise ValidationError(f"transport kind must be 'vector' or 'covector', got {kind!r}")
 
 
-def parallel_transport(cfg, kind, initial, t0, t1, dt):
-    """RK4 parallel transport of natural components from t0 to t1."""
+def _transport_run(cfg, kind, initial, t0, t1, dt):
+    """Checked (generator, initial components, step, step count) of a transport."""
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (3,):
         raise ValidationError("transported components must have shape (3,)")
@@ -349,8 +433,24 @@ def parallel_transport(cfg, kind, initial, t0, t1, dt):
         raise ValidationError(f"step size dt must be positive and finite, got {dt!r}")
     steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / steps
-    states = linear_rk4_orbit(transport_generator(cfg, kind), initial, h, steps)
+    return transport_generator(cfg, kind), initial, h, steps
+
+
+def parallel_transport(cfg, kind, initial, t0, t1, dt):
+    """RK4 parallel transport of natural components from t0 to t1."""
+    w, initial, h, steps = _transport_run(cfg, kind, initial, t0, t1, dt)
+    states = linear_rk4_orbit(w, initial, h, steps)
     return TransportState(t0 + h * np.arange(steps + 1), states, kind)
+
+
+def transport_blocks(cfg, kind, initial, t0, t1, dt):
+    """``parallel_transport``'s rows as (times, components) blocks.
+
+    The arguments are checked before this returns; each block is computed
+    only when it is read, so the whole run is never held.
+    """
+    w, initial, h, steps = _transport_run(cfg, kind, initial, t0, t1, dt)
+    return _with_times(linear_rk4_blocks(w, initial, h, steps), lambda k: t0 + h * k)
 
 
 # -- small physical helpers ------------------------------------------------

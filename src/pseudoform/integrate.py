@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-BLOCK = 1024  # rows advanced per stacked product in linear_rk4_orbit
+BLOCK = 1024  # rows advanced per stacked product in linear_rk4_blocks
 
 
 def rk4_step(f, t, y, h):
@@ -36,27 +36,44 @@ def rk4_transition_matrix(a, h):
     return m
 
 
-def linear_rk4_orbit(a, y0, h, steps):
-    """All RK4 iterates of y' = A y, as a (steps + 1, n) array.
+def linear_rk4_blocks(a, y0, h, steps):
+    """The RK4 iterates of y' = A y, yielded in row blocks.
 
-    Row 0 is ``y0`` exactly.  With M the one-step matrix, the powers
-    M^1 ... M^B (B = ``BLOCK``, at most ``steps``) are formed once and row
-    s + j is M^j applied to row s, so each block of B rows costs one
-    stacked matrix product.  This is the scheme of stepping ``y = M @ y``
-    with a different rounding order; the tests bound its deviation from
-    explicit stepping (at most 1e-12 of the largest state component over
-    2e5 steps of the Paris pendulum).
+    The first block is row 0, ``y0`` exactly, as a (1, n) array; then come
+    blocks of at most B = ``BLOCK`` rows.  With M the one-step matrix, the
+    powers M^1 ... M^B (B at most ``steps``) are formed once, and each block
+    is the stacked product of those powers with the last row before it: row
+    s + j is M^j applied to row s.  This is the scheme of stepping
+    ``y = M @ y`` with a different rounding order; the tests bound its
+    deviation from explicit stepping (at most 1e-12 of the largest state
+    component over 2e5 steps of the Paris pendulum).  Between blocks the
+    generator keeps only the powers and the last row.
     """
     validate_steps(steps, h)
     m = rk4_transition_matrix(a, h)
-    y0 = np.asarray(y0, dtype=float)
-    powers = np.empty((min(BLOCK, steps), y0.size, y0.size))
+    y = np.asarray(y0, dtype=float)
+    powers = np.empty((min(BLOCK, steps), y.size, y.size))
     powers[0] = m
     for j in range(1, len(powers)):
         powers[j] = powers[j - 1] @ m
-    out = np.empty((steps + 1, y0.size))
-    out[0] = y0
+    yield y.reshape(1, -1).copy()
     for s in range(0, steps, len(powers)):
-        stop = min(s + len(powers), steps)
-        out[s + 1 : stop + 1] = powers[: stop - s] @ out[s]
+        block = powers[: min(len(powers), steps - s)] @ y
+        yield block
+        y = block[-1].copy()
+
+
+def linear_rk4_orbit(a, y0, h, steps):
+    """All RK4 iterates of y' = A y, as a (steps + 1, n) array.
+
+    The rows are the blocks of ``linear_rk4_blocks``, bit for bit, so row 0
+    is ``y0`` exactly.
+    """
+    validate_steps(steps, h)
+    y0 = np.asarray(y0, dtype=float)
+    out = np.empty((steps + 1, y0.size))
+    row = 0
+    for block in linear_rk4_blocks(a, y0, h, steps):
+        out[row : row + len(block)] = block
+        row += len(block)
     return out

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,10 +161,12 @@ def test_csv_rows_match_per_value_format(tmp_path):
             [math.inf, -math.inf, math.nan, 0.0, -5e-324],
         ]
     )
-    out = tmp_path / "rows.csv"
-    cli._write_csv(["a", "b", "c", "d", "e"], rows, str(out))
     lines = ["a,b,c,d,e"] + [",".join("%.17g" % v for v in row) for row in rows]
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    out = tmp_path / "rows.csv"
+    # whole, uneven, and with empty blocks: the bytes never depend on the split
+    for cuts in [(), (1,), (2,), (0, 1, 1, 3)]:
+        cli._write_csv(["a", "b", "c", "d", "e"], np.split(rows, cuts), str(out))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("window", [60.0, 60.01])  # even and odd samples per window
@@ -183,6 +190,36 @@ def test_foucault_precession_csv_rows_match_full_scan(tmp_path, capsys, window):
         row = [center, *traj.states[idx], angle]
         lines.append(",".join("%.17g" % v for v in row))
     assert out == "\n".join(lines) + "\n"
+
+
+_PARIS_RUN = {"latitude": math.radians(48.85), "initial": [0.1, 0.0, 0.0, 0.0]}
+
+
+def _traced_peak_mb(tmp_path, argv, config):
+    """Peak traced allocation of one in-process CLI call writing to a file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        code = cli.run(["--config", str(path), "--out", str(tmp_path / "out")] + argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak / 2**20
+
+
+def test_two_hour_precession_holds_one_window(tmp_path):
+    # the whole 7.2e6-row trajectory would be 230 MB of states
+    config = {**_PARIS_RUN, "dt": 1e-3, "duration": 7200.0}
+    assert _traced_peak_mb(tmp_path, ["foucault", "precession"], config) <= 8.0
+
+
+def test_sim_csv_memory_does_not_grow_with_duration(tmp_path):
+    config = {**_PARIS_RUN, "dt": 1e-2}
+    short = _traced_peak_mb(tmp_path, ["foucault", "sim"], {**config, "duration": 60.0})
+    long = _traced_peak_mb(tmp_path, ["foucault", "sim"], {**config, "duration": 600.0})
+    assert long <= 4.0 and long <= 2.0 * short
 
 
 def test_transport_csv(tmp_path, capsys):
@@ -289,6 +326,22 @@ def test_classify_failures_are_typed(tmp_path, capsys, config, code, message):
     got, out, err = _run(tmp_path, capsys, ["classify"], config)
     assert (got, out) == (code, "")
     assert message in err and "Traceback" not in err
+
+
+def test_overflowing_gradient_prints_only_the_typed_error(tmp_path):
+    # x*1e300*1e300 overflows the Dual gradient; run as a process so that a
+    # NumPy warning would reach stderr as it does for a user
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_CLASSIFY_BOX, "lower": [0.1, 0, 0],
+                                  "theta": ["0", "0", "1 + x*1e300*1e300"]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudoform.cli", "--config", str(config), "classify"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("numerical error: non-finite")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

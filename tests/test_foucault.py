@@ -299,6 +299,59 @@ def test_precession_degenerate_circular_window():
         fc.measure_precession(traj, 40.0)
 
 
+def _sliced_precession(traj, window_seconds):
+    """Window centres, raw angles and centre states by slicing the whole run."""
+    per_window = max(2, int(round(window_seconds / (traj.times[1] - traj.times[0]))))
+    rows = []
+    for k in range(len(traj.times) // per_window):
+        sl = slice(k * per_window, (k + 1) * per_window)
+        center = float(np.mean(traj.times[sl]))
+        # the window and one neighbour on each side, so an outside sample could win
+        lo = max(sl.start - 1, 0)
+        nearest = lo + int(np.argmin(np.abs(traj.times[lo : sl.stop + 1] - center)))
+        rows.append([center, fc._window_angle(traj.x[sl], traj.y[sl]), *traj.states[nearest]])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "cfg, initial, dt, duration, window",
+    [
+        # odd and even samples per window (an even one has its centre between
+        # two samples); either way windows straddle the 1024-row blocks
+        (fc.FoucaultConfig(latitude=0.853, length=10.0), (0.2, 0.05, 0.0, 0.0), 0.01, 600.0, 60.01),
+        (fc.FoucaultConfig(latitude=0.853, length=10.0), (0.2, 0.05, 0.0, 0.0), 0.01, 600.0, 60.0),
+        (PARIS, (0.1, 0.0, 0.0, 0.0), 1e-3, 7200.0, None),
+    ],
+    ids=["odd-window", "even-window", "two-hour"],
+)
+def test_streamed_precession_matches_materialized(cfg, initial, dt, duration, window):
+    orbit = fc.pendulum_orbit(cfg, initial, dt, duration)
+    traj = fc.simulate_pendulum(cfg, initial, dt, duration)
+    window_seconds = window or 2.0 * cfg.period
+    # every run ends in a partial window, which is dropped
+    assert orbit.rows == len(traj.times) and orbit.rows % round(window_seconds / dt)
+    streamed = fc.measure_precession(orbit, window)
+    held = fc.measure_precession(traj, window)
+    assert streamed.rate == held.rate
+    assert np.array_equal(streamed.window_centers, held.window_centers)
+    assert np.array_equal(streamed.angles, held.angles)
+    assert np.array_equal(streamed.center_states, held.center_states)
+    reference = _sliced_precession(traj, window_seconds)
+    assert np.array_equal(held.window_centers, reference[:, 0])
+    assert np.array_equal(held.center_states, reference[:, 2:])
+    # unwrapping moves an angle by whole multiples of pi only
+    turns = (held.angles - reference[:, 1]) / math.pi
+    assert np.max(np.abs(turns - np.round(turns))) <= 1e-12
+
+
+def test_orbit_blocks_concatenate_to_simulation():
+    orbit = fc.pendulum_orbit(PARIS, (0.1, 0.02, 0.0, 0.01), 1e-3, 5.0)
+    traj = fc.simulate_pendulum(PARIS, (0.1, 0.02, 0.0, 0.01), 1e-3, 5.0)
+    times, states = (np.concatenate(part) for part in zip(*orbit.blocks()))
+    assert times.tobytes() == traj.times.tobytes()
+    assert states.tobytes() == traj.states.tobytes()
+
+
 def test_precession_window_too_short():
     traj = fc.simulate_pendulum(PARIS, (0.1, 0.0, 0.0, 0.0), 1e-2, 600.0)
     with pytest.raises(ValidationError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pseudoform import foucault as fc
-from pseudoform.integrate import BLOCK, linear_rk4_orbit, rk4_transition_matrix
+from pseudoform.integrate import BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_transition_matrix
 
 PARIS = fc.FoucaultConfig(latitude=math.radians(48.85), length=67.0)
 DEVIATION_BOUND = 1e-12  # max |orbit - stepping| over max |stepping|
@@ -52,3 +52,8 @@ def test_orbit_block_edges(steps):
     assert orbit.shape == (steps + 1, 4)
     assert orbit[0].tobytes() == y0.tobytes()
     assert _deviation(a, y0, 1e-3, steps) <= DEVIATION_BOUND
+    blocks = list(linear_rk4_blocks(a, y0, 1e-3, steps))
+    assert [len(b) for b in blocks] == [1] + [BLOCK] * (steps // BLOCK) + [steps % BLOCK] * (
+        steps % BLOCK > 0
+    )
+    assert np.concatenate(blocks).tobytes() == orbit.tobytes()
