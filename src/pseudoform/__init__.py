@@ -41,7 +41,6 @@ from .errors import (
     EvaluationDomainError,
     FormSyntaxError,
     FramePfaffianMismatchError,
-    FrameSingularityError,
     PseudoformError,
     StraightLineError,
     ValidationError,

@@ -23,7 +23,7 @@ from . import foucault as fc
 from . import geometry, pfaff
 from .curves import integrate_geodesic
 from .errors import FormSyntaxError, PseudoformError, ValidationError
-from .formlang import parse_oneform, parse_scalar
+from .formlang import CHARTS, parse_oneform, parse_scalar
 from .geometry import MetricKind, MetricSignature
 
 SCHEMA_VERSION = 1
@@ -55,7 +55,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path!r}: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad syntax or encoding, or an integer past the digit limit
         raise ConfigError(f"config file {path!r} is not valid JSON: {err}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
@@ -63,7 +63,11 @@ def _load_config(path):
 
 
 def _merge(config, defaults, required=()):
-    """Apply defaults, reject unknown keys, demand required fields."""
+    """Apply defaults, reject unknown keys, demand required fields, check types.
+
+    Returns the merged config, which the JSON output echoes as given, and
+    the checked values.  A field whose default is None may be null.
+    """
     known = set(defaults) | set(required)
     for key in config:
         if key not in known:
@@ -73,43 +77,106 @@ def _merge(config, defaults, required=()):
     for key in required:
         if key not in merged:
             raise ConfigError(f"missing required config field {key!r}")
-    return merged
+    checked = {}
+    for key, value in merged.items():
+        nullable = key in defaults and defaults[key] is None
+        checked[key] = None if value is None and nullable else _FIELDS[key](key, value)
+    return merged, checked
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# -- config field types ----------------------------------------------------
 
 
-def _number(cfg, key):
-    v = cfg[key]
-    if not _is_number(v):
-        raise ConfigError(f"config field {key!r} must be a number, got {v!r}")
+def _is_finite(v):
+    # NaN fails the comparison, and so does an integer too large for a float
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _number(key, v):
+    if not _is_finite(v):
+        raise ConfigError(f"config field {key!r} must be a finite number, got {v!r}")
     return float(v)
 
 
-def _integer(cfg, key):
-    v = cfg[key]
+def _integer(key, v):
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"config field {key!r} must be an integer, got {v!r}")
     return v
 
 
-def _vector(cfg, key, size):
-    v = cfg[key]
-    if not isinstance(v, (list, tuple)) or len(v) != size or not all(map(_is_number, v)):
-        raise ConfigError(f"config field {key!r} must be a list of {size} numbers")
-    return [float(c) for c in v]
+def _vector(size=None):
+    """Check for a list of ``size`` finite numbers, of any length if None."""
+    what = "finite numbers" if size is None else f"{size} finite numbers"
+
+    def check(key, v):
+        sized = isinstance(v, list) and (size is None or len(v) == size)
+        if not sized or not all(map(_is_finite, v)):
+            raise ConfigError(f"config field {key!r} must be a list of {what}")
+        return [float(c) for c in v]
+
+    return check
 
 
-def _metric(cfg):
-    try:
-        kind = MetricKind(cfg["metric"])
-    except ValueError:
-        names = sorted(k.value for k in MetricKind)
-        raise ConfigError(
-            f"config field 'metric' must be one of {names}, got {cfg['metric']!r}"
-        ) from None
-    return MetricSignature(kind, _number(cfg, "light_speed"))
+def _choice(*names):
+    def check(key, v):
+        if v not in names:
+            raise ConfigError(f"config field {key!r} must be one of {sorted(names)}, got {v!r}")
+        return v
+
+    return check
+
+
+def _string(key, v):
+    if not isinstance(v, str):
+        raise ConfigError(f"config field {key!r} must be a string, got {v!r}")
+    return v
+
+
+def _texts(key, v):
+    if not isinstance(v, list) or len(v) != 3 or not all(isinstance(s, str) for s in v):
+        raise ConfigError(f"config field {key!r} must be a list of 3 component strings")
+    return v
+
+
+def _points(key, v):
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"config field {key!r} must be a non-empty list of 3-vectors")
+    return [_vector(3)(key, p) for p in v]
+
+
+_NUMBERS = ("tol", "light_speed", "ds", "latitude", "length", "gravity", "omega_earth",
+            "frame_rate", "time", "dt", "duration", "window", "t0", "t1")
+
+_FIELDS = {
+    **dict.fromkeys(_NUMBERS, _number),
+    "count": _integer,
+    "steps": _integer,
+    "lower": _vector(3),
+    "upper": _vector(3),
+    "point": _vector(3),
+    "nu": _vector(2),
+    "initial": _vector(),  # 4 numbers for the pendulum, 3 for transport
+    "chart": _choice(*CHARTS),
+    "metric": _choice(*(k.value for k in MetricKind)),
+    "kind": _choice("vector", "covector"),
+    "levelset": _string,
+    "theta": _texts,
+    "pfaffian": _texts,
+    "points": _points,
+}
+
+
+def _initial(c, size):
+    if len(c["initial"]) != size:
+        raise ConfigError(f"config field 'initial' must be a list of {size} numbers")
+    return c["initial"]
+
+
+def _metric(c):
+    return MetricSignature(MetricKind(c["metric"]), c["light_speed"])
+
+
+# -- output ----------------------------------------------------------------
 
 
 def _complex_json(z):
@@ -129,8 +196,15 @@ def _report_json(report):
     }
 
 
-def _write_json(document, out):
-    with _output(out) as fh:
+def _write_json(args, config, result):
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": args.command,
+        "config": config,
+        "seed": args.seed,
+        "result": result,
+    }
+    with _output(args.out) as fh:
         fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
@@ -149,6 +223,16 @@ def _write_csv(header, blocks, out):
             fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
+def _write_table(args, config, header, key, blocks):
+    """(times, values) blocks as streamed CSV rows, or one JSON table under ``key``."""
+    rows = (np.column_stack(block) for block in blocks)
+    if args.format == "csv":
+        _write_csv(header, rows, args.out)
+        return
+    table = np.concatenate(list(rows))
+    _write_json(args, config, {"times": table[:, 0].tolist(), key: table[:, 1:].tolist()})
+
+
 @contextlib.contextmanager
 def _output(out):
     if out is None:
@@ -158,83 +242,68 @@ def _output(out):
             yield fh
 
 
-def _document(subcommand, config, seed, result):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
-        "result": result,
-    }
-
-
-def _surface_from_config(cfg):
-    has_level = cfg["levelset"] is not None
-    has_pfaff = cfg["pfaffian"] is not None
-    if has_level == has_pfaff:
-        raise ConfigError("exactly one of config fields 'levelset', 'pfaffian' is required")
-    metric = _metric(cfg)
-    if has_level:
-        return geometry.PseudoSurface.from_levelset(
-            parse_scalar(cfg["levelset"], cfg["chart"]), metric
-        )
-    theta = parse_oneform(_oneform_texts(cfg, "pfaffian"), cfg["chart"])
-    return geometry.PseudoSurface.from_pfaffian(theta, metric)
-
-
-def _oneform_texts(cfg, key):
-    v = cfg[key]
-    if not isinstance(v, (list, tuple)) or len(v) != 3 or not all(isinstance(s, str) for s in v):
-        raise ConfigError(f"config field {key!r} must be a list of 3 component strings")
-    return list(v)
-
-
 # -- subcommand handlers --------------------------------------------------
+
+_METRIC_DEFAULTS = {"metric": "euclidean", "light_speed": geometry.LIGHT_SPEED}
+
+_SURFACE_DEFAULTS = {**_METRIC_DEFAULTS, "chart": "spatial", "levelset": None, "pfaffian": None}
+
+_FOUCAULT_DEFAULTS = {
+    "length": 67.0,
+    "gravity": 9.81,
+    "omega_earth": fc.OMEGA_EARTH,
+    "frame_rate": None,
+}
+
+
+def _surface(c):
+    if (c["levelset"] is None) == (c["pfaffian"] is None):
+        raise ConfigError("exactly one of config fields 'levelset', 'pfaffian' is required")
+    metric = _metric(c)
+    if c["levelset"] is not None:
+        return geometry.PseudoSurface.from_levelset(parse_scalar(c["levelset"], c["chart"]), metric)
+    return geometry.PseudoSurface.from_pfaffian(parse_oneform(c["pfaffian"], c["chart"]), metric)
+
+
+def _foucault_config(c):
+    return fc.FoucaultConfig(
+        latitude=c["latitude"],
+        length=c["length"],
+        gravity=c["gravity"],
+        omega_earth=c["omega_earth"],
+        frame_rate=c["frame_rate"],
+    )
+
+
+def _pendulum_orbit(c):
+    return fc.pendulum_orbit(_foucault_config(c), _initial(c, 4), c["dt"], c["duration"])
 
 
 def _cmd_classify(config, args):
-    cfg = _merge(
+    cfg, c = _merge(
         config,
         defaults={"chart": "spatial", "count": 100, "tol": 1e-8},
         required=("theta", "lower", "upper"),
     )
-    theta = parse_oneform(_oneform_texts(cfg, "theta"), cfg["chart"])
+    theta = parse_oneform(c["theta"], c["chart"])
     region = pfaff.RegionSampler(
-        tuple(_vector(cfg, "lower", 3)),
-        tuple(_vector(cfg, "upper", 3)),
-        count=_integer(cfg, "count"),
-        seed=args.seed,
+        tuple(c["lower"]), tuple(c["upper"]), count=c["count"], seed=args.seed
     )
-    verdict = pfaff.classify(theta, region, tol=_number(cfg, "tol"))
+    verdict = pfaff.classify(theta, region, tol=c["tol"])
     result = {
         "class": verdict.kind.value,
         "max_dtheta": verdict.max_dtheta,
         "max_frobenius": verdict.max_frobenius,
         "max_frobenius_raw": verdict.max_frobenius_raw,
     }
-    _write_json(_document("classify", cfg, args.seed, result), args.out)
-    return EXIT_OK
+    _write_json(args, cfg, result)
 
 
 def _cmd_surface(config, args):
-    cfg = _merge(
-        config,
-        defaults={
-            "chart": "spatial",
-            "metric": "euclidean",
-            "light_speed": geometry.LIGHT_SPEED,
-            "levelset": None,
-            "pfaffian": None,
-        },
-        required=("points",),
-    )
-    surface = _surface_from_config(cfg)
-    points = cfg["points"]
-    if not isinstance(points, list) or not points:
-        raise ConfigError("config field 'points' must be a non-empty list of 3-vectors")
+    cfg, c = _merge(config, _SURFACE_DEFAULTS, required=("points",))
+    surface = _surface(c)
     result = []
-    for raw in points:
-        p = _vector({"points": raw}, "points", 3)
+    for p in c["points"]:
         forms = surface.fundamental_forms(p)
         report = geometry.shape_and_curvatures(forms)
         result.append(
@@ -245,27 +314,12 @@ def _cmd_surface(config, args):
                 "curvatures": _report_json(report),
             }
         )
-    _write_json(_document("surface", cfg, args.seed, result), args.out)
-    return EXIT_OK
+    _write_json(args, cfg, result)
 
 
 def _cmd_geodesic(config, args):
-    cfg = _merge(
-        config,
-        defaults={
-            "chart": "spatial",
-            "metric": "euclidean",
-            "light_speed": geometry.LIGHT_SPEED,
-            "levelset": None,
-            "pfaffian": None,
-        },
-        required=("point", "nu", "ds", "steps"),
-    )
-    surface = _surface_from_config(cfg)
-    steps = _integer(cfg, "steps")
-    curve = integrate_geodesic(
-        surface, _vector(cfg, "point", 3), _vector(cfg, "nu", 2), _number(cfg, "ds"), steps
-    )
+    cfg, c = _merge(config, _SURFACE_DEFAULTS, required=("point", "nu", "ds", "steps"))
+    curve = integrate_geodesic(_surface(c), c["point"], c["nu"], c["ds"], c["steps"])
     if args.format == "json":
         result = {
             "s": curve.s.tolist(),
@@ -274,100 +328,49 @@ def _cmd_geodesic(config, args):
             "aborted": curve.aborted,
             "abort_reason": curve.abort_reason,
         }
-        _write_json(_document("geodesic", cfg, args.seed, result), args.out)
+        _write_json(args, cfg, result)
     else:
         rows = np.column_stack([curve.s, curve.points, curve.velocities])
         _write_csv(["t", "x", "y", "z", "vx", "vy", "vz"], [rows], args.out)
     if curve.aborted:
         raise PseudoformError(
-            f"geodesic aborted after {len(curve.s) - 1} of {steps} steps: {curve.abort_reason}"
+            f"geodesic aborted after {len(curve.s) - 1} of {c['steps']} steps: "
+            f"{curve.abort_reason}"
         )
-    return EXIT_OK
-
-
-_FOUCAULT_DEFAULTS = {
-    "length": 67.0,
-    "gravity": 9.81,
-    "omega_earth": fc.OMEGA_EARTH,
-    "frame_rate": None,
-}
-
-
-def _foucault_config(cfg):
-    return fc.FoucaultConfig(
-        latitude=_number(cfg, "latitude"),
-        length=_number(cfg, "length"),
-        gravity=_number(cfg, "gravity"),
-        omega_earth=_number(cfg, "omega_earth"),
-        frame_rate=None if cfg["frame_rate"] is None else _number(cfg, "frame_rate"),
-    )
 
 
 def _cmd_foucault_geometry(config, args):
-    cfg = _merge(
+    cfg, c = _merge(
         config,
-        defaults={
-            **_FOUCAULT_DEFAULTS,
-            "metric": "euclidean",
-            "light_speed": geometry.LIGHT_SPEED,
-            "time": 0.0,
-        },
+        defaults={**_FOUCAULT_DEFAULTS, **_METRIC_DEFAULTS, "time": 0.0},
         required=("latitude",),
     )
-    geo = fc.foucault_geometry(_foucault_config(cfg), _metric(cfg), t=_number(cfg, "time"))
+    pendulum = _foucault_config(c)
+    geo = fc.foucault_geometry(pendulum, _metric(c), t=c["time"])
     result = {
         "frobenius": geo.frobenius,
-        "phi_dot": _foucault_config(cfg).phi_dot,
+        "phi_dot": pendulum.phi_dot,
         "g": geo.g.tolist(),
         "h": geo.h.tolist(),
         "curvatures": _report_json(geo.report),
         "metric_degenerate": geo.metric.degenerate,
     }
-    _write_json(_document("foucault-geometry", cfg, args.seed, result), args.out)
-    return EXIT_OK
-
-
-def _pendulum_orbit(cfg):
-    if cfg["initial"] is None:
-        raise ConfigError("missing required config field 'initial'")
-    return fc.pendulum_orbit(
-        _foucault_config(cfg),
-        _vector(cfg, "initial", 4),
-        _number(cfg, "dt"),
-        _number(cfg, "duration"),
-    )
-
-
-def _rows(blocks):
-    """(times, states) blocks as row blocks with the time in column 0."""
-    return (np.column_stack(block) for block in blocks)
+    _write_json(args, cfg, result)
 
 
 def _cmd_foucault_sim(config, args):
-    cfg = _merge(
-        config,
-        defaults={**_FOUCAULT_DEFAULTS, "initial": None},
-        required=("latitude", "dt", "duration"),
-    )
-    rows = _rows(_pendulum_orbit(cfg).blocks())
-    if args.format == "json":
-        table = np.concatenate(list(rows))
-        result = {"times": table[:, 0].tolist(), "states": table[:, 1:].tolist()}
-        _write_json(_document("foucault-sim", cfg, args.seed, result), args.out)
-    else:
-        _write_csv(["t", "x", "y", "vx", "vy"], rows, args.out)
-    return EXIT_OK
+    cfg, c = _merge(config, _FOUCAULT_DEFAULTS, required=("latitude", "dt", "duration", "initial"))
+    _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c).blocks())
 
 
 def _cmd_foucault_precession(config, args):
-    cfg = _merge(
+    cfg, c = _merge(
         config,
-        defaults={**_FOUCAULT_DEFAULTS, "initial": None, "window": None},
-        required=("latitude", "dt", "duration"),
+        defaults={**_FOUCAULT_DEFAULTS, "window": None},
+        required=("latitude", "dt", "duration", "initial"),
     )
-    orbit = _pendulum_orbit(cfg)
-    window = None if cfg["window"] is None else _number(cfg, "window")
-    estimate = fc.measure_precession(orbit, window_seconds=window)
+    orbit = _pendulum_orbit(c)
+    estimate = fc.measure_precession(orbit, window_seconds=c["window"])
     if args.format == "json":
         result = {
             "rate": estimate.rate,
@@ -376,41 +379,36 @@ def _cmd_foucault_precession(config, args):
             "window_centers": estimate.window_centers.tolist(),
             "angles": estimate.angles.tolist(),
         }
-        _write_json(_document("foucault-precession", cfg, args.seed, result), args.out)
+        _write_json(args, cfg, result)
     else:
         rows = np.column_stack([estimate.window_centers, estimate.center_states, estimate.angles])
         _write_csv(["t", "x", "y", "vx", "vy", "plane_angle_rad"], [rows], args.out)
-    return EXIT_OK
 
 
 def _cmd_transport(config, args):
-    cfg = _merge(
+    cfg, c = _merge(
         config,
         defaults={**_FOUCAULT_DEFAULTS, "kind": "vector", "t0": 0.0},
         required=("latitude", "initial", "t1", "dt"),
     )
-    if cfg["kind"] not in ("vector", "covector"):
-        raise ConfigError(f"config field 'kind' must be 'vector' or 'covector', got {cfg['kind']!r}")
-    rows = _rows(
-        fc.transport_blocks(
-            _foucault_config(cfg),
-            cfg["kind"],
-            _vector(cfg, "initial", 3),
-            _number(cfg, "t0"),
-            _number(cfg, "t1"),
-            _number(cfg, "dt"),
-        )
+    blocks = fc.transport_blocks(
+        _foucault_config(c), c["kind"], _initial(c, 3), c["t0"], c["t1"], c["dt"]
     )
-    if args.format == "json":
-        table = np.concatenate(list(rows))
-        result = {"times": table[:, 0].tolist(), "components": table[:, 1:].tolist()}
-        _write_json(_document("transport", cfg, args.seed, result), args.out)
-    else:
-        _write_csv(["t", "ct", "cx", "cy"], rows, args.out)
-    return EXIT_OK
+    _write_table(args, cfg, ["t", "ct", "cx", "cy"], "components", blocks)
 
 
 # -- driver ----------------------------------------------------------------
+
+# argv words -> (handler, default format)
+COMMANDS = {
+    ("classify",): (_cmd_classify, "json"),
+    ("surface",): (_cmd_surface, "json"),
+    ("geodesic",): (_cmd_geodesic, "csv"),
+    ("foucault", "geometry"): (_cmd_foucault_geometry, "json"),
+    ("foucault", "sim"): (_cmd_foucault_sim, "csv"),
+    ("foucault", "precession"): (_cmd_foucault_precession, "csv"),
+    ("transport",): (_cmd_transport, "csv"),
+}
 
 
 def _build_parser():
@@ -419,38 +417,15 @@ def _build_parser():
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--seed", type=int, default=0, help="sampler seed (u64)")
-    sub = parser.add_subparsers(dest="subcommand")
-    sub.add_parser("classify")
-    sub.add_parser("surface")
-    sub.add_parser("geodesic")
-    foucault = sub.add_parser("foucault")
-    fsub = foucault.add_subparsers(dest="foucault_subcommand")
-    fsub.add_parser("geometry")
-    fsub.add_parser("sim")
-    fsub.add_parser("precession")
-    sub.add_parser("transport")
+    subparsers = {(): parser.add_subparsers(dest="subcommand")}
+    for words in COMMANDS:
+        group = words[:-1]
+        if group not in subparsers:
+            subparsers[group] = subparsers[()].add_parser(group[0]).add_subparsers(
+                dest=f"{group[0]}_subcommand"
+            )
+        subparsers[group].add_parser(words[-1]).set_defaults(words=words)
     return parser
-
-
-_DEFAULT_FORMATS = {
-    "classify": "json",
-    "surface": "json",
-    "geodesic": "csv",
-    ("foucault", "geometry"): "json",
-    ("foucault", "sim"): "csv",
-    ("foucault", "precession"): "csv",
-    "transport": "csv",
-}
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "surface": _cmd_surface,
-    "geodesic": _cmd_geodesic,
-    ("foucault", "geometry"): _cmd_foucault_geometry,
-    ("foucault", "sim"): _cmd_foucault_sim,
-    ("foucault", "precession"): _cmd_foucault_precession,
-    "transport": _cmd_transport,
-}
 
 
 def run(argv):
@@ -460,21 +435,20 @@ def run(argv):
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise UsageError("a subcommand is required")
-        key = args.subcommand
-        if key == "foucault":
-            if args.foucault_subcommand is None:
-                raise UsageError("foucault requires one of: geometry, sim, precession")
-            key = ("foucault", args.foucault_subcommand)
+        words = getattr(args, "words", None)  # unset when a group word comes alone
+        if words is None:
+            actions = ", ".join(w[-1] for w in COMMANDS if w[0] == args.subcommand)
+            raise UsageError(f"{args.subcommand} requires one of: {actions}")
         if args.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format is None:
-        args.format = _DEFAULT_FORMATS[key]
+    handler, default_format = COMMANDS[words]
+    args.command = "-".join(words)
+    args.format = args.format or default_format
     try:
-        config = _load_config(args.config)
-        return _HANDLERS[key](config, args)
+        handler(_load_config(args.config), args)
     except (ConfigError, FormSyntaxError, ValidationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -484,6 +458,7 @@ def run(argv):
     except OSError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 def main():

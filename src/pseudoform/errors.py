@@ -32,10 +32,6 @@ class DegenerateMetricError(PseudoformError):
     """The first fundamental form is singular, so g^ab does not exist."""
 
 
-class FrameSingularityError(PseudoformError):
-    """The frame matrix is singular (or became singular along a path)."""
-
-
 class FramePfaffianMismatchError(PseudoformError):
     """The frame's normal coframe leg does not match the given Pfaffian."""
 

@@ -131,6 +131,9 @@ def test_foucault_sim_planar_csv(tmp_path, capsys):
     data = np.array([np.fromstring(ln, sep=",") for ln in lines[1:]])
     assert data.shape == (501, 5)
     assert np.max(np.abs(data[:, 2])) == 0.0  # no rotation: y stays zero
+    code, out, _ = _run(tmp_path, capsys, ["--format", "json", "foucault", "sim"], config)
+    result = json.loads(out)["result"]
+    assert code == 0 and np.array_equal(np.column_stack([result["times"], result["states"]]), data)
 
 
 def test_foucault_precession_csv_and_json(tmp_path, capsys):
@@ -232,16 +235,45 @@ def test_transport_csv(tmp_path, capsys):
     rate = 2 * 7.292e-5 * math.sin(0.9)
     assert np.isclose(last[2], math.cos(rate * 1000.0), atol=1e-8)
     assert np.isclose(last[3], math.sin(rate * 1000.0), atol=1e-8)
+    code, out, _ = _run(tmp_path, capsys, ["--format", "json", "transport"], config)
+    result = json.loads(out)["result"]
+    assert code == 0 and [result["times"][-1], *result["components"][-1]] == last.tolist()
 
 
 # -- error handling ---------------------------------------------------------
 
 
 def test_usage_errors(tmp_path, capsys):
-    assert _run(tmp_path, capsys, [])[0] == 1
+    assert _run(tmp_path, capsys, []) == (1, "", "usage error: a subcommand is required\n")
     assert _run(tmp_path, capsys, ["no-such-command"])[0] == 1
-    assert _run(tmp_path, capsys, ["foucault"])[0] == 1
+    assert _run(tmp_path, capsys, ["foucault"]) == (
+        1, "", "usage error: foucault requires one of: geometry, sim, precession\n"
+    )
+    assert _run(tmp_path, capsys, ["foucault", "no-such-command"])[0] == 1
     assert _run(tmp_path, capsys, ["--seed", "-3", "classify"])[0] == 1
+
+
+_MINIMAL_CONFIGS = {
+    ("classify",): {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]},
+    ("surface",): {"levelset": "z", "points": [[0, 0, 0]]},
+    ("geodesic",): {"levelset": "z", "point": [0, 0, 0], "nu": [1, 0], "ds": 0.1, "steps": 2},
+    ("foucault", "geometry"): {"latitude": 0.5},
+    ("foucault", "sim"): {"latitude": 0.5, "initial": [0.1, 0, 0, 0], "dt": 0.1, "duration": 1},
+    ("foucault", "precession"): {
+        "latitude": 0.5, "length": 1, "initial": [0.1, 0, 0, 0], "dt": 0.01, "duration": 30,
+    },
+    ("transport",): {"latitude": 0.5, "initial": [0, 1, 0], "t1": 1, "dt": 0.5},
+}
+
+
+@pytest.mark.parametrize("words", list(cli.COMMANDS), ids="-".join)
+def test_every_command_dispatches_in_its_default_format(tmp_path, capsys, words):
+    code, out, err = _run(tmp_path, capsys, list(words), _MINIMAL_CONFIGS[words])
+    assert (code, err) == (0, "")
+    if cli.COMMANDS[words][1] == "json":
+        assert json.loads(out)["subcommand"] == "-".join(words)
+    else:
+        assert out.startswith("t,") and not out.startswith("{")
 
 
 def test_config_error_bad_expression(tmp_path, capsys):
@@ -275,6 +307,16 @@ def test_config_error_missing_file(tmp_path, capsys):
 def test_config_error_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    code, _, err = _run(tmp_path, capsys, ["--config", str(path), "classify"])
+    assert code == 2 and "not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{}", b'{"count": ' + b"1" * 5000 + b"}"], ids=["not-utf8", "huge-integer"]
+)
+def test_config_error_unreadable_json_is_typed(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
     code, _, err = _run(tmp_path, capsys, ["--config", str(path), "classify"])
     assert code == 2 and "not valid JSON" in err
 
@@ -320,12 +362,43 @@ _OVERFLOW_BOX = {"lower": [800, 0, 0], "upper": [900, 1, 1]}
         pytest.param({**_CLASSIFY_BOX, "count": "many"}, 2, "'count'", id="string-count"),
         pytest.param({**_CLASSIFY_BOX, "count": None}, 2, "'count'", id="null-count"),
         pytest.param({**_CLASSIFY_BOX, "count": 2.7}, 2, "'count'", id="fractional-count"),
+        pytest.param({**_CLASSIFY_BOX, "chart": ["x"]}, 2, "'chart'", id="list-chart"),
     ],
 )
 def test_classify_failures_are_typed(tmp_path, capsys, config, code, message):
     got, out, err = _run(tmp_path, capsys, ["classify"], config)
     assert (got, out) == (code, "")
     assert message in err and "Traceback" not in err
+
+
+_SIM = _MINIMAL_CONFIGS[("foucault", "sim")]
+_TRANSPORT = _MINIMAL_CONFIGS[("transport",)]
+_THETA2_MINKOWSKI = {"pfaffian": ["0", "-sin(t)", "cos(t)"], "chart": "spacetime",
+                     "metric": "minkowski", "points": [[0, 0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        pytest.param(["foucault", "sim"], {**_SIM, "latitude": math.nan}, "latitude",
+                     id="nan-latitude"),
+        pytest.param(["classify"], {**_CLASSIFY_BOX, "tol": math.nan}, "tol", id="nan-tol"),
+        pytest.param(["surface"], {**_THETA2_MINKOWSKI, "light_speed": math.nan}, "light_speed",
+                     id="nan-light-speed"),
+        pytest.param(["transport"], {**_TRANSPORT, "omega_earth": math.inf}, "omega_earth",
+                     id="inf-omega-earth"),
+        pytest.param(["foucault", "sim"], {**_SIM, "initial": [0.1, math.nan, 0, 0]}, "initial",
+                     id="nan-initial-element"),
+        pytest.param(["surface"], {"levelset": 5, "points": [[0, 0, 0]]}, "levelset",
+                     id="number-levelset"),
+    ],
+)
+def test_config_field_types_are_checked(tmp_path, capsys, argv, config, field):
+    # Python's json reads NaN and Infinity; a non-finite number must not reach the run
+    code, out, err = _run(tmp_path, capsys, argv, config)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: config field '{field}' must be ")
+    assert "Traceback" not in err
 
 
 def test_overflowing_gradient_prints_only_the_typed_error(tmp_path):
