@@ -11,14 +11,12 @@ canonical example.
 
 from .autodiff import Dual
 from .calculus import (
-    ConstantField,
     OneForm,
     ScalarField,
     ThreeForm,
     TwoForm,
     exterior_derivative,
     gradient_oneform,
-    opaque_field,
     scalar_field,
     symmetric_part,
     wedge_1_2,

@@ -85,35 +85,9 @@ class Dual:
     def __rpow__(self, other):
         return exp(self * math.log(other)) if other > 0 else _lift(other) ** self
 
-    # comparisons on the value part, for convenience in generic code
-    def __lt__(self, other):
-        return self.v < _value(other)
-
-    def __le__(self, other):
-        return self.v <= _value(other)
-
-    def __gt__(self, other):
-        return self.v > _value(other)
-
-    def __ge__(self, other):
-        return self.v >= _value(other)
-
-    def __eq__(self, other):
-        return self.v == _value(other)
-
-    def __ne__(self, other):
-        return self.v != _value(other)
-
-    def __hash__(self):
-        return hash(self.v)
-
 
 def _lift(x):
     return x if isinstance(x, Dual) else Dual(x)
-
-
-def _value(x):
-    return x.v if isinstance(x, Dual) else float(x)
 
 
 def _chain(u, f0, f1, f2):

@@ -1,9 +1,9 @@
 """Differential forms on a 3-dimensional chart.
 
 Scalar fields carry exact first and second derivatives through the
-dual-number engine in :mod:`pseudoform.autodiff`; opaque evaluators fall
-back to central finite differences.  One-forms, two-forms and the single
-volume coefficient of a three-form are built from scalar fields.
+dual-number engine in :mod:`pseudoform.autodiff`.  One-forms, two-forms
+and the single volume coefficient of a three-form are built from scalar
+fields.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Dual
-from .errors import EvaluationDomainError, PseudoformError, ValidationError
+from .errors import EvaluationDomainError, ValidationError
 
 
 def as_point(p):
@@ -55,24 +55,31 @@ def _check_finite(p, *parts):
 
 
 class ScalarField:
-    """A real function on the chart with derivative access.
+    """A real function on the chart with exact derivatives.
 
-    Subclasses implement ``_vgh`` returning (value, gradient, hessian);
-    the hessian slot may be None when third derivatives of an underlying
-    field would be required.
+    ``fn(x1, x2, x3)`` is evaluated on seeded ``Dual`` numbers, so every
+    evaluation yields the value, the gradient and the full Hessian.
+    ``chart`` names the coordinates, as in ``formlang.CHARTS``, and
+    ``gradient_oneform`` of the field lives on the same chart.
     """
 
+    def __init__(self, fn, chart="spatial"):
+        self.fn = fn
+        self.chart = chart
+
     def _vgh(self, p):
-        raise NotImplementedError
+        try:
+            d = self.fn(*autodiff.seed_point(p))
+        except (OverflowError, ZeroDivisionError) as err:
+            raise EvaluationDomainError(f"{err} at point {format_point(p)}") from err
+        if not isinstance(d, Dual):  # constant expression
+            d = Dual(d)
+        return d.v, d.g, d.h
 
     @_field_evaluation
     def differentiate(self, p):
         p = as_point(p)
         v, g, h = self._vgh(p)
-        if h is None:
-            raise PseudoformError(
-                "second derivatives unavailable for this derived field"
-            )
         _check_finite(p, v, g, h)
         return v, g, h
 
@@ -94,107 +101,18 @@ class ScalarField:
         return self.differentiate(p)[2]
 
 
-class DualScalarField(ScalarField):
-    """Scalar field defined by an evaluator over dual numbers (exact)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def _vgh(self, p):
-        try:
-            d = self.fn(*autodiff.seed_point(p))
-        except (OverflowError, ZeroDivisionError) as err:
-            raise EvaluationDomainError(f"{err} at point {format_point(p)}") from err
-        if not isinstance(d, Dual):  # constant expression
-            d = Dual(d)
-        return d.v, d.g, d.h
-
-
-class FiniteDifferenceScalarField(ScalarField):
-    """Scalar field around an opaque float evaluator.
-
-    Central differences with step h_i = max(1e-6, 1e-6*|p_i|).
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def _steps(self, p):
-        return np.maximum(1e-6, 1e-6 * np.abs(p))
-
-    def _vgh(self, p):
-        f = self.fn
-        h = self._steps(p)
-        v0 = float(f(*p))
-        grad = np.zeros(3)
-        hess = np.zeros((3, 3))
-        fp = np.zeros(3)
-        fm = np.zeros(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h[i]
-            fp[i] = f(*(p + e))
-            fm[i] = f(*(p - e))
-            grad[i] = (fp[i] - fm[i]) / (2 * h[i])
-            hess[i, i] = (fp[i] - 2 * v0 + fm[i]) / h[i] ** 2
-        for i in range(3):
-            for j in range(i + 1, 3):
-                ei = np.zeros(3)
-                ej = np.zeros(3)
-                ei[i] = h[i]
-                ej[j] = h[j]
-                mixed = (
-                    f(*(p + ei + ej))
-                    - f(*(p + ei - ej))
-                    - f(*(p - ei + ej))
-                    + f(*(p - ei - ej))
-                ) / (4 * h[i] * h[j])
-                hess[i, j] = hess[j, i] = mixed
-        return v0, grad, hess
-
-
-class GradientComponentField(ScalarField):
-    """The i-th partial derivative of a parent field, as a field.
-
-    First derivatives come from the parent's Hessian; second derivatives
-    would need third derivatives of the parent and are unavailable.
-    """
-
-    def __init__(self, parent, index):
-        self.parent = parent
-        self.index = index
-
-    def _vgh(self, p):
-        v, g, h = self.parent._vgh(p)
-        if h is None:
-            raise PseudoformError("cannot nest derived gradient fields")
-        return g[self.index], h[self.index], None
-
-
-class ConstantField(ScalarField):
-    def __init__(self, c):
-        self.c = float(c)
-
-    def _vgh(self, p):
-        return self.c, np.zeros(3), np.zeros((3, 3))
-
-
 def scalar_field(fn):
     """Wrap a dual-capable evaluator ``fn(x1, x2, x3)`` as a ScalarField."""
-    return DualScalarField(fn)
-
-
-def opaque_field(fn):
-    """Wrap an opaque float evaluator; derivatives via finite differences."""
-    return FiniteDifferenceScalarField(fn)
+    return ScalarField(fn)
 
 
 def _as_field(c):
     if isinstance(c, ScalarField):
         return c
     if callable(c):
-        return DualScalarField(c)
-    return ConstantField(c)
+        return ScalarField(c)
+    c = float(c)
+    return ScalarField(lambda *_: c)
 
 
 class OneForm:
@@ -300,11 +218,14 @@ def wedge_1_2(theta, b, p):
 
 
 class _GradientOneForm(OneForm):
-    """df with a single-evaluation value/jacobian fast path."""
+    """df on f's chart, read from f's gradient and Hessian."""
 
     def __init__(self, f):
-        super().__init__([GradientComponentField(f, i) for i in range(3)])
+        self.chart = f.chart
         self.parent = f
+
+    def components_at(self, p):
+        return self.parent.gradient(p)
 
     def values_and_jacobian(self, p):
         _, g, h = self.parent.differentiate(p)
@@ -312,5 +233,5 @@ class _GradientOneForm(OneForm):
 
 
 def gradient_oneform(f):
-    """df as a OneForm (components are derived gradient fields)."""
+    """df as a OneForm on f's chart."""
     return _GradientOneForm(f)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from . import autodiff
-from .calculus import DualScalarField, OneForm
+from .calculus import OneForm, ScalarField
 from .errors import FormSyntaxError
 
 CHARTS = {
@@ -308,13 +308,13 @@ def pretty(node):
 
 
 def expression_field(node, chart="spatial"):
-    """Wrap a parsed AST as a dual-backed ScalarField."""
+    """Wrap a parsed AST as a ScalarField on the chart."""
     names = chart_variables(chart)
 
     def fn(c1, c2, c3):
         return node.eval({names[0]: c1, names[1]: c2, names[2]: c3})
 
-    return DualScalarField(fn)
+    return ScalarField(fn, chart)
 
 
 def parse_scalar(text, chart="spatial"):

@@ -23,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff
-from .calculus import OneForm, scalar_field
 from .errors import ConstraintViolationError, DegenerateWindowError, ValidationError
+from .formlang import parse_oneform
 from .geometry import (
     EUCLIDEAN,
     CurvatureReport,
@@ -59,6 +58,10 @@ class FoucaultConfig:
     frame_rate: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("latitude", "length", "gravity", "omega_earth", "frame_rate"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.length <= 0 or self.gravity <= 0:
             raise ValidationError("pendulum length and gravity must be positive")
         if abs(self.latitude) > math.pi / 2:
@@ -88,19 +91,12 @@ class FoucaultConfig:
 
 
 def theta2_oneform(cfg):
-    """The constraint one-form on the (t, x, y) chart."""
-    rate = cfg.phi_dot
+    """The constraint one-form on the (t, x, y) chart, parsed from text.
 
-    def minus_sin(t, x, y):
-        return -autodiff.sin(rate * t)
-
-    def plus_cos(t, x, y):
-        return autodiff.cos(rate * t)
-
-    return OneForm(
-        [scalar_field(lambda t, x, y: 0.0 * t), scalar_field(minus_sin), scalar_field(plus_cos)],
-        chart="spacetime",
-    )
+    The rate enters as its ``repr``, which parses back to the same float.
+    """
+    r = repr(cfg.phi_dot)
+    return parse_oneform(["0*t", f"-sin({r}*t)", f"cos({r}*t)"], "spacetime")
 
 
 def foucault_frame_field(cfg, metric=EUCLIDEAN):
@@ -236,6 +232,14 @@ def dynamics_matrix(cfg):
     )
 
 
+def _step_count(span, dt):
+    """round(span / dt), refusing a quotient that is not a finite number."""
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        raise ValidationError(f"step size dt={dt!r} over {span!r} gives a non-finite step count")
+    return int(round(ratio))
+
+
 def pendulum_orbit(cfg, initial, dt, duration):
     """The small-angle pendulum's fixed-step RK4 run over [0, T], unevaluated.
 
@@ -245,7 +249,7 @@ def pendulum_orbit(cfg, initial, dt, duration):
     """
     if dt == 0.0 or not math.isfinite(dt):
         raise ValidationError(f"step size dt must be finite and non-zero, got {dt!r}")
-    steps = int(round(duration / dt))
+    steps = _step_count(duration, dt)
     validate_steps(steps, dt)
     if isinstance(initial, PendulumState):
         initial = (initial.x, initial.y, initial.vx, initial.vy)
@@ -431,7 +435,7 @@ def _transport_run(cfg, kind, initial, t0, t1, dt):
         raise ValidationError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
     if dt <= 0 or not math.isfinite(dt):
         raise ValidationError(f"step size dt must be positive and finite, got {dt!r}")
-    steps = max(1, int(round((t1 - t0) / dt)))
+    steps = max(1, _step_count(t1 - t0, dt))
     h = (t1 - t0) / steps
     return transport_generator(cfg, kind), initial, h, steps
 

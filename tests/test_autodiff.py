@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pseudoform import autodiff
-from pseudoform.autodiff import Dual
 from pseudoform.errors import EvaluationDomainError
 
 
@@ -81,11 +80,6 @@ def test_hessian_symmetry():
     fn = lambda x, y, z: autodiff.exp(x * y) + autodiff.sin(y * z) + x * z * z
     d = _eval(fn, (0.3, 0.5, 0.9))
     assert np.allclose(d.h, d.h.T)
-
-
-def test_comparisons_use_values():
-    a = Dual(1.0, np.array([1.0, 0.0, 0.0]))
-    assert a < 2.0 and a > 0.5 and a == 1.0
 
 
 def test_domain_errors():

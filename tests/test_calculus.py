@@ -5,18 +5,17 @@ import pytest
 
 from pseudoform import autodiff
 from pseudoform.calculus import (
-    ConstantField,
     OneForm,
+    ScalarField,
     ThreeForm,
     TwoForm,
     exterior_derivative,
     gradient_oneform,
-    opaque_field,
     scalar_field,
     symmetric_part,
     wedge_1_2,
 )
-from pseudoform.errors import PseudoformError, ValidationError
+from pseudoform.errors import ValidationError
 
 RNG = np.random.default_rng(7)
 
@@ -30,27 +29,14 @@ def test_scalar_field_values_and_derivatives():
 
 
 def test_constant_field():
-    f = ConstantField(4.2)
+    f = scalar_field(lambda x, y, z: 4.2)
     v, g, h = f.differentiate((0.3, -1.0, 2.0))
     assert v == 4.2
     assert np.allclose(g, 0.0) and np.allclose(h, 0.0)
 
 
-def test_opaque_field_matches_dual_field():
-    import math
-
-    exact = scalar_field(lambda x, y, z: autodiff.sin(x) * autodiff.exp(y) + z * z)
-    fd = opaque_field(lambda x, y, z: math.sin(x) * math.exp(y) + z * z)
-    p = (0.4, -0.2, 0.8)
-    ve, ge, he = exact.differentiate(p)
-    vf, gf, hf = fd.differentiate(p)
-    assert np.isclose(ve, vf)
-    assert np.allclose(ge, gf, rtol=1e-5, atol=1e-7)
-    assert np.allclose(he, hf, rtol=1e-3, atol=1e-4)
-
-
 def test_point_validation():
-    f = ConstantField(1.0)
+    f = scalar_field(lambda x, y, z: 1.0)
     with pytest.raises(ValidationError):
         f.value((1.0, 2.0))
     with pytest.raises(ValidationError):
@@ -85,6 +71,18 @@ def test_d_of_d_is_zero_randomized():
     for _ in range(100):
         p = RNG.uniform(-1.5, 1.5, size=3)
         assert np.max(np.abs(exterior_derivative(df, p).components)) < 1e-10
+
+
+def test_gradient_oneform_keeps_chart_and_reads_the_parent():
+    f = ScalarField(lambda t, x, y: t * x + autodiff.sin(y), "spacetime")
+    df = gradient_oneform(f)
+    p = (0.2, -0.7, 0.4)
+    _, g, h = f.differentiate(p)
+    vals, jac = df.values_and_jacobian(p)
+    assert df.chart == "spacetime"
+    assert gradient_oneform(scalar_field(lambda x, y, z: x)).chart == "spatial"
+    assert np.array_equal(df.components_at(p), g) and np.array_equal(vals, g)
+    assert np.array_equal(jac, h)
 
 
 def test_symmetric_part_of_exact_form_is_hessian():
@@ -156,13 +154,6 @@ def test_leibniz_rule_sampled():
         th = theta.components_at(p)
         rhs = np.cross(df, th) + f.value(p) * exterior_derivative(theta, p).components
         assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_gradient_component_fields_have_no_hessian():
-    f = scalar_field(lambda x, y, z: x * y * z)
-    df = gradient_oneform(f)
-    with pytest.raises(PseudoformError):
-        df.components[0].hessian((0.1, 0.2, 0.3))
 
 
 def test_values_and_jacobian_consistency():

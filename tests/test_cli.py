@@ -485,6 +485,27 @@ def test_galilean_surface_numerical_error(tmp_path, capsys):
     assert code == 3 and "numerical error" in err
 
 
+def test_spacetime_levelset_is_refused_under_galilean_like_its_pfaffian(tmp_path, capsys):
+    base = {"chart": "spacetime", "metric": "galilean", "points": [[0.0, 0.0, 0.3]]}
+    level = _run(tmp_path, capsys, ["surface"], {**base, "levelset": "t+x+0.5*y^2"})
+    pfaff = _run(tmp_path, capsys, ["surface"], {**base, "pfaffian": ["1", "1", "y"]})
+    message = "Galilean metric cannot normalize a Pfaffian with a time component"
+    assert level == pfaff == (3, "", f"numerical error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(["foucault", "sim"], {**_SIM, "dt": 1e-300, "duration": 1e300}, id="sim"),
+        pytest.param(["transport"], {**_TRANSPORT, "dt": 1e-300, "t1": 1e300}, id="transport"),
+    ],
+)
+def test_overflowing_step_count_is_a_config_error(tmp_path, capsys, argv, config):
+    code, out, err = _run(tmp_path, capsys, argv, config)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "dt" in err and "Traceback" not in err
+
+
 def test_json_keys_sorted(tmp_path, capsys):
     config = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
     _, out, _ = _run(tmp_path, capsys, ["classify"], config)

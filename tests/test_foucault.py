@@ -51,6 +51,28 @@ def test_config_defaults_and_validation():
         fc.FoucaultConfig(latitude=0.3, omega_earth=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["latitude", "length", "gravity", "omega_earth", "frame_rate"])
+def test_config_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValidationError, match=field):
+        fc.FoucaultConfig(**{"latitude": 0.3, field: value})
+
+
+@pytest.mark.parametrize("cfg", [
+    fc.FoucaultConfig(latitude=0.8527),
+    fc.FoucaultConfig(latitude=-0.6),
+    fc.FoucaultConfig(latitude=0.3, frame_rate=95.6e-6),
+], ids=["north", "south", "frame_rate"])
+def test_theta2_text_matches_math_bit_for_bit(cfg):
+    r = cfg.phi_dot
+    theta = fc.theta2_oneform(cfg)
+    assert theta.chart == "spacetime"
+    for t in (0.0, 321.0, -4000.5, 86400.0):
+        vals, jac = theta.values_and_jacobian((t, 0.0, 0.0))
+        assert vals.tolist() == [0.0, -math.sin(r * t), math.cos(r * t)]
+        assert jac[0].tolist() == [0.0, -r * math.cos(r * t), -r * math.sin(r * t)]
+
+
 def test_theta2_components():
     theta = fc.theta2_oneform(PARIS)
     t = 321.0

@@ -169,6 +169,14 @@ def test_h_route_agreement_randomized_ellipsoids():
         assert np.allclose(h_level, h_level.T)
 
 
+def test_spacetime_levelset_frame_matches_its_pfaffian():
+    level = PseudoSurface.from_levelset(parse_scalar("t+x+0.5*y^2", "spacetime"))
+    pfaff = PseudoSurface.from_pfaffian(parse_oneform(["1", "1", "y"], "spacetime"))
+    assert level.pfaffian.chart == "spacetime"
+    for p in [(0.0, 0.0, 0.3), (1.2, -0.4, -2.0), (-0.7, 2.5, 1.1)]:
+        assert np.allclose(level.frame.matrix_at(p), pfaff.frame.matrix_at(p), rtol=0, atol=1e-12)
+
+
 def test_frame_pfaffian_mismatch_error():
     f = parse_scalar("x^2+y^2+z^2")
     frame = adapt_frame(gradient_oneform(f))
