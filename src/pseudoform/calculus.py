@@ -5,6 +5,13 @@ dual-number engine in :mod:`pseudoform.autodiff`.  One-forms, two-forms
 and the single volume coefficient of a three-form are built from scalar
 fields.
 
+Only what reads a Hessian seeds the engine at second order:
+``ScalarField.differentiate`` and ``hessian``, and through them the
+Jacobian of ``gradient_oneform(f)`` (``values_and_jacobian``).
+``ScalarField.value`` and ``gradient``, ``OneForm.components_at`` and
+``OneForm.values_and_jacobian`` seed first order, which gives the same
+values and gradients bit for bit.
+
 Conventions (all sign-sensitive results in the package refer to these):
 
 * Two-form components are stored in cyclic order, i.e. the coefficients
@@ -16,6 +23,8 @@ Conventions (all sign-sensitive results in the package refer to these):
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,7 +38,7 @@ def as_point(p):
     arr = np.asarray(p, dtype=float)
     if arr.shape != (3,):
         raise ValidationError(f"chart point must have 3 coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):  # cheaper than a NumPy reduction on 3 floats
         raise ValidationError(f"chart point has non-finite coordinates: {arr}")
     return arr
 
@@ -39,26 +48,20 @@ def format_point(p):
     return str(tuple(float(c) for c in p))
 
 
-# Wraps each public evaluation (the methods that call ``_check_finite``): an
-# overflow inside the field, such as a Dual gradient reaching inf, stays
-# silent in NumPy, and the finite check raises the typed error instead.
-_field_evaluation = np.errstate(over="ignore", invalid="ignore")
-
-
-def _check_finite(p, *parts):
-    """Raise ``EvaluationDomainError`` unless every value in ``parts`` is finite."""
-    for part in parts:
-        if not np.isfinite(part).all():
-            raise EvaluationDomainError(
-                f"non-finite field value or derivative at point {format_point(p)}"
-            )
+def _check_finite(p, *values):
+    """Raise ``EvaluationDomainError`` unless every float in ``values`` is finite."""
+    if not all(map(math.isfinite, values)):
+        raise EvaluationDomainError(
+            f"non-finite field value or derivative at point {format_point(p)}"
+        )
 
 
 class ScalarField:
     """A real function on the chart with exact derivatives.
 
-    ``fn(x1, x2, x3)`` is evaluated on seeded ``Dual`` numbers, so every
-    evaluation yields the value, the gradient and the full Hessian.
+    ``fn(x1, x2, x3)`` is evaluated on seeded ``Dual`` numbers, so an
+    evaluation yields the value, the gradient and, at second order, the
+    full Hessian.
     ``chart`` names the coordinates, as in ``formlang.CHARTS``, and
     ``gradient_oneform`` of the field lives on the same chart.
     """
@@ -67,35 +70,35 @@ class ScalarField:
         self.fn = fn
         self.chart = chart
 
-    def _vgh(self, p):
+    def _vgh(self, p, order):
+        """``Dual.v``, ``grad`` and ``hess`` at p, seeded at ``order`` 1 or 2."""
         try:
-            d = self.fn(*autodiff.seed_point(p))
-        except (OverflowError, ZeroDivisionError) as err:
+            d = self.fn(*autodiff.seed_point(p, order))
+        except OverflowError as err:
+            raise EvaluationDomainError(f"overflow at point {format_point(p)}") from err
+        except ZeroDivisionError as err:
             raise EvaluationDomainError(f"{err} at point {format_point(p)}") from err
         if not isinstance(d, Dual):  # constant expression
-            d = Dual(d)
-        return d.v, d.g, d.h
+            d = Dual(float(d))
+        return d.v, d.grad, d.hess
 
-    @_field_evaluation
     def differentiate(self, p):
         p = as_point(p)
-        v, g, h = self._vgh(p)
-        _check_finite(p, v, g, h)
-        return v, g, h
+        v, g, h = self._vgh(p, 2)
+        _check_finite(p, v, *g, *h)
+        return v, np.array(g), np.array(h).reshape(3, 3)
 
-    @_field_evaluation
     def value(self, p):
         p = as_point(p)
-        v = self._vgh(p)[0]
+        v = self._vgh(p, 1)[0]
         _check_finite(p, v)
         return v
 
-    @_field_evaluation
     def gradient(self, p):
         p = as_point(p)
-        v, g, _ = self._vgh(p)
-        _check_finite(p, v, g)
-        return g
+        v, g, _ = self._vgh(p, 1)
+        _check_finite(p, v, *g)
+        return np.array(g)
 
     def hessian(self, p):
         return self.differentiate(p)[2]
@@ -124,12 +127,11 @@ class OneForm:
         self.components = tuple(_as_field(c) for c in components)
         self.chart = chart
 
-    @_field_evaluation
     def components_at(self, p):
         p = as_point(p)
-        vals = np.array([c._vgh(p)[0] for c in self.components])
-        _check_finite(p, vals)
-        return vals
+        vals = [c._vgh(p, 1)[0] for c in self.components]
+        _check_finite(p, *vals)
+        return np.array(vals)
 
     def __call__(self, p, v):
         return float(self.components_at(p) @ np.asarray(v, dtype=float))
@@ -138,15 +140,14 @@ class OneForm:
         """J[i, j] = d_i theta_j."""
         return self.values_and_jacobian(p)[1]
 
-    @_field_evaluation
     def values_and_jacobian(self, p):
         """Component values and J[i, j] = d_i theta_j in one evaluation."""
         p = as_point(p)
         vals = np.empty(3)
         jac = np.empty((3, 3))
         for j, c in enumerate(self.components):
-            v, g, _ = c._vgh(p)
-            _check_finite(p, v, g)
+            v, g, _ = c._vgh(p, 1)
+            _check_finite(p, v, *g)
             vals[j] = v
             jac[:, j] = g
         return vals, jac

@@ -40,6 +40,7 @@ OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
 EARTH_RADIUS = 6.378e6  # m, equatorial
 SECONDS_PER_DAY = 86400.0
 ANISOTROPY_TOL = 0.05
+MAX_STEPS = 10**9  # largest orbit step count accepted; 1e9 RK4 steps take hours
 
 
 @dataclass(frozen=True)
@@ -233,11 +234,16 @@ def dynamics_matrix(cfg):
 
 
 def _step_count(span, dt):
-    """round(span / dt), refusing a quotient that is not a finite number."""
+    """round(span / dt), refusing a quotient that is not finite or exceeds MAX_STEPS."""
     ratio = span / dt
     if not math.isfinite(ratio):
         raise ValidationError(f"step size dt={dt!r} over {span!r} gives a non-finite step count")
-    return int(round(ratio))
+    steps = int(round(ratio))
+    if abs(steps) > MAX_STEPS:
+        raise ValidationError(
+            f"step size dt={dt!r} over {span!r} gives more than MAX_STEPS = {MAX_STEPS} steps"
+        )
+    return steps
 
 
 def pendulum_orbit(cfg, initial, dt, duration):

@@ -352,10 +352,17 @@ _OVERFLOW_BOX = {"lower": [800, 0, 0], "upper": [900, 1, 1]}
 @pytest.mark.parametrize(
     "config, code, message",
     [
-        pytest.param({**_OVERFLOW_BOX, "theta": ["0", "0", "exp(x)"]}, 3, "numerical error:",
-                     id="exp-overflow"),
-        pytest.param({**_OVERFLOW_BOX, "theta": ["0", "0", "x^400"]}, 3, "numerical error:",
-                     id="pow-overflow"),
+        pytest.param({**_OVERFLOW_BOX, "theta": ["0", "0", "exp(x)"]}, 3,
+                     "numerical error: overflow at point (", id="exp-overflow"),
+        pytest.param({**_OVERFLOW_BOX, "theta": ["0", "0", "x^400"]}, 3,
+                     "numerical error: overflow at point (", id="pow-overflow"),
+        pytest.param({**_CLASSIFY_BOX, "lower": [0.1, 0, 0], "theta": ["0", "0", "exp(x)^1e10"]},
+                     3, "numerical error: overflow at point (", id="float-power-overflow"),
+        # sin of an infinite argument is NaN, which the finite check reports
+        pytest.param({**_CLASSIFY_BOX, "lower": [0.1, 0, 0],
+                      "theta": ["0", "sin(x*1e300*1e300)", "1"]}, 3,
+                     "numerical error: non-finite field value or derivative at point (",
+                     id="sin-of-infinity"),
         pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "1/0"]}, 3, "numerical error:",
                      id="constant-division-by-zero"),
         pytest.param({**_CLASSIFY_BOX, "lower": ["a", 0, 0]}, 2, "'lower'", id="string-bound"),
@@ -504,6 +511,20 @@ def test_overflowing_step_count_is_a_config_error(tmp_path, capsys, argv, config
     code, out, err = _run(tmp_path, capsys, argv, config)
     assert (code, out) == (2, "")
     assert err.startswith("config error: ") and "dt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(["foucault", "sim"], {**_SIM, "dt": 1e-3, "duration": 1e6 + 1}, id="sim"),
+        # used to stream rows without end
+        pytest.param(["transport"], {**_TRANSPORT, "dt": 1e-300}, id="transport"),
+    ],
+)
+def test_step_count_above_max_steps_is_a_config_error(tmp_path, capsys, argv, config):
+    code, out, err = _run(tmp_path, capsys, argv, config)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: step size dt=") and "MAX_STEPS" in err
 
 
 def test_json_keys_sorted(tmp_path, capsys):

@@ -58,6 +58,17 @@ def test_config_rejects_non_finite_parameters(field, value):
         fc.FoucaultConfig(**{"latitude": 0.3, field: value})
 
 
+def test_step_count_is_capped_at_max_steps():
+    # the orbit is lazy, so accepting MAX_STEPS steps computes nothing
+    cfg = fc.FoucaultConfig(latitude=0.5)
+    dt = 0.5
+    assert fc.pendulum_orbit(cfg, (0.1, 0, 0, 0), dt, fc.MAX_STEPS * dt).steps == fc.MAX_STEPS
+    with pytest.raises(ValidationError, match="dt"):
+        fc.pendulum_orbit(cfg, (0.1, 0, 0, 0), dt, (fc.MAX_STEPS + 1) * dt)
+    with pytest.raises(ValidationError, match="dt"):
+        fc.transport_blocks(cfg, "vector", (0.0, 1.0, 0.0), 0.0, 1.0, 1e-300)
+
+
 @pytest.mark.parametrize("cfg", [
     fc.FoucaultConfig(latitude=0.8527),
     fc.FoucaultConfig(latitude=-0.6),
