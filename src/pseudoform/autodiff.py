@@ -260,5 +260,5 @@ def seed_point(p, order=2):
     if order not in (1, 2):
         raise ValueError(f"dual order must be 1 or 2, got {order!r}")
     hess = _ZERO_H if order == 2 else None
-    x1, x2, x3 = np.asarray(p, dtype=float).tolist()
+    x1, x2, x3 = map(float, p)
     return Dual(x1, _SEEDS[0], hess), Dual(x2, _SEEDS[1], hess), Dual(x3, _SEEDS[2], hess)

@@ -6,11 +6,18 @@ and the single volume coefficient of a three-form are built from scalar
 fields.
 
 Only what reads a Hessian seeds the engine at second order:
-``ScalarField.differentiate`` and ``hessian``, and through them the
-Jacobian of ``gradient_oneform(f)`` (``values_and_jacobian``).
+``ScalarField.differentiate`` and ``hessian``, and the Jacobian of
+``gradient_oneform(f)`` (``values_and_jacobian``).
 ``ScalarField.value`` and ``gradient``, ``OneForm.components_at`` and
 ``OneForm.values_and_jacobian`` seed first order, which gives the same
-values and gradients bit for bit.
+values and gradients bit for bit.  A one-form seeds its point once and
+evaluates all three components on the same seeded variables.
+
+``OneForm.values_and_jacobian`` is the evaluation on the geodesic's hot
+path, so it takes and returns plain floats: the point as 3 floats (a
+tuple of floats is checked without NumPy), the values as a 3-tuple and
+the Jacobian as three 3-tuple rows.  ``jacobian_at`` wraps those rows
+as an array for the NumPy callers.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
@@ -33,14 +40,27 @@ from .autodiff import Dual
 from .errors import EvaluationDomainError, ValidationError
 
 
+def point_coords(p):
+    """Validate a chart point and return its 3 coordinates as a tuple of floats.
+
+    A tuple of 3 floats is checked as it is; anything else goes through
+    NumPy for the shape check.
+    """
+    if type(p) is tuple and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is float:
+        coords = p
+    else:
+        arr = np.asarray(p, dtype=float)
+        if arr.shape != (3,):
+            raise ValidationError(f"chart point must have 3 coordinates, got shape {arr.shape}")
+        coords = tuple(arr.tolist())
+    if not all(map(math.isfinite, coords)):
+        raise ValidationError(f"chart point has non-finite coordinates: {format_point(coords)}")
+    return coords
+
+
 def as_point(p):
     """Validate and convert a chart point to a float array of shape (3,)."""
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (3,):
-        raise ValidationError(f"chart point must have 3 coordinates, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):  # cheaper than a NumPy reduction on 3 floats
-        raise ValidationError(f"chart point has non-finite coordinates: {arr}")
-    return arr
+    return np.array(point_coords(p))
 
 
 def format_point(p):
@@ -72,8 +92,12 @@ class ScalarField:
 
     def _vgh(self, p, order):
         """``Dual.v``, ``grad`` and ``hess`` at p, seeded at ``order`` 1 or 2."""
+        return self._seeded(p, autodiff.seed_point(p, order))
+
+    def _seeded(self, p, seeds):
+        """``Dual.v``, ``grad`` and ``hess`` of ``fn`` on the seeded variables of p."""
         try:
-            d = self.fn(*autodiff.seed_point(p, order))
+            d = self.fn(*seeds)
         except OverflowError as err:
             raise EvaluationDomainError(f"overflow at point {format_point(p)}") from err
         except ZeroDivisionError as err:
@@ -83,19 +107,19 @@ class ScalarField:
         return d.v, d.grad, d.hess
 
     def differentiate(self, p):
-        p = as_point(p)
+        p = point_coords(p)
         v, g, h = self._vgh(p, 2)
         _check_finite(p, v, *g, *h)
         return v, np.array(g), np.array(h).reshape(3, 3)
 
     def value(self, p):
-        p = as_point(p)
+        p = point_coords(p)
         v = self._vgh(p, 1)[0]
         _check_finite(p, v)
         return v
 
     def gradient(self, p):
-        p = as_point(p)
+        p = point_coords(p)
         v, g, _ = self._vgh(p, 1)
         _check_finite(p, v, *g)
         return np.array(g)
@@ -128,8 +152,9 @@ class OneForm:
         self.chart = chart
 
     def components_at(self, p):
-        p = as_point(p)
-        vals = [c._vgh(p, 1)[0] for c in self.components]
+        p = point_coords(p)
+        seeds = autodiff.seed_point(p, 1)
+        vals = [c._seeded(p, seeds)[0] for c in self.components]
         _check_finite(p, *vals)
         return np.array(vals)
 
@@ -137,20 +162,24 @@ class OneForm:
         return float(self.components_at(p) @ np.asarray(v, dtype=float))
 
     def jacobian_at(self, p):
-        """J[i, j] = d_i theta_j."""
-        return self.values_and_jacobian(p)[1]
+        """J[i, j] = d_i theta_j, as a (3, 3) array."""
+        return np.array(self.values_and_jacobian(p)[1])
 
     def values_and_jacobian(self, p):
-        """Component values and J[i, j] = d_i theta_j in one evaluation."""
-        p = as_point(p)
-        vals = np.empty(3)
-        jac = np.empty((3, 3))
-        for j, c in enumerate(self.components):
-            v, g, _ = c._vgh(p, 1)
+        """Component values and the Jacobian at p from one seeded point, as floats.
+
+        Returns the values (theta_1, theta_2, theta_3) and three rows
+        J[i] = (d_i theta_1, d_i theta_2, d_i theta_3), all tuples of floats.
+        """
+        p = point_coords(p)
+        seeds = autodiff.seed_point(p, 1)
+        vals, grads = [], []
+        for c in self.components:
+            v, g, _ = c._seeded(p, seeds)
             _check_finite(p, v, *g)
-            vals[j] = v
-            jac[:, j] = g
-        return vals, jac
+            vals.append(v)
+            grads.append(g)
+        return tuple(vals), tuple(zip(*grads))
 
 
 class PointTwoForm:
@@ -172,7 +201,7 @@ class TwoForm:
         self.components = tuple(_as_field(c) for c in components)
 
     def components_at(self, p):
-        p = as_point(p)
+        p = point_coords(p)
         return np.array([c.value(p) for c in self.components])
 
     def at(self, p):
@@ -229,8 +258,10 @@ class _GradientOneForm(OneForm):
         return self.parent.gradient(p)
 
     def values_and_jacobian(self, p):
-        _, g, h = self.parent.differentiate(p)
-        return g, h
+        p = point_coords(p)
+        v, g, h = self.parent._vgh(p, 2)
+        _check_finite(p, v, *g, *h)
+        return g, (h[0:3], h[3:6], h[6:9])
 
 
 def gradient_oneform(f):

@@ -21,7 +21,7 @@ import math
 
 from . import autodiff
 from .calculus import OneForm, ScalarField
-from .errors import FormSyntaxError
+from .errors import EvaluationDomainError, FormSyntaxError
 
 CHARTS = {
     "spatial": ("x", "y", "z"),
@@ -103,10 +103,22 @@ class BinOp:
             return a * b
         if self.op == "/":
             return a / b
-        return a ** b
+        return _power(a, b)
 
     def text(self):
         return f"({self.left.text()} {self.op} {self.right.text()})"
+
+
+def _power(a, b):
+    """``a ** b``; two constants follow a Dual's rule for a negative base.
+
+    Python's ``**`` gives a complex number for a negative base and a finite
+    fractional exponent, where a ``Dual`` base raises the typed domain error.
+    """
+    if not isinstance(a, autodiff.Dual) and not isinstance(b, autodiff.Dual):
+        if a < 0.0 and math.isfinite(b) and b != int(b):
+            raise EvaluationDomainError(f"negative base {a} with fractional exponent {b}")
+    return a ** b
 
 
 class Call:

@@ -22,11 +22,14 @@ rejected when asked to normalize a Pfaffian with a time component.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import OneForm, ScalarField, as_point, format_point, gradient_oneform
+from .calculus import (
+    OneForm, ScalarField, as_point, format_point, gradient_oneform, point_coords,
+)
 from .errors import (
     DegenerateMetricError,
     DegenerateNormalizationError,
@@ -98,11 +101,11 @@ class AdaptedFrame:
         self.metric = metric
 
     def matrix_at(self, p):
-        return self.pair_fn(as_point(p), False)[0]
+        return self.pair_fn(point_coords(p), False)[0]
 
     def matrix_and_derivative(self, p):
         """Frame matrix X[m, j] and its derivatives dX[n, m, j] at p."""
-        return self.pair_fn(as_point(p), True)
+        return self.pair_fn(point_coords(p), True)
 
     def inverse_at(self, p):
         """The coframe X^{-1}, which is X^T because the frame is orthonormal."""
@@ -110,22 +113,32 @@ class AdaptedFrame:
 
 
 def unit_normal(pfaffian, metric, p):
-    """Unit normal u = N / |N| of a Pfaffian N at p and du[i, j] = d_i u_j.
+    """Unit normal u = N / |N| of a Pfaffian N at p and du[i][j] = d_i u_j.
 
-    Raises ``DegeneratePfaffianError`` where N vanishes and
+    Floats in and floats out: p is 3 floats (or anything ``point_coords``
+    takes), u comes back as a 3-tuple and du as three 3-tuple rows, built
+    with ``math`` from one evaluation of N (one seeded point).  Raises
+    ``DegeneratePfaffianError`` where N vanishes and
     ``DegenerateNormalizationError`` where a degenerate metric is asked
     to normalize a space-time Pfaffian with a time component.
     """
     comps, jac = pfaffian.values_and_jacobian(p)
-    norm = np.linalg.norm(comps)
+    n1, n2, n3 = comps
+    norm = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3)  # the sum-of-squares form of np.linalg.norm
     if norm <= 1e-12:
         raise DegeneratePfaffianError(f"Pfaffian vanishes at point {format_point(p)}")
-    if metric.degenerate and pfaffian.chart == "spacetime" and abs(comps[0]) > 1e-9 * norm:
+    if metric.degenerate and pfaffian.chart == "spacetime" and abs(n1) > 1e-9 * norm:
         raise DegenerateNormalizationError(
             "Galilean metric cannot normalize a Pfaffian with a time component"
         )
-    dnorm = jac @ comps / norm  # d_i |N|
-    return comps / norm, jac / norm - np.outer(dnorm, comps) / norm**2
+    norm2 = norm * norm
+    du = []
+    for j1, j2, j3 in jac:
+        dnorm = (j1 * n1 + j2 * n2 + j3 * n3) / norm  # d_i |N|
+        du.append((j1 / norm - dnorm * n1 / norm2,
+                   j2 / norm - dnorm * n2 / norm2,
+                   j3 / norm - dnorm * n3 / norm2))
+    return (n1 / norm, n2 / norm, n3 / norm), tuple(du)
 
 
 def adapt_frame(pfaffian, metric=EUCLIDEAN):
@@ -145,6 +158,7 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
 
     def pair_fn(p, need_derivative):
         u, du = unit_normal(pfaffian, metric, p)  # u is e3
+        u, du = np.array(u), np.array(du)
         unit_vals = np.abs(u)
         if spacetime and unit_vals[0] < 0.9:
             k = 0
@@ -225,6 +239,7 @@ def fundamental_forms(source, frame, metric, p):
     tangent = x[:, :2]
     if isinstance(source, OneForm):
         unit, du = unit_normal(source, metric, p)
+        unit, du = np.array(unit), np.array(du)
         h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
     elif isinstance(source, ScalarField):
         _, grad, hess = source.differentiate(p)

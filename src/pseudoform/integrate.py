@@ -10,11 +10,22 @@ BLOCK = 1024  # rows advanced per stacked product in linear_rk4_blocks
 
 
 def rk4_step(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y) on plain floats.
+
+    Floats in and floats out: ``y`` is a sequence of floats, ``f`` returns
+    one of the same length, and the step returns a tuple.  Each entry is
+    computed in the order of the NumPy-array form, y + (h / 6) (k1 + 2 k2
+    + 2 k3 + k4) with stage points y + (h / 2) k, so for the same ``f`` it
+    equals that form bit for bit.
+    """
+    half = 0.5 * h
     k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + half, tuple([a + half * k for a, k in zip(y, k1)]))
+    k3 = f(t + half, tuple([a + half * k for a, k in zip(y, k2)]))
+    k4 = f(t + h, tuple([a + h * k for a, k in zip(y, k3)]))
+    sixth = h / 6.0
+    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
 def validate_steps(steps, h):

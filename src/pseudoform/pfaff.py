@@ -101,9 +101,16 @@ def frobenius_coefficient(theta, p):
     """
     p = as_point(p)
     comps = theta.components_at(p)
-    if np.linalg.norm(comps) <= DEGENERACY_TOL:
+    if math.hypot(*comps) <= DEGENERACY_TOL:
         raise DegeneratePfaffianError(f"Pfaffian vanishes at point {format_point(p)}")
-    return float(comps @ exterior_derivative(theta, p).components)
+    return _dot(comps, exterior_derivative(theta, p).components)
+
+
+def _dot(a, b):
+    """a . b of two 3-vectors in float arithmetic, which overflows to inf silently."""
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    return a1 * b1 + a2 * b2 + a3 * b3
 
 
 def classify(theta, region, tol=DEFAULT_TOL):
@@ -114,13 +121,13 @@ def classify(theta, region, tol=DEFAULT_TOL):
     frobenius_raw = np.empty(len(points))
     for k, p in enumerate(points):
         comps = theta.components_at(p)
-        norm = np.linalg.norm(comps)
+        norm = math.hypot(*comps)
         if norm <= DEGENERACY_TOL:
             raise DegeneratePfaffianError(f"Pfaffian vanishes at sample point {format_point(p)}")
         d = exterior_derivative(theta, p).components
-        dtheta_mag[k] = np.linalg.norm(d) / norm
-        frobenius_raw[k] = comps @ d
-        frobenius[k] = frobenius_raw[k] / norm**2
+        dtheta_mag[k] = math.hypot(*d) / norm
+        frobenius_raw[k] = _dot(comps, d)
+        frobenius[k] = (frobenius_raw[k] / norm) / norm
     max_d = float(np.max(dtheta_mag))
     max_f = float(np.max(np.abs(frobenius)))
     max_f_raw = float(np.max(np.abs(frobenius_raw)))
@@ -149,6 +156,6 @@ def constraint_residual(theta, curve):
     worst = 0.0
     for p, v in zip(points, velocities):
         comps = theta.components_at(p)
-        denom = np.linalg.norm(comps) * np.linalg.norm(v) + 1e-30
-        worst = max(worst, abs(comps @ v) / denom)
+        denom = math.hypot(*comps) * math.hypot(*v) + 1e-30
+        worst = max(worst, abs(_dot(comps, v)) / denom)
     return worst

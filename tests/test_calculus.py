@@ -1,5 +1,7 @@
 """Scalar fields and the exterior/symmetrized derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from pseudoform.calculus import (
     wedge_1_2,
 )
 from pseudoform.errors import ValidationError
+from pseudoform.formlang import parse_oneform
+from pseudoform.pfaff import RegionSampler
 
 RNG = np.random.default_rng(7)
 
@@ -41,6 +45,15 @@ def test_point_validation():
         f.value((1.0, 2.0))
     with pytest.raises(ValidationError):
         f.value((np.nan, 0.0, 0.0))
+    # the float tuples of the geodesic march take the same checks as arrays
+    theta = OneForm([lambda x, y, z: x, lambda x, y, z: y, 1.0])
+    for p in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), np.array([0.0, 0.0, -math.inf])):
+        with pytest.raises(ValidationError, match="non-finite coordinates"):
+            theta.values_and_jacobian(p)
+    for p in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0), [[0.0, 0.0, 0.0]]):
+        with pytest.raises(ValidationError, match="3 coordinates"):
+            theta.values_and_jacobian(p)
+    assert theta.values_and_jacobian([1, 2, 3])[0] == (1.0, 2.0, 1.0)
 
 
 def test_exterior_derivative_of_dz_vanishes():
@@ -164,3 +177,16 @@ def test_values_and_jacobian_consistency():
     vals, jac = theta.values_and_jacobian(p)
     assert np.allclose(vals, theta.components_at(p))
     assert np.allclose(jac, theta.jacobian_at(p))
+
+
+def test_one_seed_values_and_jacobian_equal_per_component_evaluations():
+    # one seeded point shared by the three components gives the same floats
+    # as seeding each component on its own
+    theta = parse_oneform(["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"])
+    points = RegionSampler((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), count=100, seed=5).points()
+    for p in points:
+        vals, jac = theta.values_and_jacobian(p)
+        per_component = [c._vgh(p, 1) for c in theta.components]
+        assert vals == tuple(v for v, _, _ in per_component)
+        assert jac == tuple(zip(*(g for _, g, _ in per_component)))
+        assert all(type(x) is float for x in (*vals, *jac[0], *jac[1], *jac[2]))

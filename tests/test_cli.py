@@ -365,6 +365,13 @@ _OVERFLOW_BOX = {"lower": [800, 0, 0], "upper": [900, 1, 1]}
                      id="sin-of-infinity"),
         pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "1/0"]}, 3, "numerical error:",
                      id="constant-division-by-zero"),
+        # a constant power takes the Dual's rule instead of turning complex
+        pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "(0-8)^0.5"]}, 3,
+                     "numerical error: negative base -8.0 with fractional exponent 0.5",
+                     id="constant-negative-base-fractional-power"),
+        pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "1+x*(0-8)^0.5"]}, 3,
+                     "numerical error: negative base -8.0 with fractional exponent 0.5",
+                     id="scaled-negative-base-fractional-power"),
         pytest.param({**_CLASSIFY_BOX, "lower": ["a", 0, 0]}, 2, "'lower'", id="string-bound"),
         pytest.param({**_CLASSIFY_BOX, "count": "many"}, 2, "'count'", id="string-count"),
         pytest.param({**_CLASSIFY_BOX, "count": None}, 2, "'count'", id="null-count"),
@@ -408,20 +415,51 @@ def test_config_field_types_are_checked(tmp_path, capsys, argv, config, field):
     assert "Traceback" not in err
 
 
-def test_overflowing_gradient_prints_only_the_typed_error(tmp_path):
-    # x*1e300*1e300 overflows the Dual gradient; run as a process so that a
-    # NumPy warning would reach stderr as it does for a user
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**_CLASSIFY_BOX, "lower": [0.1, 0, 0],
-                                  "theta": ["0", "0", "1 + x*1e300*1e300"]}))
+def _run_process(tmp_path, argv, config):
+    """Run the CLI in a fresh interpreter, so a NumPy warning reaches stderr as for a user."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pseudoform.cli", "--config", str(config), "classify"],
+    return subprocess.run(
+        [sys.executable, "-m", "pseudoform.cli", "--config", str(path), *argv],
         env=env, capture_output=True, text=True,
     )
+
+
+def test_overflowing_gradient_prints_only_the_typed_error(tmp_path):
+    # x*1e300*1e300 overflows the Dual gradient
+    proc = _run_process(tmp_path, ["classify"], {**_CLASSIFY_BOX, "lower": [0.1, 0, 0],
+                                                 "theta": ["0", "0", "1 + x*1e300*1e300"]})
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("numerical error: non-finite")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_huge_finite_pfaffian_classifies_without_warnings(tmp_path):
+    # |theta| = exp(1000 x) reaches 1e304: its square overflows, its norm does not
+    proc = _run_process(tmp_path, ["classify"], {
+        "theta": ["0", "0", "exp(x*1000)"], "lower": [0.1, 0, 0], "upper": [0.7, 1, 1]})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    assert result["class"] == "integrating_factor"
+    assert abs(result["max_dtheta"] - 1000.0) <= 1e-12 * 1000.0
+
+
+def test_overflowing_pfaffian_prints_only_the_typed_error(tmp_path):
+    proc = _run_process(tmp_path, ["classify"], {
+        "theta": ["0", "0", "exp(x*1000)"], "lower": [0.1, 0, 0], "upper": [1, 1, 1]})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("numerical error: overflow at point (")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_non_finite_geodesic_stage_point_is_a_config_error(tmp_path):
+    # the state stays finite, but the first stage point x + (ds/2) v overflows
+    proc = _run_process(tmp_path, ["geodesic"], {
+        "pfaffian": ["0", "0", "1"], "point": [0, 0, 0], "nu": [1e300, 0], "ds": 1e10,
+        "steps": 3})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "config error: chart point has non-finite coordinates: (inf, 0.0, 0.0)\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -202,6 +202,10 @@ def test_geodesic_validation():
         integrate_geodesic(surface, (1.0, 0.0, 0.0), (1.0, 0.0), 0.0, 10)
     with pytest.raises(ValidationError):
         integrate_geodesic(surface, (1.0, 0.0, 0.0), (1.0, 0.0), 0.01, 0)
+    # the state stays finite, but the first stage point x + (ds/2) v overflows
+    plane = PseudoSurface.from_pfaffian(parse_oneform(["0", "0", "1"]))
+    with pytest.raises(ValidationError, match="non-finite coordinates"):
+        integrate_geodesic(plane, (0.0, 0.0, 0.0), (1e300, 0.0), 1e10, 3)
 
 
 def test_geodesic_abort_on_frame_breakdown():
@@ -222,3 +226,51 @@ def test_geodesic_refuses_galilean_time_component_along_path():
     surface = PseudoSurface.from_pfaffian(theta, GALILEAN)
     with pytest.raises(DegenerateNormalizationError):
         integrate_geodesic(surface, (0.0, 0.0, 0.0), (1.0, 0.0), 0.01, 10)
+
+
+def _array_geodesic(surface, p0, nu0, ds, steps):
+    """The geodesic march in NumPy arrays, as a reference for the float one.
+
+    Same equations as ``integrate_geodesic``: u = N / |N|, du = J / |N| -
+    outer(d|N|, N) / |N|^2 with d|N| = J N / |N|, and v-dot = -(v . du . v) u,
+    stepped by classical RK4 on a (6,) array.
+    """
+    theta = surface.pfaffian
+
+    def rhs(y):
+        comps, jac = theta.components_at(y[:3]), theta.jacobian_at(y[:3])
+        norm = np.linalg.norm(comps)
+        u = comps / norm
+        du = jac / norm - np.outer(jac @ comps / norm, comps) / norm**2
+        v = y[3:]
+        return np.concatenate([v, -(v @ du @ v) * u])
+
+    y = np.concatenate([p0, surface.frame.matrix_at(p0)[:, :2] @ nu0])
+    states = [y]
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * ds * k1)
+        k3 = rhs(y + 0.5 * ds * k2)
+        k4 = rhs(y + ds * k3)
+        y = y + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("case", ["tilted-circle", "contact"])
+def test_float_geodesic_matches_array_reference(case):
+    # the float march and the array march differ only in rounding: 1000 steps
+    # of each stay within 1e-12 of each other
+    if case == "tilted-circle":
+        surface = _sphere()
+        p0, v = _tilted_start((1.0, 0.0, 0.0), 0.7)
+        nu0, ds = _frame_nu(surface, p0, v), 2 * math.pi / 1000
+    else:
+        surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]))
+        p0, nu0, ds = np.array([0.1, -0.2, 0.3]), np.array([math.cos(1.0), math.sin(1.0)]), 2e-3
+    curve = integrate_geodesic(surface, p0, nu0, ds, 1000)
+    reference = _array_geodesic(surface, p0, nu0, ds, 1000)
+    assert not curve.aborted
+    assert np.max(np.abs(curve.points - reference[:, :3])) <= 1e-12
+    assert np.max(np.abs(curve.velocities - reference[:, 3:])) <= 1e-12
+    assert np.array_equal(curve.s, np.arange(1001) * ds)

@@ -176,3 +176,15 @@ def test_fuzz_totality_text(text):
         parse_expression(text)
     except FormSyntaxError:
         pass
+
+
+def test_constant_power_follows_the_dual_rule():
+    p = (-8.0, 0.0, 0.0)
+    assert parse_scalar("(0-8)^2").value(p) == 64.0
+    assert parse_scalar("(0-8)^(0-1)").value(p) == -0.125
+    with pytest.raises(EvaluationDomainError) as constant:
+        parse_scalar("(0-8)^0.5").value(p)
+    with pytest.raises(EvaluationDomainError) as variable:
+        parse_scalar("x^0.5").value(p)
+    assert str(constant.value) == str(variable.value)
+    assert str(constant.value) == "negative base -8.0 with fractional exponent 0.5"

@@ -80,8 +80,8 @@ def test_theta2_text_matches_math_bit_for_bit(cfg):
     assert theta.chart == "spacetime"
     for t in (0.0, 321.0, -4000.5, 86400.0):
         vals, jac = theta.values_and_jacobian((t, 0.0, 0.0))
-        assert vals.tolist() == [0.0, -math.sin(r * t), math.cos(r * t)]
-        assert jac[0].tolist() == [0.0, -r * math.cos(r * t), -r * math.sin(r * t)]
+        assert vals == (0.0, -math.sin(r * t), math.cos(r * t))
+        assert jac[0] == (0.0, -r * math.cos(r * t), -r * math.sin(r * t))
 
 
 def test_theta2_components():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pseudoform import foucault as fc
-from pseudoform.integrate import BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_transition_matrix
+from pseudoform.integrate import (
+    BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_step, rk4_transition_matrix,
+)
 
 PARIS = fc.FoucaultConfig(latitude=math.radians(48.85), length=67.0)
 DEVIATION_BOUND = 1e-12  # max |orbit - stepping| over max |stepping|
@@ -57,3 +59,23 @@ def test_orbit_block_edges(steps):
         steps % BLOCK > 0
     )
     assert np.concatenate(blocks).tobytes() == orbit.tobytes()
+
+
+def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():
+    def f(t, y):
+        return (y[1], -math.sin(y[0]) + 0.1 * math.cos(t), y[0] * y[1])
+
+    def array_step(t, y, h):
+        g = lambda s, z: np.array(f(s, z.tolist()))
+        k1 = g(t, y)
+        k2 = g(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = g(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = g(t + h, y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    h = 0.037
+    y_floats, y_array = (0.3, 0.1, -0.4), np.array([0.3, 0.1, -0.4])
+    for k in range(300):
+        y_floats = rk4_step(f, k * h, y_floats, h)
+        y_array = array_step(k * h, y_array, h)
+        assert type(y_floats) is tuple and y_floats == tuple(y_array.tolist())

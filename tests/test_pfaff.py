@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,3 +204,17 @@ def test_constraint_residual_needs_samples():
     theta = parse_oneform(["0", "0", "1"])
     with pytest.raises(ValidationError):
         constraint_residual(theta, _Path(np.zeros((1, 3)), np.ones((1, 3))))
+
+
+def test_classify_normalizes_huge_finite_forms():
+    # |theta| = exp(1000 x) up to 1e304: the norms and the Frobenius
+    # normalization stay finite, and no NumPy warning is raised
+    theta = parse_oneform(["0", "0", "exp(x*1000)"])
+    region = RegionSampler((0.1, 0.0, 0.0), (0.7, 1.0, 1.0), count=100, seed=0)
+    result = classify(theta, region)
+    assert result.kind is NormalForm.INTEGRATING_FACTOR
+    assert abs(result.max_dtheta - 1000.0) <= 1e-12 * 1000.0
+    p = (0.7, 0.5, 0.5)
+    assert frobenius_coefficient(theta, p) == 0.0
+    curve = SimpleNamespace(points=[p, p], velocities=[(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+    assert constraint_residual(theta, curve) == 1.0
