@@ -13,23 +13,11 @@ from .autodiff import Dual
 from .calculus import (
     OneForm,
     ScalarField,
-    ThreeForm,
-    TwoForm,
     exterior_derivative,
     gradient_oneform,
     scalar_field,
-    symmetric_part,
-    wedge_1_2,
 )
-from .curves import (
-    CurvatureSplit,
-    FrenetData,
-    ParamCurve,
-    SampledCurve,
-    curvature_split,
-    frenet,
-    integrate_geodesic,
-)
+from .curves import SampledCurve, integrate_geodesic
 from .errors import (
     ConstraintViolationError,
     DegenerateMetricError,
@@ -40,7 +28,6 @@ from .errors import (
     FormSyntaxError,
     FramePfaffianMismatchError,
     PseudoformError,
-    StraightLineError,
     ValidationError,
 )
 from .formlang import parse_expression, parse_oneform, parse_scalar, pretty
@@ -51,9 +38,7 @@ from .foucault import (
     PendulumState,
     Trajectory,
     TransportState,
-    centripetal_acceleration,
     decompose_acceleration,
-    foucault_frame,
     foucault_frame_field,
     foucault_geometry,
     measure_precession,
@@ -78,9 +63,7 @@ from .geometry import (
     connection_form,
     fundamental_forms,
     second_form_via_connection,
-    second_form_via_frame,
     shape_and_curvatures,
-    structure_functions,
 )
 from .pfaff import (
     IntegrabilityClass,

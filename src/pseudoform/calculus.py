@@ -1,9 +1,9 @@
 """Differential forms on a 3-dimensional chart.
 
 Scalar fields carry exact first and second derivatives through the
-dual-number engine in :mod:`pseudoform.autodiff`.  One-forms, two-forms
-and the single volume coefficient of a three-form are built from scalar
-fields.
+dual-number engine in :mod:`pseudoform.autodiff`.  One-forms are built
+from scalar fields, and ``exterior_derivative`` evaluates d theta at a
+point as a two-form.
 
 Only what reads a Hessian seeds the engine at second order:
 ``ScalarField.differentiate`` and ``hessian``, and the Jacobian of
@@ -23,7 +23,6 @@ Conventions (all sign-sensitive results in the package refer to these):
 
 * Two-form components are stored in cyclic order, i.e. the coefficients
   of dx2^dx3, dx3^dx1, dx1^dx2 in chart order.
-* A three-form coefficient is relative to dx1^dx2^dx3 in chart order.
 * ``exterior_derivative`` stores the curl-like components
   (d_i theta_j - d_j theta_i) over the cyclic basis, so evaluation on a
   vector pair gives d theta(v, w) = d_i theta_j (v^i w^j - v^j w^i).
@@ -192,39 +191,6 @@ class PointTwoForm:
         return float(self.components @ np.cross(v, w))
 
 
-class TwoForm:
-    """Field of two-forms, components in cyclic order."""
-
-    def __init__(self, components):
-        if len(components) != 3:
-            raise ValidationError("a two-form needs exactly 3 cyclic components")
-        self.components = tuple(_as_field(c) for c in components)
-
-    def components_at(self, p):
-        p = point_coords(p)
-        return np.array([c.value(p) for c in self.components])
-
-    def at(self, p):
-        return PointTwoForm(self.components_at(p))
-
-    def __call__(self, p, v, w):
-        return self.at(p)(v, w)
-
-
-class ThreeForm:
-    """Field of three-forms: one coefficient of dx1^dx2^dx3."""
-
-    def __init__(self, coefficient):
-        self.coefficient = _as_field(coefficient)
-
-    def coefficient_at(self, p):
-        return self.coefficient.value(p)
-
-    def __call__(self, p, u, v, w):
-        m = np.column_stack([u, v, w]).astype(float)
-        return self.coefficient_at(p) * float(np.linalg.det(m))
-
-
 def exterior_derivative(theta, p):
     """d theta at p as a PointTwoForm (cyclic components).
 
@@ -233,18 +199,6 @@ def exterior_derivative(theta, p):
     j = theta.jacobian_at(p)
     a = j - j.T
     return PointTwoForm([a[1, 2], a[2, 0], a[0, 1]])
-
-
-def symmetric_part(theta, p):
-    """The symmetrized differential (1/2)(d_i theta_j + d_j theta_i) at p."""
-    j = theta.jacobian_at(p)
-    return 0.5 * (j + j.T)
-
-
-def wedge_1_2(theta, b, p):
-    """Volume coefficient of theta ^ B at p (chart-order orientation)."""
-    comps = b.components if isinstance(b, PointTwoForm) else b.components_at(p)
-    return float(theta.components_at(p) @ np.asarray(comps, dtype=float))
 
 
 class _GradientOneForm(OneForm):

@@ -1,9 +1,10 @@
 """Command-line front door: JSON configs in, JSON/CSV results out.
 
 Exit codes: 0 success, 1 usage error, 2 parse/config error, 3 numerical
-failure.  All output is deterministic for a fixed config and seed; JSON
-documents carry ``schema_version`` 1 and echo every defaulted config
-field, CSV uses a mandatory header and %.17g formatting.
+failure, 141 (128 + SIGPIPE) when the reader closes stdout early.  All
+output is deterministic for a fixed config and seed; JSON documents
+carry ``schema_version`` 1 and echo every defaulted config field, CSV
+uses a mandatory header and %.17g formatting.
 
 Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by SIGPIPE
 
 
 class UsageError(Exception):
@@ -455,6 +458,13 @@ def run(argv):
     except PseudoformError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader is gone: stop quietly, and send what stdout still buffers to
+        # devnull so the interpreter's flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OSError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

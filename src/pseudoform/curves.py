@@ -1,12 +1,7 @@
-"""Curve machinery: Frenet data, tangential/normal curvature, geodesics.
+"""Geodesics of a plane field, sampled by fixed-step RK4.
 
-Curves come in two flavors: analytic (``ParamCurve``, callables with
-finite-difference fallbacks for missing derivatives) and sampled
-(``SampledCurve``, fixed-step RK4 output).  The curvature split reads
-the geodesic curvature as the tangential part of the acceleration in
-the adapted frame, and the normal curvature as the second fundamental
-form on the unit tangent.  Geodesics carry the chart velocity, so no
-frame enters their equations after the initial velocity.
+A geodesic carries the chart velocity, so no frame enters its equations
+after the initial velocity.
 
 The geodesic march runs on plain floats: the state is a 6-tuple, each
 RK4 stage evaluates the Pfaffian once at one seeded point and builds the
@@ -18,138 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .calculus import as_point
-from .errors import (
-    ConstraintViolationError,
-    DegeneratePfaffianError,
-    EvaluationDomainError,
-    StraightLineError,
-    ValidationError,
-)
-from .geometry import second_form_via_connection, unit_normal
+from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
+from .geometry import unit_normal
 from .integrate import rk4_step, validate_steps
-
-STRAIGHT_TOL = 1e-10
-CONSTRAINT_TOL = 1e-6
-
-
-def _fd4(fn, s, h):
-    """Fourth-order central difference of a vector-valued callable."""
-    f = lambda t: np.asarray(fn(t), dtype=float)
-    return (-f(s + 2 * h) + 8 * f(s + h) - 8 * f(s - h) + f(s - 2 * h)) / (12 * h)
-
-
-@dataclass
-class ParamCurve:
-    """Curve s -> R^3 with optional analytic derivative evaluators.
-
-    Missing derivatives are supplied by fourth-order central differences
-    of the next-lower evaluator.  ``arclength`` records whether s is an
-    arclength parameter (required for the curvature split).
-    """
-
-    position: Callable
-    velocity: Optional[Callable] = None
-    acceleration: Optional[Callable] = None
-    jerk: Optional[Callable] = None
-    arclength: bool = True
-    fd_step: float = 1e-4
-
-    def _h(self, s):
-        return self.fd_step * max(1.0, abs(s))
-
-    def position_at(self, s):
-        return np.asarray(self.position(s), dtype=float)
-
-    def velocity_at(self, s):
-        if self.velocity is not None:
-            return np.asarray(self.velocity(s), dtype=float)
-        return _fd4(self.position, s, self._h(s))
-
-    def acceleration_at(self, s):
-        if self.acceleration is not None:
-            return np.asarray(self.acceleration(s), dtype=float)
-        return _fd4(self.velocity_at, s, self._h(s))
-
-    def jerk_at(self, s):
-        if self.jerk is not None:
-            return np.asarray(self.jerk(s), dtype=float)
-        return _fd4(self.acceleration_at, s, self._h(s))
-
-
-@dataclass(frozen=True)
-class FrenetData:
-    tangent: np.ndarray
-    normal: np.ndarray
-    binormal: np.ndarray
-    curvature: float
-    torsion: float
-
-
-def frenet(curve, s):
-    """Frenet frame, curvature and torsion of a regular space curve at s.
-
-    Straight segments (curvature below 1e-10) have no principal normal
-    and raise ``StraightLineError``.
-    """
-    v = curve.velocity_at(s)
-    speed = np.linalg.norm(v)
-    if speed <= 1e-12:
-        raise ValidationError(f"curve is not regular at s={s!r} (zero velocity)")
-    t = v / speed
-    a = curve.acceleration_at(s)
-    a_perp = a - (a @ t) * t
-    kappa_vec_norm = np.linalg.norm(a_perp)
-    kappa = kappa_vec_norm / speed**2
-    if kappa <= STRAIGHT_TOL:
-        raise StraightLineError(
-            f"curvature {kappa:.3e} below {STRAIGHT_TOL:.0e} at s={s!r}: "
-            "straight line has no Frenet normal"
-        )
-    n = a_perp / kappa_vec_norm
-    b = np.cross(t, n)
-    j = curve.jerk_at(s)
-    va = np.cross(v, a)
-    torsion = float(va @ j) / float(va @ va)
-    return FrenetData(t, n, b, float(kappa), torsion)
-
-
-@dataclass(frozen=True)
-class CurvatureSplit:
-    geodesic: np.ndarray  # frame components (2,) of the tangential part
-    normal: float
-    geodesic_magnitude: float
-
-
-def curvature_split(curve, surface, s):
-    """Split the curvature of an arclength curve lying in theta = 0.
-
-    With the adapted frame X at the curve point, nu = X^-1 x-dot and
-    acc = x-double-dot: geodesic^a = (X^-1 acc)^a, the tangential part
-    of the acceleration (a, b tangential); normal = H_ab nu^a nu^b.  The
-    tangent must satisfy the Pfaffian constraint to 1e-6 (normalized) or
-    ``ConstraintViolationError``.
-    """
-    if not getattr(curve, "arclength", True):
-        raise ValidationError("curvature split requires an arclength parameterization")
-    p = curve.position_at(s)
-    v = curve.velocity_at(s)
-    frame = surface.frame
-    xinv = frame.inverse_at(p)
-    nu = xinv @ v
-    residual = abs(nu[2]) / np.linalg.norm(v)
-    if residual > CONSTRAINT_TOL:
-        raise ConstraintViolationError(
-            f"tangent violates the Pfaffian constraint at s={s!r}", residual
-        )
-    kg = xinv[:2] @ curve.acceleration_at(s)
-    h_ab = second_form_via_connection(frame, p)
-    kn = float(nu[:2] @ h_ab @ nu[:2])
-    return CurvatureSplit(kg, kn, float(np.linalg.norm(kg)))
 
 
 @dataclass
@@ -159,7 +29,6 @@ class SampledCurve:
     s: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
-    arclength: bool = True
     aborted: bool = False
     abort_reason: str = ""
 

@@ -44,10 +44,6 @@ class ConstraintViolationError(PseudoformError):
         super().__init__(f"{message} (residual {residual:.3e})")
 
 
-class StraightLineError(PseudoformError):
-    """Curvature is numerically zero, so the Frenet normal is undefined."""
-
-
 class DegenerateWindowError(PseudoformError):
     """A precession window is too isotropic to define an oscillation plane."""
 

@@ -37,7 +37,6 @@ from .integrate import linear_rk4_blocks, linear_rk4_orbit, validate_steps
 from .pfaff import frobenius_coefficient
 
 OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
-EARTH_RADIUS = 6.378e6  # m, equatorial
 SECONDS_PER_DAY = 86400.0
 ANISOTROPY_TOL = 0.05
 MAX_STEPS = 10**9  # largest orbit step count accepted; 1e9 RK4 steps take hours
@@ -103,11 +102,6 @@ def theta2_oneform(cfg):
 def foucault_frame_field(cfg, metric=EUCLIDEAN):
     """Adapted frame for theta2: columns e_t, e2(swing), e3(normal)."""
     return adapt_frame(theta2_oneform(cfg), metric)
-
-
-def foucault_frame(cfg, t):
-    """Frame matrix at time t (the frame is x, y independent)."""
-    return foucault_frame_field(cfg).matrix_at((t, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -464,11 +458,6 @@ def transport_blocks(cfg, kind, initial, t0, t1, dt):
 
 
 # -- small physical helpers ------------------------------------------------
-
-
-def centripetal_acceleration(cfg, radius=EARTH_RADIUS):
-    """Magnitude of the rotational centripetal acceleration at latitude."""
-    return cfg.omega_earth**2 * radius * math.cos(cfg.latitude)
 
 
 def precession_per_day(cfg):

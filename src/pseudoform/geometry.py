@@ -77,10 +77,6 @@ class MetricSignature:
     def degenerate(self):
         return self.kind is MetricKind.GALILEAN
 
-    @property
-    def indefinite(self):
-        return self.kind is MetricKind.MINKOWSKI
-
 
 EUCLIDEAN = MetricSignature(MetricKind.EUCLIDEAN)
 GALILEAN = MetricSignature(MetricKind.GALILEAN)
@@ -193,20 +189,6 @@ def connection_form(frame, p):
     return np.einsum("nk,nmj,mi->ijk", x, dx, x)
 
 
-def structure_functions(frame, p):
-    """Commutator coefficients of the tangent legs at p.
-
-    Returns (c_tangent[c, a, b], c_normal[a, b]); the normal part
-    vanishes for all a, b iff the plane field is involutive at p.
-    """
-    x, dx = frame.matrix_and_derivative(p)
-    # bracket[i, a, b] = e_a x^i_b - e_b x^i_a
-    directional = np.einsum("na,nib->iab", x, dx)
-    bracket = directional - directional.transpose(0, 2, 1)
-    c_full = np.einsum("ic,iab->cab", x, bracket)
-    return c_full[:2, :2, :2], c_full[2, :2, :2]
-
-
 @dataclass(frozen=True)
 class FundamentalForms:
     """First and second forms at a point; ``g`` is in physical units and
@@ -261,16 +243,6 @@ def fundamental_forms(source, frame, metric, p):
     g = 0.5 * (g + g.T)
     h = 0.5 * (h + h.T)
     return FundamentalForms(g, h, p, metric, tangent)
-
-
-def second_form_via_frame(frame, p):
-    """H_ab from frame derivatives: N_i e_(a x^i_b) (symmetrized)."""
-    x, dx = frame.matrix_and_derivative(p)
-    unit = x[:, 2]
-    # directional[a, i, b] = e_a x^i_b
-    directional = np.einsum("na,nib->aib", x[:, :2], dx[:, :, :2])
-    h = 0.5 * np.einsum("i,aib->ab", unit, directional + directional.transpose(2, 1, 0))
-    return 0.5 * (h + h.T)
 
 
 def second_form_via_connection(frame, p):

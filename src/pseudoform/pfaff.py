@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class IntegrabilityClass:
     max_dtheta: float
     max_frobenius: float
     max_frobenius_raw: float
-    per_sample_dtheta: np.ndarray = field(repr=False, default=None)
-    per_sample_frobenius: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def classify(theta, region, tol=DEFAULT_TOL):
         kind = NormalForm.INTEGRATING_FACTOR
     else:
         kind = NormalForm.NON_INTEGRABLE
-    return IntegrabilityClass(kind, max_d, max_f, max_f_raw, dtheta_mag, frobenius)
+    return IntegrabilityClass(kind, max_d, max_f, max_f_raw)
 
 
 def constraint_residual(theta, curve):

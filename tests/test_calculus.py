@@ -1,4 +1,4 @@
-"""Scalar fields and the exterior/symmetrized derivatives."""
+"""Scalar fields, one-forms and the exterior derivative."""
 
 import math
 
@@ -9,13 +9,9 @@ from pseudoform import autodiff
 from pseudoform.calculus import (
     OneForm,
     ScalarField,
-    ThreeForm,
-    TwoForm,
     exterior_derivative,
     gradient_oneform,
     scalar_field,
-    symmetric_part,
-    wedge_1_2,
 )
 from pseudoform.errors import ValidationError
 from pseudoform.formlang import parse_oneform
@@ -96,57 +92,6 @@ def test_gradient_oneform_keeps_chart_and_reads_the_parent():
     assert gradient_oneform(scalar_field(lambda x, y, z: x)).chart == "spatial"
     assert np.array_equal(df.components_at(p), g) and np.array_equal(vals, g)
     assert np.array_equal(jac, h)
-
-
-def test_symmetric_part_of_exact_form_is_hessian():
-    f = scalar_field(lambda x, y, z: x * x * y + z * z * x)
-    p = (0.6, -0.3, 1.1)
-    assert np.allclose(symmetric_part(gradient_oneform(f), p), f.hessian(p), atol=1e-12)
-
-
-def test_symmetric_part_x_dy():
-    theta = OneForm([0.0, lambda x, y, z: x, 0.0])
-    s = symmetric_part(theta, (0.9, 0.1, 0.2))
-    expect = np.zeros((3, 3))
-    expect[0, 1] = expect[1, 0] = 0.5
-    assert np.allclose(s, expect)
-
-
-def test_decomposition_reconstructs_jacobian():
-    theta = OneForm(
-        [lambda x, y, z: x * y, lambda x, y, z: autodiff.sin(z), lambda x, y, z: y * z]
-    )
-    p = (0.4, 0.8, -0.6)
-    jac = theta.jacobian_at(p)
-    s = symmetric_part(theta, p)
-    a = 0.5 * (jac - jac.T)
-    assert np.allclose(s + a, jac, atol=1e-14)
-
-
-def test_wedge_volume_form():
-    theta = OneForm([0.0, 0.0, 1.0])  # dz
-    b = TwoForm([0.0, 0.0, 1.0])  # dx^dy
-    assert np.isclose(wedge_1_2(theta, b.at((0, 0, 0)), (0.0, 0.0, 0.0)), 1.0)
-
-
-def test_wedge_contact_form():
-    theta = OneForm([0.0, lambda x, y, z: x, 1.0])  # x dy + dz
-    p = (0.5, 0.2, 0.3)
-    d = exterior_derivative(theta, p)
-    assert np.isclose(wedge_1_2(theta, d, p), 1.0)
-
-
-def test_wedge_basis_permutation():
-    # theta along axis 3, B spanning axes 1,2 of a (t,x,y) chart: cyclic slot 3
-    theta = OneForm([0.0, 0.0, 1.0], chart="spacetime")
-    b = TwoForm([0.0, 0.0, 1.0])
-    assert abs(wedge_1_2(theta, b.at((0, 0, 0)), (0.0, 0.0, 0.0))) == 1.0
-
-
-def test_three_form_determinant():
-    vol = ThreeForm(1.0)
-    assert np.isclose(vol((0, 0, 0), [1, 0, 0], [0, 1, 0], [0, 0, 1]), 1.0)
-    assert np.isclose(vol((0, 0, 0), [0, 1, 0], [1, 0, 0], [0, 0, 1]), -1.0)
 
 
 def test_leibniz_rule_sampled():

@@ -415,15 +415,29 @@ def test_config_field_types_are_checked(tmp_path, capsys, argv, config, field):
     assert "Traceback" not in err
 
 
-def _run_process(tmp_path, argv, config):
+def _run_process(tmp_path, argv, config, stdout=subprocess.PIPE):
     """Run the CLI in a fresh interpreter, so a NumPy warning reaches stderr as for a user."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "pseudoform.cli", "--config", str(path), *argv],
-        env=env, capture_output=True, text=True,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
+
+
+def test_closed_stdout_stops_quietly_with_exit_141(tmp_path):
+    # 20001 CSV rows (about 1.5 MB) overflow any pipe buffer, so the CLI's own
+    # writes meet the closed read end, as under `pseudoform ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_process(tmp_path, ["foucault", "sim"], {
+            "latitude": 0.85, "dt": 1e-3, "duration": 20.0, "initial": [0.1, 0, 0, 0]},
+            stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_overflowing_gradient_prints_only_the_typed_error(tmp_path):

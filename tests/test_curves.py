@@ -1,24 +1,18 @@
-"""Frenet data, curvature splitting, geodesic integration."""
+"""Geodesic integration, checked against the curvature split and an array march."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pseudoform.curves import (
-    ParamCurve,
-    curvature_split,
-    frenet,
-    integrate_geodesic,
-)
+from pseudoform.curves import integrate_geodesic
 from pseudoform.errors import (
     ConstraintViolationError,
     DegenerateNormalizationError,
-    StraightLineError,
     ValidationError,
 )
 from pseudoform.formlang import parse_oneform, parse_scalar
-from pseudoform.geometry import GALILEAN, PseudoSurface
+from pseudoform.geometry import GALILEAN, PseudoSurface, second_form_via_connection
 from pseudoform.pfaff import constraint_residual
 
 
@@ -44,72 +38,46 @@ def _frame_nu(surface, p0, v):
     return (np.linalg.inv(surface.frame.matrix_at(p0)) @ v)[:2]
 
 
-def test_unit_circle_frenet():
-    circle = ParamCurve(lambda s: (math.cos(s), math.sin(s), 0.0))
-    fr = frenet(circle, 0.8)
-    assert np.isclose(fr.curvature, 1.0, atol=1e-6)
-    assert abs(fr.torsion) < 1e-4
+def _curvature_split(surface, p, v, acc):
+    """Geodesic and normal curvature of an arclength curve in theta = 0 at p.
+
+    A second route to the geodesic property, kept as a test reference.  With
+    the adapted frame X at p and nu = X^-1 v, the geodesic curvature is the
+    tangential part (X^-1 acc)[:2] of the acceleration and the normal
+    curvature is H_ab nu^a nu^b.  A tangent that violates the Pfaffian
+    constraint by more than 1e-6 (normalized) raises
+    ``ConstraintViolationError``.
+    """
+    xinv = surface.frame.inverse_at(p)
+    nu = xinv @ v
+    residual = abs(nu[2]) / np.linalg.norm(v)
+    if residual > 1e-6:
+        raise ConstraintViolationError("tangent violates the Pfaffian constraint", residual)
+    h = second_form_via_connection(surface.frame, p)
+    return xinv[:2] @ acc, float(nu[:2] @ h @ nu[:2])
 
 
-def test_helix_frenet():
-    # oracle: kappa = a/(a^2+b^2), tau = b/(a^2+b^2); a = b = 1 gives 1/2
-    a = b = 1.0
-    w = 1.0 / math.hypot(a, b)  # arclength rescaling
-    helix = ParamCurve(
-        lambda s: (a * math.cos(w * s), a * math.sin(w * s), b * w * s),
-        velocity=lambda s: (-a * w * math.sin(w * s), a * w * math.cos(w * s), b * w),
-        acceleration=lambda s: (
-            -a * w * w * math.cos(w * s),
-            -a * w * w * math.sin(w * s),
-            0.0,
-        ),
-        jerk=lambda s: (
-            a * w**3 * math.sin(w * s),
-            -a * w**3 * math.cos(w * s),
-            0.0,
-        ),
-    )
-    fr = frenet(helix, 1.3)
-    assert np.isclose(fr.curvature, 0.5, atol=1e-12)
-    assert np.isclose(fr.torsion, 0.5, atol=1e-12)
-
-
-def test_frenet_orthonormality_and_binormal():
-    helix = ParamCurve(lambda s: (2 * math.cos(s), 2 * math.sin(s), 0.5 * s), arclength=False)
-    for s in np.linspace(0.0, 3.0, 7):
-        fr = frenet(helix, s)
-        assert abs(np.linalg.norm(fr.tangent) - 1) < 1e-8
-        assert abs(np.linalg.norm(fr.normal) - 1) < 1e-8
-        assert abs(fr.tangent @ fr.normal) < 1e-8
-        assert np.allclose(fr.binormal, np.cross(fr.tangent, fr.normal), atol=1e-8)
-
-
-def test_straight_line_error():
-    line = ParamCurve(lambda s: (s, 2 * s, -s), arclength=False)
-    with pytest.raises(StraightLineError):
-        frenet(line, 0.5)
-
-
-def test_zero_velocity_is_invalid():
-    point = ParamCurve(lambda s: (1.0, 2.0, 3.0))
-    with pytest.raises(ValidationError):
-        frenet(point, 0.0)
+def _circle(center, e1, e2, radius, s):
+    """Position, velocity and acceleration at arclength s of the circle
+    center + radius (cos(s/r) e1 + sin(s/r) e2), with e1, e2 orthonormal."""
+    c, w = math.cos(s / radius), math.sin(s / radius)
+    e1, e2 = np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)
+    return center + radius * (c * e1 + w * e2), -w * e1 + c * e2, -(c * e1 + w * e2) / radius
 
 
 def test_great_circle_is_geodesic():
     surface = _sphere()
-    eq = ParamCurve(lambda s: (math.cos(0.3 + s), math.sin(0.3 + s), 0.0))
+    eq = ((math.cos(0.3), math.sin(0.3), 0.0), (-math.sin(0.3), math.cos(0.3), 0.0))
     # the tilted circle through (1,0,0), sampled where the frame's seed axis
     # switches: |x| = |z| at tan s = +-1/sin(tilt), and |y| = |z| at s = 0, pi
-    p0, d = _tilted_start((1.0, 0.0, 0.0), 0.7)
-    tilted = ParamCurve(lambda s: math.cos(s) * p0 + math.sin(s) * d)
+    tilted = _tilted_start((1.0, 0.0, 0.0), 0.7)
     turn = math.atan(1.0 / math.sin(0.7))
     switches = (0.0, turn, math.pi - turn, math.pi, math.pi + turn, 2 * math.pi - turn)
-    for curve, samples in ((eq, (0.2,)), (tilted, switches)):
+    for (e1, e2), samples in ((eq, (0.2,)), (tilted, switches)):
         for s in samples:
-            cs = curvature_split(curve, surface, s)
-            assert np.linalg.norm(cs.geodesic) < 1e-6
-            assert np.isclose(abs(cs.normal), 1.0, atol=1e-8)
+            kg, kn = _curvature_split(surface, *_circle(0.0, e1, e2, 1.0, s))
+            assert np.linalg.norm(kg) < 1e-6
+            assert np.isclose(abs(kn), 1.0, atol=1e-8)
 
 
 def test_latitude_circle_geodesic_curvature():
@@ -117,16 +85,17 @@ def test_latitude_circle_geodesic_curvature():
     polar = math.radians(45.0)
     r = math.sin(polar)  # circle radius at 45 degrees polar angle
     z = math.cos(polar)
-    lat = ParamCurve(lambda s: (r * math.cos(s / r + 0.3), r * math.sin(s / r + 0.3), z))
-    cs = curvature_split(lat, surface, 0.1)
-    assert np.isclose(cs.geodesic_magnitude, 1.0, rtol=1e-6)  # cot(45 deg) / 1
+    e1, e2 = (math.cos(0.3), math.sin(0.3), 0.0), (-math.sin(0.3), math.cos(0.3), 0.0)
+    kg, _ = _curvature_split(surface, *_circle(np.array([0.0, 0.0, z]), e1, e2, r, 0.1))
+    assert np.isclose(np.linalg.norm(kg), 1.0, rtol=1e-6)  # cot(45 deg) / 1
 
 
 def test_curvature_split_rejects_transverse_curve():
     surface = _sphere()
-    radial = ParamCurve(lambda s: ((1 + s) / math.sqrt(2), (1 + s) / math.sqrt(2), 0.0))
+    # the radial line (1 + s)(1, 1, 0)/sqrt(2) at s = 0
+    radial = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
     with pytest.raises(ConstraintViolationError) as err:
-        curvature_split(radial, surface, 0.0)
+        _curvature_split(surface, radial, radial, np.zeros(3))
     assert err.value.residual > 1e-6
 
 

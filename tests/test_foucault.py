@@ -17,9 +17,9 @@ from pseudoform.geometry import (
     MINKOWSKI,
     PseudoSurface,
     connection_form,
-    structure_functions,
 )
 from pseudoform.pfaff import frobenius_coefficient
+from test_geometry import structure_functions
 
 PARIS = fc.FoucaultConfig(latitude=math.radians(48.85), length=67.0)
 
@@ -94,12 +94,13 @@ def test_theta2_components():
 
 
 def test_frame_identity_at_t0():
-    assert np.allclose(fc.foucault_frame(PARIS, 0.0), np.eye(3), atol=1e-14)
+    x = fc.foucault_frame_field(PARIS).matrix_at((0.0, 0.0, 0.0))
+    assert np.allclose(x, np.eye(3), atol=1e-14)
 
 
 def test_frame_quarter_turn():
     cfg = fc.FoucaultConfig(latitude=0.3, frame_rate=1.0)
-    x = fc.foucault_frame(cfg, math.pi / 2)
+    x = fc.foucault_frame_field(cfg).matrix_at((math.pi / 2, 0.0, 0.0))
     # swing leg e1 -> +y axis, normal e2 -> -x axis
     assert np.allclose(x[:, 1], [0.0, 0.0, 1.0], atol=1e-12)
     assert np.allclose(x[:, 2], [0.0, -1.0, 0.0], atol=1e-12)
@@ -116,7 +117,7 @@ def test_frame_rotation_block():
                 [0.0, math.sin(phi), math.cos(phi)],
             ]
         )
-        assert np.allclose(fc.foucault_frame(PARIS, t), r, atol=1e-12)
+        assert np.allclose(fc.foucault_frame_field(PARIS).matrix_at((t, 0.0, 0.0)), r, atol=1e-12)
 
 
 def test_connection_structure():
@@ -415,7 +416,7 @@ def test_transport_time_axis_constant():
 def test_transport_moving_frame_constancy():
     res = fc.parallel_transport(PARIS, "vector", (0.3, 0.5, -0.2), 0.0, 500.0, 0.05)
     for i in (0, len(res.times) // 2, len(res.times) - 1):
-        frame = fc.foucault_frame(PARIS, res.times[i])
+        frame = fc.foucault_frame_field(PARIS).matrix_at((res.times[i], 0.0, 0.0))
         nu = np.linalg.inv(frame) @ res.components[i]
         if i == 0:
             nu0 = nu
@@ -439,13 +440,6 @@ def test_transport_validation():
 
 
 # -- helpers -----------------------------------------------------------------
-
-
-def test_centripetal_acceleration_recomputed():
-    equator = fc.FoucaultConfig(latitude=0.0)
-    value = fc.centripetal_acceleration(equator)
-    assert np.isclose(value, 7.292e-5**2 * 6.378e6, rtol=1e-12)
-    assert 0.03 < value < 0.04  # ~3.4e-2 m/s^2
 
 
 def test_precession_per_day():

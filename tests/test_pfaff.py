@@ -101,8 +101,10 @@ def test_classify_degenerate_sample_error():
 def test_classify_deterministic():
     a = classify(parse_oneform(["0", "x", "1"]), BOX)
     b = classify(parse_oneform(["0", "x", "1"]), BOX)
+    assert a.kind is b.kind
+    assert a.max_dtheta == b.max_dtheta
     assert a.max_frobenius == b.max_frobenius
-    assert np.array_equal(a.per_sample_frobenius, b.per_sample_frobenius)
+    assert a.max_frobenius_raw == b.max_frobenius_raw
 
 
 def test_region_sampler_validation():
