@@ -6,8 +6,8 @@ from scalar fields, and ``exterior_derivative`` evaluates d theta at a
 point as a two-form.
 
 Only what reads a Hessian seeds the engine at second order:
-``ScalarField.differentiate`` and ``hessian``, and the Jacobian of
-``gradient_oneform(f)`` (``values_and_jacobian``).
+``ScalarField.differentiate`` and the Jacobian of ``gradient_oneform(f)``
+(``values_and_jacobian``).
 ``ScalarField.value`` and ``gradient``, ``OneForm.components_at`` and
 ``OneForm.values_and_jacobian`` seed first order, which gives the same
 values and gradients bit for bit.  A one-form seeds its point once and
@@ -36,7 +36,9 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Dual
-from .errors import EvaluationDomainError, ValidationError
+from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
+
+DEGENERACY_TOL = 1e-12  # |N| at or below this is a vanishing Pfaffian
 
 
 def point_coords(p):
@@ -65,6 +67,18 @@ def as_point(p):
 def format_point(p):
     """A chart point as a tuple of plain floats, for messages."""
     return str(tuple(float(c) for c in p))
+
+
+def pfaffian_norm(comps, p):
+    """|N| of a Pfaffian's 3 components at p, finite for any finite N.
+
+    ``math.hypot`` scales before it squares, so no square overflows.
+    Raises ``DegeneratePfaffianError`` where |N| <= ``DEGENERACY_TOL``.
+    """
+    norm = math.hypot(*comps)
+    if norm <= DEGENERACY_TOL:
+        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {format_point(p)}")
+    return norm
 
 
 def _check_finite(p, *values):
@@ -123,9 +137,6 @@ class ScalarField:
         _check_finite(p, v, *g)
         return np.array(g)
 
-    def hessian(self, p):
-        return self.differentiate(p)[2]
-
 
 def scalar_field(fn):
     """Wrap a dual-capable evaluator ``fn(x1, x2, x3)`` as a ScalarField."""
@@ -157,9 +168,6 @@ class OneForm:
         _check_finite(p, *vals)
         return np.array(vals)
 
-    def __call__(self, p, v):
-        return float(self.components_at(p) @ np.asarray(v, dtype=float))
-
     def jacobian_at(self, p):
         """J[i, j] = d_i theta_j, as a (3, 3) array."""
         return np.array(self.values_and_jacobian(p)[1])
@@ -186,9 +194,6 @@ class PointTwoForm:
 
     def __init__(self, components):
         self.components = np.asarray(components, dtype=float)
-
-    def __call__(self, v, w):
-        return float(self.components @ np.cross(v, w))
 
 
 def exterior_derivative(theta, p):

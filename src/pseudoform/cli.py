@@ -1,10 +1,11 @@
 """Command-line front door: JSON configs in, JSON/CSV results out.
 
-Exit codes: 0 success, 1 usage error, 2 parse/config error, 3 numerical
-failure, 141 (128 + SIGPIPE) when the reader closes stdout early.  All
-output is deterministic for a fixed config and seed; JSON documents
-carry ``schema_version`` 1 and echo every defaulted config field, CSV
-uses a mandatory header and %.17g formatting.
+Exit codes: 0 success, 1 usage error (including a ``--format`` the
+subcommand does not write), 2 parse/config error or an unwritable output,
+3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout
+early.  All output is deterministic for a fixed config and seed; JSON
+documents carry ``schema_version`` 1 and echo every defaulted config
+field, CSV uses a mandatory header and %.17g formatting.
 
 Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
@@ -402,15 +403,15 @@ def _cmd_transport(config, args):
 
 # -- driver ----------------------------------------------------------------
 
-# argv words -> (handler, default format)
+# argv words -> (handler, accepted formats, the first of them the default)
 COMMANDS = {
-    ("classify",): (_cmd_classify, "json"),
-    ("surface",): (_cmd_surface, "json"),
-    ("geodesic",): (_cmd_geodesic, "csv"),
-    ("foucault", "geometry"): (_cmd_foucault_geometry, "json"),
-    ("foucault", "sim"): (_cmd_foucault_sim, "csv"),
-    ("foucault", "precession"): (_cmd_foucault_precession, "csv"),
-    ("transport",): (_cmd_transport, "csv"),
+    ("classify",): (_cmd_classify, ("json",)),
+    ("surface",): (_cmd_surface, ("json",)),
+    ("geodesic",): (_cmd_geodesic, ("csv", "json")),
+    ("foucault", "geometry"): (_cmd_foucault_geometry, ("json",)),
+    ("foucault", "sim"): (_cmd_foucault_sim, ("csv", "json")),
+    ("foucault", "precession"): (_cmd_foucault_precession, ("csv", "json")),
+    ("transport",): (_cmd_transport, ("csv", "json")),
 }
 
 
@@ -444,12 +445,14 @@ def run(argv):
             raise UsageError(f"{args.subcommand} requires one of: {actions}")
         if args.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
+        handler, formats = COMMANDS[words]
+        args.format = args.format or formats[0]
+        if args.format not in formats:
+            raise UsageError(f"{' '.join(words)} writes {' or '.join(formats)}, not {args.format}")
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    handler, default_format = COMMANDS[words]
     args.command = "-".join(words)
-    args.format = args.format or default_format
     try:
         handler(_load_config(args.config), args)
     except (ConfigError, FormSyntaxError, ValidationError) as err:
@@ -465,8 +468,8 @@ def run(argv):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except OSError as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except OSError as err:  # the config was read in _load_config, so this is a write
+        print(f"output error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

@@ -156,10 +156,6 @@ class Trajectory:
         return self.states[:, 1]
 
     @property
-    def vx(self):
-        return self.states[:, 2]
-
-    @property
     def vy(self):
         return self.states[:, 3]
 

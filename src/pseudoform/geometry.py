@@ -28,14 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    OneForm, ScalarField, as_point, format_point, gradient_oneform, point_coords,
+    OneForm, ScalarField, as_point, format_point, gradient_oneform, pfaffian_norm, point_coords,
 )
-from .errors import (
-    DegenerateMetricError,
-    DegenerateNormalizationError,
-    DegeneratePfaffianError,
-    FramePfaffianMismatchError,
-)
+from .errors import DegenerateMetricError, DegenerateNormalizationError, FramePfaffianMismatchError
 
 LIGHT_SPEED = 299792458.0
 
@@ -113,28 +108,28 @@ def unit_normal(pfaffian, metric, p):
 
     Floats in and floats out: p is 3 floats (or anything ``point_coords``
     takes), u comes back as a 3-tuple and du as three 3-tuple rows, built
-    with ``math`` from one evaluation of N (one seeded point).  Raises
+    with ``math`` from one evaluation of N (one seeded point) as
+    du[i] = (J[i] - (J[i] . u) u) / |N| with J[i] = d_i N.  No |N|^2 is
+    formed, so an N whose square would overflow still normalizes.  Raises
     ``DegeneratePfaffianError`` where N vanishes and
     ``DegenerateNormalizationError`` where a degenerate metric is asked
     to normalize a space-time Pfaffian with a time component.
     """
     comps, jac = pfaffian.values_and_jacobian(p)
+    norm = pfaffian_norm(comps, p)
     n1, n2, n3 = comps
-    norm = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3)  # the sum-of-squares form of np.linalg.norm
-    if norm <= 1e-12:
-        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {format_point(p)}")
-    if metric.degenerate and pfaffian.chart == "spacetime" and abs(n1) > 1e-9 * norm:
+    u1, u2, u3 = n1 / norm, n2 / norm, n3 / norm
+    if metric.degenerate and pfaffian.chart == "spacetime" and abs(u1) > 1e-9:
         raise DegenerateNormalizationError(
             "Galilean metric cannot normalize a Pfaffian with a time component"
         )
-    norm2 = norm * norm
     du = []
     for j1, j2, j3 in jac:
-        dnorm = (j1 * n1 + j2 * n2 + j3 * n3) / norm  # d_i |N|
-        du.append((j1 / norm - dnorm * n1 / norm2,
-                   j2 / norm - dnorm * n2 / norm2,
-                   j3 / norm - dnorm * n3 / norm2))
-    return (n1 / norm, n2 / norm, n3 / norm), tuple(du)
+        along = j1 * u1 + j2 * u2 + j3 * u3  # d_i |N|
+        du.append(((j1 - along * u1) / norm,
+                   (j2 - along * u2) / norm,
+                   (j3 - along * u3) / norm))
+    return (u1, u2, u3), tuple(du)
 
 
 def adapt_frame(pfaffian, metric=EUCLIDEAN):
@@ -225,9 +220,7 @@ def fundamental_forms(source, frame, metric, p):
         h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
     elif isinstance(source, ScalarField):
         _, grad, hess = source.differentiate(p)
-        norm = np.linalg.norm(grad)
-        if norm <= 1e-12:
-            raise DegeneratePfaffianError(f"normal direction vanishes at point {format_point(p)}")
+        norm = pfaffian_norm(grad, p)
         unit = grad / norm
         h = -(tangent.T @ hess @ tangent) / norm
     else:
@@ -256,34 +249,39 @@ def shape_and_curvatures(ff):
     """Raise an index and report principal/Gaussian/mean curvature.
 
     Every route raises with the metric's c-normalized matrix induced on
-    the tangent legs: diag(1, -1, -1) for Minkowski, so eigenvalues stay
-    O(phi_dot) rather than shrinking by c, and the physical matrix for
-    the other metrics.  Eigenvalues are first-class complex outputs (an
-    indefinite raise can make them imaginary); a degenerate induced
-    metric is an error since g^ab does not exist.
+    the tangent legs (diag(1, -1, -1) for Minkowski, so curvatures stay
+    O(phi_dot) rather than shrinking by c); a degenerate induced metric
+    is an error since g^ab does not exist.  The shape operator
+    [[a, b], [c, d]] = g^-1 h is solved in closed form on floats:
+    mean = (a + d)/2, K = ad - bc and disc = q^2 + bc with q = (a - d)/2
+    (mean^2 - K would cancel at umbilics).  A real pair is kappa1 =
+    mean + sqrt(disc) >= kappa2; a conjugate pair, which an indefinite
+    raise can give, is kappa1 = mean + i sqrt(-disc) and its conjugate.
+    kappa1 and kappa2 are complex either way, K and the mean are floats.
     """
     g = ff.tangent.T @ ff.metric.normalized_matrix @ ff.tangent
-    g = 0.5 * (g + g.T)
-    det_g = np.linalg.det(g)
+    (g11, g12), (g21, g22) = g.tolist()
+    g12 = 0.5 * (g12 + g21)
+    det_g = g11 * g22 - g12 * g12
     if abs(det_g) < 1e-12:
         raise DegenerateMetricError(
             "first fundamental form is degenerate: g^ab does not exist, "
             "so no index can be raised"
         )
-    mixed = np.linalg.solve(g, ff.h)
-    eigs = np.linalg.eigvals(mixed.astype(complex))
-    order = np.lexsort((eigs.imag, eigs.real))[::-1]
-    eigs = eigs[order]
-    gaussian = _realify(np.linalg.det(mixed.astype(complex)))
-    mean = _realify(0.5 * np.trace(mixed.astype(complex)))
-    return CurvatureReport(complex(eigs[0]), complex(eigs[1]), gaussian, mean)
-
-
-def _realify(z, tol=1e-12):
-    scale = max(1.0, abs(z))
-    if abs(z.imag) <= tol * scale:
-        return float(z.real)
-    return complex(z)
+    (h11, h12), (h21, h22) = ff.h.tolist()
+    a = (g22 * h11 - g12 * h21) / det_g
+    b = (g22 * h12 - g12 * h22) / det_g
+    c = (g11 * h21 - g12 * h11) / det_g
+    d = (g11 * h22 - g12 * h12) / det_g
+    mean = 0.5 * (a + d)
+    q = 0.5 * (a - d)
+    disc = q * q + b * c
+    root = math.sqrt(abs(disc))
+    if disc >= 0.0:
+        kappa1, kappa2 = complex(mean + root), complex(mean - root)
+    else:
+        kappa1, kappa2 = complex(mean, root), complex(mean, -root)
+    return CurvatureReport(kappa1, kappa2, a * d - b * c, mean)
 
 
 class PseudoSurface:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import as_point, exterior_derivative, format_point
-from .errors import DegeneratePfaffianError, ValidationError
+from .calculus import as_point, exterior_derivative, pfaffian_norm
+from .errors import ValidationError
 
-DEGENERACY_TOL = 1e-12
 DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
 
@@ -99,8 +98,7 @@ def frobenius_coefficient(theta, p):
     """
     p = as_point(p)
     comps = theta.components_at(p)
-    if math.hypot(*comps) <= DEGENERACY_TOL:
-        raise DegeneratePfaffianError(f"Pfaffian vanishes at point {format_point(p)}")
+    pfaffian_norm(comps, p)  # raises where theta vanishes
     return _dot(comps, exterior_derivative(theta, p).components)
 
 
@@ -119,9 +117,7 @@ def classify(theta, region, tol=DEFAULT_TOL):
     frobenius_raw = np.empty(len(points))
     for k, p in enumerate(points):
         comps = theta.components_at(p)
-        norm = math.hypot(*comps)
-        if norm <= DEGENERACY_TOL:
-            raise DegeneratePfaffianError(f"Pfaffian vanishes at sample point {format_point(p)}")
+        norm = pfaffian_norm(comps, p)
         d = exterior_derivative(theta, p).components
         dtheta_mag[k] = math.hypot(*d) / norm
         frobenius_raw[k] = _dot(comps, d)

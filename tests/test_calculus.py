@@ -69,9 +69,10 @@ def test_exterior_derivative_x_dy():
 
 def test_exterior_derivative_evaluation_on_vectors():
     theta = OneForm([0.0, lambda x, y, z: x, 0.0])
-    d = exterior_derivative(theta, (1.0, 0.0, 0.0))
-    assert np.isclose(d([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 1.0)
-    assert np.isclose(d([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]), -1.0)
+    d = exterior_derivative(theta, (1.0, 0.0, 0.0)).components
+    # cyclic components pair with v x w: d theta(v, w) = d . (v x w)
+    assert np.isclose(d @ np.cross([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 1.0)
+    assert np.isclose(d @ np.cross([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]), -1.0)
 
 
 def test_d_of_d_is_zero_randomized():

@@ -270,10 +270,31 @@ _MINIMAL_CONFIGS = {
 def test_every_command_dispatches_in_its_default_format(tmp_path, capsys, words):
     code, out, err = _run(tmp_path, capsys, list(words), _MINIMAL_CONFIGS[words])
     assert (code, err) == (0, "")
-    if cli.COMMANDS[words][1] == "json":
+    if cli.COMMANDS[words][1][0] == "json":
         assert json.loads(out)["subcommand"] == "-".join(words)
     else:
         assert out.startswith("t,") and not out.startswith("{")
+
+
+@pytest.mark.parametrize("words", list(cli.COMMANDS), ids="-".join)
+def test_a_format_the_command_does_not_write_is_a_usage_error(tmp_path, capsys, words):
+    formats = cli.COMMANDS[words][1]
+    for fmt in ("csv", "json"):
+        code, out, err = _run(tmp_path, capsys, ["--format", fmt, *words], _MINIMAL_CONFIGS[words])
+        if fmt in formats:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (1, "")
+            accepted = " or ".join(formats)
+            assert err == f"usage error: {' '.join(words)} writes {accepted}, not {fmt}\n"
+
+
+def test_unwritable_output_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.csv"
+    code, _, err = _run(tmp_path, capsys, ["--out", str(out), "foucault", "sim"],
+                        _MINIMAL_CONFIGS[("foucault", "sim")])
+    assert code == 2
+    assert err.startswith("output error: [Errno 2] No such file or directory")
 
 
 def test_config_error_bad_expression(tmp_path, capsys):
@@ -465,6 +486,19 @@ def test_overflowing_pfaffian_prints_only_the_typed_error(tmp_path):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("numerical error: overflow at point (")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize("source", [{"levelset": "exp(x*1000)"},
+                                    {"pfaffian": ["exp(x*1000)", "0", "0"]}],
+                         ids=["levelset", "pfaffian"])
+def test_huge_normal_gives_the_flat_forms_without_warnings(tmp_path, source):
+    # |N| = exp(500) (times 1000 for the level set) is about 1e217: its square overflows
+    proc = _run_process(tmp_path, ["surface"], {**source, "points": [[0.5, 0.2, 0.1]]})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (entry,) = json.loads(proc.stdout)["result"]
+    assert entry["g"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert entry["h"] == [[0.0, 0.0], [0.0, 0.0]]
+    assert all(part == 0.0 for z in entry["curvatures"].values() for part in z.values())
 
 
 def test_non_finite_geodesic_stage_point_is_a_config_error(tmp_path):

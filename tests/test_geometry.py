@@ -54,6 +54,13 @@ def second_form_via_frame(frame, p):
     return 0.5 * (h + h.T)
 
 
+def eigen_curvatures(ff):
+    """(eigenvalues, K, mean) of g^-1 h by NumPy's general complex eigen-solver."""
+    g = ff.tangent.T @ ff.metric.normalized_matrix @ ff.tangent
+    mixed = np.linalg.solve(0.5 * (g + g.T), ff.h)
+    return np.linalg.eigvals(mixed.astype(complex)), np.linalg.det(mixed), 0.5 * np.trace(mixed)
+
+
 def test_metric_matrices():
     assert np.array_equal(EUCLIDEAN.matrix, np.eye(3))
     assert np.array_equal(GALILEAN.matrix, np.diag([0.0, 1.0, 1.0]))
@@ -234,3 +241,40 @@ def test_scaled_levelset_same_geometry():
     h1 = PseudoSurface.from_levelset(f1).fundamental_forms(p).h
     h2 = PseudoSurface.from_levelset(f2).fundamental_forms(p).h
     assert np.allclose(h1, h2, atol=1e-10)
+
+
+CONTACT = ["0", "x", "1"]
+
+
+@pytest.mark.parametrize("surface, conjugate", [
+    (PseudoSurface.from_levelset(parse_scalar("x^2+y^2+z^2")), False),
+    (PseudoSurface.from_levelset(parse_scalar("x^2+y^2")), False),
+    (PseudoSurface.from_levelset(parse_scalar("x*y-z")), False),
+    (PseudoSurface.from_pfaffian(parse_oneform(CONTACT), EUCLIDEAN), False),
+    (PseudoSurface.from_pfaffian(parse_oneform(CONTACT), MINKOWSKI), True),
+], ids=["sphere", "cylinder", "saddle", "euclidean-contact", "minkowski-contact"])
+def test_closed_form_curvatures_match_the_eigen_reference(surface, conjugate):
+    rng = np.random.default_rng(31)
+    for p in rng.uniform(-1.0, 1.0, size=(100, 3)):
+        ff = surface.fundamental_forms(p)
+        report = shape_and_curvatures(ff)
+        eigs, gaussian, mean = eigen_curvatures(ff)
+        kappas = np.array([report.kappa1, report.kappa2])
+        if conjugate:  # unordered: a conjugate pair has no order to compare
+            assert report.kappa1.imag > 0 and np.all(eigs.imag != 0)
+            kappas, eigs = kappas[np.argsort(kappas.imag)], eigs[np.argsort(eigs.imag)]
+        else:  # ordered: a real pair (up to rounding at umbilics), kappa1 >= kappa2
+            assert report.kappa1.real >= report.kappa2.real
+            eigs = eigs[np.lexsort((eigs.imag, eigs.real))[::-1]]
+        for ours, ref in [*zip(kappas, eigs), (report.gaussian, gaussian), (report.mean, mean)]:
+            assert abs(ours - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+def test_minkowski_kappa1_sign_survives_a_relative_nudge():
+    # the conjugate pair +-ib: which root is kappa1 must not hang on rounding noise
+    surface = PseudoSurface.from_pfaffian(parse_oneform(CONTACT), MINKOWSKI)
+    points = np.random.default_rng(401).uniform(-1.0, 1.0, size=(500, 3))
+    flips = [p for p in points
+             if np.sign(surface.curvature_report(p).kappa1.imag)
+             != np.sign(surface.curvature_report(p * (1.0 + 2.0**-50)).kappa1.imag)]
+    assert len(flips) == 0, f"Im kappa1 changes sign at {len(flips)} of 500 points"
