@@ -10,6 +10,10 @@ freely as constants: an operation treats one as a ``Dual`` of the other
 operand's order with zero derivatives.  A ``Dual`` exponent always goes
 through exp(b ln a), so it needs a positive base; a constant exponent
 follows the rules of ``_pow_const``.
+
+``Dual`` evaluates Python callables (``scalar_field(fn)``), and it is
+the seed and the result type of the code ``formlang`` compiles, which
+applies these formulas in straight lines instead of ``Dual`` operations.
 """
 
 from __future__ import annotations
@@ -242,17 +246,6 @@ def fabs(x):
         s = math.copysign(1.0, x.v) if x.v != 0.0 else 0.0
         return _chain(x, abs(x.v), s, 0.0)
     return abs(x)
-
-
-FUNCTIONS = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "exp": exp,
-    "ln": log,
-    "sqrt": sqrt,
-    "abs": fabs,
-}
 
 
 def seed_point(p, order=2):

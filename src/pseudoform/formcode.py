@@ -1,0 +1,375 @@
+"""Straight-line derivative code for formlang trees.
+
+``compile_field`` turns a parsed tree into the source of one Python
+function and compiles it (Griewank & Walther, *Evaluating Derivatives*,
+ch. 6, source transformation).  The function reads the values of the
+three seeded ``Dual`` variables and computes with ``math``, in
+straight-line code, the value, the gradient and (for second-order
+seeds) the Hessian.  It applies each ``Dual`` operation's formulas in
+their operation order and returns a ``Dual``, or a plain float for an
+expression without variables, as evaluating the tree on ``Dual``
+numbers would:
+
+* Derivative entries that are zero at every point are folded away.  A
+  folded term ``0 * m`` is exactly zero only for finite ``m``, so the
+  function sums every such ``m``; when the sum is not finite, it
+  evaluates again with nothing folded, term for term as ``Dual`` does.
+  Otherwise only the sign of a zero derivative entry can differ.
+* Everything that can raise (division, ``**``, ``math`` calls and the
+  domain checks) runs in the tree's order, folded or not, with the
+  messages of ``autodiff``.
+* The source holds only names the generator makes; finite literals are
+  written with ``repr`` and non-finite ones (``1e999``) read from a
+  constants tuple.
+
+The tree's nodes (``formlang``) call the ``_Code`` method of their
+operation from ``emit``; this module knows no node class.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .autodiff import Dual
+from .errors import EvaluationDomainError
+
+_ONE = "1.0"
+
+
+def _is_literal(expr):
+    # the repr of a finite float >= 0: every composite expression holds a space
+    return expr[0].isdigit() and " " not in expr
+
+
+def _atomic(expr):
+    return expr is None or expr.isidentifier() or _is_literal(expr)
+
+
+def _negated(expr):
+    return None if expr is None else f"(-{expr})"
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
+
+
+def _cases(cases):
+    """if/elif/else lines from (condition, body) pairs, in order.
+
+    A condition known at generation time is True or False: False drops
+    its case and True ends the chain as ``else`` (or as the bare body).
+    """
+    lines = []
+    for condition, body in cases:
+        if condition is False:
+            continue
+        if condition is True:
+            return lines + ["else:"] + _indent(body) if lines else body
+        lines += [f"{'elif' if lines else 'if'} {condition}:"] + _indent(body)
+    return lines
+
+
+class _Term:
+    """The code of one subexpression.
+
+    ``value`` is a local name or a literal.  ``grad`` (3 entries) and
+    ``hess`` (9, row-major; None at first order) hold a name, a literal
+    or an expression per entry, and None for an entry folded as zero.
+    ``grad`` is None for a constant, which the tree walk keeps as a
+    plain float.
+    """
+
+    __slots__ = ("value", "grad", "hess")
+
+    def __init__(self, value, grad=None, hess=None):
+        self.value = value
+        self.grad = grad
+        self.hess = hess
+
+
+class _Code:
+    """Straight-line statements for one expression at one seed order."""
+
+    def __init__(self, variables, order, fold, constants):
+        self.variables = variables
+        self.order = order
+        self.zero = None if fold else "0.0"  # an entry that no point makes nonzero
+        self.constants = constants  # non-finite literals, read from _K
+        self.lines = []
+        self.checked = {}  # m of each folded term 0 * m, in order
+        self.count = 0
+
+    def fresh(self):
+        self.count += 1
+        return f"t{self.count}"
+
+    def name(self, expr):
+        """``expr`` held in a new local, or as it is when it is atomic."""
+        if _atomic(expr):
+            return expr
+        local = self.fresh()
+        self.lines.append(f"{local} = {expr}")
+        return local
+
+    def constant(self, value):
+        """A literal: finite ones by ``repr``, others read from the constants tuple."""
+        if math.isfinite(value):
+            return _Term(repr(value))
+        if value not in self.constants:
+            self.constants.append(value)
+        return _Term(f"_K[{self.constants.index(value)}]")
+
+    def variable(self, name):
+        index = self.variables.index(name)
+        grad = [self.zero] * 3
+        grad[index] = _ONE
+        return _Term(f"x{index}", grad, self._zero_hess())
+
+    def _zero_hess(self):
+        return [self.zero] * 9 if self.order == 2 else None
+
+    def dual(self, value, grad, hess):
+        """A Dual's term with every entry held in a local."""
+        grad = [self.name(g) for g in grad]
+        return _Term(value, grad, None if hess is None else [self.name(h) for h in hess])
+
+    def lift(self, term):
+        """A constant as a Dual with zero derivatives, as ``autodiff._lift``."""
+        if term.grad is not None:
+            return term
+        return _Term(term.value, [self.zero] * 3, self._zero_hess())
+
+    def check(self, condition, message):
+        self.lines += [f"if {condition}:", f"    raise _Domain(f{message!r})"]
+
+    # -- entry arithmetic; None is a folded zero
+
+    def mul(self, a, b):
+        if a is None or b is None:
+            m = b if a is None else a
+            if m is not None and not _is_literal(m):
+                self.checked[m] = None
+            return None
+        if a == _ONE:
+            return b
+        if b == _ONE:
+            return a
+        return f"({a} * {b})"
+
+    @staticmethod
+    def add(a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        return f"({a} + {b})"
+
+    @staticmethod
+    def sub(a, b):
+        if b is None:
+            return a
+        if a is None:
+            return _negated(b)
+        return f"({a} - {b})"
+
+    # -- Dual operations, in autodiff's formulas and order
+
+    def add_terms(self, s, o):
+        hess = None if s.hess is None else list(map(self.add, s.hess, o.hess))
+        return self.dual(self.name(f"{s.value} + {o.value}"), map(self.add, s.grad, o.grad), hess)
+
+    def sub_terms(self, s, o):
+        hess = None if s.hess is None else list(map(self.sub, s.hess, o.hess))
+        return self.dual(self.name(f"{s.value} - {o.value}"), map(self.sub, s.grad, o.grad), hess)
+
+    def mul_terms(self, s, o):
+        av, bv = s.value, o.value
+        value = self.name(f"{av} * {bv}")
+        hess = None
+        if s.hess is not None:
+            cross = [self.name(self.mul(a, b)) for a in s.grad for b in o.grad]
+            hess = [
+                self.add(self.add(self.add(self.mul(s.hess[k], bv), self.mul(av, o.hess[k])),
+                                  cross[k]), cross[3 * (k % 3) + k // 3])
+                for k in range(9)
+            ]
+        grad = [self.add(self.mul(a, bv), self.mul(av, b)) for a, b in zip(s.grad, o.grad)]
+        return self.dual(value, grad, hess)
+
+    def div_terms(self, s, o):
+        ov = o.value
+        self.check(f"{ov} == 0.0", "division by zero")
+        f0 = self.name(f"1.0 / {ov}")
+        f1 = self.name(f"-1.0 / {ov} ** 2")
+        f2 = self.name(f"2.0 / {ov} ** 3")
+        return self.mul_terms(s, self.chain(o, f0, f1, f2))
+
+    def chain(self, u, f0, f1, f2):
+        """``autodiff._chain``: f0, f1 and f2 are the value and derivatives at u."""
+        hess = None
+        if u.hess is not None:
+            g = u.grad
+            square = {(i, j): self.name(self.mul(f2, self.mul(g[i], g[j])))
+                      for i in range(3) for j in range(i, 3)}
+            hess = [self.add(self.mul(f1, u.hess[3 * i + j]), square[min(i, j), max(i, j)])
+                    for i in range(3) for j in range(3)]
+        return self.dual(f0, [self.mul(f1, g) for g in u.grad], hess)
+
+    def pow_const(self, u, c):
+        """``autodiff._pow_const`` with its branches; a literal ``c`` prunes them now."""
+        uv = u.value
+        if _is_literal(c):
+            cv = float(c)
+            cases = (cv == int(cv) and cv >= 2, cv == 1, cv == 0)
+            square_f2 = "2.0" if cv == 2 else "0.0"
+            negative = cv != int(cv) and f"{uv} < 0.0"
+        else:
+            cases = (f"{c} == _int({c}) and {c} >= 2", f"{c} == 1", f"{c} == 0")
+            square_f2 = f"2.0 if {c} == 2 else 0.0"
+            negative = f"{uv} < 0.0 and {c} != _int({c})"
+        r, f1, f2 = self.fresh(), self.fresh(), self.fresh()
+        outer, self.lines = self.lines, []
+        result = self.chain(u, r, f1, f2)
+        chain_lines, self.lines = self.lines, outer
+        entries = result.grad + (result.hess or [])
+        out = [None if e is None else self.fresh() for e in entries]
+
+        def assign(values):
+            return [f"{o} = {v}" for o, v in zip(out, values) if o is not None]
+
+        on_chain = chain_lines + assign(entries)
+        at_zero = _cases([
+            (cases[0], [f"{r} = 0.0", f"{f1} = 0.0", f"{f2} = {square_f2}"] + on_chain),
+            (cases[1], [f"{r} = {uv}", f"{f1} = 0.0", f"{f2} = 0.0"]
+             + assign(["0.0" if e is None else e for e in u.grad + (u.hess or [])])),
+            (cases[2], [f"{r} = 1.0", f"{f1} = 0.0", f"{f2} = 0.0"] + assign(["0.0"] * len(out))),
+            (True, [f'raise _Domain(f"0 raised to power {{{c}}}")']),
+        ])
+        elsewhere = _cases([(negative, [
+            f'raise _Domain(f"negative base {{{uv}}} with fractional exponent {{{c}}}")'])])
+        elsewhere += [f"{r} = {uv} ** {c}", f"{f1} = {c} * {uv} ** ({c} - 1)",
+                      f"{f2} = {c} * ({c} - 1) * {uv} ** ({c} - 2)"] + on_chain
+        self.lines += _cases([(f"{uv} == 0.0", at_zero), (True, elsewhere)])
+        return _Term(r, out[:3], out[3:] if u.hess is not None else None)
+
+    # -- tree nodes
+
+    def negate(self, t):
+        value = self.name(f"-{t.value}")
+        if t.grad is None:
+            return _Term(value)
+        return self.dual(value, map(_negated, t.grad),
+                         None if t.hess is None else list(map(_negated, t.hess)))
+
+    def binop(self, op, a, b):
+        if op == "^":
+            return self.power(a, b)
+        if a.grad is None and b.grad is None:
+            return _Term(self.name(f"{a.value} {op} {b.value}"))
+        if op in "+*":  # a constant left operand goes to the Dual's __radd__ or __rmul__
+            s, o = (a, b) if a.grad is not None else (b, a)
+            return (self.add_terms if op == "+" else self.mul_terms)(s, self.lift(o))
+        return (self.sub_terms if op == "-" else self.div_terms)(self.lift(a), self.lift(b))
+
+    def power(self, a, b):
+        if a.grad is None and b.grad is None:
+            av, bv = a.value, b.value
+            self.check(f"{av} < 0.0 and _isfinite({bv}) and {bv} != _int({bv})",
+                       f"negative base {{{av}}} with fractional exponent {{{bv}}}")
+            return _Term(self.name(f"{av} ** {bv}"))
+        if b.grad is None:
+            return self.pow_const(a, b.value)
+        # a variable exponent: exp(b ln a), with b's __mul__ as autodiff does
+        return self.call("exp", self.mul_terms(b, self.lift(self.call("ln", a))))
+
+    def call(self, fname, t):
+        v = t.value
+        if fname in ("sin", "cos", "tan"):  # math.sin(inf) raises where IEEE gives NaN
+            v = self.name(f"_nan if _isinf({v}) else {v}")
+        if fname == "ln":
+            self.check(f"{v} <= 0.0", f"ln of non-positive value {{{v}}}")
+        elif fname == "sqrt":
+            self.check(f"{v} < 0.0", f"sqrt of negative value {{{v}}}")
+        if t.grad is None:
+            return _Term(self.name(f"_{fname}({v})"))
+        if fname == "sin":
+            s, c = self.name(f"_sin({v})"), self.name(f"_cos({v})")
+            return self.chain(t, s, c, self.name(f"-{s}"))
+        if fname == "cos":
+            c, s = self.name(f"_cos({v})"), self.name(f"_sin({v})")
+            return self.chain(t, c, self.name(f"-{s}"), self.name(f"-{c}"))
+        if fname == "tan":
+            tv = self.name(f"_tan({v})")
+            sec2 = self.name(f"1.0 + {tv} * {tv}")
+            return self.chain(t, tv, sec2, self.name(f"2.0 * {tv} * {sec2}"))
+        if fname == "exp":
+            e = self.name(f"_exp({v})")
+            return self.chain(t, e, e, e)
+        if fname == "ln":
+            return self.chain(t, self.name(f"_ln({v})"), self.name(f"1.0 / {v}"),
+                              self.name(f"-1.0 / {v} ** 2"))
+        if fname == "sqrt":
+            self.check(f"{v} == 0.0", "sqrt is not differentiable at 0")
+            r = self.name(f"_sqrt({v})")
+            return self.chain(t, r, self.name(f"0.5 / {r}"), self.name(f"-0.25 / ({r} * {v})"))
+        s = self.name(f"_copysign(1.0, {v}) if {v} != 0.0 else 0.0")  # abs
+        return self.chain(t, self.name(f"_abs({v})"), s, self.zero)
+
+
+_NAMESPACE = {
+    "__builtins__": {}, "_Dual": Dual, "_Domain": EvaluationDomainError, "_nan": math.nan,
+    "_int": int, "_abs": abs, "_isinf": math.isinf, "_isfinite": math.isfinite,
+    "_copysign": math.copysign, "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
+    "_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt,
+}
+
+
+def field_source(node, variables, fold=True):
+    """Source of ``field(d0, d1, d2)`` for ``node``, and its constants tuple.
+
+    With ``fold`` the function ends in a finiteness check of the summed
+    multipliers of folded zero terms and calls ``_exact``, the function
+    built without ``fold``, when it fails.
+    """
+    constants = []
+    codes = []
+    for order in (1, 2):
+        code = _Code(variables, order, fold, constants)
+        codes.append((code, node.emit(code)))
+    lines = ["def field(d0, d1, d2):"]
+    code, term = codes[0]
+    if term.grad is None:  # no variables: the tree walk gives a plain float
+        return "\n".join(lines + _indent(code.lines + [f"return {term.value}"])), tuple(constants)
+    lines += ["    x0 = d0.v", "    x1 = d1.v", "    x2 = d2.v"]
+    bodies = []
+    for code, term in codes:
+        body = list(code.lines)
+        if code.checked:
+            body += [f"if not _isfinite({' + '.join(code.checked)}):",
+                     "    return _exact(d0, d1, d2)"]
+        grad = ", ".join(g or "0.0" for g in term.grad)
+        hess = "None" if term.hess is None else f"({', '.join(h or '0.0' for h in term.hess)})"
+        bodies.append(body + [f"return _Dual({term.value}, ({grad}), {hess})"])
+    lines += ["    if d0.hess is None:"] + _indent(_indent(bodies[0])) + _indent(bodies[1])
+    return "\n".join(lines), tuple(constants)
+
+
+def _function(source, constants, exact=None):
+    namespace = dict(_NAMESPACE, _K=constants, _exact=exact)
+    exec(compile(source, "<formlang>", "exec"), namespace)
+    return namespace["field"]
+
+
+def compile_field(node, variables):
+    """The function ``field(d0, d1, d2)`` for ``node`` over the chart's ``variables``.
+
+    Its unfolded twin is written now and compiled on the first
+    evaluation that needs it; few inputs ever do.
+    """
+    exact_source = field_source(node, variables, fold=False)
+    compiled = []
+
+    def exact(*seeds):
+        if not compiled:
+            compiled.append(_function(*exact_source))
+        return compiled[0](*seeds)
+
+    return _function(*field_source(node, variables), exact)

@@ -1,4 +1,4 @@
-"""Tiny text DSL for scalar fields and one-form components.
+"""Tiny text DSL for scalar fields and one-form components, compiled at parse time.
 
 Grammar (standard precedence, ^ right-associative and tighter than
 unary minus):
@@ -13,15 +13,18 @@ Identifiers are the chart variables, the constants ``pi`` and ``e``,
 or the functions sin, cos, tan, exp, ln, sqrt, abs.  Angles are in
 radians.  Domain errors (ln/sqrt of a negative, division by zero)
 surface at evaluation time, not parse time.
+
+``expression_field`` compiles a parsed tree, once, into one
+straight-line Python function for its value, gradient and Hessian
+(``formcode``) and wraps it as a ``ScalarField``.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import autodiff
 from .calculus import OneForm, ScalarField
-from .errors import EvaluationDomainError, FormSyntaxError
+from .errors import FormSyntaxError
 
 CHARTS = {
     "spatial": ("x", "y", "z"),
@@ -29,7 +32,7 @@ CHARTS = {
 }
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
-FUNCTIONS = autodiff.FUNCTIONS
+FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 
 
 def chart_variables(chart):
@@ -46,8 +49,8 @@ class Num:
     def __init__(self, value):
         self.value = value
 
-    def eval(self, env):
-        return self.value
+    def emit(self, code):
+        return code.constant(self.value)
 
     def text(self):
         return repr(self.value)
@@ -57,8 +60,8 @@ class Const:
     def __init__(self, name):
         self.name = name
 
-    def eval(self, env):
-        return CONSTANTS[self.name]
+    def emit(self, code):
+        return code.constant(CONSTANTS[self.name])
 
     def text(self):
         return self.name
@@ -68,8 +71,8 @@ class Var:
     def __init__(self, name):
         self.name = name
 
-    def eval(self, env):
-        return env[self.name]
+    def emit(self, code):
+        return code.variable(self.name)
 
     def text(self):
         return self.name
@@ -79,8 +82,8 @@ class Neg:
     def __init__(self, operand):
         self.operand = operand
 
-    def eval(self, env):
-        return -self.operand.eval(env)
+    def emit(self, code):
+        return code.negate(self.operand.emit(code))
 
     def text(self):
         return f"(-{self.operand.text()})"
@@ -92,33 +95,11 @@ class BinOp:
         self.left = left
         self.right = right
 
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return _power(a, b)
+    def emit(self, code):
+        return code.binop(self.op, self.left.emit(code), self.right.emit(code))
 
     def text(self):
         return f"({self.left.text()} {self.op} {self.right.text()})"
-
-
-def _power(a, b):
-    """``a ** b``; two constants follow a Dual's rule for a negative base.
-
-    Python's ``**`` gives a complex number for a negative base and a finite
-    fractional exponent, where a ``Dual`` base raises the typed domain error.
-    """
-    if not isinstance(a, autodiff.Dual) and not isinstance(b, autodiff.Dual):
-        if a < 0.0 and math.isfinite(b) and b != int(b):
-            raise EvaluationDomainError(f"negative base {a} with fractional exponent {b}")
-    return a ** b
 
 
 class Call:
@@ -126,8 +107,8 @@ class Call:
         self.name = name
         self.argument = argument
 
-    def eval(self, env):
-        return FUNCTIONS[self.name](self.argument.eval(env))
+    def emit(self, code):
+        return code.call(self.name, self.argument.emit(code))
 
     def text(self):
         return f"{self.name}({self.argument.text()})"
@@ -320,17 +301,15 @@ def pretty(node):
 
 
 def expression_field(node, chart="spatial"):
-    """Wrap a parsed AST as a ScalarField on the chart."""
-    names = chart_variables(chart)
+    """Compile a parsed AST into a ScalarField on the chart."""
+    # imported on first use, so a CLI call that parses no expression never loads it
+    from .formcode import compile_field
 
-    def fn(c1, c2, c3):
-        return node.eval({names[0]: c1, names[1]: c2, names[2]: c3})
-
-    return ScalarField(fn, chart)
+    return ScalarField(compile_field(node, chart_variables(chart)), chart)
 
 
 def parse_scalar(text, chart="spatial"):
-    """Parse text into a ScalarField with exact dual-number derivatives."""
+    """Parse text into a ScalarField with exact compiled derivatives."""
     return expression_field(parse_expression(text, chart), chart)
 
 

@@ -255,8 +255,10 @@ def shape_and_curvatures(ff):
     [[a, b], [c, d]] = g^-1 h is solved in closed form on floats:
     mean = (a + d)/2, K = ad - bc and disc = q^2 + bc with q = (a - d)/2
     (mean^2 - K would cancel at umbilics).  A real pair is kappa1 =
-    mean + sqrt(disc) >= kappa2; a conjugate pair, which an indefinite
-    raise can give, is kappa1 = mean + i sqrt(-disc) and its conjugate.
+    mean + sqrt(disc) >= kappa2; a conjugate pair, which only an
+    indefinite raise can give, is kappa1 = mean + i sqrt(-disc) and its
+    conjugate.  Under a definite g (det g > 0) disc is clamped at 0, so
+    rounding at an umbilic gives a real double root.
     kappa1 and kappa2 are complex either way, K and the mean are floats.
     """
     g = ff.tangent.T @ ff.metric.normalized_matrix @ ff.tangent
@@ -276,6 +278,8 @@ def shape_and_curvatures(ff):
     mean = 0.5 * (a + d)
     q = 0.5 * (a - d)
     disc = q * q + b * c
+    if det_g > 0.0:  # g definite: g^-1 h is self-adjoint, so a disc below 0 is rounding
+        disc = max(disc, 0.0)
     root = math.sqrt(abs(disc))
     if disc >= 0.0:
         kappa1, kappa2 = complex(mean + root), complex(mean - root)

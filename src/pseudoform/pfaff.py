@@ -21,6 +21,7 @@ from .errors import ValidationError
 
 DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
+MAX_SAMPLES = 10**7  # largest sample count accepted; the sample arrays take about 0.5 GB
 
 
 class NormalForm(enum.Enum):
@@ -55,6 +56,10 @@ class RegionSampler:
             raise ValidationError(f"degenerate region box: lower={lo}, upper={hi}")
         if self.count < 1:
             raise ValidationError(f"sample count must be >= 1, got {self.count}")
+        if self.count > MAX_SAMPLES:
+            raise ValidationError(
+                f"sample count {self.count} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
+            )
 
     def points(self):
         lo = np.asarray(self.lower, dtype=float)

@@ -9,6 +9,8 @@ from pseudoform import autodiff
 from pseudoform.errors import EvaluationDomainError
 from pseudoform.formlang import parse_expression
 
+from formlang_reference import walk
+
 ORDERS = (1, 2)
 
 
@@ -161,7 +163,7 @@ def _subexpressions(node):
 
 def _at(node, p, order):
     seeds = autodiff.seed_point(np.asarray(p, dtype=float), order)
-    return node.eval(dict(zip("xyz", seeds)))
+    return walk(node, dict(zip("xyz", seeds)))
 
 
 def _bits(d):

@@ -613,6 +613,13 @@ def test_step_count_above_max_steps_is_a_config_error(tmp_path, capsys, argv, co
     assert err.startswith("config error: step size dt=") and "MAX_STEPS" in err
 
 
+def test_sample_count_above_max_samples_is_a_config_error(tmp_path, capsys):
+    # refused before any sample array is allocated (it would take 22 TiB)
+    code, out, err = _run(tmp_path, capsys, ["classify"], {**_CLASSIFY_BOX, "count": 10**12})
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: sample count") and "MAX_SAMPLES" in err
+
+
 def test_json_keys_sorted(tmp_path, capsys):
     config = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
     _, out, _ = _run(tmp_path, capsys, ["classify"], config)

@@ -15,6 +15,8 @@ from pseudoform.formlang import (
     pretty,
 )
 
+from formlang_reference import walk
+
 RNG = np.random.default_rng(11)
 
 
@@ -154,8 +156,8 @@ def test_pretty_roundtrip(text, seed):
     for _ in range(5):
         p = rng.uniform(-2.0, 2.0, size=3)
         env = {"x": p[0], "y": p[1], "z": p[2]}
-        assert abs(node.eval(env) - reparsed.eval(env)) <= 1e-12 * max(
-            1.0, abs(node.eval(env))
+        assert abs(walk(node, env) - walk(reparsed, env)) <= 1e-12 * max(
+            1.0, abs(walk(node, env))
         )
 
 

@@ -1,0 +1,172 @@
+"""Compiled formlang fields against the tree walk on Dual numbers.
+
+For every input, either both routes raise the same error type with the
+same message, or their results compare equal with ``==``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pseudoform import autodiff, formlang
+from pseudoform.calculus import OneForm, gradient_oneform
+from pseudoform.formcode import field_source
+from pseudoform.formlang import expression_field, parse_expression
+
+from formlang_reference import walked_field
+from test_autodiff import DOMAIN_FAILURES, ORDER_EXPRESSIONS, ORDER_POINTS, _subexpressions
+
+EXTRA_CASES = ["1e999*x", "0^(0-1)", "(0-8)^0.5", "1/0"]
+EXTRA_POINTS = [(0.7, 1.3, 0.4), (0.0, -2.0, 1.0), (-0.0, 0.0, 0.0)]
+
+
+def _plain(result):
+    """A result as nested lists of floats; NaN compares equal to NaN."""
+    if isinstance(result, autodiff.Dual):
+        return [result.v, list(result.grad), None if result.hess is None else list(result.hess)]
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    if isinstance(result, tuple):
+        return [_plain(r) for r in result]
+    return result
+
+
+def _same(a, b):
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _outcome(call):
+    try:
+        return "ok", _plain(call())
+    except Exception as err:  # the type and message are compared
+        return "raised", type(err), str(err)
+
+
+def _calls(field, p):
+    """Every evaluation route of a field at p, at both seed orders."""
+    form, df = OneForm([field, field, field]), gradient_oneform(field)
+    return {
+        "fn order 1": lambda: field.fn(*autodiff.seed_point(p, 1)),
+        "fn order 2": lambda: field.fn(*autodiff.seed_point(p, 2)),
+        "value": lambda: field.value(p),
+        "gradient": lambda: field.gradient(p),
+        "differentiate": lambda: field.differentiate(p),
+        "components_at": lambda: form.components_at(p),
+        "values_and_jacobian": lambda: form.values_and_jacobian(p),
+        "gradient components_at": lambda: df.components_at(p),
+        "gradient values_and_jacobian": lambda: df.values_and_jacobian(p),
+    }
+
+
+def assert_equivalent(node, p):
+    compiled = _calls(expression_field(node), p)
+    walked = _calls(walked_field(node), p)
+    for route in compiled:
+        got, want = _outcome(compiled[route]), _outcome(walked[route])
+        assert got[0] == want[0] and _same(list(got[1:]), list(want[1:])), (
+            node.text(), p, route, got, want)
+
+
+@pytest.mark.parametrize("text", ORDER_EXPRESSIONS)
+def test_every_subexpression_matches_the_walk(text):
+    for sub in _subexpressions(parse_expression(text)):
+        for p in ORDER_POINTS:
+            assert_equivalent(sub, p)
+
+
+@pytest.mark.parametrize("text, p", DOMAIN_FAILURES)
+def test_domain_failures_match_the_walk(text, p):
+    assert_equivalent(parse_expression(text), p)
+
+
+@pytest.mark.parametrize("text", EXTRA_CASES)
+def test_non_finite_literals_and_constant_errors_match_the_walk(text):
+    for p in EXTRA_POINTS:
+        assert_equivalent(parse_expression(text), p)
+
+
+def test_a_non_finite_literal_stays_out_of_the_source():
+    source, constants = field_source(parse_expression("1e999*x"), ("x", "y", "z"))
+    assert "inf" not in source and constants == (math.inf,)
+    with pytest.raises(Exception, match="non-finite field value"):
+        formlang.parse_scalar("1e999*x").value((1.0, 0.0, 0.0))
+
+
+def test_a_folded_zero_times_infinity_is_nan_as_in_the_walk():
+    # d/dy of 2*(x + 1e999) is 0 * inf = NaN on Dual numbers; folding it to 0
+    # would let gradient() return where the walk raises
+    f = formlang.parse_scalar("1/(2*(x + 1e999)) + y")
+    with pytest.raises(Exception, match="non-finite field value"):
+        f.gradient((0.5, 0.5, 0.5))
+    assert f.value((0.5, 0.5, 0.5)) == 0.5
+
+
+def test_dense_hessians_keep_the_dual_association():
+    # products and quotients of factors whose gradients fill every entry, so
+    # that an entry summed in another order than Dual's shows in the last bit
+    rng = np.random.default_rng(5)
+    for text in ["sin(x*y + z) * exp(x - 2*y*z)", "(x + 2*y - z)^3 / (1 + x*x + y*z*z)",
+                 "(x*y*z + y) ^ (0.5 + 0.1*z*x)"]:
+        node = parse_expression(text)
+        for p in rng.uniform(0.2, 1.5, size=(100, 3)):
+            assert_equivalent(node, tuple(p.tolist()))
+
+
+def test_no_tree_node_evaluates_and_evaluation_walks_no_tree(monkeypatch):
+    nodes = (formlang.Num, formlang.Const, formlang.Var, formlang.Neg, formlang.BinOp,
+             formlang.Call)
+    assert not any(hasattr(cls, "eval") for cls in nodes)
+    fields = [formlang.parse_scalar(text) for text in ["x^2 + sin(y*z)", "1e999*x", "ln(x)"]]
+
+    def refuse(*_):
+        raise AssertionError("a tree was walked during evaluation")
+
+    for cls in nodes:
+        monkeypatch.setattr(cls, "emit", refuse)
+    for field in fields:
+        for order in (1, 2):
+            try:
+                field.fn(*autodiff.seed_point((0.5, 0.25, 2.0), order))
+            except ArithmeticError:
+                pass
+
+
+# -- hypothesis: every operator and function, constants that reach the edge cases
+
+_leaf = st.one_of(
+    st.sampled_from(["x", "y", "z", "pi", "e", "0", "1", "2", "3", "0.5", "1e999", "1e-200"]),
+    st.floats(min_value=0.0, max_value=9.0).map(lambda v: f"{v:.3f}"),
+)
+
+
+def _expr_strategy():
+    return st.recursive(
+        _leaf,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^"]), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            st.tuples(st.sampled_from(formlang.FUNCTIONS), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            inner.map(lambda s: f"-({s})"),
+        ),
+        max_leaves=10,
+    )
+
+
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-200]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_expr_strategy(), st.tuples(_coordinate, _coordinate, _coordinate))
+def test_random_expressions_match_the_walk(text, p):
+    assert_equivalent(parse_expression(text), p)

@@ -270,6 +270,17 @@ def test_closed_form_curvatures_match_the_eigen_reference(surface, conjugate):
             assert abs(ours - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("levelset", ["x^2+y^2+z^2", "x^2+y^2", "x*y-z"],
+                         ids=["sphere", "cylinder", "saddle"])
+def test_a_definite_metric_gives_real_curvatures(levelset):
+    # g^-1 h is self-adjoint under a Euclidean g: rounding at an umbilic must
+    # not turn the real double root into a conjugate pair
+    surface = PseudoSurface.from_levelset(parse_scalar(levelset))
+    for p in np.random.default_rng(31).uniform(-1.0, 1.0, size=(2000, 3)):
+        report = surface.curvature_report(p)
+        assert report.kappa1.imag == 0.0 and report.kappa2.imag == 0.0, (p, report)
+
+
 def test_minkowski_kappa1_sign_survives_a_relative_nudge():
     # the conjugate pair +-ib: which root is kappa1 must not hang on rounding noise
     surface = PseudoSurface.from_pfaffian(parse_oneform(CONTACT), MINKOWSKI)
