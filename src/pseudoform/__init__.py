@@ -9,13 +9,11 @@ geodesics, and works through the rotating-plane pendulum as the
 canonical example.
 """
 
-from .autodiff import Dual
 from .calculus import (
     OneForm,
     ScalarField,
     exterior_derivative,
     gradient_oneform,
-    scalar_field,
 )
 from .curves import SampledCurve, integrate_geodesic
 from .errors import (

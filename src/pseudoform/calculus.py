@@ -1,11 +1,12 @@
 """Differential forms on a 3-dimensional chart.
 
-Scalar fields carry exact first and second derivatives through the
-dual-number engine in :mod:`pseudoform.autodiff`.  One-forms are built
-from scalar fields, and ``exterior_derivative`` evaluates d theta at a
-point as a two-form.
+Scalar fields carry exact first and second derivatives: ``formlang``
+compiles each expression into straight-line code that reads the seeded
+``Dual`` variables of a point and returns a ``Dual``.  One-forms are
+built from three scalar fields, and ``exterior_derivative`` evaluates
+d theta at a point as a two-form.
 
-Only what reads a Hessian seeds the engine at second order:
+Only what reads a Hessian seeds at second order:
 ``ScalarField.differentiate`` and the Jacobian of ``gradient_oneform(f)``
 (``values_and_jacobian``).
 ``ScalarField.value`` and ``gradient``, ``OneForm.components_at`` and
@@ -92,9 +93,10 @@ def _check_finite(p, *values):
 class ScalarField:
     """A real function on the chart with exact derivatives.
 
-    ``fn(x1, x2, x3)`` is evaluated on seeded ``Dual`` numbers, so an
-    evaluation yields the value, the gradient and, at second order, the
-    full Hessian.
+    ``fn(x1, x2, x3)`` takes the seeded ``Dual`` variables of a point and
+    returns a ``Dual`` (or a float for a constant), as the function that
+    ``formlang`` compiles does: the value, the gradient and, at second
+    order, the full Hessian.
     ``chart`` names the coordinates, as in ``formlang.CHARTS``, and
     ``gradient_oneform`` of the field lives on the same chart.
     """
@@ -138,27 +140,18 @@ class ScalarField:
         return np.array(g)
 
 
-def scalar_field(fn):
-    """Wrap a dual-capable evaluator ``fn(x1, x2, x3)`` as a ScalarField."""
-    return ScalarField(fn)
-
-
-def _as_field(c):
-    if isinstance(c, ScalarField):
-        return c
-    if callable(c):
-        return ScalarField(c)
-    c = float(c)
-    return ScalarField(lambda *_: c)
-
-
 class OneForm:
     """theta = theta_i dx^i with scalar-field components."""
 
     def __init__(self, components, chart="spatial"):
         if len(components) != 3:
             raise ValidationError("a one-form needs exactly 3 components")
-        self.components = tuple(_as_field(c) for c in components)
+        for idx, c in enumerate(components):
+            if not isinstance(c, ScalarField):
+                raise ValidationError(
+                    f"one-form component {idx} must be a ScalarField, got {type(c).__name__}"
+                )
+        self.components = tuple(components)
         self.chart = chart
 
     def components_at(self, p):

@@ -1,23 +1,24 @@
-"""Straight-line derivative code for formlang trees.
+"""Straight-line derivative code for formlang trees: the library's one derivative engine.
 
 ``compile_field`` turns a parsed tree into the source of one Python
 function and compiles it (Griewank & Walther, *Evaluating Derivatives*,
 ch. 6, source transformation).  The function reads the values of the
 three seeded ``Dual`` variables and computes with ``math``, in
 straight-line code, the value, the gradient and (for second-order
-seeds) the Hessian.  It applies each ``Dual`` operation's formulas in
-their operation order and returns a ``Dual``, or a plain float for an
-expression without variables, as evaluating the tree on ``Dual``
-numbers would:
+seeds) the Hessian.  It returns a ``Dual``, or a plain float for an
+expression without variables.  Its formulas and their operation order
+are those of the forward-mode ``Dual`` arithmetic that the tests keep
+as the reference (``tests/formlang_reference.py``), so its results equal
+a walk of the tree on those numbers:
 
 * Derivative entries that are zero at every point are folded away.  A
   folded term ``0 * m`` is exactly zero only for finite ``m``, so the
   function sums every such ``m``; when the sum is not finite, it
-  evaluates again with nothing folded, term for term as ``Dual`` does.
+  evaluates again with nothing folded, term for term as the walk does.
   Otherwise only the sign of a zero derivative entry can differ.
 * Everything that can raise (division, ``**``, ``math`` calls and the
   domain checks) runs in the tree's order, folded or not, with the
-  messages of ``autodiff``.
+  reference's messages.
 * The source holds only names the generator makes; finite literals are
   written with ``repr`` and non-finite ones (``1e999``) read from a
   constants tuple.
@@ -34,6 +35,7 @@ from .autodiff import Dual
 from .errors import EvaluationDomainError
 
 _ONE = "1.0"
+_CHAIN_TERMS = 32  # longest finiteness check written as a + b + ...
 
 
 def _is_literal(expr):
@@ -134,7 +136,7 @@ class _Code:
         return _Term(value, grad, None if hess is None else [self.name(h) for h in hess])
 
     def lift(self, term):
-        """A constant as a Dual with zero derivatives, as ``autodiff._lift``."""
+        """A constant as a Dual with zero derivatives, as the reference ``_lift``."""
         if term.grad is not None:
             return term
         return _Term(term.value, [self.zero] * 3, self._zero_hess())
@@ -170,7 +172,7 @@ class _Code:
             return _negated(b)
         return f"({a} - {b})"
 
-    # -- Dual operations, in autodiff's formulas and order
+    # -- Dual operations, in the reference's formulas and order
 
     def add_terms(self, s, o):
         hess = None if s.hess is None else list(map(self.add, s.hess, o.hess))
@@ -203,7 +205,7 @@ class _Code:
         return self.mul_terms(s, self.chain(o, f0, f1, f2))
 
     def chain(self, u, f0, f1, f2):
-        """``autodiff._chain``: f0, f1 and f2 are the value and derivatives at u."""
+        """The reference ``_chain``: f0, f1 and f2 are the value and derivatives at u."""
         hess = None
         if u.hess is not None:
             g = u.grad
@@ -214,17 +216,17 @@ class _Code:
         return self.dual(f0, [self.mul(f1, g) for g in u.grad], hess)
 
     def pow_const(self, u, c):
-        """``autodiff._pow_const`` with its branches; a literal ``c`` prunes them now."""
+        """The reference ``_pow_const`` with its branches; a literal ``c`` prunes them now."""
         uv = u.value
         if _is_literal(c):
             cv = float(c)
-            cases = (cv == int(cv) and cv >= 2, cv == 1, cv == 0)
+            cases = (cv.is_integer() and cv >= 2, cv == 1, cv == 0)
             square_f2 = "2.0" if cv == 2 else "0.0"
-            negative = cv != int(cv) and f"{uv} < 0.0"
-        else:
-            cases = (f"{c} == _int({c}) and {c} >= 2", f"{c} == 1", f"{c} == 0")
+            negative = not cv.is_integer() and f"{uv} < 0.0"
+        else:  # is_integer is False for NaN and ±inf, where int(c) would raise
+            cases = (f"_is_integer({c}) and {c} >= 2", f"{c} == 1", f"{c} == 0")
             square_f2 = f"2.0 if {c} == 2 else 0.0"
-            negative = f"{uv} < 0.0 and {c} != _int({c})"
+            negative = f"{uv} < 0.0 and not _is_integer({c})"
         r, f1, f2 = self.fresh(), self.fresh(), self.fresh()
         outer, self.lines = self.lines, []
         result = self.chain(u, r, f1, f2)
@@ -272,12 +274,12 @@ class _Code:
     def power(self, a, b):
         if a.grad is None and b.grad is None:
             av, bv = a.value, b.value
-            self.check(f"{av} < 0.0 and _isfinite({bv}) and {bv} != _int({bv})",
+            self.check(f"{av} < 0.0 and _isfinite({bv}) and not _is_integer({bv})",
                        f"negative base {{{av}}} with fractional exponent {{{bv}}}")
             return _Term(self.name(f"{av} ** {bv}"))
         if b.grad is None:
             return self.pow_const(a, b.value)
-        # a variable exponent: exp(b ln a), with b's __mul__ as autodiff does
+        # a variable exponent: exp(b ln a), with b's __mul__ as the reference does
         return self.call("exp", self.mul_terms(b, self.lift(self.call("ln", a))))
 
     def call(self, fname, t):
@@ -316,9 +318,9 @@ class _Code:
 
 _NAMESPACE = {
     "__builtins__": {}, "_Dual": Dual, "_Domain": EvaluationDomainError, "_nan": math.nan,
-    "_int": int, "_abs": abs, "_isinf": math.isinf, "_isfinite": math.isfinite,
-    "_copysign": math.copysign, "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
-    "_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt,
+    "_is_integer": float.is_integer, "_abs": abs, "_sum": sum, "_isinf": math.isinf,
+    "_isfinite": math.isfinite, "_copysign": math.copysign, "_sin": math.sin, "_cos": math.cos,
+    "_tan": math.tan, "_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt,
 }
 
 
@@ -343,13 +345,20 @@ def field_source(node, variables, fold=True):
     for code, term in codes:
         body = list(code.lines)
         if code.checked:
-            body += [f"if not _isfinite({' + '.join(code.checked)}):",
-                     "    return _exact(d0, d1, d2)"]
+            body += [f"if not _isfinite({_total(code.checked)}):", "    return _exact(d0, d1, d2)"]
         grad = ", ".join(g or "0.0" for g in term.grad)
         hess = "None" if term.hess is None else f"({', '.join(h or '0.0' for h in term.hess)})"
         bodies.append(body + [f"return _Dual({term.value}, ({grad}), {hess})"])
     lines += ["    if d0.hess is None:"] + _indent(_indent(bodies[0])) + _indent(bodies[1])
     return "\n".join(lines), tuple(constants)
+
+
+def _total(terms):
+    """Source of the sum of ``terms``.  A long one sums a flat tuple,
+    because Python compiles each ``+`` of a chain one level deeper."""
+    if len(terms) <= _CHAIN_TERMS:
+        return " + ".join(terms)
+    return f"_sum(({', '.join(terms)}))"
 
 
 def _function(source, constants, exact=None):

@@ -46,6 +46,8 @@ def chart_variables(chart):
 
 
 class Num:
+    depth = 1  # levels of the tree below and including this node
+
     def __init__(self, value):
         self.value = value
 
@@ -57,6 +59,8 @@ class Num:
 
 
 class Const:
+    depth = 1
+
     def __init__(self, name):
         self.name = name
 
@@ -68,6 +72,8 @@ class Const:
 
 
 class Var:
+    depth = 1
+
     def __init__(self, name):
         self.name = name
 
@@ -81,6 +87,7 @@ class Var:
 class Neg:
     def __init__(self, operand):
         self.operand = operand
+        self.depth = operand.depth + 1
 
     def emit(self, code):
         return code.negate(self.operand.emit(code))
@@ -94,6 +101,7 @@ class BinOp:
         self.op = op
         self.left = left
         self.right = right
+        self.depth = max(left.depth, right.depth) + 1
 
     def emit(self, code):
         return code.binop(self.op, self.left.emit(code), self.right.emit(code))
@@ -106,6 +114,7 @@ class Call:
     def __init__(self, name, argument):
         self.name = name
         self.argument = argument
+        self.depth = argument.depth + 1
 
     def emit(self, code):
         return code.call(self.name, self.argument.emit(code))
@@ -177,7 +186,14 @@ def _tokenize(text):
 # -- parser ------------------------------------------------------------
 
 
-_MAX_DEPTH = 200
+# How deep an expression may nest, in two limits.  The parser recurses up
+# to 5 frames per parenthesis, function call, unary minus or exponent, so
+# _MAX_NESTING of those keeps parsing inside Python's recursion limit.
+# Every later pass over the tree (compiling, walking, printing) recurses
+# about once per level of the tree, where each link of a + or * chain is a
+# level, so _MAX_TREE_DEPTH bounds that.  Both leave 200 frames spare.
+_MAX_NESTING = 150
+_MAX_TREE_DEPTH = 750
 
 
 class _Parser:
@@ -209,45 +225,50 @@ class _Parser:
             raise FormSyntaxError(f"unexpected trailing input {tok.value!r}", tok.column)
         return node
 
-    def expr(self):
+    def descend(self, tok):
+        """Enter one more level of parser recursion."""
         self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise FormSyntaxError("expression too deeply nested", self.peek().column)
-        try:
-            node = self.term()
-            while self.peek().kind == "op" and self.peek().value in "+-":
-                op = self.advance().value
-                node = BinOp(op, node, self.term())
-            return node
-        finally:
-            self.depth -= 1
+        if self.depth > _MAX_NESTING:
+            raise FormSyntaxError("expression too deeply nested", tok.column)
+
+    def built(self, node, tok):
+        """``node``, refused when its tree is too deep."""
+        if node.depth > _MAX_TREE_DEPTH:
+            raise FormSyntaxError("expression too deeply nested", tok.column)
+        return node
+
+    def expr(self):
+        self.descend(self.peek())
+        node = self.term()
+        while self.peek().kind == "op" and self.peek().value in "+-":
+            tok = self.advance()
+            node = self.built(BinOp(tok.value, node, self.term()), tok)
+        self.depth -= 1
+        return node
 
     def term(self):
         node = self.unary()
         while self.peek().kind == "op" and self.peek().value in "*/":
-            op = self.advance().value
-            node = BinOp(op, node, self.unary())
+            tok = self.advance()
+            node = self.built(BinOp(tok.value, node, self.unary()), tok)
         return node
 
     def unary(self):
         tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise FormSyntaxError("expression too deeply nested", tok.column)
-            try:
-                self.advance()
-                return Neg(self.unary())
-            finally:
-                self.depth -= 1
-        return self.power()
+        if tok.kind != "op" or tok.value != "-":
+            return self.power()
+        self.descend(self.advance())
+        node = self.built(Neg(self.unary()), tok)
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.value == "^":
-            self.advance()
-            node = BinOp("^", node, self.unary())
+            self.descend(self.advance())
+            node = self.built(BinOp("^", node, self.unary()), tok)
+            self.depth -= 1
         return node
 
     def atom(self):
@@ -262,7 +283,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(name, arg)
+                return self.built(Call(name, arg), tok)
             if name in CONSTANTS:
                 return Const(name)
             if name in self.variables:

@@ -103,15 +103,17 @@ def frobenius_coefficient(theta, p):
     """
     p = as_point(p)
     comps = theta.components_at(p)
-    pfaffian_norm(comps, p)  # raises where theta vanishes
-    return _dot(comps, exterior_derivative(theta, p).components)
+    norm = pfaffian_norm(comps, p)  # raises where theta vanishes
+    return (_dot(comps, exterior_derivative(theta, p).components, norm) * norm) * norm
 
 
-def _dot(a, b):
-    """a . b of two 3-vectors in float arithmetic, which overflows to inf silently."""
+def _dot(a, b, norm):
+    """(a / norm) . (b / norm) of two 3-vectors in float arithmetic, which
+    overflows to inf silently.  Frobenius coefficients divide by |theta|
+    before the products, so a huge theta gives no inf - inf."""
     a1, a2, a3 = a.tolist()
     b1, b2, b3 = b.tolist()
-    return a1 * b1 + a2 * b2 + a3 * b3
+    return (a1 / norm) * (b1 / norm) + (a2 / norm) * (b2 / norm) + (a3 / norm) * (b3 / norm)
 
 
 def classify(theta, region, tol=DEFAULT_TOL):
@@ -125,8 +127,9 @@ def classify(theta, region, tol=DEFAULT_TOL):
         norm = pfaffian_norm(comps, p)
         d = exterior_derivative(theta, p).components
         dtheta_mag[k] = math.hypot(*d) / norm
-        frobenius_raw[k] = _dot(comps, d)
-        frobenius[k] = (frobenius_raw[k] / norm) / norm
+        unit = _dot(comps, d, norm)
+        frobenius[k] = unit
+        frobenius_raw[k] = (unit * norm) * norm
     max_d = float(np.max(dtheta_mag))
     max_f = float(np.max(np.abs(frobenius)))
     max_f_raw = float(np.max(np.abs(frobenius_raw)))
@@ -156,5 +159,5 @@ def constraint_residual(theta, curve):
     for p, v in zip(points, velocities):
         comps = theta.components_at(p)
         denom = math.hypot(*comps) * math.hypot(*v) + 1e-30
-        worst = max(worst, abs(_dot(comps, v)) / denom)
+        worst = max(worst, abs(_dot(comps, v, 1.0)) / denom)
     return worst

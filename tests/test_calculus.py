@@ -5,23 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from pseudoform import autodiff
-from pseudoform.calculus import (
-    OneForm,
-    ScalarField,
-    exterior_derivative,
-    gradient_oneform,
-    scalar_field,
-)
+from pseudoform.calculus import OneForm, exterior_derivative, gradient_oneform
 from pseudoform.errors import ValidationError
-from pseudoform.formlang import parse_oneform
+from pseudoform.formlang import parse_oneform, parse_scalar
 from pseudoform.pfaff import RegionSampler
 
 RNG = np.random.default_rng(7)
 
 
 def test_scalar_field_values_and_derivatives():
-    f = scalar_field(lambda x, y, z: x * x + y * y + z * z)
+    f = parse_scalar("x*x + y*y + z*z")
     v, g, h = f.differentiate((1.0, 0.0, 0.0))
     assert v == 1.0
     assert np.allclose(g, [2.0, 0.0, 0.0])
@@ -29,20 +22,20 @@ def test_scalar_field_values_and_derivatives():
 
 
 def test_constant_field():
-    f = scalar_field(lambda x, y, z: 4.2)
+    f = parse_scalar("4.2")
     v, g, h = f.differentiate((0.3, -1.0, 2.0))
     assert v == 4.2
     assert np.allclose(g, 0.0) and np.allclose(h, 0.0)
 
 
 def test_point_validation():
-    f = scalar_field(lambda x, y, z: 1.0)
+    f = parse_scalar("1")
     with pytest.raises(ValidationError):
         f.value((1.0, 2.0))
     with pytest.raises(ValidationError):
         f.value((np.nan, 0.0, 0.0))
     # the float tuples of the geodesic march take the same checks as arrays
-    theta = OneForm([lambda x, y, z: x, lambda x, y, z: y, 1.0])
+    theta = parse_oneform(["x", "y", "1"])
     for p in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), np.array([0.0, 0.0, -math.inf])):
         with pytest.raises(ValidationError, match="non-finite coordinates"):
             theta.values_and_jacobian(p)
@@ -52,23 +45,33 @@ def test_point_validation():
     assert theta.values_and_jacobian([1, 2, 3])[0] == (1.0, 2.0, 1.0)
 
 
+def test_oneform_components_must_be_scalar_fields():
+    f = parse_scalar("x")
+    with pytest.raises(ValidationError, match="component 2 must be a ScalarField, got float"):
+        OneForm([f, f, 1.0])
+    with pytest.raises(ValidationError, match="component 0 must be a ScalarField, got function"):
+        OneForm([lambda x, y, z: x, f, f])
+    with pytest.raises(ValidationError, match="exactly 3 components"):
+        OneForm([f, f])
+
+
 def test_exterior_derivative_of_dz_vanishes():
-    theta = OneForm([0.0, 0.0, 1.0])
+    theta = parse_oneform(["0", "0", "1"])
     assert np.allclose(exterior_derivative(theta, (0.2, 0.5, -1.0)).components, 0.0)
 
 
 def test_exterior_derivative_x_dy():
-    theta = OneForm([0.0, lambda x, y, z: x, 0.0])
+    theta = parse_oneform(["0", "x", "0"])
     d = exterior_derivative(theta, (0.3, 0.7, 0.1))
     # dx^dy coefficient +1: cyclic components (dy^dz, dz^dx, dx^dy)
     assert np.allclose(d.components, [0.0, 0.0, 1.0])
-    theta2 = OneForm([lambda x, y, z: y, 0.0, 0.0])
+    theta2 = parse_oneform(["y", "0", "0"])
     d2 = exterior_derivative(theta2, (0.3, 0.7, 0.1))
     assert np.allclose(d2.components, [0.0, 0.0, -1.0])
 
 
 def test_exterior_derivative_evaluation_on_vectors():
-    theta = OneForm([0.0, lambda x, y, z: x, 0.0])
+    theta = parse_oneform(["0", "x", "0"])
     d = exterior_derivative(theta, (1.0, 0.0, 0.0)).components
     # cyclic components pair with v x w: d theta(v, w) = d . (v x w)
     assert np.isclose(d @ np.cross([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 1.0)
@@ -76,7 +79,7 @@ def test_exterior_derivative_evaluation_on_vectors():
 
 
 def test_d_of_d_is_zero_randomized():
-    f = scalar_field(lambda x, y, z: autodiff.sin(x * y) + autodiff.exp(0.3 * z) + x * z)
+    f = parse_scalar("sin(x*y) + exp(0.3*z) + x*z")
     df = gradient_oneform(f)
     for _ in range(100):
         p = RNG.uniform(-1.5, 1.5, size=3)
@@ -84,27 +87,21 @@ def test_d_of_d_is_zero_randomized():
 
 
 def test_gradient_oneform_keeps_chart_and_reads_the_parent():
-    f = ScalarField(lambda t, x, y: t * x + autodiff.sin(y), "spacetime")
+    f = parse_scalar("t*x + sin(y)", "spacetime")
     df = gradient_oneform(f)
     p = (0.2, -0.7, 0.4)
     _, g, h = f.differentiate(p)
     vals, jac = df.values_and_jacobian(p)
     assert df.chart == "spacetime"
-    assert gradient_oneform(scalar_field(lambda x, y, z: x)).chart == "spatial"
+    assert gradient_oneform(parse_scalar("x")).chart == "spatial"
     assert np.array_equal(df.components_at(p), g) and np.array_equal(vals, g)
     assert np.array_equal(jac, h)
 
 
 def test_leibniz_rule_sampled():
-    f = scalar_field(lambda x, y, z: autodiff.exp(0.2 * x) + y * y)
-    theta = OneForm([lambda x, y, z: z, lambda x, y, z: x * x, 0.0])
-    f_theta = OneForm(
-        [
-            lambda x, y, z: (autodiff.exp(0.2 * x) + y * y) * z,
-            lambda x, y, z: (autodiff.exp(0.2 * x) + y * y) * x * x,
-            0.0,
-        ]
-    )
+    f = parse_scalar("exp(0.2*x) + y*y")
+    theta = parse_oneform(["z", "x*x", "0"])
+    f_theta = parse_oneform(["(exp(0.2*x) + y*y)*z", "(exp(0.2*x) + y*y)*x*x", "0"])
     for _ in range(20):
         p = RNG.uniform(-1.0, 1.0, size=3)
         lhs = exterior_derivative(f_theta, p).components
@@ -116,9 +113,7 @@ def test_leibniz_rule_sampled():
 
 
 def test_values_and_jacobian_consistency():
-    theta = OneForm(
-        [lambda x, y, z: x * y, lambda x, y, z: autodiff.cos(z), lambda x, y, z: y]
-    )
+    theta = parse_oneform(["x*y", "cos(z)", "y"])
     p = (0.3, -0.4, 0.9)
     vals, jac = theta.values_and_jacobian(p)
     assert np.allclose(vals, theta.components_at(p))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudoform import cli
+from pseudoform import cli, formlang
 from pseudoform import foucault as fc
 
 
@@ -393,6 +393,16 @@ _OVERFLOW_BOX = {"lower": [800, 0, 0], "upper": [900, 1, 1]}
         pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "1+x*(0-8)^0.5"]}, 3,
                      "numerical error: negative base -8.0 with fractional exponent 0.5",
                      id="scaled-negative-base-fractional-power"),
+        # a NaN exponent is no integer: a negative base takes the fractional rule
+        pytest.param({**_CLASSIFY_BOX, "lower": [-1, 0, 0], "theta": ["0", "0", "1+x^(0*1e999)"]},
+                     3, "numerical error: negative base", id="nan-exponent-negative-base"),
+        pytest.param({**_CLASSIFY_BOX, "lower": [0.1, 0, 0], "theta": ["0", "0", "1+x^(0*1e999)"]},
+                     3, "numerical error: non-finite field value", id="nan-exponent-positive-base"),
+        # one link past the tree depth limit, and far past it
+        pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "1" + "+x" * formlang._MAX_TREE_DEPTH]},
+                     2, "expression too deeply nested", id="sum-past-the-depth-limit"),
+        pytest.param({**_CLASSIFY_BOX, "theta": ["0", "0", "1" + "+x" * 1500]},
+                     2, "expression too deeply nested", id="sum-of-1501-terms"),
         pytest.param({**_CLASSIFY_BOX, "lower": ["a", 0, 0]}, 2, "'lower'", id="string-bound"),
         pytest.param({**_CLASSIFY_BOX, "count": "many"}, 2, "'count'", id="string-count"),
         pytest.param({**_CLASSIFY_BOX, "count": None}, 2, "'count'", id="null-count"),
@@ -445,6 +455,20 @@ def _run_process(tmp_path, argv, config, stdout=subprocess.PIPE):
         [sys.executable, "-m", "pseudoform.cli", "--config", str(path), *argv],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
+
+
+@pytest.mark.parametrize("words, loaded", [(("foucault", "sim"), False), (("classify",), True)])
+def test_formcode_is_loaded_by_the_first_parse_only(tmp_path, words, loaded):
+    # a fresh interpreter: the code generator stays unloaded by a call that parses nothing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_MINIMAL_CONFIGS[words]))
+    script = ("import sys; from pseudoform import cli; code = cli.run(sys.argv[1:]); "
+              "print(code, 'pseudoform.formcode' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"), *words]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True)
+    assert (proc.stdout, proc.stderr) == (f"0 {loaded}\n", "")
 
 
 def test_closed_stdout_stops_quietly_with_exit_141(tmp_path):

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from pseudoform import autodiff, formlang
 from pseudoform.calculus import OneForm, gradient_oneform
+from pseudoform.errors import FormSyntaxError
 from pseudoform.formcode import field_source
 from pseudoform.formlang import expression_field, parse_expression
 
 from formlang_reference import walked_field
 from test_autodiff import DOMAIN_FAILURES, ORDER_EXPRESSIONS, ORDER_POINTS, _subexpressions
 
-EXTRA_CASES = ["1e999*x", "0^(0-1)", "(0-8)^0.5", "1/0"]
+# NaN and infinite constant exponents are no integers, at a zero, positive or negative base
+EXTRA_CASES = ["1e999*x", "0^(0-1)", "(0-8)^0.5", "1/0", "x^(0*1e999)", "(0-x)^(0*1e999)",
+               "x^1e999", "(0-x)^(0-1e999)"]
 EXTRA_POINTS = [(0.7, 1.3, 0.4), (0.0, -2.0, 1.0), (-0.0, 0.0, 0.0)]
 
 
@@ -170,3 +173,52 @@ _coordinate = st.one_of(
 @given(_expr_strategy(), st.tuples(_coordinate, _coordinate, _coordinate))
 def test_random_expressions_match_the_walk(text, p):
     assert_equivalent(parse_expression(text), p)
+
+
+# -- the nesting limits: the parser's recursion, and the tree's depth with
+# every link of a chain counted
+
+
+def _nested(nesting, depth):
+    """Inputs ``nesting`` deep in the parser's recursion or ``depth`` deep in the tree."""
+    n, d = nesting - 1, depth - 1  # levels past the outermost
+    links, rest = divmod(d, n)
+    return {
+        "sum": "1" + "+x" * d,
+        "product": "x" + "*y" * d,
+        "parentheses": "(" * n + "x" + ")" * n,
+        "calls": "sin(" * n + "x" + ")" * n,
+        "negations": "-" * n + "x",
+        "powers": "1.0001^" * n + "x",
+        "mixed": "(" * n + "x" + ("+x" * links + ")") * n + "+x" * rest,
+    }
+
+
+_CHAINS = ("sum", "product", "mixed")  # as deep as the tree limit allows
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(3, 3)))
+def test_the_deepest_accepted_input_compiles_and_matches_the_walk(shape):
+    node = parse_expression(_nested(formlang._MAX_NESTING, formlang._MAX_TREE_DEPTH)[shape])
+    depth = {"parentheses": 1}.get(shape, formlang._MAX_NESTING)
+    assert node.depth == (formlang._MAX_TREE_DEPTH if shape in _CHAINS else depth)
+    assert_equivalent(node, (0.5, 0.25, 0.75))
+    assert formlang.pretty(node)
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(3, 3)))
+def test_one_level_past_the_limit_is_a_syntax_error(shape):
+    texts = _nested(formlang._MAX_NESTING + 1, formlang._MAX_TREE_DEPTH + 1)
+    with pytest.raises(FormSyntaxError, match="expression too deeply nested"):
+        parse_expression(texts[shape])
+
+
+def test_a_shallow_tree_with_many_folded_terms_compiles():
+    # 1024 quotients 13 levels deep: the finiteness check sums thousands of
+    # multipliers, more than Python compiles as one a + b + ... chain
+    text = "x/(y+2)"
+    for _ in range(10):
+        text = f"({text})+({text})"
+    node = parse_expression(text)
+    assert node.depth == 13
+    assert_equivalent(node, (0.5, 0.25, 0.75))

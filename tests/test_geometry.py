@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pseudoform.calculus import gradient_oneform, scalar_field
+from pseudoform.calculus import gradient_oneform
 from pseudoform.errors import (
     DegenerateMetricError,
     DegenerateNormalizationError,
@@ -185,12 +185,8 @@ def test_cylinder_curvatures():
 def test_h_route_agreement_randomized_ellipsoids():
     for k in range(100):
         rng = np.random.default_rng(1000 + k)
-        a, b, c = rng.uniform(0.5, 2.0, size=3)
-
-        def fn(x, y, z, a=a, b=b, c=c):
-            return a * x * x + b * y * y + c * z * z
-
-        surface = PseudoSurface.from_levelset(scalar_field(fn))
+        a, b, c = rng.uniform(0.5, 2.0, size=3).tolist()
+        surface = PseudoSurface.from_levelset(parse_scalar(f"{a!r}*x*x + {b!r}*y*y + {c!r}*z*z"))
         p = rng.uniform(0.3, 1.0, size=3)
         h_level = surface.fundamental_forms(p).h
         h_pfaff = fundamental_forms(surface.pfaffian, surface.frame, EUCLIDEAN, p).h

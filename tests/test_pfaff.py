@@ -220,3 +220,17 @@ def test_classify_normalizes_huge_finite_forms():
     assert frobenius_coefficient(theta, p) == 0.0
     curve = SimpleNamespace(points=[p, p], velocities=[(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
     assert constraint_residual(theta, curve) == 1.0
+
+
+def test_classify_huge_integrable_form_keeps_its_verdict():
+    # theta . d theta = E (-400 E) + E (400 E) with E = exp(400 x) up to 5e173:
+    # unnormalized, both products overflow and their sum is inf - inf = NaN;
+    # the same form times exp(-300) gives the same verdict and coefficients,
+    # and the per-point coefficient agrees with the verdict's
+    region = RegionSampler((0.9, 0.5, 0.0), (1.0, 1.0, 1.0), count=16, seed=0)
+    for scale in ("", "*exp(-300)"):
+        theta = parse_oneform(["0", f"exp(400*x){scale}", f"exp(400*x){scale}"])
+        result = classify(theta, region)
+        assert result.kind is NormalForm.INTEGRATING_FACTOR
+        assert result.max_frobenius == 0.0 and result.max_frobenius_raw == 0.0
+        assert frobenius_coefficient(theta, (1.0, 0.7, 0.5)) == 0.0
