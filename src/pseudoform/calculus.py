@@ -1,18 +1,12 @@
 """Differential forms on a 3-dimensional chart.
 
 Scalar fields carry exact first and second derivatives: ``formlang``
-compiles each expression into straight-line code that reads the seeded
-``Dual`` variables of a point and returns a ``Dual``.  One-forms are
-built from three scalar fields, and ``exterior_derivative`` evaluates
-d theta at a point as a two-form.
-
-Only what reads a Hessian seeds at second order:
-``ScalarField.differentiate`` and the Jacobian of ``gradient_oneform(f)``
-(``values_and_jacobian``).
-``ScalarField.value`` and ``gradient``, ``OneForm.components_at`` and
-``OneForm.values_and_jacobian`` seed first order, which gives the same
-values and gradients bit for bit.  A one-form seeds its point once and
-evaluates all three components on the same seeded variables.
+compiles each expression into straight-line code that takes a point's
+three floats and returns one ``Dual`` record of the value, the gradient
+and the Hessian.  Every evaluation below goes through that one call
+(``ScalarField._vgh``) and reads what it needs from the record.
+One-forms are built from three scalar fields, and
+``exterior_derivative`` evaluates d theta at a point as a two-form.
 
 ``OneForm.values_and_jacobian`` is the evaluation on the geodesic's hot
 path, so it takes and returns plain floats: the point as 3 floats (a
@@ -35,8 +29,6 @@ import math
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Dual
 from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
 
 DEGENERACY_TOL = 1e-12  # |N| at or below this is a vanishing Pfaffian
@@ -93,10 +85,9 @@ def _check_finite(p, *values):
 class ScalarField:
     """A real function on the chart with exact derivatives.
 
-    ``fn(x1, x2, x3)`` takes the seeded ``Dual`` variables of a point and
-    returns a ``Dual`` (or a float for a constant), as the function that
-    ``formlang`` compiles does: the value, the gradient and, at second
-    order, the full Hessian.
+    ``fn(x1, x2, x3)`` takes the 3 floats of a point and returns a
+    ``Dual`` record of the value, the gradient and the full Hessian, as
+    the function that ``formlang`` compiles does.
     ``chart`` names the coordinates, as in ``formlang.CHARTS``, and
     ``gradient_oneform`` of the field lives on the same chart.
     """
@@ -105,37 +96,31 @@ class ScalarField:
         self.fn = fn
         self.chart = chart
 
-    def _vgh(self, p, order):
-        """``Dual.v``, ``grad`` and ``hess`` at p, seeded at ``order`` 1 or 2."""
-        return self._seeded(p, autodiff.seed_point(p, order))
-
-    def _seeded(self, p, seeds):
-        """``Dual.v``, ``grad`` and ``hess`` of ``fn`` on the seeded variables of p."""
+    def _vgh(self, p):
+        """``Dual.v``, ``grad`` and ``hess`` of ``fn`` at the point p (3 floats)."""
         try:
-            d = self.fn(*seeds)
+            d = self.fn(*p)
         except OverflowError as err:
             raise EvaluationDomainError(f"overflow at point {format_point(p)}") from err
         except ZeroDivisionError as err:
             raise EvaluationDomainError(f"{err} at point {format_point(p)}") from err
-        if not isinstance(d, Dual):  # constant expression
-            d = Dual(float(d))
         return d.v, d.grad, d.hess
 
     def differentiate(self, p):
         p = point_coords(p)
-        v, g, h = self._vgh(p, 2)
+        v, g, h = self._vgh(p)
         _check_finite(p, v, *g, *h)
         return v, np.array(g), np.array(h).reshape(3, 3)
 
     def value(self, p):
         p = point_coords(p)
-        v = self._vgh(p, 1)[0]
+        v = self._vgh(p)[0]
         _check_finite(p, v)
         return v
 
     def gradient(self, p):
         p = point_coords(p)
-        v, g, _ = self._vgh(p, 1)
+        v, g, _ = self._vgh(p)
         _check_finite(p, v, *g)
         return np.array(g)
 
@@ -156,8 +141,7 @@ class OneForm:
 
     def components_at(self, p):
         p = point_coords(p)
-        seeds = autodiff.seed_point(p, 1)
-        vals = [c._seeded(p, seeds)[0] for c in self.components]
+        vals = [c._vgh(p)[0] for c in self.components]
         _check_finite(p, *vals)
         return np.array(vals)
 
@@ -166,16 +150,15 @@ class OneForm:
         return np.array(self.values_and_jacobian(p)[1])
 
     def values_and_jacobian(self, p):
-        """Component values and the Jacobian at p from one seeded point, as floats.
+        """Component values and the Jacobian at p, as floats.
 
         Returns the values (theta_1, theta_2, theta_3) and three rows
         J[i] = (d_i theta_1, d_i theta_2, d_i theta_3), all tuples of floats.
         """
         p = point_coords(p)
-        seeds = autodiff.seed_point(p, 1)
         vals, grads = [], []
         for c in self.components:
-            v, g, _ = c._seeded(p, seeds)
+            v, g, _ = c._vgh(p)
             _check_finite(p, v, *g)
             vals.append(v)
             grads.append(g)
@@ -211,7 +194,7 @@ class _GradientOneForm(OneForm):
 
     def values_and_jacobian(self, p):
         p = point_coords(p)
-        v, g, h = self.parent._vgh(p, 2)
+        v, g, h = self.parent._vgh(p)
         _check_finite(p, v, *g, *h)
         return g, (h[0:3], h[3:6], h[6:9])
 

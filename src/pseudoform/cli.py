@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage error (including a ``--format`` the
 subcommand does not write), 2 parse/config error or an unwritable output,
 3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout
 early.  All output is deterministic for a fixed config and seed; JSON
-documents carry ``schema_version`` 1 and echo every defaulted config
-field, CSV uses a mandatory header and %.17g formatting.
+documents carry ``schema_version`` 1, echo every defaulted config field
+and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
+%.17g formatting.
 
 Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -25,7 +27,7 @@ import numpy as np
 from . import foucault as fc
 from . import geometry, pfaff
 from .curves import integrate_geodesic
-from .errors import FormSyntaxError, PseudoformError, ValidationError
+from .errors import EvaluationDomainError, FormSyntaxError, PseudoformError, ValidationError
 from .formlang import CHARTS, parse_oneform, parse_scalar
 from .geometry import MetricKind, MetricSignature
 
@@ -208,8 +210,12 @@ def _write_json(args, config, result):
         "seed": args.seed,
         "result": result,
     }
+    try:  # serialized before the output is opened, so a refusal writes nothing
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise EvaluationDomainError(f"non-finite value in the {args.command} result") from err
     with _output(args.out) as fh:
-        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(header, blocks, out):
@@ -294,11 +300,12 @@ def _cmd_classify(config, args):
         tuple(c["lower"]), tuple(c["upper"]), count=c["count"], seed=args.seed
     )
     verdict = pfaff.classify(theta, region, tol=c["tol"])
+    raw = verdict.max_frobenius_raw  # f |theta|^2 overflows where |theta|^2 does
     result = {
         "class": verdict.kind.value,
         "max_dtheta": verdict.max_dtheta,
         "max_frobenius": verdict.max_frobenius,
-        "max_frobenius_raw": verdict.max_frobenius_raw,
+        "max_frobenius_raw": raw if math.isfinite(raw) else None,
     }
     _write_json(args, cfg, result)
 

@@ -4,7 +4,7 @@ A geodesic carries the chart velocity, so no frame enters its equations
 after the initial velocity.
 
 The geodesic march runs on plain floats: the state is a 6-tuple, each
-RK4 stage evaluates the Pfaffian once at one seeded point and builds the
+RK4 stage evaluates the Pfaffian once at its point and builds the
 unit normal and its derivative with ``math``, and NumPy enters only to
 set up the initial velocity and to stack the finished samples.
 """
@@ -44,7 +44,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     (x, v) obeys x-dot = v and v-dot = -(v . du . v) u, with u the unit
     normal and du[i, j] = d_i u_j (the normal component keeps u . v = 0).
     The state is stepped as a 6-tuple of floats: each stage point is
-    checked to be finite and seeded once, and ``unit_normal`` returns
+    checked to be finite and evaluated once, and ``unit_normal`` returns
     floats.  A degenerate Pfaffian or a field leaving its domain along the
     way aborts and returns the partial curve with ``aborted`` set, as does
     a state that stops being finite.

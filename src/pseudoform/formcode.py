@@ -2,14 +2,14 @@
 
 ``compile_field`` turns a parsed tree into the source of one Python
 function and compiles it (Griewank & Walther, *Evaluating Derivatives*,
-ch. 6, source transformation).  The function reads the values of the
-three seeded ``Dual`` variables and computes with ``math``, in
-straight-line code, the value, the gradient and (for second-order
-seeds) the Hessian.  It returns a ``Dual``, or a plain float for an
-expression without variables.  Its formulas and their operation order
-are those of the forward-mode ``Dual`` arithmetic that the tests keep
-as the reference (``tests/formlang_reference.py``), so its results equal
-a walk of the tree on those numbers:
+ch. 6, source transformation).  The function takes a point's three
+floats and computes with ``math``, in straight-line code, the value,
+the gradient and the Hessian.  It always returns them as one ``Dual``
+record, with zero derivatives for an expression without variables.
+Its formulas and their operation order are those of the second-order
+forward-mode ``Dual`` arithmetic that the tests keep as the reference
+(``tests/formlang_reference.py``), so its results equal a walk of the
+tree on those numbers:
 
 * Derivative entries that are zero at every point are folded away.  A
   folded term ``0 * m`` is exactly zero only for finite ``m``, so the
@@ -75,8 +75,8 @@ class _Term:
     """The code of one subexpression.
 
     ``value`` is a local name or a literal.  ``grad`` (3 entries) and
-    ``hess`` (9, row-major; None at first order) hold a name, a literal
-    or an expression per entry, and None for an entry folded as zero.
+    ``hess`` (9, row-major) hold a name, a literal or an expression per
+    entry, and None for an entry folded as zero.
     ``grad`` is None for a constant, which the tree walk keeps as a
     plain float.
     """
@@ -90,11 +90,10 @@ class _Term:
 
 
 class _Code:
-    """Straight-line statements for one expression at one seed order."""
+    """Straight-line statements for one expression."""
 
-    def __init__(self, variables, order, fold, constants):
+    def __init__(self, variables, fold, constants):
         self.variables = variables
-        self.order = order
         self.zero = None if fold else "0.0"  # an entry that no point makes nonzero
         self.constants = constants  # non-finite literals, read from _K
         self.lines = []
@@ -125,21 +124,18 @@ class _Code:
         index = self.variables.index(name)
         grad = [self.zero] * 3
         grad[index] = _ONE
-        return _Term(f"x{index}", grad, self._zero_hess())
-
-    def _zero_hess(self):
-        return [self.zero] * 9 if self.order == 2 else None
+        return _Term(f"x{index}", grad, [self.zero] * 9)
 
     def dual(self, value, grad, hess):
         """A Dual's term with every entry held in a local."""
         grad = [self.name(g) for g in grad]
-        return _Term(value, grad, None if hess is None else [self.name(h) for h in hess])
+        return _Term(value, grad, [self.name(h) for h in hess])
 
     def lift(self, term):
         """A constant as a Dual with zero derivatives, as the reference ``_lift``."""
         if term.grad is not None:
             return term
-        return _Term(term.value, [self.zero] * 3, self._zero_hess())
+        return _Term(term.value, [self.zero] * 3, [self.zero] * 9)
 
     def check(self, condition, message):
         self.lines += [f"if {condition}:", f"    raise _Domain(f{message!r})"]
@@ -175,24 +171,22 @@ class _Code:
     # -- Dual operations, in the reference's formulas and order
 
     def add_terms(self, s, o):
-        hess = None if s.hess is None else list(map(self.add, s.hess, o.hess))
-        return self.dual(self.name(f"{s.value} + {o.value}"), map(self.add, s.grad, o.grad), hess)
+        return self.dual(self.name(f"{s.value} + {o.value}"), map(self.add, s.grad, o.grad),
+                         map(self.add, s.hess, o.hess))
 
     def sub_terms(self, s, o):
-        hess = None if s.hess is None else list(map(self.sub, s.hess, o.hess))
-        return self.dual(self.name(f"{s.value} - {o.value}"), map(self.sub, s.grad, o.grad), hess)
+        return self.dual(self.name(f"{s.value} - {o.value}"), map(self.sub, s.grad, o.grad),
+                         map(self.sub, s.hess, o.hess))
 
     def mul_terms(self, s, o):
         av, bv = s.value, o.value
         value = self.name(f"{av} * {bv}")
-        hess = None
-        if s.hess is not None:
-            cross = [self.name(self.mul(a, b)) for a in s.grad for b in o.grad]
-            hess = [
-                self.add(self.add(self.add(self.mul(s.hess[k], bv), self.mul(av, o.hess[k])),
-                                  cross[k]), cross[3 * (k % 3) + k // 3])
-                for k in range(9)
-            ]
+        cross = [self.name(self.mul(a, b)) for a in s.grad for b in o.grad]
+        hess = [
+            self.add(self.add(self.add(self.mul(s.hess[k], bv), self.mul(av, o.hess[k])),
+                              cross[k]), cross[3 * (k % 3) + k // 3])
+            for k in range(9)
+        ]
         grad = [self.add(self.mul(a, bv), self.mul(av, b)) for a, b in zip(s.grad, o.grad)]
         return self.dual(value, grad, hess)
 
@@ -206,13 +200,11 @@ class _Code:
 
     def chain(self, u, f0, f1, f2):
         """The reference ``_chain``: f0, f1 and f2 are the value and derivatives at u."""
-        hess = None
-        if u.hess is not None:
-            g = u.grad
-            square = {(i, j): self.name(self.mul(f2, self.mul(g[i], g[j])))
-                      for i in range(3) for j in range(i, 3)}
-            hess = [self.add(self.mul(f1, u.hess[3 * i + j]), square[min(i, j), max(i, j)])
-                    for i in range(3) for j in range(3)]
+        g = u.grad
+        square = {(i, j): self.name(self.mul(f2, self.mul(g[i], g[j])))
+                  for i in range(3) for j in range(i, 3)}
+        hess = [self.add(self.mul(f1, u.hess[3 * i + j]), square[min(i, j), max(i, j)])
+                for i in range(3) for j in range(3)]
         return self.dual(f0, [self.mul(f1, g) for g in u.grad], hess)
 
     def pow_const(self, u, c):
@@ -231,7 +223,7 @@ class _Code:
         outer, self.lines = self.lines, []
         result = self.chain(u, r, f1, f2)
         chain_lines, self.lines = self.lines, outer
-        entries = result.grad + (result.hess or [])
+        entries = result.grad + result.hess
         out = [None if e is None else self.fresh() for e in entries]
 
         def assign(values):
@@ -241,7 +233,7 @@ class _Code:
         at_zero = _cases([
             (cases[0], [f"{r} = 0.0", f"{f1} = 0.0", f"{f2} = {square_f2}"] + on_chain),
             (cases[1], [f"{r} = {uv}", f"{f1} = 0.0", f"{f2} = 0.0"]
-             + assign(["0.0" if e is None else e for e in u.grad + (u.hess or [])])),
+             + assign(["0.0" if e is None else e for e in u.grad + u.hess])),
             (cases[2], [f"{r} = 1.0", f"{f1} = 0.0", f"{f2} = 0.0"] + assign(["0.0"] * len(out))),
             (True, [f'raise _Domain(f"0 raised to power {{{c}}}")']),
         ])
@@ -250,7 +242,7 @@ class _Code:
         elsewhere += [f"{r} = {uv} ** {c}", f"{f1} = {c} * {uv} ** ({c} - 1)",
                       f"{f2} = {c} * ({c} - 1) * {uv} ** ({c} - 2)"] + on_chain
         self.lines += _cases([(f"{uv} == 0.0", at_zero), (True, elsewhere)])
-        return _Term(r, out[:3], out[3:] if u.hess is not None else None)
+        return _Term(r, out[:3], out[3:])
 
     # -- tree nodes
 
@@ -258,8 +250,7 @@ class _Code:
         value = self.name(f"-{t.value}")
         if t.grad is None:
             return _Term(value)
-        return self.dual(value, map(_negated, t.grad),
-                         None if t.hess is None else list(map(_negated, t.hess)))
+        return self.dual(value, map(_negated, t.grad), map(_negated, t.hess))
 
     def binop(self, op, a, b):
         if op == "^":
@@ -325,32 +316,22 @@ _NAMESPACE = {
 
 
 def field_source(node, variables, fold=True):
-    """Source of ``field(d0, d1, d2)`` for ``node``, and its constants tuple.
+    """Source of ``field(x0, x1, x2)`` for ``node``, and its constants tuple.
 
     With ``fold`` the function ends in a finiteness check of the summed
     multipliers of folded zero terms and calls ``_exact``, the function
     built without ``fold``, when it fails.
     """
     constants = []
-    codes = []
-    for order in (1, 2):
-        code = _Code(variables, order, fold, constants)
-        codes.append((code, node.emit(code)))
-    lines = ["def field(d0, d1, d2):"]
-    code, term = codes[0]
-    if term.grad is None:  # no variables: the tree walk gives a plain float
-        return "\n".join(lines + _indent(code.lines + [f"return {term.value}"])), tuple(constants)
-    lines += ["    x0 = d0.v", "    x1 = d1.v", "    x2 = d2.v"]
-    bodies = []
-    for code, term in codes:
-        body = list(code.lines)
-        if code.checked:
-            body += [f"if not _isfinite({_total(code.checked)}):", "    return _exact(d0, d1, d2)"]
-        grad = ", ".join(g or "0.0" for g in term.grad)
-        hess = "None" if term.hess is None else f"({', '.join(h or '0.0' for h in term.hess)})"
-        bodies.append(body + [f"return _Dual({term.value}, ({grad}), {hess})"])
-    lines += ["    if d0.hess is None:"] + _indent(_indent(bodies[0])) + _indent(bodies[1])
-    return "\n".join(lines), tuple(constants)
+    code = _Code(variables, fold, constants)
+    term = code.lift(node.emit(code))  # no variables: zero derivatives
+    body = list(code.lines)
+    if code.checked:
+        body += [f"if not _isfinite({_total(code.checked)}):", "    return _exact(x0, x1, x2)"]
+    grad = ", ".join(g or "0.0" for g in term.grad)
+    hess = ", ".join(h or "0.0" for h in term.hess)
+    body.append(f"return _Dual({term.value}, ({grad}), ({hess}))")
+    return "\n".join(["def field(x0, x1, x2):"] + _indent(body)), tuple(constants)
 
 
 def _total(terms):
@@ -368,7 +349,7 @@ def _function(source, constants, exact=None):
 
 
 def compile_field(node, variables):
-    """The function ``field(d0, d1, d2)`` for ``node`` over the chart's ``variables``.
+    """The function ``field(x0, x1, x2)`` for ``node`` over the chart's ``variables``.
 
     Its unfolded twin is written now and compiled on the first
     evaluation that needs it; few inputs ever do.
@@ -376,9 +357,9 @@ def compile_field(node, variables):
     exact_source = field_source(node, variables, fold=False)
     compiled = []
 
-    def exact(*seeds):
+    def exact(*point):
         if not compiled:
             compiled.append(_function(*exact_source))
-        return compiled[0](*seeds)
+        return compiled[0](*point)
 
     return _function(*field_source(node, variables), exact)

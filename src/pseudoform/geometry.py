@@ -108,7 +108,7 @@ def unit_normal(pfaffian, metric, p):
 
     Floats in and floats out: p is 3 floats (or anything ``point_coords``
     takes), u comes back as a 3-tuple and du as three 3-tuple rows, built
-    with ``math`` from one evaluation of N (one seeded point) as
+    with ``math`` from one evaluation of N at p as
     du[i] = (J[i] - (J[i] . u) u) / |N| with J[i] = d_i N.  No |N|^2 is
     formed, so an N whose square would overflow still normalizes.  Raises
     ``DegeneratePfaffianError`` where N vanishes and

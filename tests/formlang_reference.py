@@ -20,6 +20,7 @@ from pseudoform.formlang import CONSTANTS, BinOp, Call, Const, Neg, Num, Var, ch
 
 _ZERO_G = (0.0, 0.0, 0.0)
 _ZERO_H = (0.0,) * 9
+_SEEDS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class Dual(autodiff.Dual):
@@ -226,14 +227,10 @@ def fabs(x):
     return abs(x)
 
 
-def _with_arithmetic(d):
-    """A library ``Dual`` as this module's ``Dual``."""
-    return Dual(d.v, d.grad, d.hess)
-
-
 def seed_point(p, order=2):
-    """``autodiff.seed_point`` with arithmetic on the seeded variables."""
-    return tuple(map(_with_arithmetic, autodiff.seed_point(p, order)))
+    """The seeded variables of a 3-coordinate point, with a Hessian at ``order`` 2."""
+    hess = _ZERO_H if order == 2 else None
+    return tuple(Dual(float(x), seed, hess) for x, seed in zip(p, _SEEDS))
 
 
 # -- the tree walk -----------------------------------------------------
@@ -288,8 +285,16 @@ def walk(node, env):
 
 
 def walked_field(node, chart="spatial"):
-    """``node`` as a ScalarField that walks the tree on every evaluation."""
+    """``node`` as a ScalarField that walks the tree on every evaluation.
+
+    Its function takes a point's 3 floats, seeds them at second order and
+    returns a ``Dual``, a constant one with zero derivatives, as a
+    compiled field does.
+    """
     names = chart_variables(chart)
-    return ScalarField(
-        lambda *seeds: walk(node, dict(zip(names, map(_with_arithmetic, seeds)))), chart
-    )
+
+    def field(*p):
+        d = walk(node, dict(zip(names, seed_point(p))))
+        return d if isinstance(d, Dual) else Dual(float(d), _ZERO_G, _ZERO_H)
+
+    return ScalarField(field, chart)

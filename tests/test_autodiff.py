@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from pseudoform import autodiff
 from pseudoform.errors import EvaluationDomainError
 from pseudoform.formlang import parse_expression
 
@@ -203,8 +202,3 @@ def test_hessian_keeps_the_numpy_association():
     assert np.array_equal((a * b).h, a.h * b.v + a.v * b.h + cross + cross.T)
     assert np.array_equal(ref.sin(a).h,
                           math.cos(a.v) * a.h + -math.sin(a.v) * np.outer(a.g, a.g))
-
-
-def test_seed_order_is_checked():
-    with pytest.raises(ValueError):
-        autodiff.seed_point((0.0, 0.0, 0.0), 3)

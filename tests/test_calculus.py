@@ -121,13 +121,13 @@ def test_values_and_jacobian_consistency():
 
 
 def test_one_seed_values_and_jacobian_equal_per_component_evaluations():
-    # one seeded point shared by the three components gives the same floats
-    # as seeding each component on its own
+    # one evaluation of the one-form gives the same floats as evaluating
+    # each component on its own
     theta = parse_oneform(["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"])
     points = RegionSampler((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), count=100, seed=5).points()
     for p in points:
         vals, jac = theta.values_and_jacobian(p)
-        per_component = [c._vgh(p, 1) for c in theta.components]
+        per_component = [c._vgh(p) for c in theta.components]
         assert vals == tuple(v for v, _, _ in per_component)
         assert jac == tuple(zip(*(g for _, g, _ in per_component)))
         assert all(type(x) is float for x in (*vals, *jac[0], *jac[1], *jac[2]))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudoform import cli, formlang
+from pseudoform import cli, formlang, pfaff
 from pseudoform import foucault as fc
 
 
@@ -23,6 +23,15 @@ def _run(tmp_path, capsys, argv, config=None):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_classify_contact_form(tmp_path, capsys):
@@ -271,7 +280,7 @@ def test_every_command_dispatches_in_its_default_format(tmp_path, capsys, words)
     code, out, err = _run(tmp_path, capsys, list(words), _MINIMAL_CONFIGS[words])
     assert (code, err) == (0, "")
     if cli.COMMANDS[words][1][0] == "json":
-        assert json.loads(out)["subcommand"] == "-".join(words)
+        assert _strict_json(out)["subcommand"] == "-".join(words)
     else:
         assert out.startswith("t,") and not out.startswith("{")
 
@@ -642,6 +651,28 @@ def test_sample_count_above_max_samples_is_a_config_error(tmp_path, capsys):
     code, out, err = _run(tmp_path, capsys, ["classify"], {**_CLASSIFY_BOX, "count": 10**12})
     assert (code, out) == (2, "")
     assert err.startswith("config error: sample count") and "MAX_SAMPLES" in err
+
+
+def test_overflowing_raw_frobenius_is_written_as_null(tmp_path, capsys):
+    # f |theta|^2 overflows, while f itself and the verdict stay finite
+    config = {"theta": ["0", "x*exp(400*x)", "exp(400*x)"], "lower": [0.9, 0.5, 0],
+              "upper": [1, 1, 1], "count": 16}
+    code, out, err = _run(tmp_path, capsys, ["classify"], config)
+    assert (code, err) == (0, "")
+    result = _strict_json(out)["result"]
+    assert result["class"] == "non_integrable" and result["max_frobenius_raw"] is None
+    assert 0.5 < result["max_frobenius"] < 0.6
+
+
+def test_a_non_finite_json_result_is_a_numerical_error_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    verdict = pfaff.IntegrabilityClass(pfaff.NormalForm.CLOSED, math.nan, 0.0, 0.0)
+    monkeypatch.setattr(pfaff, "classify", lambda *args, **kwargs: verdict)
+    target = tmp_path / "verdict.json"
+    code, out, err = _run(tmp_path, capsys, ["--out", str(target), "classify"], _CLASSIFY_BOX)
+    assert (code, out) == (3, "")
+    assert err == "numerical error: non-finite value in the classify result\n"
+    assert not target.exists()
 
 
 def test_json_keys_sorted(tmp_path, capsys):

@@ -430,6 +430,19 @@ def test_transport_covector_inverse_rotation():
     assert np.isclose(cov.components[-1] @ vec.components[-1], 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["vector", "covector"])
+def test_transport_blocks_give_parallel_transport_rows_bit_for_bit(kind):
+    # 2500 steps from t0 = 3: more than two integrate.BLOCK blocks of rows
+    args = (PARIS, kind, (0.3, 0.5, -0.2), 3.0, 3.0 + 2500 * 0.1, 0.1)
+    whole = fc.parallel_transport(*args)
+    blocks = list(fc.transport_blocks(*args))
+    assert len(blocks) > 2 and len(whole.times) == 2501
+    times = np.concatenate([t for t, _ in blocks])
+    components = np.concatenate([c for _, c in blocks])
+    assert times.shape == whole.times.shape and components.shape == whole.components.shape
+    assert np.all(times == whole.times) and np.all(components == whole.components)
+
+
 def test_transport_validation():
     with pytest.raises(ValidationError):
         fc.parallel_transport(PARIS, "tensor", (0.0, 1.0, 0.0), 0.0, 1.0, 0.1)

@@ -15,12 +15,14 @@ from pseudoform.geometry import (
     EUCLIDEAN,
     GALILEAN,
     MINKOWSKI,
+    AdaptedFrame,
     PseudoSurface,
     adapt_frame,
     connection_form,
     fundamental_forms,
     second_form_via_connection,
     shape_and_curvatures,
+    unit_normal,
 )
 
 RNG = np.random.default_rng(23)
@@ -285,3 +287,59 @@ def test_minkowski_kappa1_sign_survives_a_relative_nudge():
              if np.sign(surface.curvature_report(p).kappa1.imag)
              != np.sign(surface.curvature_report(p * (1.0 + 2.0**-50)).kappa1.imag)]
     assert len(flips) == 0, f"Im kappa1 changes sign at {len(flips)} of 500 points"
+
+
+# -- curvatures do not depend on the seed axis that completes the frame
+
+
+def _frame_seeded_on(pfaffian, metric, k):
+    """The adapted frame with its tangent pair completed from chart axis k."""
+
+    def pair_fn(p, need_derivative):
+        assert not need_derivative
+        u = np.array(unit_normal(pfaffian, metric, p)[0])
+        e1 = np.eye(3)[k] - u[k] * u
+        e1 /= np.linalg.norm(e1)
+        return np.column_stack([e1, np.cross(u, e1), u]), None
+
+    return AdaptedFrame(pair_fn, pfaffian, metric)
+
+
+def _seed_surfaces():
+    rng = np.random.default_rng(41)
+    directions = rng.normal(size=(500, 3))
+    radii = rng.uniform(0.5, 2.0, size=(500, 1))
+    off_origin = directions / np.linalg.norm(directions, axis=1)[:, None] * radii
+    contact = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]), MINKOWSKI)
+    return {
+        "sphere": (PseudoSurface.from_levelset(parse_scalar("x^2+y^2+z^2")), off_origin),
+        "ellipsoid": (PseudoSurface.from_levelset(parse_scalar("x^2+2*y^2+3*z^2")), off_origin),
+        "contact-minkowski": (contact, rng.uniform(-1.0, 1.0, size=(500, 3))),
+    }
+
+
+def _curvatures(surface, p):
+    report = surface.curvature_report(p)
+    return report.gaussian, report.mean, report.kappa1, report.kappa2
+
+
+@pytest.mark.parametrize("case", ["sphere", "ellipsoid", "contact-minkowski"])
+def test_curvatures_do_not_depend_on_the_seed_axis(case):
+    surface, points = _seed_surfaces()[case]
+    pfaffian, metric = surface.pfaffian, surface.metric
+    worst, frames = 0.0, 0
+    for p in points:
+        want = _curvatures(surface, p)
+        # K relative to the largest principal curvature squared, the rest to
+        # that curvature: the contact form's mean is 0 up to rounding
+        kappa = max(abs(want[2]), abs(want[3]))
+        scales = (kappa * kappa, kappa, kappa, kappa)
+        u = unit_normal(pfaffian, metric, p)[0]
+        # every axis the frame may seed from: its normal component is at most 0.9
+        for k in [k for k in range(3) if abs(u[k]) <= 0.9]:
+            frame = _frame_seeded_on(pfaffian, metric, k)
+            got = _curvatures(PseudoSurface(pfaffian, frame, metric, surface.levelset), p)
+            worst = max(worst, *(abs(a - b) / c for a, b, c in zip(got, want, scales)))
+            frames += 1
+    assert frames > 2 * len(points)  # most points admit more than one seed axis
+    assert worst <= 1e-12
