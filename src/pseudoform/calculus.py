@@ -8,11 +8,13 @@ and the Hessian.  Every evaluation below goes through that one call
 One-forms are built from three scalar fields, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form.
 
-``OneForm.values_and_jacobian`` is the evaluation on the geodesic's hot
-path, so it takes and returns plain floats: the point as 3 floats (a
-tuple of floats is checked without NumPy), the values as a 3-tuple and
-the Jacobian as three 3-tuple rows.  ``jacobian_at`` wraps those rows
-as an array for the NumPy callers.
+``OneForm.values_and_jacobian`` and ``ScalarField.differentiate`` are
+the evaluations on the per-point hot paths (the geodesic march,
+``classify``, the fundamental forms), so they take and return plain
+floats: the point as 3 floats (a tuple of floats is checked without
+NumPy), values and gradients as 3-tuples and a Jacobian or Hessian as
+three 3-tuple rows.  ``jacobian_at`` and ``exterior_derivative`` wrap
+those rows as arrays for the NumPy callers.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
@@ -107,10 +109,11 @@ class ScalarField:
         return d.v, d.grad, d.hess
 
     def differentiate(self, p):
+        """Value, gradient (3-tuple) and Hessian (three 3-tuple rows) at p, as floats."""
         p = point_coords(p)
         v, g, h = self._vgh(p)
         _check_finite(p, v, *g, *h)
-        return v, np.array(g), np.array(h).reshape(3, 3)
+        return v, g, (h[0:3], h[3:6], h[6:9])
 
     def value(self, p):
         p = point_coords(p)
@@ -141,7 +144,8 @@ class OneForm:
 
     def components_at(self, p):
         p = point_coords(p)
-        vals = [c._vgh(p)[0] for c in self.components]
+        c1, c2, c3 = self.components
+        vals = (c1._vgh(p)[0], c2._vgh(p)[0], c3._vgh(p)[0])
         _check_finite(p, *vals)
         return np.array(vals)
 
@@ -156,13 +160,12 @@ class OneForm:
         J[i] = (d_i theta_1, d_i theta_2, d_i theta_3), all tuples of floats.
         """
         p = point_coords(p)
-        vals, grads = [], []
-        for c in self.components:
-            v, g, _ = c._vgh(p)
-            _check_finite(p, v, *g)
-            vals.append(v)
-            grads.append(g)
-        return tuple(vals), tuple(zip(*grads))
+        c1, c2, c3 = self.components
+        v1, g1, _ = c1._vgh(p)
+        v2, g2, _ = c2._vgh(p)
+        v3, g3, _ = c3._vgh(p)
+        _check_finite(p, v1, v2, v3, *g1, *g2, *g3)
+        return (v1, v2, v3), tuple(zip(g1, g2, g3))
 
 
 class PointTwoForm:
@@ -193,10 +196,7 @@ class _GradientOneForm(OneForm):
         return self.parent.gradient(p)
 
     def values_and_jacobian(self, p):
-        p = point_coords(p)
-        v, g, h = self.parent._vgh(p)
-        _check_finite(p, v, *g, *h)
-        return g, (h[0:3], h[3:6], h[6:9])
+        return self.parent.differentiate(p)[1:]
 
 
 def gradient_oneform(f):

