@@ -11,10 +11,12 @@ One-forms are built from three scalar fields, and
 ``OneForm.values_and_jacobian`` and ``ScalarField.differentiate`` are
 the evaluations on the per-point hot paths (the geodesic march,
 ``classify``, the fundamental forms), so they take and return plain
-floats: the point as 3 floats (a tuple of floats is checked without
-NumPy), values and gradients as 3-tuples and a Jacobian or Hessian as
-three 3-tuple rows.  ``jacobian_at`` and ``exterior_derivative`` wrap
-those rows as arrays for the NumPy callers.
+floats: the point as 3 floats (a list or tuple of plain numbers is
+checked without NumPy), values and gradients as 3-tuples and a Jacobian
+or Hessian as three 3-tuple rows.  ``jacobian_at`` and
+``exterior_derivative`` wrap those rows as arrays for the NumPy callers;
+NumPy is imported by the functions that build arrays, so a caller that
+reads only floats never loads it.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
@@ -29,34 +31,42 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
 
 DEGENERACY_TOL = 1e-12  # |N| at or below this is a vanishing Pfaffian
+
+
+def float_coords(v, size):
+    """The ``size`` entries of a vector as a tuple of floats, or None for another shape.
+
+    A list or tuple of plain ints and floats is read without NumPy;
+    anything else goes through ``numpy.asarray`` for the shape check.
+    """
+    if type(v) in (tuple, list) and len(v) == size and all(type(c) in (float, int) for c in v):
+        return tuple([float(c) for c in v])
+    import numpy as np
+
+    arr = np.asarray(v, dtype=float)
+    return tuple(arr.tolist()) if arr.shape == (size,) else None
 
 
 def point_coords(p):
     """Validate a chart point and return its 3 coordinates as a tuple of floats.
 
     A tuple of 3 floats is checked as it is; anything else goes through
-    NumPy for the shape check.
+    ``float_coords``.
     """
     if type(p) is tuple and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is float:
         coords = p
     else:
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (3,):
-            raise ValidationError(f"chart point must have 3 coordinates, got shape {arr.shape}")
-        coords = tuple(arr.tolist())
+        coords = float_coords(p, 3)
+        if coords is None:
+            import numpy as np
+
+            raise ValidationError(f"chart point must have 3 coordinates, got shape {np.shape(p)}")
     if not all(map(math.isfinite, coords)):
         raise ValidationError(f"chart point has non-finite coordinates: {format_point(coords)}")
     return coords
-
-
-def as_point(p):
-    """Validate and convert a chart point to a float array of shape (3,)."""
-    return np.array(point_coords(p))
 
 
 def format_point(p):
@@ -122,6 +132,8 @@ class ScalarField:
         return v
 
     def gradient(self, p):
+        import numpy as np
+
         p = point_coords(p)
         v, g, _ = self._vgh(p)
         _check_finite(p, v, *g)
@@ -143,6 +155,8 @@ class OneForm:
         self.chart = chart
 
     def components_at(self, p):
+        import numpy as np
+
         p = point_coords(p)
         c1, c2, c3 = self.components
         vals = (c1._vgh(p)[0], c2._vgh(p)[0], c3._vgh(p)[0])
@@ -151,6 +165,8 @@ class OneForm:
 
     def jacobian_at(self, p):
         """J[i, j] = d_i theta_j, as a (3, 3) array."""
+        import numpy as np
+
         return np.array(self.values_and_jacobian(p)[1])
 
     def values_and_jacobian(self, p):
@@ -172,6 +188,8 @@ class PointTwoForm:
     """A two-form evaluated at a point: 3 cyclic components."""
 
     def __init__(self, components):
+        import numpy as np
+
         self.components = np.asarray(components, dtype=float)
 
 

@@ -11,6 +11,10 @@ and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
 Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
 components) extend the same layout with a z / time-component column.
+
+The geodesic is written from the float states of its march, so the
+``geodesic`` command loads no NumPy; the commands whose results are arrays
+import it where those arrays are built.
 """
 
 from __future__ import annotations
@@ -22,14 +26,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import foucault as fc
 from . import geometry, pfaff
 from .curves import integrate_geodesic
 from .errors import EvaluationDomainError, FormSyntaxError, PseudoformError, ValidationError
 from .formlang import CHARTS, parse_oneform, parse_scalar
 from .geometry import MetricKind, MetricSignature
+from .integrate import BLOCK
 
 SCHEMA_VERSION = 1
 
@@ -221,26 +224,40 @@ def _write_json(args, config, result):
 def _write_csv(header, blocks, out):
     """Write the header, then each block of rows as it arrives.
 
-    ``blocks`` is an iterable of 2-D arrays.  Each block is formatted by one
-    ``%`` over its flattened values, ``%.17g`` each, so only one block's text
-    is held at a time.
+    ``blocks`` is an iterable of flat sequences of floats, each holding
+    whole rows one after another.  Each block is formatted by one ``%``
+    over its values, ``%.17g`` each, so only one block's text is held at a
+    time.
     """
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    width = len(header)
+    row_fmt = ",".join(["%.17g"] * width) + "\n"
     with _output(out) as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            block = np.asarray(block, dtype=float)
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+            fh.write(row_fmt * (len(block) // width) % tuple(block))
 
 
 def _write_table(args, config, header, key, blocks):
     """(times, values) blocks as streamed CSV rows, or one JSON table under ``key``."""
+    import numpy as np
+
     rows = (np.column_stack(block) for block in blocks)
     if args.format == "csv":
-        _write_csv(header, rows, args.out)
+        _write_csv(header, (block.ravel().tolist() for block in rows), args.out)
         return
     table = np.concatenate(list(rows))
     _write_json(args, config, {"times": table[:, 0].tolist(), key: table[:, 1:].tolist()})
+
+
+def _geodesic_blocks(curve):
+    """The geodesic's CSV rows (s, x, v), ``BLOCK`` rows to a flat block of floats."""
+    states, ds = curve.states, curve.ds
+    for start in range(0, len(states), BLOCK):
+        block = []
+        for k, y in enumerate(states[start:start + BLOCK], start):
+            block.append(k * ds)
+            block += y
+        yield block
 
 
 @contextlib.contextmanager
@@ -331,21 +348,21 @@ def _cmd_surface(config, args):
 def _cmd_geodesic(config, args):
     cfg, c = _merge(config, _SURFACE_DEFAULTS, required=("point", "nu", "ds", "steps"))
     curve = integrate_geodesic(_surface(c), c["point"], c["nu"], c["ds"], c["steps"])
+    states = curve.states
     if args.format == "json":
         result = {
-            "s": curve.s.tolist(),
-            "points": curve.points.tolist(),
-            "velocities": curve.velocities.tolist(),
+            "s": [k * curve.ds for k in range(len(states))],
+            "points": [y[:3] for y in states],
+            "velocities": [y[3:] for y in states],
             "aborted": curve.aborted,
             "abort_reason": curve.abort_reason,
         }
         _write_json(args, cfg, result)
     else:
-        rows = np.column_stack([curve.s, curve.points, curve.velocities])
-        _write_csv(["t", "x", "y", "z", "vx", "vy", "vz"], [rows], args.out)
+        _write_csv(["t", "x", "y", "z", "vx", "vy", "vz"], _geodesic_blocks(curve), args.out)
     if curve.aborted:
         raise PseudoformError(
-            f"geodesic aborted after {len(curve.s) - 1} of {c['steps']} steps: "
+            f"geodesic aborted after {len(states) - 1} of {c['steps']} steps: "
             f"{curve.abort_reason}"
         )
 
@@ -392,8 +409,11 @@ def _cmd_foucault_precession(config, args):
         }
         _write_json(args, cfg, result)
     else:
+        import numpy as np
+
         rows = np.column_stack([estimate.window_centers, estimate.center_states, estimate.angles])
-        _write_csv(["t", "x", "y", "vx", "vy", "plane_angle_rad"], [rows], args.out)
+        _write_csv(["t", "x", "y", "vx", "vy", "plane_angle_rad"], [rows.ravel().tolist()],
+                   args.out)
 
 
 def _cmd_transport(config, args):

@@ -3,10 +3,13 @@
 A geodesic carries the chart velocity, so no frame enters its equations
 after the initial velocity.
 
-The geodesic march runs on plain floats: the state is a 6-tuple, each
-RK4 stage evaluates the Pfaffian once at its point and builds the
-unit normal and its derivative with ``math``, and NumPy enters only to
-set up the initial velocity and to stack the finished samples.
+The geodesic runs on plain floats from its arguments to its samples:
+the initial velocity is summed from the adapted frame's float rows, the
+state is a 6-tuple, each RK4 stage evaluates the Pfaffian once at its
+point and builds the unit normal and its derivative with ``math``, and
+``SampledCurve`` keeps the states as they were stepped.  NumPy is
+imported only when a caller reads the samples as arrays, so the
+``geodesic`` command never loads it.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .calculus import as_point
+from .calculus import float_coords, point_coords
 from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
 from .geometry import unit_normal
 from .integrate import rk4_step, validate_steps
@@ -24,37 +25,62 @@ from .integrate import rk4_step, validate_steps
 
 @dataclass
 class SampledCurve:
-    """Fixed-step samples of a curve: parameters, points, velocities."""
+    """Fixed-step samples of a curve, ``ds`` apart from s = 0.
 
-    s: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray
+    ``states`` holds one (x1, x2, x3, v1, v2, v3) tuple of floats per
+    sample.  ``s``, ``points`` and ``velocities`` are the same samples as
+    arrays, built each time they are read.
+    """
+
+    ds: float
+    states: list
     aborted: bool = False
     abort_reason: str = ""
 
+    @property
+    def s(self):
+        import numpy as np
+
+        return np.arange(len(self.states)) * self.ds
+
+    @property
+    def points(self):
+        import numpy as np
+
+        return np.array(self.states)[:, :3]
+
+    @property
+    def velocities(self):
+        import numpy as np
+
+        return np.array(self.states)[:, 3:]
+
     def closure_error(self):
-        return float(np.linalg.norm(self.points[-1] - self.points[0]))
+        return math.dist(self.states[-1][:3], self.states[0][:3])
 
 
 def integrate_geodesic(surface, p0, nu0, ds, steps):
     """RK4-integrate the geodesic equations in chart position and velocity.
 
     The initial velocity is x-dot(0) = X(p0)[:, :2] nu0 in the adapted
-    frame X.  A geodesic has no tangential acceleration, so the state
-    (x, v) obeys x-dot = v and v-dot = -(v . du . v) u, with u the unit
-    normal and du[i, j] = d_i u_j (the normal component keeps u . v = 0).
-    The state is stepped as a 6-tuple of floats: each stage point is
-    checked to be finite and evaluated once, and ``unit_normal`` returns
-    floats.  A degenerate Pfaffian or a field leaving its domain along the
-    way aborts and returns the partial curve with ``aborted`` set, as does
-    a state that stops being finite.
+    frame X, summed on the frame's float rows.  A geodesic has no
+    tangential acceleration, so the state (x, v) obeys x-dot = v and
+    v-dot = -(v . du . v) u, with u the unit normal and du[i, j] = d_i u_j
+    (the normal component keeps u . v = 0).  The state is stepped as a
+    6-tuple of floats: each stage point is checked to be finite and
+    evaluated once, and ``unit_normal`` returns floats.  A degenerate
+    Pfaffian or a field leaving its domain along the way aborts and
+    returns the partial curve with ``aborted`` set, as does a state that
+    stops being finite.
     """
     validate_steps(steps, ds)
-    p0 = as_point(p0)
-    nu0 = np.asarray(nu0, dtype=float)
-    if nu0.shape != (2,):
+    p0 = point_coords(p0)
+    nu = float_coords(nu0, 2)
+    if nu is None:
         raise ValidationError("initial frame velocity nu must have 2 components")
-    if math.hypot(*nu0) <= 1e-15:
+    if not all(map(math.isfinite, nu)):
+        raise ValidationError(f"initial frame velocity nu must be finite, got {nu}")
+    if math.hypot(*nu) <= 1e-15:
         raise ValidationError("initial frame velocity nu must be non-zero")
     pfaffian, metric = surface.pfaffian, surface.metric
 
@@ -67,7 +93,8 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
                + (v1 * d13 + v2 * d23 + v3 * d33) * v3)
         return (*v, -vdv * u1, -vdv * u2, -vdv * u3)
 
-    y = tuple(p0.tolist()) + tuple((surface.frame.matrix_at(p0)[:, :2] @ nu0).tolist())
+    nu1, nu2 = nu
+    y = p0 + tuple([e1 * nu1 + e2 * nu2 for e1, e2, _ in surface.frame.rows_at(p0)])
     states = [y]
     aborted = False
     reason = ""
@@ -83,8 +110,4 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
             reason = f"non-finite state at step {k + 1}"
             break
         states.append(y)
-    states = np.array(states)
-    return SampledCurve(
-        np.arange(len(states)) * ds, states[:, :3], states[:, 3:],
-        aborted=aborted, abort_reason=reason,
-    )
+    return SampledCurve(ds, states, aborted=aborted, abort_reason=reason)

@@ -13,6 +13,9 @@ precesses at half that rate, Omega = omega_earth * sin(latitude).
 Sign convention (see :mod:`pseudoform.geometry`): with the frame
 completed from theta2 the Frobenius coefficient is -phi_dot and the
 off-diagonal second-form entry is +phi_dot / 2.
+
+The orbits, the precession fit and the transport are NumPy arrays; the
+functions that build them import NumPy when they are called.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import ConstraintViolationError, DegenerateWindowError, ValidationError
 from .formlang import parse_oneform
@@ -200,6 +201,8 @@ class PendulumOrbit:
 
 def _with_times(state_blocks, time_of):
     """Pair each state block with ``time_of`` its row indices."""
+    import numpy as np
+
     k = 0
     for states in state_blocks:
         yield time_of(np.arange(k, k + len(states))), states
@@ -211,6 +214,8 @@ def dynamics_matrix(cfg):
 
     x'' = -omega0^2 x - 2 Omega y',  y'' = -omega0^2 y + 2 Omega x'.
     """
+    import numpy as np
+
     w0sq = cfg.omega0**2
     om = cfg.precession_rate
     return np.array(
@@ -243,6 +248,8 @@ def pendulum_orbit(cfg, initial, dt, duration):
     arguments are checked here; the returned ``PendulumOrbit`` computes its
     rows only as its blocks are read.
     """
+    import numpy as np
+
     if dt == 0.0 or not math.isfinite(dt):
         raise ValidationError(f"step size dt must be finite and non-zero, got {dt!r}")
     steps = _step_count(duration, dt)
@@ -270,6 +277,8 @@ def simulate_pendulum(cfg, initial, dt, duration):
     dynamics; over 2e5 steps the tests hold them to within 1e-12 of the
     largest state component from stepping the one-step RK4 matrix.
     """
+    import numpy as np
+
     orbit = pendulum_orbit(cfg, initial, dt, duration)
     states = linear_rk4_orbit(dynamics_matrix(cfg), orbit.initial, dt, orbit.steps)
     return Trajectory(dt * np.arange(orbit.rows), states, cfg)
@@ -285,6 +294,8 @@ def decompose_acceleration(cfg, state, restoring):
     the normal (v the signed speed) -- the normal-acceleration identity
     a2 = H(v, v) / |v|-scaling of the constraint geometry.
     """
+    import numpy as np
+
     v = np.array([state.vx, state.vy])
     speed = float(np.linalg.norm(v))
     phi = cfg.phi_dot * state.t
@@ -313,6 +324,8 @@ class PrecessionEstimate:
 
 def _window_angle(x, y):
     """Principal-axis angle of the second-moment matrix of a point cloud."""
+    import numpy as np
+
     mxx = float(np.mean(x * x))
     myy = float(np.mean(y * y))
     mxy = float(np.mean(x * y))
@@ -337,6 +350,8 @@ def _windows(blocks, size, count):
     Each window is copied into one reused buffer, so the caller must be done
     with a window before it asks for the next.
     """
+    import numpy as np
+
     times = np.empty(size)
     states = np.empty((size, 4))
     fill = 0
@@ -367,6 +382,8 @@ def measure_precession(traj, window_seconds=None):
     sample nearest the window centre (the earlier on a tie).  The angles
     are unwrapped modulo pi and fit by least squares.
     """
+    import numpy as np
+
     cfg = traj.config
     if window_seconds is None:
         window_seconds = 2.0 * cfg.period
@@ -413,6 +430,8 @@ def transport_generator(cfg, kind="vector"):
 
     Frame-constant vectors obey v' = W v; covectors obey a' = -W^T a.
     """
+    import numpy as np
+
     rate = cfg.phi_dot
     w = rate * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     if kind == "vector":
@@ -424,6 +443,8 @@ def transport_generator(cfg, kind="vector"):
 
 def _transport_run(cfg, kind, initial, t0, t1, dt):
     """Checked (generator, initial components, step, step count) of a transport."""
+    import numpy as np
+
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (3,):
         raise ValidationError("transported components must have shape (3,)")
@@ -438,6 +459,8 @@ def _transport_run(cfg, kind, initial, t0, t1, dt):
 
 def parallel_transport(cfg, kind, initial, t0, t1, dt):
     """RK4 parallel transport of natural components from t0 to t1."""
+    import numpy as np
+
     w, initial, h, steps = _transport_run(cfg, kind, initial, t0, t1, dt)
     states = linear_rk4_orbit(w, initial, h, steps)
     return TransportState(t0 + h * np.arange(steps + 1), states, kind)

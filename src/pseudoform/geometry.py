@@ -17,6 +17,10 @@ Frames are completed Euclideanly on the chart regardless of the active
 metric signature (the degenerate/indefinite metrics enter only the
 first fundamental form and index raising); a degenerate metric is
 rejected when asked to normalize a Pfaffian with a time component.
+
+The frame and the fundamental forms are computed on floats; NumPy is
+imported by the functions that return arrays, and the frame's float rows
+(``AdaptedFrame.rows_at``) need none.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .calculus import (
     OneForm, ScalarField, format_point, gradient_oneform, pfaffian_norm, point_coords,
@@ -77,11 +79,15 @@ class MetricSignature:
 
     @property
     def matrix(self):
+        import numpy as np
+
         return np.array(self.rows())
 
     @property
     def normalized_matrix(self):
         """The matrix used for index raising (Minkowski with c = 1)."""
+        import numpy as np
+
         return np.array(self.rows(normalized=True))
 
     @property
@@ -98,8 +104,8 @@ class AdaptedFrame:
     """Orthonormal matrix-valued frame field adapted to a unit Pfaffian.
 
     ``pair_fn(p, need_derivative)`` returns (X, dX) with X[m, j] the
-    chart components of e_j and dX[n, m, j] = d_n X[m, j] (dX is None
-    when not requested).
+    chart components of e_j, as three rows of floats, and dX[n, m, j] =
+    d_n X[m, j] as an array (dX is None when not requested).
     """
 
     def __init__(self, pair_fn, pfaffian, metric):
@@ -107,12 +113,21 @@ class AdaptedFrame:
         self.pfaffian = pfaffian
         self.metric = metric
 
-    def matrix_at(self, p):
+    def rows_at(self, p):
+        """The frame matrix X at p as three rows (X[m, 0], X[m, 1], X[m, 2]) of floats."""
         return self.pair_fn(point_coords(p), False)[0]
+
+    def matrix_at(self, p):
+        import numpy as np
+
+        return np.array(self.rows_at(p))
 
     def matrix_and_derivative(self, p):
         """Frame matrix X[m, j] and its derivatives dX[n, m, j] at p."""
-        return self.pair_fn(point_coords(p), True)
+        import numpy as np
+
+        x, dx = self.pair_fn(point_coords(p), True)
+        return np.array(x), dx
 
     def inverse_at(self, p):
         """The coframe X^{-1}, which is X^T because the frame is orthonormal."""
@@ -178,11 +193,13 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
         e1 = (r1 / m, r2 / m, r3 / m)
         c1, c2, c3 = e1
         # columns e1, e2 = u x e1 and e3 = u
-        x = np.array(((c1, u2 * c3 - u3 * c2, u1),
-                      (c2, u3 * c1 - u1 * c3, u2),
-                      (c3, u1 * c2 - u2 * c1, u3)))
+        x = ((c1, u2 * c3 - u3 * c2, u1),
+             (c2, u3 * c1 - u1 * c3, u2),
+             (c3, u1 * c2 - u2 * c1, u3))
         if not need_derivative:
             return x, None
+        import numpy as np
+
         u, du, e1_raw, e1 = np.array(u), np.array(du), np.array(e1_raw), np.array(e1)
         de1_raw = -np.outer(du[:, k], u) - uk * du
         dm = de1_raw @ e1_raw / m
@@ -200,6 +217,8 @@ def connection_form(frame, p):
     omega[i, j, k] = (e_k x^m_j) xtilde^i_m; for metric-orthonormal
     frames omega[i, j, :] = -omega[j, i, :].
     """
+    import numpy as np
+
     x, dx = frame.matrix_and_derivative(p)
     return np.einsum("nk,nmj,mi->ijk", x, dx, x)
 
@@ -249,6 +268,8 @@ def fundamental_forms(source, frame, metric, p):
     Both forms are 2x2 sums of floats on the frame's tangent legs; the
     arrays of the result are built once, at the end.
     """
+    import numpy as np
+
     p = point_coords(p)
     x = frame.matrix_at(p)
     (a1, b1, n1), (a2, b2, n2), (a3, b3, n3) = x.tolist()

@@ -1,8 +1,13 @@
-"""Fixed-step classical RK4 helpers (deterministic, no adaptivity)."""
+"""Fixed-step classical RK4 helpers (deterministic, no adaptivity).
+
+``rk4_step`` and ``validate_steps`` run on plain Python numbers; the
+linear-orbit helpers import NumPy when they are called.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import operator
 
 from .errors import ValidationError
 
@@ -29,14 +34,26 @@ def rk4_step(f, t, y, h):
 
 
 def validate_steps(steps, h):
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    """Refuse a step count that is not a positive integer (a bool is not one)
+    and a step size that is not a finite, non-zero real number."""
+    try:
+        count = 0 if isinstance(steps, bool) else operator.index(steps)
+    except TypeError:  # not an integer, or an array
+        count = 0
+    if count < 1:
         raise ValidationError(f"step count must be a positive integer, got {steps!r}")
-    if not np.isfinite(h) or h == 0.0:
+    try:
+        finite = not isinstance(h, bool) and math.isfinite(h)
+    except TypeError:  # not a real number
+        finite = False
+    if not finite or h == 0.0:
         raise ValidationError(f"step size must be finite and non-zero, got {h!r}")
 
 
 def rk4_transition_matrix(a, h):
     """One-step RK4 update matrix for the linear system y' = A y."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     m = np.eye(n)
@@ -60,6 +77,8 @@ def linear_rk4_blocks(a, y0, h, steps):
     component over 2e5 steps of the Paris pendulum).  Between blocks the
     generator keeps only the powers and the last row.
     """
+    import numpy as np
+
     validate_steps(steps, h)
     m = rk4_transition_matrix(a, h)
     y = np.asarray(y0, dtype=float)
@@ -80,6 +99,8 @@ def linear_rk4_orbit(a, y0, h, steps):
     The rows are the blocks of ``linear_rk4_blocks``, bit for bit, so row 0
     is ``y0`` exactly.
     """
+    import numpy as np
+
     validate_steps(steps, h)
     y0 = np.asarray(y0, dtype=float)
     out = np.empty((steps + 1, y0.size))

@@ -5,7 +5,8 @@ decided pointwise from |d theta| and the Frobenius 3-form theta ^ d theta,
 sampled over a user box with a seeded scrambled Halton sequence.
 Magnitudes are normalized per sample (|d theta| by |theta|, the Frobenius
 coefficient by |theta|^2) so the verdict is invariant under constant
-rescaling of theta.
+rescaling of theta.  The sampler builds its points with NumPy, which
+it imports when it is used.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .calculus import pfaffian_norm, point_coords
 from .errors import ValidationError
@@ -49,6 +48,8 @@ class RegionSampler:
     seed: int = 0
 
     def __post_init__(self):
+        import numpy as np
+
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != (3,) or hi.shape != (3,):
@@ -66,6 +67,8 @@ class RegionSampler:
         """The (count, 3) sample points: 24 bytes a sample, and NumPy temporaries
         of about 76 bytes a sample while they are built, which is the peak
         of a whole ``classify``."""
+        import numpy as np
+
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
         unit = _scrambled_halton(self.count, self.seed)
@@ -81,6 +84,8 @@ def _scrambled_halton(count, seed):
     Positions run while ``base**-k > 2**-54``, so the fixed tail digits
     of short indices are scrambled too and fill a double.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     unit = np.empty((count, len(HALTON_BASES)))
     for axis, base in enumerate(HALTON_BASES):
@@ -173,6 +178,8 @@ def constraint_residual(theta, curve):
     integral curve of theta = 0 returns a residual at the integration
     tolerance.
     """
+    import numpy as np
+
     points = np.asarray(curve.points, dtype=float)
     velocities = np.asarray(curve.velocities, dtype=float)
     if len(points) < 2:

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudoform import cli, formlang, pfaff
+from pseudoform import cli, formlang, geometry, pfaff
 from pseudoform import foucault as fc
+from pseudoform.curves import integrate_geodesic
+from pseudoform.integrate import BLOCK
 
 
 def _run(tmp_path, capsys, argv, config=None):
@@ -100,6 +102,28 @@ def test_geodesic_csv(tmp_path, capsys):
     assert np.isclose(np.linalg.norm(last[1:4]), 1.0, atol=1e-8)  # stays on the sphere
 
 
+def test_geodesic_output_matches_the_stacked_arrays(tmp_path, capsys):
+    # the CLI writes the march's float states, the CSV in blocks of at most
+    # BLOCK rows; both documents equal the ones formatted from the curve's
+    # stacked arrays, over three blocks, the last one partial
+    config = {"pfaffian": ["0", "x", "1"], "point": [0.1, -0.2, 0.3], "nu": [0.6, -0.8],
+              "ds": 2e-3, "steps": 2 * BLOCK + 5}
+    curve = integrate_geodesic(geometry.PseudoSurface.from_pfaffian(
+        formlang.parse_oneform(config["pfaffian"])), config["point"], config["nu"],
+        config["ds"], config["steps"])
+    rows = np.column_stack([curve.s, curve.points, curve.velocities])
+    code, out, _ = _run(tmp_path, capsys, ["geodesic"], config)
+    assert code == 0
+    lines = ["t,x,y,z,vx,vy,vz"] + [",".join("%.17g" % v for v in row) for row in rows]
+    assert out == "\n".join(lines) + "\n"
+    code, out, _ = _run(tmp_path, capsys, ["--format", "json", "geodesic"], config)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["s"] == curve.s.tolist()
+    assert result["points"] == curve.points.tolist()
+    assert result["velocities"] == curve.velocities.tolist()
+
+
 def test_foucault_geometry_pole(tmp_path, capsys):
     config = {"latitude": math.pi / 2}
     code, out, _ = _run(tmp_path, capsys, ["foucault", "geometry"], config)
@@ -177,7 +201,8 @@ def test_csv_rows_match_per_value_format(tmp_path):
     out = tmp_path / "rows.csv"
     # whole, uneven, and with empty blocks: the bytes never depend on the split
     for cuts in [(), (1,), (2,), (0, 1, 1, 3)]:
-        cli._write_csv(["a", "b", "c", "d", "e"], np.split(rows, cuts), str(out))
+        blocks = [block.ravel().tolist() for block in np.split(rows, cuts)]
+        cli._write_csv(["a", "b", "c", "d", "e"], blocks, str(out))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 

@@ -177,6 +177,14 @@ def test_geodesic_validation():
         integrate_geodesic(plane, (0.0, 0.0, 0.0), (1e300, 0.0), 1e10, 3)
 
 
+@pytest.mark.parametrize("nu", [(math.nan, 1.0), [math.inf, 0.0], np.array([0.0, -math.inf])])
+def test_geodesic_refuses_a_non_finite_nu_up_front(nu):
+    # refused before the start velocity is formed, by a message naming nu
+    # rather than the first stage point that the velocity would spoil
+    with pytest.raises(ValidationError, match="nu must be finite"):
+        integrate_geodesic(_sphere(), (1.0, 0.0, 0.0), nu, 0.01, 5)
+
+
 def test_geodesic_abort_on_frame_breakdown():
     # normal coefficient sqrt(1-x) leaves its domain at x = 1: the run
     # aborts there and returns the partial curve
@@ -243,3 +251,34 @@ def test_float_geodesic_matches_array_reference(case):
     assert np.max(np.abs(curve.points - reference[:, :3])) <= 1e-12
     assert np.max(np.abs(curve.velocities - reference[:, 3:])) <= 1e-12
     assert np.array_equal(curve.s, np.arange(1001) * ds)
+
+
+def test_sampled_curve_arrays_equal_the_stacked_states():
+    # the arrays built from the float states when read: the parameters are
+    # np.arange(n) * ds and the points and velocities the stacked states, bit
+    # for bit
+    surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]))
+    ds = 2e-3
+    curve = integrate_geodesic(surface, (0.1, -0.2, 0.3), (0.6, -0.8), ds, 300)
+    stacked = np.array(curve.states)
+    assert stacked.shape == (301, 6)
+    assert curve.s.tobytes() == (np.arange(301) * ds).tobytes()
+    assert curve.points.tobytes() == stacked[:, :3].tobytes()
+    assert curve.velocities.tobytes() == stacked[:, 3:].tobytes()
+    assert curve.closure_error() == pytest.approx(np.linalg.norm(stacked[-1, :3] - stacked[0, :3]))
+
+
+def test_float_start_velocity_matches_the_frame_matvec():
+    # v0 = X[:, :2] nu is summed on the frame's float rows; NumPy's matvec may
+    # fuse the multiply-add and round once, so the two agree to 2 ulp of the
+    # sum's scale |X[i, 0] nu1| + |X[i, 1] nu2| (an ulp of a cancelling sum
+    # would be finer than the rounding of either product)
+    rng = np.random.default_rng(17)
+    surfaces = (_sphere(), PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"])))
+    for surface in surfaces:
+        for p0, nu in zip(rng.uniform(-1.0, 1.0, (1000, 3)), rng.normal(size=(1000, 2))):
+            got = integrate_geodesic(surface, p0, nu, 1e-3, 1).states[0][3:]
+            want = surface.frame.matrix_at(p0)[:, :2] @ nu
+            scale = np.abs(surface.frame.matrix_at(p0)[:, :2]) @ np.abs(nu)
+            for g, w, m in zip(got, want.tolist(), scale.tolist()):
+                assert abs(g - w) <= 2 * math.ulp(m), (p0, nu)

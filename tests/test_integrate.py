@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pseudoform import foucault as fc
+from pseudoform.errors import ValidationError
 from pseudoform.integrate import (
-    BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_step, rk4_transition_matrix,
+    BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_step, rk4_transition_matrix, validate_steps,
 )
 
 PARIS = fc.FoucaultConfig(latitude=math.radians(48.85), length=67.0)
@@ -79,3 +80,17 @@ def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():
         y_floats = rk4_step(f, k * h, y_floats, h)
         y_array = array_step(k * h, y_array, h)
         assert type(y_floats) is tuple and y_floats == tuple(y_array.tolist())
+
+
+@pytest.mark.parametrize("steps, h", [
+    (True, 0.1), (0, 0.1), (2.0, 0.1), ("3", 0.1), (None, 0.1), (np.array([3]), 0.1),
+    (10, "0.1"), (10, None), (10, True), (10, 1j), (10, math.nan), (10, -math.inf), (10, 0.0),
+])
+def test_validate_steps_refuses_with_a_typed_error(steps, h):
+    with pytest.raises(ValidationError):
+        validate_steps(steps, h)
+
+
+def test_validate_steps_takes_numpy_scalars():
+    validate_steps(np.int64(3), np.float64(-0.1))
+    validate_steps(1, np.float32(1e-3))

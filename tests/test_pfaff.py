@@ -1,5 +1,6 @@
 """Integrability classification of Pfaff equations."""
 
+import json
 import math
 import os
 import subprocess
@@ -161,6 +162,32 @@ def test_cli_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     code = "import pseudoform.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
+    # the geodesic runs on floats from its config to its CSV or JSON, so
+    # neither the import nor the call loads NumPy
+    src = str(Path(pseudoform.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    config = tmp_path / "geodesic.json"
+    config.write_text('{"levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [0.6, 0.8], '
+                      '"ds": 0.01, "steps": 50}')
+    script = (
+        "import sys\n"
+        "from pseudoform import cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    code = cli.run(['--config', sys.argv[1], '--out', sys.argv[2] + '.' + fmt,\n"
+        "                    '--format', fmt, 'geodesic'])\n"
+        "    seen += [code, 'numpy' in sys.modules]\n"
+        "print(*seen)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    # numpy loaded after the import, then exit code and numpy loaded after each call
+    assert (proc.stdout, proc.stderr) == ("False 0 False 0 False\n", "")
+    assert (tmp_path / "out.csv").read_text().count("\n") == 52
+    assert json.loads((tmp_path / "out.json").read_text())["result"]["aborted"] is False
 
 
 class _Path:
