@@ -28,7 +28,7 @@ from .errors import (
     PseudoformError,
     ValidationError,
 )
-from .formlang import parse_expression, parse_oneform, parse_scalar, pretty
+from .formlang import parse_expression, parse_oneform, parse_scalar
 from .foucault import (
     FoucaultConfig,
     FoucaultGeometry,
@@ -68,7 +68,6 @@ from .pfaff import (
     NormalForm,
     RegionSampler,
     classify,
-    constraint_residual,
     frobenius_coefficient,
 )
 

@@ -8,22 +8,19 @@ and the Hessian.  Every evaluation below goes through that one call
 One-forms are built from three scalar fields, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form.
 
-``OneForm.values_and_jacobian`` and ``ScalarField.differentiate`` are
-the evaluations on the per-point hot paths (the geodesic march,
-``classify``, the fundamental forms), so they take and return plain
-floats: the point as 3 floats (a list or tuple of plain numbers is
-checked without NumPy), values and gradients as 3-tuples and a Jacobian
-or Hessian as three 3-tuple rows.  ``jacobian_at`` and
-``exterior_derivative`` wrap those rows as arrays for the NumPy callers;
-NumPy is imported by the functions that build arrays, so a caller that
-reads only floats never loads it.
+The evaluations take and return plain floats: the point as 3 floats (a
+list or tuple of plain numbers is checked without NumPy), values and
+gradients as 3-tuples and a Jacobian or Hessian as three 3-tuple rows.
+``components_at`` and ``exterior_derivative`` alone return arrays; they
+import NumPy when they are called, so a caller that reads only floats
+never loads it.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
 * Two-form components are stored in cyclic order, i.e. the coefficients
   of dx2^dx3, dx3^dx1, dx1^dx2 in chart order.
-* ``exterior_derivative`` stores the curl-like components
-  (d_i theta_j - d_j theta_i) over the cyclic basis, so evaluation on a
+* d theta has the curl-like components (d_i theta_j - d_j theta_i) over
+  the cyclic basis, as ``dtheta_cyclic`` writes them, so evaluation on a
   vector pair gives d theta(v, w) = d_i theta_j (v^i w^j - v^j w^i).
 """
 
@@ -131,14 +128,6 @@ class ScalarField:
         _check_finite(p, v)
         return v
 
-    def gradient(self, p):
-        import numpy as np
-
-        p = point_coords(p)
-        v, g, _ = self._vgh(p)
-        _check_finite(p, v, *g)
-        return np.array(g)
-
 
 class OneForm:
     """theta = theta_i dx^i with scalar-field components."""
@@ -162,12 +151,6 @@ class OneForm:
         vals = (c1._vgh(p)[0], c2._vgh(p)[0], c3._vgh(p)[0])
         _check_finite(p, *vals)
         return np.array(vals)
-
-    def jacobian_at(self, p):
-        """J[i, j] = d_i theta_j, as a (3, 3) array."""
-        import numpy as np
-
-        return np.array(self.values_and_jacobian(p)[1])
 
     def values_and_jacobian(self, p):
         """Component values and the Jacobian at p, as floats.
@@ -193,14 +176,19 @@ class PointTwoForm:
         self.components = np.asarray(components, dtype=float)
 
 
+def dtheta_cyclic(jac):
+    """The cyclic components (d2 theta3 - d3 theta2, d3 theta1 - d1 theta3,
+    d1 theta2 - d2 theta1) of d theta, from Jacobian rows J[i][j] = d_i theta_j."""
+    j1, j2, j3 = jac
+    return (j2[2] - j3[1], j3[0] - j1[2], j1[1] - j2[0])
+
+
 def exterior_derivative(theta, p):
     """d theta at p as a PointTwoForm (cyclic components).
 
     For an exact form (theta = df) the result vanishes.
     """
-    j = theta.jacobian_at(p)
-    a = j - j.T
-    return PointTwoForm([a[1, 2], a[2, 0], a[0, 1]])
+    return PointTwoForm(dtheta_cyclic(theta.values_and_jacobian(p)[1]))
 
 
 class _GradientOneForm(OneForm):
@@ -211,7 +199,9 @@ class _GradientOneForm(OneForm):
         self.parent = f
 
     def components_at(self, p):
-        return self.parent.gradient(p)
+        import numpy as np
+
+        return np.array(self.parent.differentiate(p)[1])
 
     def values_and_jacobian(self, p):
         return self.parent.differentiate(p)[1:]

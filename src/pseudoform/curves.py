@@ -28,8 +28,8 @@ class SampledCurve:
     """Fixed-step samples of a curve, ``ds`` apart from s = 0.
 
     ``states`` holds one (x1, x2, x3, v1, v2, v3) tuple of floats per
-    sample.  ``s``, ``points`` and ``velocities`` are the same samples as
-    arrays, built each time they are read.
+    sample.  ``s`` and ``points`` are the sample parameters and positions
+    as arrays, built each time they are read.
     """
 
     ds: float
@@ -48,12 +48,6 @@ class SampledCurve:
         import numpy as np
 
         return np.array(self.states)[:, :3]
-
-    @property
-    def velocities(self):
-        import numpy as np
-
-        return np.array(self.states)[:, 3:]
 
     def closure_error(self):
         return math.dist(self.states[-1][:3], self.states[0][:3])

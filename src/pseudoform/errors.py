@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy of the package, and the number checks that raise ``ValidationError``."""
+
+import math
+import operator
 
 
 class PseudoformError(Exception):
@@ -50,3 +53,23 @@ class DegenerateWindowError(PseudoformError):
 
 class ValidationError(PseudoformError):
     """Invalid argument or configuration value."""
+
+
+def check_integer(name, value):
+    """``value`` as an int, else ``ValidationError`` naming ``name``; a bool is not one."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name, value):
+    """``value`` if it is a finite real number, else ``ValidationError`` naming ``name``."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):  # a bool is not a number
+            return value
+    except TypeError:  # not a real number, or an array
+        pass
+    raise ValidationError(f"{name} must be a finite real number, got {value!r}")

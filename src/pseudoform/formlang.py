@@ -54,9 +54,6 @@ class Num:
     def emit(self, code):
         return code.constant(self.value)
 
-    def text(self):
-        return repr(self.value)
-
 
 class Const:
     depth = 1
@@ -66,9 +63,6 @@ class Const:
 
     def emit(self, code):
         return code.constant(CONSTANTS[self.name])
-
-    def text(self):
-        return self.name
 
 
 class Var:
@@ -80,9 +74,6 @@ class Var:
     def emit(self, code):
         return code.variable(self.name)
 
-    def text(self):
-        return self.name
-
 
 class Neg:
     def __init__(self, operand):
@@ -91,9 +82,6 @@ class Neg:
 
     def emit(self, code):
         return code.negate(self.operand.emit(code))
-
-    def text(self):
-        return f"(-{self.operand.text()})"
 
 
 class BinOp:
@@ -106,9 +94,6 @@ class BinOp:
     def emit(self, code):
         return code.binop(self.op, self.left.emit(code), self.right.emit(code))
 
-    def text(self):
-        return f"({self.left.text()} {self.op} {self.right.text()})"
-
 
 class Call:
     def __init__(self, name, argument):
@@ -118,9 +103,6 @@ class Call:
 
     def emit(self, code):
         return code.call(self.name, self.argument.emit(code))
-
-    def text(self):
-        return f"{self.name}({self.argument.text()})"
 
 
 # -- lexer -------------------------------------------------------------
@@ -314,11 +296,6 @@ def parse_expression(text, chart="spatial"):
     if not isinstance(text, str) or not text.strip():
         raise FormSyntaxError("empty expression", 1)
     return _Parser(text, chart_variables(chart)).parse()
-
-
-def pretty(node):
-    """Fully parenthesized text that re-parses to an equivalent AST."""
-    return node.text()
 
 
 def expression_field(node, chart="spatial"):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConstraintViolationError, DegenerateWindowError, ValidationError
+from .errors import ConstraintViolationError, DegenerateWindowError, ValidationError, check_real
 from .formlang import parse_oneform
 from .geometry import (
     EUCLIDEAN,
@@ -34,7 +34,7 @@ from .geometry import (
     fundamental_forms,
     shape_and_curvatures,
 )
-from .integrate import linear_rk4_blocks, linear_rk4_orbit, validate_steps
+from .integrate import check_step_size, linear_rk4_blocks, linear_rk4_orbit, validate_steps
 from .pfaff import frobenius_coefficient
 
 OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
@@ -60,9 +60,8 @@ class FoucaultConfig:
 
     def __post_init__(self):
         for name in ("latitude", "length", "gravity", "omega_earth", "frame_rate"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if (value := getattr(self, name)) is not None:
+                check_real(name, value)
         if self.length <= 0 or self.gravity <= 0:
             raise ValidationError("pendulum length and gravity must be positive")
         if abs(self.latitude) > math.pi / 2:
@@ -147,18 +146,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # columns x, y, vx, vy
     config: "FoucaultConfig"
-
-    @property
-    def x(self):
-        return self.states[:, 0]
-
-    @property
-    def y(self):
-        return self.states[:, 1]
-
-    @property
-    def vy(self):
-        return self.states[:, 3]
 
     @property
     def dt(self):
@@ -250,9 +237,7 @@ def pendulum_orbit(cfg, initial, dt, duration):
     """
     import numpy as np
 
-    if dt == 0.0 or not math.isfinite(dt):
-        raise ValidationError(f"step size dt must be finite and non-zero, got {dt!r}")
-    steps = _step_count(duration, dt)
+    steps = _step_count(check_real("duration", duration), check_step_size(dt, "step size dt"))
     validate_steps(steps, dt)
     if isinstance(initial, PendulumState):
         initial = (initial.x, initial.y, initial.vx, initial.vy)
@@ -387,7 +372,7 @@ def measure_precession(traj, window_seconds=None):
     cfg = traj.config
     if window_seconds is None:
         window_seconds = 2.0 * cfg.period
-    if window_seconds < 2.0 * cfg.period:
+    if check_real("window_seconds", window_seconds) < 2.0 * cfg.period:
         raise ValidationError(
             f"window {window_seconds:.3g} s shorter than two pendulum "
             f"periods ({2 * cfg.period:.3g} s)"
@@ -422,7 +407,6 @@ def measure_precession(traj, window_seconds=None):
 class TransportState:
     times: np.ndarray
     components: np.ndarray  # natural (chart) components, shape (n, 3)
-    kind: str = "vector"
 
 
 def transport_generator(cfg, kind="vector"):
@@ -448,9 +432,9 @@ def _transport_run(cfg, kind, initial, t0, t1, dt):
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (3,):
         raise ValidationError("transported components must have shape (3,)")
-    if t1 <= t0:
+    if check_real("t1", t1) <= check_real("t0", t0):
         raise ValidationError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
-    if dt <= 0 or not math.isfinite(dt):
+    if check_real("dt", dt) <= 0:
         raise ValidationError(f"step size dt must be positive and finite, got {dt!r}")
     steps = max(1, _step_count(t1 - t0, dt))
     h = (t1 - t0) / steps
@@ -463,7 +447,7 @@ def parallel_transport(cfg, kind, initial, t0, t1, dt):
 
     w, initial, h, steps = _transport_run(cfg, kind, initial, t0, t1, dt)
     states = linear_rk4_orbit(w, initial, h, steps)
-    return TransportState(t0 + h * np.arange(steps + 1), states, kind)
+    return TransportState(t0 + h * np.arange(steps + 1), states)
 
 
 def transport_blocks(cfg, kind, initial, t0, t1, dt):

@@ -34,7 +34,7 @@ from .calculus import (
 )
 from .errors import (
     DegenerateMetricError, DegenerateNormalizationError, FramePfaffianMismatchError,
-    ValidationError,
+    ValidationError, check_real,
 )
 
 LIGHT_SPEED = 299792458.0
@@ -60,14 +60,18 @@ class MetricSignature:
     light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
-        c = self.light_speed
+        c = check_real("light_speed", self.light_speed)
         if not (c > 0.0 and 0.0 < c * c < math.inf):
             raise ValidationError(
                 f"light_speed must be positive with a finite non-zero square, got {c!r}"
             )
 
     def rows(self, normalized=False):
-        """``matrix`` (or ``normalized_matrix``) as three 3-tuple rows of floats."""
+        """The metric's matrix as three 3-tuple rows of floats.
+
+        ``normalized`` gives the c-normalized matrix that raises indices
+        (Minkowski with c = 1); the other kinds do not depend on it.
+        """
         if self.kind is MetricKind.EUCLIDEAN:
             d1 = 1.0
         elif self.kind is MetricKind.GALILEAN:
@@ -76,19 +80,6 @@ class MetricSignature:
             d1 = 1.0 if normalized else self.light_speed * self.light_speed
         d2 = -1.0 if self.kind is MetricKind.MINKOWSKI else 1.0
         return ((d1, 0.0, 0.0), (0.0, d2, 0.0), (0.0, 0.0, d2))
-
-    @property
-    def matrix(self):
-        import numpy as np
-
-        return np.array(self.rows())
-
-    @property
-    def normalized_matrix(self):
-        """The matrix used for index raising (Minkowski with c = 1)."""
-        import numpy as np
-
-        return np.array(self.rows(normalized=True))
 
     @property
     def degenerate(self):
@@ -108,10 +99,8 @@ class AdaptedFrame:
     d_n X[m, j] as an array (dX is None when not requested).
     """
 
-    def __init__(self, pair_fn, pfaffian, metric):
+    def __init__(self, pair_fn):
         self.pair_fn = pair_fn
-        self.pfaffian = pfaffian
-        self.metric = metric
 
     def rows_at(self, p):
         """The frame matrix X at p as three rows (X[m, 0], X[m, 1], X[m, 2]) of floats."""
@@ -208,7 +197,7 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
         dx = np.stack([de1, de2, du], axis=2)
         return x, dx
 
-    return AdaptedFrame(pair_fn, pfaffian, metric)
+    return AdaptedFrame(pair_fn)
 
 
 def connection_form(frame, p):
@@ -230,7 +219,6 @@ class FundamentalForms:
 
     g: np.ndarray
     h: np.ndarray
-    point: np.ndarray
     metric: MetricSignature
     tangent: np.ndarray
 
@@ -292,7 +280,7 @@ def fundamental_forms(source, frame, metric, p):
         )
     g11, g12, g22 = _on_legs(metric.rows(), t1, t2)
     return FundamentalForms(np.array(((g11, g12), (g12, g22))), np.array(((h11, h12), (h12, h22))),
-                            np.array(p), metric, x[:, :2])
+                            metric, x[:, :2])
 
 
 def second_form_via_connection(frame, p):

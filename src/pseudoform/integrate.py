@@ -6,10 +6,7 @@ linear-orbit helpers import NumPy when they are called.
 
 from __future__ import annotations
 
-import math
-import operator
-
-from .errors import ValidationError
+from .errors import ValidationError, check_integer, check_real
 
 BLOCK = 1024  # rows advanced per stacked product in linear_rk4_blocks
 
@@ -36,18 +33,16 @@ def rk4_step(f, t, y, h):
 def validate_steps(steps, h):
     """Refuse a step count that is not a positive integer (a bool is not one)
     and a step size that is not a finite, non-zero real number."""
-    try:
-        count = 0 if isinstance(steps, bool) else operator.index(steps)
-    except TypeError:  # not an integer, or an array
-        count = 0
-    if count < 1:
+    if check_integer("step count", steps) < 1:
         raise ValidationError(f"step count must be a positive integer, got {steps!r}")
-    try:
-        finite = not isinstance(h, bool) and math.isfinite(h)
-    except TypeError:  # not a real number
-        finite = False
-    if not finite or h == 0.0:
-        raise ValidationError(f"step size must be finite and non-zero, got {h!r}")
+    check_step_size(h)
+
+
+def check_step_size(h, name="step size"):
+    """``h``, refused unless it is a finite, non-zero real number."""
+    if check_real(name, h) == 0.0:
+        raise ValidationError(f"{name} must be finite and non-zero, got {h!r}")
+    return h
 
 
 def rk4_transition_matrix(a, h):

@@ -15,8 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .calculus import pfaffian_norm, point_coords
-from .errors import ValidationError
+from .calculus import dtheta_cyclic, pfaffian_norm, point_coords
+from .errors import ValidationError, check_integer, check_real
 
 DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
@@ -56,12 +56,14 @@ class RegionSampler:
             raise ValidationError("region bounds must each have 3 coordinates")
         if not np.all(hi > lo):
             raise ValidationError(f"degenerate region box: lower={lo}, upper={hi}")
-        if self.count < 1:
+        if check_integer("sample count", self.count) < 1:
             raise ValidationError(f"sample count must be >= 1, got {self.count}")
         if self.count > MAX_SAMPLES:
             raise ValidationError(
                 f"sample count {self.count} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
             )
+        if check_integer("seed", self.seed) < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def points(self):
         """The (count, 3) sample points: 24 bytes a sample, and NumPy temporaries
@@ -118,8 +120,7 @@ def _sample(theta, p):
 
     p is 3 floats and everything here is float arithmetic, which
     overflows to inf or NaN silently; the caller refuses what is not
-    finite.  d theta is taken in cyclic components from the Jacobian
-    rows J[i][j] = d_i theta_j, as ``exterior_derivative`` stores it.
+    finite.  d theta is ``dtheta_cyclic`` of the Jacobian rows.
     """
     # theta comes from its own components_at call, a second evaluation of
     # the point, because the benchmark's tracer pins one such call per
@@ -127,8 +128,7 @@ def _sample(theta, p):
     # once the tracer counts evaluated points instead
     comps = theta.components_at(p).tolist()
     norm = pfaffian_norm(comps, p)  # raises where theta vanishes
-    j1, j2, j3 = theta.values_and_jacobian(p)[1]
-    d = (j2[2] - j3[1], j3[0] - j1[2], j1[1] - j2[0])
+    d = dtheta_cyclic(theta.values_and_jacobian(p)[1])
     unit = _dot(comps, d, norm)
     return math.hypot(*d) / norm, unit, (unit * norm) * norm
 
@@ -150,6 +150,7 @@ def classify(theta, region, tol=DEFAULT_TOL):
     The sample points are turned into floats ``POINT_BLOCK`` rows at a
     time, so no per-sample array or list of all points is built.
     """
+    check_real("tol", tol)
     points = region.points()
     max_d = max_f = max_f_raw = -math.inf
     for start in range(0, len(points), POINT_BLOCK):
@@ -169,26 +170,3 @@ def classify(theta, region, tol=DEFAULT_TOL):
     else:
         kind = NormalForm.NON_INTEGRABLE
     return IntegrabilityClass(kind, max_d, max_f, max_f_raw)
-
-
-def constraint_residual(theta, curve):
-    """Max normalized |theta(tangent)| over the samples of a path.
-
-    ``curve`` provides ``points`` (n, 3) and ``velocities`` (n, 3); an
-    integral curve of theta = 0 returns a residual at the integration
-    tolerance.
-    """
-    import numpy as np
-
-    points = np.asarray(curve.points, dtype=float)
-    velocities = np.asarray(curve.velocities, dtype=float)
-    if len(points) < 2:
-        raise ValidationError("constraint residual needs >= 2 path samples")
-    if not np.all(np.isfinite(velocities)):
-        raise ValidationError("path velocities must be finite")
-    worst = 0.0
-    for p, v in zip(points.tolist(), velocities.tolist()):
-        comps = theta.components_at(tuple(p)).tolist()
-        denom = math.hypot(*comps) * math.hypot(*v) + 1e-30
-        worst = max(worst, abs(_dot(comps, v, 1.0)) / denom)
-    return worst

@@ -2,6 +2,7 @@
 
 This is how ``formlang`` evaluated fields before it compiled them; the
 compiled code must give the same results and raise the same errors.
+``pretty`` prints a tree as text that parses back to the same tree.
 ``Dual`` extends the library's record with forward-mode arithmetic:
 exact first and second derivatives, a Hessian only when seeded second
 order, constants lifted with zero derivatives, a ``Dual`` exponent as
@@ -282,6 +283,19 @@ def walk(node, env):
     if node.op == "/":
         return a / b
     return power(a, b)
+
+
+def pretty(node):
+    """Fully parenthesized text of a tree that re-parses to an equivalent tree."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, (Const, Var)):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{pretty(node.operand)})"
+    if isinstance(node, Call):
+        return f"{node.name}({pretty(node.argument)})"
+    return f"({pretty(node.left)} {node.op} {pretty(node.right)})"
 
 
 def walked_field(node, chart="spatial"):

@@ -1,17 +1,18 @@
 """The array form of ``pfaff.classify``, kept as a reference for its float kernel.
 
-Each sample takes theta from ``components_at`` and d theta from
-``calculus.exterior_derivative`` (the array Jacobian minus its transpose),
-the per-sample magnitudes go into arrays, and the maxima are ``np.max``
-over those arrays, so a NaN sample makes its maximum NaN.  ``classify``
-in ``src`` must give the same three maxima bit for bit.
+Each sample takes theta from ``components_at`` and d theta from its own
+array ``j - j.T`` of the ``values_and_jacobian`` rows, not from the
+library's cyclic helper, so the check stays independent of it.  The
+per-sample magnitudes go into arrays, and the maxima are ``np.max`` over
+those arrays, so a NaN sample makes its maximum NaN.  ``classify`` in
+``src`` must give the same three maxima bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from pseudoform.calculus import exterior_derivative, pfaffian_norm
+from pseudoform.calculus import pfaffian_norm
 from pseudoform.pfaff import DEFAULT_TOL, IntegrabilityClass, NormalForm
 
 
@@ -29,7 +30,9 @@ def classify(theta, region, tol=DEFAULT_TOL):
     for k, p in enumerate(points):
         comps = theta.components_at(p)
         norm = pfaffian_norm(comps, p)
-        d = exterior_derivative(theta, p).components
+        j = np.array(theta.values_and_jacobian(p)[1])  # j[i, m] = d_i theta_m
+        a = j - j.T
+        d = np.array([a[1, 2], a[2, 0], a[0, 1]])
         dtheta_mag[k] = math.hypot(*d) / norm
         unit = _dot(comps, d, norm)
         frobenius[k] = unit

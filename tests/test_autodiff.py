@@ -176,7 +176,7 @@ def test_first_order_matches_second_order_bit_for_bit(text):
     for sub in _subexpressions(parse_expression(text)):
         for p in ORDER_POINTS:
             first, second = _at(sub, p, 1), _at(sub, p, 2)
-            assert _bits(first) == _bits(second), (sub.text(), p)
+            assert _bits(first) == _bits(second), (ref.pretty(sub), p)
             if isinstance(first, ref.Dual):
                 assert first.hess is None and first.h is None
                 assert len(second.hess) == 9 and second.h.shape == (3, 3)

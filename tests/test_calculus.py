@@ -106,7 +106,7 @@ def test_leibniz_rule_sampled():
         p = RNG.uniform(-1.0, 1.0, size=3)
         lhs = exterior_derivative(f_theta, p).components
         # df ^ theta in cyclic components: cross(df, theta)
-        df = f.gradient(p)
+        df = f.differentiate(p)[1]
         th = theta.components_at(p)
         rhs = np.cross(df, th) + f.value(p) * exterior_derivative(theta, p).components
         assert np.allclose(lhs, rhs, atol=1e-9)
@@ -117,7 +117,8 @@ def test_values_and_jacobian_consistency():
     p = (0.3, -0.4, 0.9)
     vals, jac = theta.values_and_jacobian(p)
     assert np.allclose(vals, theta.components_at(p))
-    assert np.allclose(jac, theta.jacobian_at(p))
+    x, y, z = p  # J[i][j] = d_i theta_j
+    assert np.allclose(jac, [(y, 0.0, 0.0), (x, 0.0, 1.0), (0.0, -math.sin(z), 0.0)])
 
 
 def test_one_seed_values_and_jacobian_equal_per_component_evaluations():

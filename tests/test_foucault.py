@@ -219,11 +219,11 @@ def test_second_form_matches_connection_route():
 def test_sim_no_rotation_is_planar():
     cfg = fc.FoucaultConfig(latitude=0.0, length=10.0)
     traj = fc.simulate_pendulum(cfg, (0.2, 0.0, 0.0, 0.0), 1e-3, 20.0)
-    assert np.max(np.abs(traj.y)) == 0.0
-    assert np.max(np.abs(traj.vy)) == 0.0
+    assert np.max(np.abs(traj.states[:, 1])) == 0.0
+    assert np.max(np.abs(traj.states[:, 3])) == 0.0
     # harmonic at omega0
     expect = 0.2 * np.cos(cfg.omega0 * traj.times)
-    assert np.max(np.abs(traj.x - expect)) < 1e-8
+    assert np.max(np.abs(traj.states[:, 0] - expect)) < 1e-8
 
 
 def test_sim_equilibrium():
@@ -234,8 +234,8 @@ def test_sim_equilibrium():
 def test_sim_matches_closed_form():
     traj = fc.simulate_pendulum(PARIS, (0.1, 0.0, 0.0, 0.02), 1e-3, 100.0)
     z = _closed_form(PARIS, 0.1 + 0.0j, 0.0 + 0.02j, traj.times)
-    assert np.max(np.abs(traj.x - z.real)) < 1e-10
-    assert np.max(np.abs(traj.y - z.imag)) < 1e-10
+    assert np.max(np.abs(traj.states[:, 0] - z.real)) < 1e-10
+    assert np.max(np.abs(traj.states[:, 1] - z.imag)) < 1e-10
 
 
 def test_sim_reversibility():
@@ -343,7 +343,7 @@ def _sliced_precession(traj, window_seconds):
         # the window and one neighbour on each side, so an outside sample could win
         lo = max(sl.start - 1, 0)
         nearest = lo + int(np.argmin(np.abs(traj.times[lo : sl.stop + 1] - center)))
-        rows.append([center, fc._window_angle(traj.x[sl], traj.y[sl]), *traj.states[nearest]])
+        rows.append([center, fc._window_angle(traj.states[sl, 0], traj.states[sl, 1]), *traj.states[nearest]])
     return np.array(rows)
 
 

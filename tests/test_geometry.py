@@ -64,17 +64,19 @@ def second_form_via_frame(frame, p):
 
 def eigen_curvatures(ff):
     """(eigenvalues, K, mean) of g^-1 h by NumPy's general complex eigen-solver."""
-    g = ff.tangent.T @ ff.metric.normalized_matrix @ ff.tangent
+    g = ff.tangent.T @ np.array(ff.metric.rows(normalized=True)) @ ff.tangent
     mixed = np.linalg.solve(0.5 * (g + g.T), ff.h)
     return np.linalg.eigvals(mixed.astype(complex)), np.linalg.det(mixed), 0.5 * np.trace(mixed)
 
 
 def test_metric_matrices():
-    assert np.array_equal(EUCLIDEAN.matrix, np.eye(3))
-    assert np.array_equal(GALILEAN.matrix, np.diag([0.0, 1.0, 1.0]))
+    assert np.array_equal(EUCLIDEAN.rows(), np.eye(3))
+    assert np.array_equal(EUCLIDEAN.rows(normalized=True), np.eye(3))
+    assert np.array_equal(GALILEAN.rows(), np.diag([0.0, 1.0, 1.0]))
+    assert np.array_equal(GALILEAN.rows(normalized=True), np.diag([0.0, 1.0, 1.0]))
     c = MINKOWSKI.light_speed
-    assert np.array_equal(MINKOWSKI.matrix, np.diag([c**2, -1.0, -1.0]))
-    assert np.array_equal(MINKOWSKI.normalized_matrix, np.diag([1.0, -1.0, -1.0]))
+    assert np.array_equal(MINKOWSKI.rows(), np.diag([c**2, -1.0, -1.0]))
+    assert np.array_equal(MINKOWSKI.rows(normalized=True), np.diag([1.0, -1.0, -1.0]))
     assert GALILEAN.degenerate and not EUCLIDEAN.degenerate
 
 
@@ -103,7 +105,7 @@ def numpy_fundamental_forms(surface, p):
     else:
         du = np.array(unit_normal(pfaffian, metric, p)[1])
         h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
-    g = tangent.T @ metric.matrix @ tangent
+    g = tangent.T @ np.array(metric.rows()) @ tangent
     return 0.5 * (g + g.T), 0.5 * (h + h.T), tangent
 
 
@@ -365,7 +367,7 @@ def _frame_seeded_on(pfaffian, metric, k):
         e1 /= np.linalg.norm(e1)
         return np.column_stack([e1, np.cross(u, e1), u]), None
 
-    return AdaptedFrame(pair_fn, pfaffian, metric)
+    return AdaptedFrame(pair_fn)
 
 
 def _seed_surfaces():

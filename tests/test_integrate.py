@@ -7,6 +7,9 @@ import pytest
 
 from pseudoform import foucault as fc
 from pseudoform.errors import ValidationError
+from pseudoform.formlang import parse_oneform
+from pseudoform.geometry import MetricKind, MetricSignature
+from pseudoform.pfaff import RegionSampler, classify
 from pseudoform.integrate import (
     BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_step, rk4_transition_matrix, validate_steps,
 )
@@ -89,6 +92,36 @@ def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():
 def test_validate_steps_refuses_with_a_typed_error(steps, h):
     with pytest.raises(ValidationError):
         validate_steps(steps, h)
+
+
+_START = (0.1, 0.0, 0.0, 0.0)
+_BOX = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+_ORBIT = fc.pendulum_orbit(PARIS, _START, 0.01, 120.0)
+_REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal names
+    "orbit-dt": (lambda: fc.pendulum_orbit(PARIS, _START, "0.1", 10.0), "dt"),
+    "orbit-duration": (lambda: fc.pendulum_orbit(PARIS, _START, 0.1, None), "duration"),
+    "transport-dt": (lambda: fc.transport_blocks(PARIS, "vector", (0, 1, 0), 0.0, 1.0, "0.1"), "dt"),
+    "transport-t0": (lambda: fc.parallel_transport(PARIS, "vector", (0, 1, 0), "0", 1.0, 0.1), "t0"),
+    "latitude": (lambda: fc.FoucaultConfig(latitude="0.8"), "latitude"),
+    "window-nan": (lambda: fc.measure_precession(_ORBIT, math.nan), "window_seconds"),
+    "window-inf": (lambda: fc.measure_precession(_ORBIT, math.inf), "window_seconds"),
+    "window-str": (lambda: fc.measure_precession(_ORBIT, "60"), "window_seconds"),
+    "count-str": (lambda: RegionSampler(*_BOX, count="5"), "sample count"),
+    "count-float": (lambda: RegionSampler(*_BOX, count=2.5), "sample count"),
+    "count-bool": (lambda: RegionSampler(*_BOX, count=True), "sample count"),
+    "seed-negative": (lambda: RegionSampler(*_BOX, seed=-1), "seed"),
+    "seed-float": (lambda: RegionSampler(*_BOX, seed=1.5), "seed"),
+    "light-speed": (lambda: MetricSignature(MetricKind.MINKOWSKI, "3e8"), "light_speed"),
+    "tol": (lambda: classify(parse_oneform(["0", "x", "1"]), RegionSampler(*_BOX, count=4),
+                             tol="1e-8"), "tol"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_NUMBERS))
+def test_library_numbers_are_refused_with_a_typed_error_that_names_them(case):
+    call, name = _REFUSED_NUMBERS[case]
+    with pytest.raises(ValidationError, match=name):
+        call()
 
 
 def test_validate_steps_takes_numpy_scalars():

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from pseudoform.pfaff import (
     NormalForm,
     RegionSampler,
     classify,
-    constraint_residual,
     frobenius_coefficient,
 )
 
@@ -190,54 +188,6 @@ def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["result"]["aborted"] is False
 
 
-class _Path:
-    def __init__(self, points, velocities):
-        self.points = points
-        self.velocities = velocities
-
-
-def test_constraint_residual_spiral():
-    s = np.linspace(0, 4 * np.pi, 200)
-    pts = np.column_stack([np.cos(s), np.sin(s), np.ones_like(s)])
-    vel = np.column_stack([-np.sin(s), np.cos(s), np.zeros_like(s)])
-    theta = parse_oneform(["0", "0", "1"])
-    assert constraint_residual(theta, _Path(pts, vel)) < 1e-14
-
-
-def test_constraint_residual_rejects_non_finite_components():
-    # every sample but x = 0 has an infinite third component
-    x = np.linspace(0.0, 1.0, 11)
-    pts = np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
-    vel = np.tile([0.0, 1.0, 0.5], (len(x), 1))
-    theta = parse_oneform(["0", "0", "1 + x*1e300*1e300"])
-    # the dual gradient overflows first; the finite check on the evaluated
-    # components is what must report it, without a NumPy warning
-    with pytest.raises(EvaluationDomainError, match="non-finite"):
-        constraint_residual(theta, _Path(pts, vel))
-
-
-def test_constraint_residual_axis_integral_curve():
-    s = np.linspace(-1, 1, 50)
-    pts = np.column_stack([s, np.zeros_like(s), np.zeros_like(s)])
-    vel = np.column_stack([np.ones_like(s), np.zeros_like(s), np.zeros_like(s)])
-    theta = parse_oneform(["0", "x", "1"])
-    assert constraint_residual(theta, _Path(pts, vel)) < 1e-14
-
-
-def test_constraint_residual_transverse():
-    s = np.linspace(0, 1, 10)
-    pts = np.column_stack([np.zeros_like(s), np.zeros_like(s), s])
-    vel = np.column_stack([np.zeros_like(s), np.zeros_like(s), np.ones_like(s)])
-    theta = parse_oneform(["0", "0", "1"])
-    assert np.isclose(constraint_residual(theta, _Path(pts, vel)), 1.0)
-
-
-def test_constraint_residual_needs_samples():
-    theta = parse_oneform(["0", "0", "1"])
-    with pytest.raises(ValidationError):
-        constraint_residual(theta, _Path(np.zeros((1, 3)), np.ones((1, 3))))
-
-
 def test_classify_normalizes_huge_finite_forms():
     # |theta| = exp(1000 x) up to 1e304: the norms and the Frobenius
     # normalization stay finite, and no NumPy warning is raised
@@ -248,8 +198,6 @@ def test_classify_normalizes_huge_finite_forms():
     assert abs(result.max_dtheta - 1000.0) <= 1e-12 * 1000.0
     p = (0.7, 0.5, 0.5)
     assert frobenius_coefficient(theta, p) == 0.0
-    curve = SimpleNamespace(points=[p, p], velocities=[(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
-    assert constraint_residual(theta, curve) == 1.0
 
 
 def test_classify_huge_integrable_form_keeps_its_verdict():
