@@ -9,11 +9,11 @@ One-forms are built from three scalar fields, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form.
 
 The evaluations take and return plain floats: the point as 3 floats (a
-list or tuple of plain numbers is checked without NumPy), values and
-gradients as 3-tuples and a Jacobian or Hessian as three 3-tuple rows.
-``components_at`` and ``exterior_derivative`` alone return arrays; they
-import NumPy when they are called, so a caller that reads only floats
-never loads it.
+list or tuple of plain numbers is checked without NumPy), values,
+components and gradients as 3-tuples and a Jacobian or Hessian as three
+3-tuple rows.  ``exterior_derivative`` alone returns an array; it imports
+NumPy when it is called, so a caller that reads only floats never loads
+it.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
@@ -144,13 +144,12 @@ class OneForm:
         self.chart = chart
 
     def components_at(self, p):
-        import numpy as np
-
+        """The component values (theta_1, theta_2, theta_3) at p, as floats."""
         p = point_coords(p)
         c1, c2, c3 = self.components
         vals = (c1._vgh(p)[0], c2._vgh(p)[0], c3._vgh(p)[0])
         _check_finite(p, *vals)
-        return np.array(vals)
+        return vals
 
     def values_and_jacobian(self, p):
         """Component values and the Jacobian at p, as floats.
@@ -199,9 +198,7 @@ class _GradientOneForm(OneForm):
         self.parent = f
 
     def components_at(self, p):
-        import numpy as np
-
-        return np.array(self.parent.differentiate(p)[1])
+        return self.parent.differentiate(p)[1]
 
     def values_and_jacobian(self, p):
         return self.parent.differentiate(p)[1:]

@@ -12,9 +12,10 @@ Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
 components) extend the same layout with a z / time-component column.
 
-The geodesic is written from the float states of its march, so the
-``geodesic`` command loads no NumPy; the commands whose results are arrays
-import it where those arrays are built.
+``classify``, ``surface`` and ``geodesic`` run on floats from their
+config to their JSON or CSV, so they load no NumPy; the ``foucault`` and
+``transport`` commands, whose results are arrays, import it where those
+arrays are built.
 """
 
 from __future__ import annotations
@@ -337,8 +338,8 @@ def _cmd_surface(config, args):
         result.append(
             {
                 "point": p,
-                "g": forms.g.tolist(),
-                "h": forms.h.tolist(),
+                "g": forms.g_rows,
+                "h": forms.h_rows,
                 "curvatures": _report_json(report),
             }
         )

@@ -18,9 +18,10 @@ metric signature (the degenerate/indefinite metrics enter only the
 first fundamental form and index raising); a degenerate metric is
 rejected when asked to normalize a Pfaffian with a time component.
 
-The frame and the fundamental forms are computed on floats; NumPy is
-imported by the functions that return arrays, and the frame's float rows
-(``AdaptedFrame.rows_at``) need none.
+The frame, the fundamental forms and the curvatures are computed on
+floats, so ``surface`` never loads NumPy; it is imported by the functions
+that return arrays (``matrix_at``, ``connection_form``, the frame
+derivative) and by the array views of ``FundamentalForms``.
 """
 
 from __future__ import annotations
@@ -214,13 +215,36 @@ def connection_form(frame, p):
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First and second forms at a point; ``g`` is in physical units and
-    ``tangent`` holds the frame's tangent legs as columns."""
+    """First and second forms at a point, as float rows.
 
-    g: np.ndarray
-    h: np.ndarray
+    ``g_rows`` (in physical units) and ``h_rows`` are the 2x2 forms as two
+    rows of floats, and ``legs`` the frame's tangent legs e1, e2 as chart
+    3-tuples.  ``g``, ``h`` and ``tangent`` (the legs as columns) are the
+    same as arrays, built each time they are read.
+    """
+
+    g_rows: tuple
+    h_rows: tuple
     metric: MetricSignature
-    tangent: np.ndarray
+    legs: tuple
+
+    @property
+    def g(self):
+        import numpy as np
+
+        return np.array(self.g_rows)
+
+    @property
+    def h(self):
+        import numpy as np
+
+        return np.array(self.h_rows)
+
+    @property
+    def tangent(self):
+        import numpy as np
+
+        return np.array(self.legs).T
 
 
 @dataclass(frozen=True)
@@ -253,14 +277,10 @@ def fundamental_forms(source, frame, metric, p):
     ``source`` is either the Pfaffian one-form N (pseudo-surface route:
     H = minus the pulled-back symmetrized differential of the unit N) or
     a level-set scalar f (surface route: H from the Hessian of f).
-    Both forms are 2x2 sums of floats on the frame's tangent legs; the
-    arrays of the result are built once, at the end.
+    Both forms are 2x2 sums of floats on the frame's tangent legs.
     """
-    import numpy as np
-
     p = point_coords(p)
-    x = frame.matrix_at(p)
-    (a1, b1, n1), (a2, b2, n2), (a3, b3, n3) = x.tolist()
+    (a1, b1, n1), (a2, b2, n2), (a3, b3, n3) = frame.rows_at(p)
     t1, t2 = (a1, a2, a3), (b1, b2, b3)
     if isinstance(source, OneForm):  # h = -du on the legs; symmetrizing du is _on_legs' mean
         unit, du = unit_normal(source, metric, p)
@@ -279,8 +299,7 @@ def fundamental_forms(source, frame, metric, p):
             f"at point {format_point(p)} (max deviation {deviation:.3e})"
         )
     g11, g12, g22 = _on_legs(metric.rows(), t1, t2)
-    return FundamentalForms(np.array(((g11, g12), (g12, g22))), np.array(((h11, h12), (h12, h22))),
-                            metric, x[:, :2])
+    return FundamentalForms(((g11, g12), (g12, g22)), ((h11, h12), (h12, h22)), metric, (t1, t2))
 
 
 def second_form_via_connection(frame, p):
@@ -306,15 +325,14 @@ def shape_and_curvatures(ff):
     rounding at an umbilic gives a real double root.
     kappa1 and kappa2 are complex either way, K and the mean are floats.
     """
-    (a1, b1), (a2, b2), (a3, b3) = ff.tangent.tolist()
-    g11, g12, g22 = _on_legs(ff.metric.rows(normalized=True), (a1, a2, a3), (b1, b2, b3))
+    g11, g12, g22 = _on_legs(ff.metric.rows(normalized=True), *ff.legs)
     det_g = g11 * g22 - g12 * g12
     if abs(det_g) < 1e-12:
         raise DegenerateMetricError(
             "first fundamental form is degenerate: g^ab does not exist, "
             "so no index can be raised"
         )
-    (h11, h12), (h21, h22) = ff.h.tolist()
+    (h11, h12), (h21, h22) = ff.h_rows
     a = (g22 * h11 - g12 * h21) / det_g
     b = (g22 * h12 - g12 * h22) / det_g
     c = (g11 * h21 - g12 * h11) / det_g

@@ -5,23 +5,30 @@ decided pointwise from |d theta| and the Frobenius 3-form theta ^ d theta,
 sampled over a user box with a seeded scrambled Halton sequence.
 Magnitudes are normalized per sample (|d theta| by |theta|, the Frobenius
 coefficient by |theta|^2) so the verdict is invariant under constant
-rescaling of theta.  The sampler builds its points with NumPy, which
-it imports when it is used.
+rescaling of theta.
+
+The sampler and the classification run on plain floats and never import
+NumPy.  The digit scramble draws its permutations from a pure-Python copy
+of ``numpy.random.default_rng(seed).permutation``, so the points are the
+ones NumPy's generator gives, bit for bit; each point is computed from
+its index when it is read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .calculus import dtheta_cyclic, pfaffian_norm, point_coords
+from .calculus import dtheta_cyclic, float_coords, format_point, pfaffian_norm, point_coords
 from .errors import ValidationError, check_integer, check_real
 
 DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
-MAX_SAMPLES = 10**7  # largest sample count accepted; its points peak at about 0.8 GB to build
-POINT_BLOCK = 4096  # sample points turned into floats at a time by classify
+MAX_SAMPLES = 10**7  # largest sample count accepted; the points are computed as they are read
+_LOW_SPAN = 256  # most digit values the sampler tabulates for the lowest positions of an axis
 
 
 class NormalForm(enum.Enum):
@@ -48,14 +55,14 @@ class RegionSampler:
     seed: int = 0
 
     def __post_init__(self):
-        import numpy as np
-
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,):
+        lo, hi = float_coords(self.lower, 3), float_coords(self.upper, 3)
+        if lo is None or hi is None:
             raise ValidationError("region bounds must each have 3 coordinates")
-        if not np.all(hi > lo):
-            raise ValidationError(f"degenerate region box: lower={lo}, upper={hi}")
+        box = f"lower={format_point(lo)}, upper={format_point(hi)}"
+        if not all(b > a for a, b in zip(lo, hi)):
+            raise ValidationError(f"degenerate region box: {box}")
+        if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+            raise ValidationError(f"region box is wider than a float can hold: {box}")
         if check_integer("sample count", self.count) < 1:
             raise ValidationError(f"sample count must be >= 1, got {self.count}")
         if self.count > MAX_SAMPLES:
@@ -66,44 +73,168 @@ class RegionSampler:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def points(self):
-        """The (count, 3) sample points: 24 bytes a sample, and NumPy temporaries
-        of about 76 bytes a sample while they are built, which is the peak
-        of a whole ``classify``."""
-        import numpy as np
+        """The ``count`` sample points as a sized sequence of 3-tuples of floats.
 
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        unit = _scrambled_halton(self.count, self.seed)
-        return lo + unit * (hi - lo)
+        Each point is computed from its index when it is read, so the
+        sequence holds only the scramble's tables, whatever the count.
+        """
+        lo, hi = float_coords(self.lower, 3), float_coords(self.upper, 3)
+        return _HaltonPoints(lo, hi, operator.index(self.count), operator.index(self.seed))
 
 
-def _scrambled_halton(count, seed):
-    """First ``count`` points of a digit-scrambled Halton sequence in [0, 1)^3.
+class _HaltonPoints(Sequence):
+    """Points ``lo + v * (hi - lo)`` of a digit-scrambled Halton sequence.
 
-    Axis j takes the radical inverse of the point index in base
+    Axis j of point i takes the radical inverse of i in base
     ``HALTON_BASES[j]``, with every digit position passed through its own
     random permutation of the digits (Owen, arXiv:1706.02808, Algorithm 1).
-    Positions run while ``base**-k > 2**-54``, so the fixed tail digits
-    of short indices are scrambled too and fill a double.
+    Positions run while ``base**-k > 2**-54``, so the fixed tail digits of
+    short indices are scrambled too and fill a double.  The value adds
+    ``perm[digit] * base**-k`` from the lowest position up, one addition
+    at a time, as the array form in the tests' reference does, so the
+    floats are the same.  Each axis keeps that sum over its lowest
+    positions for every value of their digits, the terms of the positions
+    that indices below the count reach, and the nonzero terms of the
+    positions they do not (each the scrambled 0).
     """
-    import numpy as np
 
-    rng = np.random.default_rng(seed)
-    unit = np.empty((count, len(HALTON_BASES)))
-    for axis, base in enumerate(HALTON_BASES):
-        index = np.arange(count)
-        value = np.zeros(count)
-        scale = 1.0 / base
-        for _ in range(math.ceil(54 / math.log2(base)) - 1):
-            perm = rng.permutation(base)
-            if index.any():
-                value += perm[index % base] * scale
-                index //= base
-            else:  # every index is out of digits: all take the scrambled 0
-                value += perm[0] * scale
-            scale /= base
-        unit[:, axis] = value
-    return unit
+    def __init__(self, lo, hi, count, seed):
+        self._count = count
+        rng = _PCG64(seed)
+        self._axes = []
+        for base, start, end in zip(HALTON_BASES, lo, hi):
+            terms, scale = [], 1.0 / base
+            for _ in range(math.ceil(54 / math.log2(base)) - 1):
+                terms.append(tuple(d * scale for d in rng.permutation(base)))
+                scale /= base
+            # the sums over the lowest `low` positions, for every value of their digits
+            sums, span, low = [0.0], 1, 0
+            while span * base <= _LOW_SPAN:
+                sums = [v + t for t in terms[low] for v in sums]
+                span, low = span * base, low + 1
+            used = low  # every index below count has zero digits from position `used` on
+            while span * base ** (used - low) < count:
+                used += 1
+            tail = tuple(t[0] for t in terms[used:] if t[0])  # adding 0.0 changes no sum
+            if base == 2:  # every partial sum is a multiple of 2**-53 below 1, so exact
+                tail = (math.fsum(tail),)
+            self._axes.append((base, span, sums, tuple(terms[low:used]), tail, start, end - start))
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._point(i) for i in range(*index.indices(self._count))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("sample index out of range")
+        return self._point(i)
+
+    def __iter__(self):
+        return map(self._point, range(self._count))
+
+    def _point(self, i):
+        coords = []
+        for base, span, sums, head, tail, lo, width in self._axes:
+            v, k = sums[i % span], i // span
+            for terms in head:
+                v += terms[k % base]
+                k //= base
+            for term in tail:
+                v += term
+            coords.append(lo + v * width)
+        return tuple(coords)
+
+
+# numpy.random.SeedSequence's hash constants (pool of 4 uint32 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# the 128-bit LCG multiplier of PCG64 (O'Neill, "PCG", 2014)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_sequence_words(seed):
+    """The 8 uint32 words of ``SeedSequence(seed).generate_state(4, np.uint64)``."""
+    entropy = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words, hash_const = [], _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return words
+
+
+class _PCG64:
+    """``numpy.random.default_rng(seed)`` for the draws ``permutation(n)`` makes.
+
+    PCG64 (XSL-RR output) seeded through ``SeedSequence``, with NumPy's
+    buffered 32-bit draws and its Fisher-Yates shuffle over masked
+    rejection draws (``random_interval``).
+    """
+
+    def __init__(self, seed):
+        # w pairs up little-endian into 4 uint64 words; pcg64_set_seed takes
+        # the first two (high word first) as the seed and the last two as the stream
+        w = _seed_sequence_words(seed)
+        state = (w[1] << 32 | w[0]) << 64 | (w[3] << 32 | w[2])
+        self._inc = ((w[5] << 32 | w[4]) << 64 | (w[7] << 32 | w[6])) << 1 & _MASK128 | 1
+        # from state 0: one step (giving inc), add the seed, one more step
+        self._state = (self._inc + state) * _PCG_MULT + self._inc & _MASK128
+        self._buffered = None
+
+    def _next64(self):
+        self._state = state = self._state * _PCG_MULT + self._inc & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def _next32(self):
+        if self._buffered is not None:
+            word, self._buffered = self._buffered, None
+            return word
+        word = self._next64()
+        self._buffered = word >> 32
+        return word & _MASK32
+
+    def permutation(self, n):
+        """``Generator.permutation(n)`` for n below 2**32, as a list."""
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
 
 
 def frobenius_coefficient(theta, p):
@@ -126,7 +257,7 @@ def _sample(theta, p):
     # the point, because the benchmark's tracer pins one such call per
     # classify sample; it goes, and theta is read from values_and_jacobian,
     # once the tracer counts evaluated points instead
-    comps = theta.components_at(p).tolist()
+    comps = theta.components_at(p)
     norm = pfaffian_norm(comps, p)  # raises where theta vanishes
     d = dtheta_cyclic(theta.values_and_jacobian(p)[1])
     unit = _dot(comps, d, norm)
@@ -147,22 +278,20 @@ def classify(theta, region, tol=DEFAULT_TOL):
 
     Each sample is one float ``_sample``; the three maxima are tracked as
     floats, and a NaN sample makes its maximum NaN (as ``np.max`` would).
-    The sample points are turned into floats ``POINT_BLOCK`` rows at a
-    time, so no per-sample array or list of all points is built.
+    The sample points are read one at a time, as the sampler computes
+    them, so no per-sample array or list of all points is built.
     """
     check_real("tol", tol)
-    points = region.points()
     max_d = max_f = max_f_raw = -math.inf
-    for start in range(0, len(points), POINT_BLOCK):
-        for p in points[start:start + POINT_BLOCK].tolist():
-            d, f, f_raw = _sample(theta, tuple(p))
-            f, f_raw = abs(f), abs(f_raw)
-            if d > max_d or d != d:
-                max_d = d
-            if f > max_f or f != f:
-                max_f = f
-            if f_raw > max_f_raw or f_raw != f_raw:
-                max_f_raw = f_raw
+    for p in region.points():
+        d, f, f_raw = _sample(theta, p)
+        f, f_raw = abs(f), abs(f_raw)
+        if d > max_d or d != d:
+            max_d = d
+        if f > max_f or f != f:
+            max_f = f
+        if f_raw > max_f_raw or f_raw != f_raw:
+            max_f_raw = f_raw
     if max_d <= tol:
         kind = NormalForm.CLOSED
     elif max_f <= tol:

@@ -1,11 +1,16 @@
-"""The array form of ``pfaff.classify``, kept as a reference for its float kernel.
+"""The array forms of ``pfaff.classify`` and its sampler, kept as references.
 
-Each sample takes theta from ``components_at`` and d theta from its own
-array ``j - j.T`` of the ``values_and_jacobian`` rows, not from the
-library's cyclic helper, so the check stays independent of it.  The
-per-sample magnitudes go into arrays, and the maxima are ``np.max`` over
-those arrays, so a NaN sample makes its maximum NaN.  ``classify`` in
-``src`` must give the same three maxima bit for bit.
+``points`` builds a sampler's points on arrays, with the digit
+permutations drawn by NumPy's own generator: ``RegionSampler.points()``
+must give the same floats bit for bit.
+
+``classify`` reads those points.  Each sample takes theta from
+``components_at`` and d theta from its own array ``j - j.T`` of the
+``values_and_jacobian`` rows, not from the library's cyclic helper, so
+the check stays independent of it.  The per-sample magnitudes go into
+arrays, and the maxima are ``np.max`` over those arrays, so a NaN sample
+makes its maximum NaN.  ``classify`` in ``src`` must give the same three
+maxima bit for bit.
 """
 
 import math
@@ -13,7 +18,42 @@ import math
 import numpy as np
 
 from pseudoform.calculus import pfaffian_norm
-from pseudoform.pfaff import DEFAULT_TOL, IntegrabilityClass, NormalForm
+from pseudoform.pfaff import DEFAULT_TOL, HALTON_BASES, IntegrabilityClass, NormalForm
+
+
+def scrambled_halton(count, seed):
+    """First ``count`` points of a digit-scrambled Halton sequence in [0, 1)^3.
+
+    Axis j takes the radical inverse of the point index in base
+    ``HALTON_BASES[j]``, with every digit position passed through its own
+    permutation of the digits, drawn by ``np.random.default_rng(seed)``
+    (Owen, arXiv:1706.02808, Algorithm 1).  Positions run while
+    ``base**-k > 2**-54``, so the fixed tail digits of short indices are
+    scrambled too and fill a double.
+    """
+    rng = np.random.default_rng(seed)
+    unit = np.empty((count, len(HALTON_BASES)))
+    for axis, base in enumerate(HALTON_BASES):
+        index = np.arange(count)
+        value = np.zeros(count)
+        scale = 1.0 / base
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            perm = rng.permutation(base)
+            if index.any():
+                value += perm[index % base] * scale
+                index //= base
+            else:  # every index is out of digits: all take the scrambled 0
+                value += perm[0] * scale
+            scale /= base
+        unit[:, axis] = value
+    return unit
+
+
+def points(region):
+    """The sampler's (count, 3) points, ``lo + unit * (hi - lo)`` on arrays."""
+    lo = np.asarray(region.lower, dtype=float)
+    hi = np.asarray(region.upper, dtype=float)
+    return lo + scrambled_halton(region.count, region.seed) * (hi - lo)
 
 
 def _dot(a, b, norm):
@@ -23,12 +63,12 @@ def _dot(a, b, norm):
 
 
 def classify(theta, region, tol=DEFAULT_TOL):
-    points = region.points()
-    dtheta_mag = np.empty(len(points))
-    frobenius = np.empty(len(points))
-    frobenius_raw = np.empty(len(points))
-    for k, p in enumerate(points):
-        comps = theta.components_at(p)
+    pts = points(region)
+    dtheta_mag = np.empty(len(pts))
+    frobenius = np.empty(len(pts))
+    frobenius_raw = np.empty(len(pts))
+    for k, p in enumerate(pts):
+        comps = np.array(theta.components_at(p))
         norm = pfaffian_norm(comps, p)
         j = np.array(theta.values_and_jacobian(p)[1])  # j[i, m] = d_i theta_m
         a = j - j.T

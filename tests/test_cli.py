@@ -377,6 +377,18 @@ def test_config_error_unreadable_json_is_typed(tmp_path, capsys, data):
     assert code == 2 and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("lower, upper, message", [
+    ([0, 0, 0], [0, 1, 1], "config error: degenerate region box: "
+                           "lower=(0.0, 0.0, 0.0), upper=(0.0, 1.0, 1.0)\n"),
+    ([-1e308, 0, 0], [1e308, 1, 1], "config error: region box is wider than a float can hold: "
+                                    "lower=(-1e+308, 0.0, 0.0), upper=(1e+308, 1.0, 1.0)\n"),
+], ids=["degenerate", "overflowing-width"])
+def test_config_error_region_box_names_the_box(tmp_path, lower, upper, message):
+    proc = _run_process(tmp_path, ["classify"],
+                        {"theta": ["0", "x", "1"], "lower": lower, "upper": upper})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 def test_config_error_both_surface_sources(tmp_path, capsys):
     config = {
         "levelset": "z",

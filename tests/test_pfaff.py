@@ -17,8 +17,10 @@ from pseudoform.calculus import OneForm
 from pseudoform.errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
 from pseudoform.formlang import parse_oneform
 from pseudoform.pfaff import (
+    HALTON_BASES,
     NormalForm,
     RegionSampler,
+    _PCG64,
     classify,
     frobenius_coefficient,
 )
@@ -117,9 +119,9 @@ def test_region_sampler_validation():
 
 
 def test_region_sampler_seeded_determinism():
-    a = RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=7).points()
-    b = RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=7).points()
-    c = RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=8).points()
+    a = np.array(RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=7).points())
+    b = np.array(RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=7).points())
+    c = np.array(RegionSampler((0, 0, 0), (1, 1, 1), count=500, seed=8).points())
     assert a.tobytes() == b.tobytes()
     assert not np.any(np.all(a == c, axis=1))
 
@@ -132,13 +134,45 @@ def test_region_sampler_reference_points():
         [0.5991217798843752, 0.7205804285203065, 0.7007762290974384],
         [0.3491217798843752, 0.38724709518697303, 0.1007762290974384],
     ]
-    assert got.tolist() == expected
+    assert [list(p) for p in got] == expected
+
+
+TWIN_SEEDS = [*range(300), 2**64 - 1, 2**70 + 3]
+
+
+def test_scramble_permutations_are_numpys():
+    # every permutation the sampler draws, in its order, against NumPy's generator
+    for seed in TWIN_SEEDS:
+        rng, ours = np.random.default_rng(seed), _PCG64(seed)
+        for base in HALTON_BASES:
+            for _ in range(math.ceil(54 / math.log2(base)) - 1):
+                assert ours.permutation(base) == rng.permutation(base).tolist(), (seed, base)
+
+
+@pytest.mark.parametrize("count", [1, 7, 2500])
+def test_region_sampler_points_equal_the_array_reference(count):
+    lower, upper = (-2.0, 0.5, 10.0), (-1.5, 3.0, 10.25)
+    for seed in TWIN_SEEDS:
+        region = RegionSampler(lower, upper, count=count, seed=seed)
+        got = np.array(region.points())
+        assert got.tobytes() == pfaff_reference.points(region).tobytes(), seed
+
+
+def test_region_sampler_points_are_a_sized_sequence():
+    points = RegionSampler((0, 0, 0), (1, 1, 1), count=10, seed=4).points()
+    every = list(points)
+    assert len(points) == 10 and len(every) == 10
+    assert [points[k] for k in range(10)] == every and points[-1] == every[9]
+    assert points[2:5] == every[2:5]
+    assert all(type(p) is tuple and all(type(c) is float for c in p) for p in every)
+    with pytest.raises(IndexError):
+        points[10]
 
 
 def test_region_sampler_points_inside_box():
     lo, hi = np.array([-2.0, 0.5, 10.0]), np.array([-1.5, 3.0, 10.25])
     for seed in (0, 1, 2**64 - 1):
-        pts = RegionSampler(tuple(lo), tuple(hi), count=2000, seed=seed).points()
+        pts = np.array(RegionSampler(tuple(lo), tuple(hi), count=2000, seed=seed).points())
         assert pts.shape == (2000, 3)
         assert np.all(pts >= lo) and np.all(pts <= hi)
 
@@ -150,8 +184,8 @@ def test_region_sampler_halton_stratification(seed):
     for axis, base in enumerate((2, 3, 5)):
         for k in (1, 2, 3):
             n = base**k
-            unit = RegionSampler((0, 0, 0), (1, 1, 1), count=n, seed=seed).points()[:, axis]
-            cells = np.floor(unit * n).astype(int)
+            points = RegionSampler((0, 0, 0), (1, 1, 1), count=n, seed=seed).points()
+            cells = np.floor(np.array(points)[:, axis] * n).astype(int)
             assert sorted(cells.tolist()) == list(range(n))
 
 
@@ -163,29 +197,44 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
-    # the geodesic runs on floats from its config to its CSV or JSON, so
-    # neither the import nor the call loads NumPy
+    # classify, surface and the geodesic run on floats from their config to
+    # their JSON or CSV, so neither the import nor a call loads NumPy
     src = str(Path(pseudoform.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    config = tmp_path / "geodesic.json"
-    config.write_text('{"levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [0.6, 0.8], '
-                      '"ds": 0.01, "steps": 50}')
+    configs = {
+        "geodesic": {"levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [0.6, 0.8],
+                     "ds": 0.01, "steps": 50},
+        "classify": {"theta": ["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"],
+                     "lower": [0.2, 0.5, 0.2], "upper": [1, 1.5, 1], "count": 50},
+        "levelset": {"levelset": "x^2+y^2+z^2", "points": [[0.6, 0.8, 0.0], [0, 0, 1]]},
+        "pfaffian": {"pfaffian": ["0", "x", "1"], "chart": "spacetime", "metric": "minkowski",
+                     "points": [[0.1, 0.2, 0.3]]},
+    }
+    calls = [("classify", "json", "classify"), ("levelset", "json", "surface"),
+             ("pfaffian", "json", "surface"), ("geodesic", "csv", "geodesic"),
+             ("geodesic", "json", "geodesic")]
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     script = (
         "import sys\n"
         "from pseudoform import cli\n"
         "seen = ['numpy' in sys.modules]\n"
-        "for fmt in ('csv', 'json'):\n"
-        "    code = cli.run(['--config', sys.argv[1], '--out', sys.argv[2] + '.' + fmt,\n"
-        "                    '--format', fmt, 'geodesic'])\n"
+        f"for name, fmt, command in {calls!r}:\n"
+        "    config, out = f'{sys.argv[1]}/{name}.json', f'{sys.argv[1]}/out-{name}.{fmt}'\n"
+        "    code = cli.run(['--config', config, '--out', out, '--format', fmt, command])\n"
         "    seen += [code, 'numpy' in sys.modules]\n"
         "print(*seen)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     # numpy loaded after the import, then exit code and numpy loaded after each call
-    assert (proc.stdout, proc.stderr) == ("False 0 False 0 False\n", "")
-    assert (tmp_path / "out.csv").read_text().count("\n") == 52
-    assert json.loads((tmp_path / "out.json").read_text())["result"]["aborted"] is False
+    assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(calls) + "\n", "")
+    assert (tmp_path / "out-geodesic.csv").read_text().count("\n") == 52
+    assert json.loads((tmp_path / "out-geodesic.json").read_text())["result"]["aborted"] is False
+    assert json.loads((tmp_path / "out-classify.json").read_text())["result"]["class"] == (
+        "non_integrable")
+    assert len(json.loads((tmp_path / "out-levelset.json").read_text())["result"]) == 2
+    assert len(json.loads((tmp_path / "out-pfaffian.json").read_text())["result"]) == 1
 
 
 def test_classify_normalizes_huge_finite_forms():
@@ -273,25 +322,26 @@ class _Contact(OneForm):
         self.chart = "spatial"
 
     def components_at(self, p):
-        return np.array((0.0, p[0], 1.0))
+        return (0.0, p[0], 1.0)
 
     def values_and_jacobian(self, p):
         return (0.0, p[0], 1.0), ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-def test_classify_peak_memory_is_that_of_its_points():
-    # Building the points peaks at about 76 bytes a sample (15 MB at this count), and
-    # the array classify peaked there too; a list of all points as floats or
-    # per-sample lists would add 20 MB or more
-    region = RegionSampler((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), count=2 * 10**5, seed=1)
+def _classify_peak(count):
+    region = RegionSampler((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), count=count, seed=1)
     tracemalloc.start()
     try:
-        region.points()
-        points_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         result = classify(_Contact(), region)
-        classify_peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.kind is NormalForm.NON_INTEGRABLE
-    assert classify_peak <= points_peak + 64 * 1024
+    return peak
+
+
+def test_classify_peak_memory_does_not_grow_with_the_count():
+    # the points are computed as classify reads them, so a hundred times the
+    # samples takes no more memory; an array or list of all points would add
+    # 4.8 MB or more at 2e5 samples
+    assert _classify_peak(2 * 10**5) <= _classify_peak(2 * 10**3) + 64 * 1024
