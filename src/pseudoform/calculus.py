@@ -34,17 +34,25 @@ DEGENERACY_TOL = 1e-12  # |N| at or below this is a vanishing Pfaffian
 
 
 def float_coords(v, size):
-    """The ``size`` entries of a vector as a tuple of floats, or None for another shape.
+    """The ``size`` entries of a vector as a tuple of floats, or None.
 
-    A list or tuple of plain ints and floats is read without NumPy;
-    anything else goes through ``numpy.asarray`` for the shape check.
+    None stands for anything but ``size`` real numbers (plain or NumPy
+    ints and floats, not bools): another length, a scalar, or an entry
+    that is a string, None, a complex number or a nested sequence.  A
+    list or tuple of plain ints and floats is read as it is.
     """
     if type(v) in (tuple, list) and len(v) == size and all(type(c) in (float, int) for c in v):
         return tuple([float(c) for c in v])
-    import numpy as np
+    import numbers
 
-    arr = np.asarray(v, dtype=float)
-    return tuple(arr.tolist()) if arr.shape == (size,) else None
+    try:
+        entries = list(v)
+    except TypeError:  # a scalar
+        return None
+    if len(entries) != size or not all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool) for c in entries):
+        return None
+    return tuple([float(c) for c in entries])
 
 
 def point_coords(p):
@@ -58,9 +66,7 @@ def point_coords(p):
     else:
         coords = float_coords(p, 3)
         if coords is None:
-            import numpy as np
-
-            raise ValidationError(f"chart point must have 3 coordinates, got shape {np.shape(p)}")
+            raise ValidationError("chart point must have 3 coordinates, all real numbers")
     if not all(map(math.isfinite, coords)):
         raise ValidationError(f"chart point has non-finite coordinates: {format_point(coords)}")
     return coords

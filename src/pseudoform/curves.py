@@ -71,7 +71,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     p0 = point_coords(p0)
     nu = float_coords(nu0, 2)
     if nu is None:
-        raise ValidationError("initial frame velocity nu must have 2 components")
+        raise ValidationError("initial frame velocity nu must have 2 components, all real numbers")
     if not all(map(math.isfinite, nu)):
         raise ValidationError(f"initial frame velocity nu must be finite, got {nu}")
     if math.hypot(*nu) <= 1e-15:

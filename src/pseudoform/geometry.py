@@ -219,8 +219,8 @@ class FundamentalForms:
 
     ``g_rows`` (in physical units) and ``h_rows`` are the 2x2 forms as two
     rows of floats, and ``legs`` the frame's tangent legs e1, e2 as chart
-    3-tuples.  ``g``, ``h`` and ``tangent`` (the legs as columns) are the
-    same as arrays, built each time they are read.
+    3-tuples.  ``g`` and ``h`` are the forms as arrays, built each time
+    they are read.
     """
 
     g_rows: tuple
@@ -239,12 +239,6 @@ class FundamentalForms:
         import numpy as np
 
         return np.array(self.h_rows)
-
-    @property
-    def tangent(self):
-        import numpy as np
-
-        return np.array(self.legs).T
 
 
 @dataclass(frozen=True)

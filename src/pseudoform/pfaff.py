@@ -8,10 +8,10 @@ coefficient by |theta|^2) so the verdict is invariant under constant
 rescaling of theta.
 
 The sampler and the classification run on plain floats and never import
-NumPy.  The digit scramble draws its permutations from a pure-Python copy
-of ``numpy.random.default_rng(seed).permutation``, so the points are the
-ones NumPy's generator gives, bit for bit; each point is computed from
-its index when it is read.
+NumPy.  The digit scramble draws its permutations from
+``random.Random(seed).random()``, whose stream Python keeps stable for a
+given seed, so the points are the same bytes on every Python version; each
+point is computed from its index when it is read.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ class RegionSampler:
     def __post_init__(self):
         lo, hi = float_coords(self.lower, 3), float_coords(self.upper, 3)
         if lo is None or hi is None:
-            raise ValidationError("region bounds must each have 3 coordinates")
+            raise ValidationError("region bounds must each have 3 coordinates, all real numbers")
         box = f"lower={format_point(lo)}, upper={format_point(hi)}"
         if not all(b > a for a, b in zip(lo, hi)):
             raise ValidationError(f"degenerate region box: {box}")
@@ -88,6 +89,8 @@ class _HaltonPoints(Sequence):
     Axis j of point i takes the radical inverse of i in base
     ``HALTON_BASES[j]``, with every digit position passed through its own
     random permutation of the digits (Owen, arXiv:1706.02808, Algorithm 1).
+    The permutations, axis by axis and position by position, sort the
+    digits by successive ``random.Random(seed).random()`` draws.
     Positions run while ``base**-k > 2**-54``, so the fixed tail digits of
     short indices are scrambled too and fill a double.  The value adds
     ``perm[digit] * base**-k`` from the lowest position up, one addition
@@ -100,12 +103,13 @@ class _HaltonPoints(Sequence):
 
     def __init__(self, lo, hi, count, seed):
         self._count = count
-        rng = _PCG64(seed)
+        rng = random.Random(seed)
         self._axes = []
         for base, start, end in zip(HALTON_BASES, lo, hi):
             terms, scale = [], 1.0 / base
             for _ in range(math.ceil(54 / math.log2(base)) - 1):
-                terms.append(tuple(d * scale for d in rng.permutation(base)))
+                perm = sorted(range(base), key=lambda _: rng.random())
+                terms.append(tuple(d * scale for d in perm))
                 scale /= base
             # the sums over the lowest `low` positions, for every value of their digits
             sums, span, low = [0.0], 1, 0
@@ -147,94 +151,6 @@ class _HaltonPoints(Sequence):
                 v += term
             coords.append(lo + v * width)
         return tuple(coords)
-
-
-# numpy.random.SeedSequence's hash constants (pool of 4 uint32 words)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# the 128-bit LCG multiplier of PCG64 (O'Neill, "PCG", 2014)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
-
-
-def _seed_sequence_words(seed):
-    """The 8 uint32 words of ``SeedSequence(seed).generate_state(4, np.uint64)``."""
-    entropy = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    words, hash_const = [], _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return words
-
-
-class _PCG64:
-    """``numpy.random.default_rng(seed)`` for the draws ``permutation(n)`` makes.
-
-    PCG64 (XSL-RR output) seeded through ``SeedSequence``, with NumPy's
-    buffered 32-bit draws and its Fisher-Yates shuffle over masked
-    rejection draws (``random_interval``).
-    """
-
-    def __init__(self, seed):
-        # w pairs up little-endian into 4 uint64 words; pcg64_set_seed takes
-        # the first two (high word first) as the seed and the last two as the stream
-        w = _seed_sequence_words(seed)
-        state = (w[1] << 32 | w[0]) << 64 | (w[3] << 32 | w[2])
-        self._inc = ((w[5] << 32 | w[4]) << 64 | (w[7] << 32 | w[6])) << 1 & _MASK128 | 1
-        # from state 0: one step (giving inc), add the seed, one more step
-        self._state = (self._inc + state) * _PCG_MULT + self._inc & _MASK128
-        self._buffered = None
-
-    def _next64(self):
-        self._state = state = self._state * _PCG_MULT + self._inc & _MASK128
-        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        return (word >> rot | word << (64 - rot)) & _MASK64
-
-    def _next32(self):
-        if self._buffered is not None:
-            word, self._buffered = self._buffered, None
-            return word
-        word = self._next64()
-        self._buffered = word >> 32
-        return word & _MASK32
-
-    def permutation(self, n):
-        """``Generator.permutation(n)`` for n below 2**32, as a list."""
-        perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._next32() & mask
-            while j > i:
-                j = self._next32() & mask
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
 
 
 def frobenius_coefficient(theta, p):

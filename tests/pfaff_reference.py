@@ -1,8 +1,8 @@
 """The array forms of ``pfaff.classify`` and its sampler, kept as references.
 
 ``points`` builds a sampler's points on arrays, with the digit
-permutations drawn by NumPy's own generator: ``RegionSampler.points()``
-must give the same floats bit for bit.
+permutations drawn from its own ``random.Random(seed)``:
+``RegionSampler.points()`` must give the same floats bit for bit.
 
 ``classify`` reads those points.  Each sample takes theta from
 ``components_at`` and d theta from its own array ``j - j.T`` of the
@@ -14,6 +14,7 @@ maxima bit for bit.
 """
 
 import math
+import random
 
 import numpy as np
 
@@ -26,19 +27,19 @@ def scrambled_halton(count, seed):
 
     Axis j takes the radical inverse of the point index in base
     ``HALTON_BASES[j]``, with every digit position passed through its own
-    permutation of the digits, drawn by ``np.random.default_rng(seed)``
-    (Owen, arXiv:1706.02808, Algorithm 1).  Positions run while
-    ``base**-k > 2**-54``, so the fixed tail digits of short indices are
-    scrambled too and fill a double.
+    permutation of the digits, the digits sorted by successive
+    ``random.Random(seed).random()`` draws (Owen, arXiv:1706.02808,
+    Algorithm 1).  Positions run while ``base**-k > 2**-54``, so the fixed
+    tail digits of short indices are scrambled too and fill a double.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     unit = np.empty((count, len(HALTON_BASES)))
     for axis, base in enumerate(HALTON_BASES):
         index = np.arange(count)
         value = np.zeros(count)
         scale = 1.0 / base
         for _ in range(math.ceil(54 / math.log2(base)) - 1):
-            perm = rng.permutation(base)
+            perm = np.array(sorted(range(base), key=lambda _: rng.random()))
             if index.any():
                 value += perm[index % base] * scale
                 index //= base
