@@ -238,13 +238,39 @@ def _write_csv(header, blocks, out):
             fh.write(row_fmt * (len(block) // width) % tuple(block))
 
 
+def _write_finite_csv(args, header, row_blocks):
+    """Write 2-D blocks of rows as CSV, each checked before it is written.
+
+    At the first row that holds a value that is not finite, the rows before
+    it are written and ``EvaluationDomainError`` names it (exit 3), as an
+    aborted geodesic reports its last step.  Rows count from 0 after the
+    header, so an orbit's row is its step.
+    """
+    import numpy as np
+
+    def checked():
+        row = 0
+        for block in row_blocks:
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                first = int(bad.argmax())
+                yield block[:first].ravel().tolist()
+                raise EvaluationDomainError(
+                    f"non-finite value in the {args.command} result at row {row + first}"
+                )
+            yield block.ravel().tolist()
+            row += len(block)
+
+    _write_csv(header, checked(), args.out)
+
+
 def _write_table(args, config, header, key, blocks):
     """(times, values) blocks as streamed CSV rows, or one JSON table under ``key``."""
     import numpy as np
 
     rows = (np.column_stack(block) for block in blocks)
     if args.format == "csv":
-        _write_csv(header, (block.ravel().tolist() for block in rows), args.out)
+        _write_finite_csv(args, header, rows)
         return
     table = np.concatenate(list(rows))
     _write_json(args, config, {"times": table[:, 0].tolist(), key: table[:, 1:].tolist()})
@@ -413,8 +439,7 @@ def _cmd_foucault_precession(config, args):
         import numpy as np
 
         rows = np.column_stack([estimate.window_centers, estimate.center_states, estimate.angles])
-        _write_csv(["t", "x", "y", "vx", "vy", "plane_angle_rad"], [rows.ravel().tolist()],
-                   args.out)
+        _write_finite_csv(args, ["t", "x", "y", "vx", "vy", "plane_angle_rad"], [rows])
 
 
 def _cmd_transport(config, args):

@@ -15,7 +15,7 @@ imported only when a caller reads the samples as arrays, so the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculus import float_coords, point_coords
 from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
@@ -23,8 +23,7 @@ from .geometry import unit_normal
 from .integrate import rk4_step, validate_steps
 
 
-@dataclass
-class SampledCurve:
+class SampledCurve(NamedTuple):
     """Fixed-step samples of a curve, ``ds`` apart from s = 0.
 
     ``states`` holds one (x1, x2, x3, v1, v2, v3) tuple of floats per

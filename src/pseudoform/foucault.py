@@ -21,8 +21,7 @@ functions that build them import NumPy when they are called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConstraintViolationError, DegenerateWindowError, ValidationError, check_real
 from .formlang import parse_oneform
@@ -43,8 +42,15 @@ ANISOTROPY_TOL = 0.05
 MAX_STEPS = 10**9  # largest orbit step count accepted; 1e9 RK4 steps take hours
 
 
-@dataclass(frozen=True)
-class FoucaultConfig:
+class _FoucaultFields(NamedTuple):
+    latitude: float  # radians
+    length: float = 67.0
+    gravity: float = 9.81
+    omega_earth: float = OMEGA_EARTH
+    frame_rate: Optional[float] = None
+
+
+class FoucaultConfig(_FoucaultFields):
     """Pendulum and constraint-plane parameters.
 
     ``frame_rate`` is phi_dot of the rotating constraint plane; by
@@ -52,22 +58,25 @@ class FoucaultConfig:
     sin(latitude), which makes the normal-acceleration identity exact.
     """
 
-    latitude: float  # radians
-    length: float = 67.0
-    gravity: float = 9.81
-    omega_earth: float = OMEGA_EARTH
-    frame_rate: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("latitude", "length", "gravity", "omega_earth", "frame_rate"):
-            if (value := getattr(self, name)) is not None:
+    def __new__(cls, latitude, length=67.0, gravity=9.81, omega_earth=OMEGA_EARTH,
+                frame_rate=None):
+        self = super().__new__(cls, latitude, length, gravity, omega_earth, frame_rate)
+        for name, value in zip(self._fields, self):
+            if value is not None:
                 check_real(name, value)
-        if self.length <= 0 or self.gravity <= 0:
+        if length <= 0 or gravity <= 0:
             raise ValidationError("pendulum length and gravity must be positive")
-        if abs(self.latitude) > math.pi / 2:
-            raise ValidationError(f"latitude must lie in [-pi/2, pi/2], got {self.latitude!r}")
-        if self.omega_earth < 0:
-            raise ValidationError(f"omega_earth must be >= 0, got {self.omega_earth!r}")
+        if abs(latitude) > math.pi / 2:
+            raise ValidationError(f"latitude must lie in [-pi/2, pi/2], got {latitude!r}")
+        if omega_earth < 0:
+            raise ValidationError(f"omega_earth must be >= 0, got {omega_earth!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one checks the length but skips __new__
+        return cls(*super()._make(iterable))
 
     @property
     def precession_rate(self):
@@ -104,8 +113,7 @@ def foucault_frame_field(cfg, metric=EUCLIDEAN):
     return adapt_frame(theta2_oneform(cfg), metric)
 
 
-@dataclass(frozen=True)
-class FoucaultGeometry:
+class FoucaultGeometry(NamedTuple):
     frobenius: float
     g: np.ndarray
     h: np.ndarray
@@ -132,8 +140,7 @@ def foucault_geometry(cfg, metric=EUCLIDEAN, t=0.0):
 # -- planar small-angle dynamics ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PendulumState:
+class PendulumState(NamedTuple):
     t: float
     x: float
     y: float
@@ -141,8 +148,7 @@ class PendulumState:
     vy: float
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     times: np.ndarray
     states: np.ndarray  # columns x, y, vx, vy
     config: "FoucaultConfig"
@@ -161,8 +167,7 @@ class Trajectory:
         yield self.times, self.states
 
 
-@dataclass(frozen=True)
-class PendulumOrbit:
+class PendulumOrbit(NamedTuple):
     """A pendulum run computed one row block at a time.
 
     ``blocks()`` yields (times, states) pairs, times ``dt * k``; their rows,
@@ -299,8 +304,7 @@ def decompose_acceleration(cfg, state, restoring):
 # -- precession measurement ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrecessionEstimate:
+class PrecessionEstimate(NamedTuple):
     rate: float  # rad/s, least-squares slope of the plane angle
     window_centers: np.ndarray
     angles: np.ndarray  # unwrapped plane angles (mod pi) per window
@@ -311,9 +315,12 @@ def _window_angle(x, y):
     """Principal-axis angle of the second-moment matrix of a point cloud."""
     import numpy as np
 
-    mxx = float(np.mean(x * x))
-    myy = float(np.mean(y * y))
-    mxy = float(np.mean(x * y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mxx = float(np.mean(x * x))
+        myy = float(np.mean(y * y))
+        mxy = float(np.mean(x * y))
+    if not math.isfinite(mxx + myy + mxy):  # overflowed: no angle, not a wrong finite one
+        return math.nan
     tr = mxx + myy
     if tr <= 0:
         raise DegenerateWindowError("window has no signal (all points at origin)")
@@ -403,8 +410,7 @@ def measure_precession(traj, window_seconds=None):
 # -- parallel transport ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportState:
+class TransportState(NamedTuple):
     times: np.ndarray
     components: np.ndarray  # natural (chart) components, shape (n, 3)
 

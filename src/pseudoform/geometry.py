@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculus import (
     OneForm, ScalarField, format_point, gradient_oneform, pfaffian_norm, point_coords,
@@ -47,8 +47,12 @@ class MetricKind(enum.Enum):
     MINKOWSKI = "minkowski"
 
 
-@dataclass(frozen=True)
-class MetricSignature:
+class _MetricFields(NamedTuple):
+    kind: MetricKind
+    light_speed: float = LIGHT_SPEED
+
+
+class MetricSignature(_MetricFields):
     """Metric selector: Euclidean, degenerate Galilean, or Minkowski.
 
     On the space-time chart the first coordinate is time; the Minkowski
@@ -57,15 +61,19 @@ class MetricSignature:
     must be positive with a finite, non-zero square, under every kind.
     """
 
-    kind: MetricKind
-    light_speed: float = LIGHT_SPEED
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = check_real("light_speed", self.light_speed)
+    def __new__(cls, kind, light_speed=LIGHT_SPEED):
+        c = check_real("light_speed", light_speed)
         if not (c > 0.0 and 0.0 < c * c < math.inf):
             raise ValidationError(
                 f"light_speed must be positive with a finite non-zero square, got {c!r}"
             )
+        return super().__new__(cls, kind, light_speed)
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one checks the length but skips __new__
+        return cls(*super()._make(iterable))
 
     def rows(self, normalized=False):
         """The metric's matrix as three 3-tuple rows of floats.
@@ -213,8 +221,7 @@ def connection_form(frame, p):
     return np.einsum("nk,nmj,mi->ijk", x, dx, x)
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     """First and second forms at a point, as float rows.
 
     ``g_rows`` (in physical units) and ``h_rows`` are the 2x2 forms as two
@@ -241,8 +248,7 @@ class FundamentalForms:
         return np.array(self.h_rows)
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     kappa1: complex
     kappa2: complex
     gaussian: complex

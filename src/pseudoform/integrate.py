@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import ValidationError, check_integer, check_real
 
-BLOCK = 1024  # rows advanced per stacked product in linear_rk4_blocks
+BLOCK = 1024  # rows advanced per flat product of powers in linear_rk4_blocks
 
 
 def rk4_step(f, t, y, h):
@@ -65,25 +65,32 @@ def linear_rk4_blocks(a, y0, h, steps):
     The first block is row 0, ``y0`` exactly, as a (1, n) array; then come
     blocks of at most B = ``BLOCK`` rows.  With M the one-step matrix, the
     powers M^1 ... M^B (B at most ``steps``) are formed once, and each block
-    is the stacked product of those powers with the last row before it: row
-    s + j is M^j applied to row s.  This is the scheme of stepping
-    ``y = M @ y`` with a different rounding order; the tests bound its
-    deviation from explicit stepping (at most 1e-12 of the largest state
-    component over 2e5 steps of the Paris pendulum).  Between blocks the
-    generator keeps only the powers and the last row.
+    is one product of the powers, flattened to a (B n, n) matrix, with the
+    last row before it: row s + j is M^j applied to row s.  The tests hold
+    it to one ulp of each row's largest entry of the stacked (B, n, n)
+    product.  This is the scheme of stepping ``y = M @ y`` with a different
+    rounding order; the tests bound its deviation from explicit stepping
+    (at most 1e-12 of the largest state component over 2e5 steps of the
+    Paris pendulum).  Between blocks the generator keeps only the powers
+    and the last row.  A step past RK4's stability limit grows to inf and
+    NaN without a NumPy warning; the caller decides what such a row means.
     """
     import numpy as np
 
     validate_steps(steps, h)
-    m = rk4_transition_matrix(a, h)
     y = np.asarray(y0, dtype=float)
-    powers = np.empty((min(BLOCK, steps), y.size, y.size))
-    powers[0] = m
-    for j in range(1, len(powers)):
-        powers[j] = powers[j - 1] @ m
+    n = y.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = rk4_transition_matrix(a, h)
+        powers = np.empty((min(BLOCK, steps), n, n))
+        powers[0] = m
+        for j in range(1, len(powers)):
+            powers[j] = powers[j - 1] @ m
+    flat = powers.reshape(-1, n)
     yield y.reshape(1, -1).copy()
     for s in range(0, steps, len(powers)):
-        block = powers[: min(len(powers), steps - s)] @ y
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = (flat[: min(len(powers), steps - s) * n] @ y).reshape(-1, n)
         yield block
         y = block[-1].copy()
 

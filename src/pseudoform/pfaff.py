@@ -21,7 +21,7 @@ import math
 import operator
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculus import dtheta_cyclic, float_coords, format_point, pfaffian_norm, point_coords
 from .errors import ValidationError, check_integer, check_real
@@ -38,25 +38,27 @@ class NormalForm(enum.Enum):
     NON_INTEGRABLE = "non_integrable"       # theta = d phi + lambda d mu
 
 
-@dataclass(frozen=True)
-class IntegrabilityClass:
+class IntegrabilityClass(NamedTuple):
     kind: NormalForm
     max_dtheta: float
     max_frobenius: float
     max_frobenius_raw: float
 
 
-@dataclass(frozen=True)
-class RegionSampler:
-    """Axis-aligned box sampler with a deterministic Halton sequence."""
-
+class _RegionFields(NamedTuple):
     lower: tuple
     upper: tuple
     count: int = 100
     seed: int = 0
 
-    def __post_init__(self):
-        lo, hi = float_coords(self.lower, 3), float_coords(self.upper, 3)
+
+class RegionSampler(_RegionFields):
+    """Axis-aligned box sampler with a deterministic Halton sequence."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower, upper, count=100, seed=0):
+        lo, hi = float_coords(lower, 3), float_coords(upper, 3)
         if lo is None or hi is None:
             raise ValidationError("region bounds must each have 3 coordinates, all real numbers")
         box = f"lower={format_point(lo)}, upper={format_point(hi)}"
@@ -64,14 +66,17 @@ class RegionSampler:
             raise ValidationError(f"degenerate region box: {box}")
         if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
             raise ValidationError(f"region box is wider than a float can hold: {box}")
-        if check_integer("sample count", self.count) < 1:
-            raise ValidationError(f"sample count must be >= 1, got {self.count}")
-        if self.count > MAX_SAMPLES:
-            raise ValidationError(
-                f"sample count {self.count} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
-            )
-        if check_integer("seed", self.seed) < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if check_integer("sample count", count) < 1:
+            raise ValidationError(f"sample count must be >= 1, got {count}")
+        if count > MAX_SAMPLES:
+            raise ValidationError(f"sample count {count} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+        if check_integer("seed", seed) < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        return super().__new__(cls, lower, upper, count, seed)
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one checks the length but skips __new__
+        return cls(*super()._make(iterable))
 
     def points(self):
         """The ``count`` sample points as a sized sequence of 3-tuples of floats.

@@ -737,6 +737,29 @@ def test_a_non_finite_json_result_is_a_numerical_error_and_writes_nothing(
     assert not target.exists()
 
 
+# dt = 1e3 is far past RK4's stability limit for this pendulum, so its orbit
+# grows to inf and NaN; the transported 1e300 overflows in its one step
+_UNSTABLE_PENDULUM = {"latitude": 0.8526, "dt": 1e3, "duration": 1e5, "initial": [0.1, 0, 0, 0]}
+_OVERFLOWING_TRANSPORT = {"latitude": 0.8526, "initial": [1e-9, 3, 1e300], "t0": 0.5,
+                          "t1": 299792458, "dt": 1e300}
+
+
+@pytest.mark.parametrize("words, config", [
+    (["foucault", "sim"], _UNSTABLE_PENDULUM),
+    (["foucault", "precession"], _UNSTABLE_PENDULUM),
+    (["transport"], _OVERFLOWING_TRANSPORT),
+], ids=["sim", "precession", "transport"])
+def test_a_non_finite_csv_row_stops_the_output_with_exit_3(tmp_path, capsys, words, config):
+    # the rows before the first non-finite one are written, and the error names
+    # that row; a NumPy warning would fail the test, as warnings are errors here
+    code, out, err = _run(tmp_path, capsys, ["--format", "csv", *words], config)
+    lines = out.splitlines()
+    assert code == 3 and len(lines) >= 2
+    assert err == (f"numerical error: non-finite value in the {'-'.join(words)} result "
+                   f"at row {len(lines) - 1}\n")
+    assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
+
 def test_json_keys_sorted(tmp_path, capsys):
     config = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
     _, out, _ = _run(tmp_path, capsys, ["classify"], config)

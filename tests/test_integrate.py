@@ -65,6 +65,27 @@ def test_orbit_block_edges(steps):
     assert np.concatenate(blocks).tobytes() == orbit.tobytes()
 
 
+@pytest.mark.parametrize("a, y0, h", [
+    (fc.dynamics_matrix(PARIS), [0.1, 0.01562268953645183, -0.003, 0.07], 1e-3),
+    (fc.transport_generator(PARIS), [0.3, 0.5, 0.8], 0.1),
+], ids=["pendulum-4x4", "transport-3x3"])
+def test_blocks_match_the_stacked_product_of_the_powers(a, y0, h):
+    # each block is one flat (B n, n) product; the stacked (B, n, n) product of
+    # the same powers with the same row computes every entry as the same dot
+    # product, so the two agree to one ulp of each row's largest entry
+    steps = 2 * BLOCK + 5
+    m = rk4_transition_matrix(a, h)
+    powers = [m]
+    while len(powers) < BLOCK:
+        powers.append(powers[-1] @ m)
+    powers = np.array(powers)
+    blocks = list(linear_rk4_blocks(a, y0, h, steps))
+    for before, block in zip(blocks, blocks[1:]):
+        stacked = powers[: len(block)] @ before[-1]
+        ulp = np.spacing(np.max(np.abs(stacked), axis=1))[:, None]
+        assert np.all(np.abs(block - stacked) <= ulp)
+
+
 def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():
     def f(t, y):
         return (y[1], -math.sin(y[0]) + 0.1 * math.cos(t), y[0] * y[1])
@@ -122,6 +143,28 @@ def test_library_numbers_are_refused_with_a_typed_error_that_names_them(case):
     call, name = _REFUSED_NUMBERS[case]
     with pytest.raises(ValidationError, match=name):
         call()
+
+
+_VALIDATED_RECORDS = {  # a record whose constructor validates, and a field value it refuses
+    "region-count": (RegionSampler(*_BOX), "count", 0),
+    "foucault-latitude": (PARIS, "latitude", 2.0),
+    "metric-light-speed": (MetricSignature(MetricKind.MINKOWSKI), "light_speed", -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VALIDATED_RECORDS))
+def test_validated_records_refuse_bad_fields_through_make_and_replace(case):
+    # namedtuple's own _make, which _replace calls, builds the tuple without __new__
+    record, field, bad = _VALIDATED_RECORDS[case]
+    cls = type(record)
+    with pytest.raises(ValidationError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValidationError):
+        cls._make(bad if name == field else value for name, value in zip(cls._fields, record))
+    with pytest.raises(TypeError):
+        cls._make(list(record)[:-1])
+    assert type(cls._make(record)) is cls and cls._make(record) == record
+    assert record._replace() == record
 
 
 def test_validate_steps_takes_numpy_scalars():

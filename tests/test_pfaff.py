@@ -194,45 +194,62 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
-    # classify, surface and the geodesic run on floats from their config to
-    # their JSON or CSV, so neither the import nor a call loads NumPy
+_FLOAT_CONFIGS = {
+    "geodesic": {"levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [0.6, 0.8],
+                 "ds": 0.01, "steps": 50},
+    "classify": {"theta": ["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"],
+                 "lower": [0.2, 0.5, 0.2], "upper": [1, 1.5, 1], "count": 50},
+    "levelset": {"levelset": "x^2+y^2+z^2", "points": [[0.6, 0.8, 0.0], [0, 0, 1]]},
+    "pfaffian": {"pfaffian": ["0", "x", "1"], "chart": "spacetime", "metric": "minkowski",
+                 "points": [[0.1, 0.2, 0.3]]},
+}
+# (config, format, command) of each float call
+_FLOAT_CALLS = [("classify", "json", "classify"), ("levelset", "json", "surface"),
+                ("pfaffian", "json", "surface"), ("geodesic", "csv", "geodesic"),
+                ("geodesic", "json", "geodesic")]
+
+
+def _loaded_by_float_calls(tmp_path, module):
+    """Run ``import pseudoform.cli`` and then every float call in one fresh
+    interpreter; its stdout says whether ``module`` was loaded after the
+    import, then gives each call's exit code and whether it was loaded after it."""
     src = str(Path(pseudoform.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    configs = {
-        "geodesic": {"levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [0.6, 0.8],
-                     "ds": 0.01, "steps": 50},
-        "classify": {"theta": ["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"],
-                     "lower": [0.2, 0.5, 0.2], "upper": [1, 1.5, 1], "count": 50},
-        "levelset": {"levelset": "x^2+y^2+z^2", "points": [[0.6, 0.8, 0.0], [0, 0, 1]]},
-        "pfaffian": {"pfaffian": ["0", "x", "1"], "chart": "spacetime", "metric": "minkowski",
-                     "points": [[0.1, 0.2, 0.3]]},
-    }
-    calls = [("classify", "json", "classify"), ("levelset", "json", "surface"),
-             ("pfaffian", "json", "surface"), ("geodesic", "csv", "geodesic"),
-             ("geodesic", "json", "geodesic")]
-    for name, config in configs.items():
+    for name, config in _FLOAT_CONFIGS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     script = (
         "import sys\n"
         "from pseudoform import cli\n"
-        "seen = ['numpy' in sys.modules]\n"
-        f"for name, fmt, command in {calls!r}:\n"
+        f"seen = [{module!r} in sys.modules]\n"
+        f"for name, fmt, command in {_FLOAT_CALLS!r}:\n"
         "    config, out = f'{sys.argv[1]}/{name}.json', f'{sys.argv[1]}/out-{name}.{fmt}'\n"
         "    code = cli.run(['--config', config, '--out', out, '--format', fmt, command])\n"
-        "    seen += [code, 'numpy' in sys.modules]\n"
+        f"    seen += [code, {module!r} in sys.modules]\n"
         "print(*seen)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True)
-    # numpy loaded after the import, then exit code and numpy loaded after each call
-    assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(calls) + "\n", "")
+
+
+def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
+    # classify, surface and the geodesic run on floats from their config to
+    # their JSON or CSV, so neither the import nor a call loads NumPy
+    proc = _loaded_by_float_calls(tmp_path, "numpy")
+    assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(_FLOAT_CALLS) + "\n", "")
     assert (tmp_path / "out-geodesic.csv").read_text().count("\n") == 52
     assert json.loads((tmp_path / "out-geodesic.json").read_text())["result"]["aborted"] is False
     assert json.loads((tmp_path / "out-classify.json").read_text())["result"]["class"] == (
         "non_integrable")
     assert len(json.loads((tmp_path / "out-levelset.json").read_text())["result"]) == 2
     assert len(json.loads((tmp_path / "out-pfaffian.json").read_text())["result"]) == 1
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_cli_import_and_float_calls_leave_dataclasses_and_inspect_unloaded(tmp_path, module):
+    # the result records are named tuples, so no call pays for dataclasses,
+    # or for inspect, which it imports
+    proc = _loaded_by_float_calls(tmp_path, module)
+    assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(_FLOAT_CALLS) + "\n", "")
 
 
 def test_classify_normalizes_huge_finite_forms():
@@ -326,20 +343,29 @@ class _Contact(OneForm):
         return (0.0, p[0], 1.0), ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-def _classify_peak(count):
-    region = RegionSampler((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), count=count, seed=1)
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        result = classify(_Contact(), region)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def _classify_peak(count):
+    region = RegionSampler((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), count=count, seed=1)
+    result, peak = _traced_peak(lambda: classify(_Contact(), region))
     assert result.kind is NormalForm.NON_INTEGRABLE
     return peak
 
 
 def test_classify_peak_memory_does_not_grow_with_the_count():
     # the points are computed as classify reads them, so a hundred times the
-    # samples takes no more memory; an array or list of all points would add
-    # 4.8 MB or more at 2e5 samples
-    assert _classify_peak(2 * 10**5) <= _classify_peak(2 * 10**3) + 64 * 1024
+    # samples takes no more memory; a list of all points at 2e4 samples holds
+    # more than the margin, so holding the points would fail the first assert
+    margin = 64 * 1024
+    assert _classify_peak(2 * 10**4) <= _classify_peak(2 * 10**2) + margin
+    region = RegionSampler((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), count=2 * 10**4, seed=1)
+    assert _traced_peak(lambda: list(region.points()))[1] > margin
