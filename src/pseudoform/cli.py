@@ -8,6 +8,13 @@ documents carry ``schema_version`` 1, echo every defaulted config field
 and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
 %.17g formatting.
 
+JSON is written by this module's own encoder, byte for byte the layout of
+``json.dumps(document, indent=2, sort_keys=True)``.  The long lists of
+``foucault sim``, ``transport`` and ``geodesic`` are streamed block by
+block, so the JSON forms hold no more of a run than the CSV forms; each
+stream is read once to check it is finite before the output is opened, so
+a refused result (exit 3) writes nothing.
+
 Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
 components) extend the same layout with a z / time-component column.
@@ -206,7 +213,120 @@ def _report_json(report):
     }
 
 
+_STREAM = "\0"  # a stream's place in the encoded text, which escapes NUL everywhere else
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _finite_floats(text):
+    """``text``, the repr of one or more floats, refused if one is inf or NaN."""
+    if "n" in text:
+        raise ValueError("JSON has no inf or NaN")
+    return text
+
+
+def _json_text(value, nl, streams):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``.
+
+    ``value`` starts a line indented as ``nl`` (a newline and the spaces
+    before it) says.  As in ``json``, floats and float subclasses are
+    written by ``float.__repr__``, ints by ``int.__repr__`` and tuples as
+    lists.  An inf or NaN raises ``ValueError``; a key that is not a
+    string, or a value JSON has no form for, raises ``TypeError``.  The
+    documents are trees, so there is no check for circular references.
+
+    A zero-argument callable stands for a list written in blocks by
+    ``_write_stream``: it goes to ``streams`` with its ``nl``, and
+    ``_STREAM`` takes its place in the text.
+    """
+    parts = []
+    _json_parts(value, nl, parts, streams)
+    return "".join(parts)
+
+
+def _json_parts(value, nl, parts, streams):
+    """``_json_text`` as pieces appended to ``parts``.  A float value of a
+    dict is written in place, and a list of floats in one join."""
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(item) is float:
+                parts.append(sep + _quote(key) + ": " + _finite_floats(float.__repr__(item)))
+            else:
+                parts.append(sep + _quote(key) + ": ")
+                _json_parts(item, inner, parts, streams)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        if isinstance(value[0], float):
+            try:
+                text = ("," + inner).join(map(float.__repr__, value))
+            except TypeError:  # not all floats
+                pass
+            else:
+                parts.append("[" + inner + _finite_floats(text) + nl + "]")
+                return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, inner, parts, streams)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(value, float):
+        parts.append(_finite_floats(float.__repr__(value)))
+    elif isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif callable(value):
+        streams.append((value, nl))
+        parts.append(_STREAM)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _finite(block):
+    """Whether a list of numbers, or of rows of numbers, holds no inf or NaN."""
+    try:
+        return all(map(math.isfinite, block))
+    except TypeError:  # rows
+        return all(all(map(math.isfinite, row)) for row in block)
+
+
+def _write_stream(fh, stream, nl):
+    """Write the blocks of ``stream()``, each a list, to ``fh`` as one JSON array."""
+    opening = "["
+    for block in stream():
+        if block:
+            text = _json_text(block, nl, None)  # "[", the items, nl "]"
+            fh.write(opening + text[1:-1 - len(nl)])
+            opening = ","
+    fh.write("[]" if opening == "[" else nl + "]")
+
+
 def _write_json(args, config, result):
+    """Write the result's document, the bytes of ``json.dumps(indent=2, sort_keys=True)``.
+
+    A list in ``result`` may be given as a zero-argument callable that
+    returns a fresh iterator of blocks, lists of numbers or of rows of
+    numbers; the blocks are written one after another as one array, so the
+    whole list is never held.  The rest of the document is encoded, and
+    every stream read once and checked to be finite, before the output is
+    opened: a refused result (exit 3) writes nothing.
+    """
     document = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": args.command,
@@ -214,12 +334,20 @@ def _write_json(args, config, result):
         "seed": args.seed,
         "result": result,
     }
-    try:  # serialized before the output is opened, so a refusal writes nothing
-        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    streams = []
+    try:
+        first, *rest = _json_text(document, "\n", streams).split(_STREAM)
+        for stream, _ in streams:
+            if not all(map(_finite, stream())):
+                raise ValueError("JSON has no inf or NaN")
     except ValueError as err:
         raise EvaluationDomainError(f"non-finite value in the {args.command} result") from err
     with _output(args.out) as fh:
-        fh.write(text + "\n")
+        fh.write(first)
+        for (stream, nl), text in zip(streams, rest):
+            _write_stream(fh, stream, nl)
+            fh.write(text)
+        fh.write("\n")
 
 
 def _write_csv(header, blocks, out):
@@ -265,15 +393,20 @@ def _write_finite_csv(args, header, row_blocks):
 
 
 def _write_table(args, config, header, key, blocks):
-    """(times, values) blocks as streamed CSV rows, or one JSON table under ``key``."""
-    import numpy as np
+    """(times, values) blocks as streamed CSV rows, or a streamed JSON table under ``key``.
 
-    rows = (np.column_stack(block) for block in blocks)
+    ``blocks()`` returns a fresh iterator of (times, values) array blocks at
+    each call, so each JSON column, and its finite check, reads the run anew.
+    """
     if args.format == "csv":
-        _write_finite_csv(args, header, rows)
+        import numpy as np
+
+        _write_finite_csv(args, header, (np.column_stack(block) for block in blocks()))
         return
-    table = np.concatenate(list(rows))
-    _write_json(args, config, {"times": table[:, 0].tolist(), key: table[:, 1:].tolist()})
+    _write_json(args, config, {
+        "times": lambda: (times.tolist() for times, _ in blocks()),
+        key: lambda: (values.tolist() for _, values in blocks()),
+    })
 
 
 def _geodesic_blocks(curve):
@@ -375,12 +508,15 @@ def _cmd_surface(config, args):
 def _cmd_geodesic(config, args):
     cfg, c = _merge(config, _SURFACE_DEFAULTS, required=("point", "nu", "ds", "steps"))
     curve = integrate_geodesic(_surface(c), c["point"], c["nu"], c["ds"], c["steps"])
-    states = curve.states
+    states, ds, n = curve.states, curve.ds, len(curve.states)
     if args.format == "json":
+        def column(rows):  # a stream of rows(i, j) for samples i to j, BLOCK at a time
+            return lambda: (rows(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
+
         result = {
-            "s": [k * curve.ds for k in range(len(states))],
-            "points": [y[:3] for y in states],
-            "velocities": [y[3:] for y in states],
+            "s": column(lambda i, j: [k * ds for k in range(i, j)]),
+            "points": column(lambda i, j: [y[:3] for y in states[i:j]]),
+            "velocities": column(lambda i, j: [y[3:] for y in states[i:j]]),
             "aborted": curve.aborted,
             "abort_reason": curve.abort_reason,
         }
@@ -415,7 +551,7 @@ def _cmd_foucault_geometry(config, args):
 
 def _cmd_foucault_sim(config, args):
     cfg, c = _merge(config, _FOUCAULT_DEFAULTS, required=("latitude", "dt", "duration", "initial"))
-    _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c).blocks())
+    _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c).blocks)
 
 
 def _cmd_foucault_precession(config, args):
@@ -448,10 +584,9 @@ def _cmd_transport(config, args):
         defaults={**_FOUCAULT_DEFAULTS, "kind": "vector", "t0": 0.0},
         required=("latitude", "initial", "t1", "dt"),
     )
-    blocks = fc.transport_blocks(
-        _foucault_config(c), c["kind"], _initial(c, 3), c["t0"], c["t1"], c["dt"]
-    )
-    _write_table(args, cfg, ["t", "ct", "cx", "cy"], "components", blocks)
+    run = (_foucault_config(c), c["kind"], _initial(c, 3), c["t0"], c["t1"], c["dt"])
+    _write_table(args, cfg, ["t", "ct", "cx", "cy"], "components",
+                 lambda: fc.transport_blocks(*run))
 
 
 # -- driver ----------------------------------------------------------------
