@@ -9,11 +9,10 @@ and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
 %.17g formatting.
 
 JSON is written by this module's own encoder, byte for byte the layout of
-``json.dumps(document, indent=2, sort_keys=True)``.  The long lists of
-``foucault sim``, ``transport`` and ``geodesic`` are streamed block by
-block, so the JSON forms hold no more of a run than the CSV forms; each
-stream is read once to check it is finite before the output is opened, so
-a refused result (exit 3) writes nothing.
+``json.dumps(document, indent=2, sort_keys=True)``, whose pure-Python
+indenting path costs about twice as much.  The JSON forms build the whole
+document before the output is opened, so a refused result (exit 3) writes
+nothing.
 
 Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
@@ -213,7 +212,6 @@ def _report_json(report):
     }
 
 
-_STREAM = "\0"  # a stream's place in the encoded text, which escapes NUL everywhere else
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -224,28 +222,19 @@ def _finite_floats(text):
     return text
 
 
-def _json_text(value, nl, streams):
-    """The text of ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``.
+def _json_parts(value, nl, parts):
+    """Append the text of ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` to ``parts``, for a ``value`` whose dict keys are
+    strings and which starts a line indented as ``nl`` (a newline and the
+    spaces before it) says.
 
-    ``value`` starts a line indented as ``nl`` (a newline and the spaces
-    before it) says.  As in ``json``, floats and float subclasses are
-    written by ``float.__repr__``, ints by ``int.__repr__`` and tuples as
-    lists.  An inf or NaN raises ``ValueError``; a key that is not a
-    string, or a value JSON has no form for, raises ``TypeError``.  The
-    documents are trees, so there is no check for circular references.
-
-    A zero-argument callable stands for a list written in blocks by
-    ``_write_stream``: it goes to ``streams`` with its ``nl``, and
-    ``_STREAM`` takes its place in the text.
+    As in ``json``, floats and float subclasses are written by
+    ``float.__repr__``, ints by ``int.__repr__`` and tuples as lists; a list
+    of floats goes in one join.  An inf or NaN raises ``ValueError``; a key
+    that is not a string, or a value JSON has no form for, raises
+    ``TypeError``.  The documents are trees, so there is no check for
+    circular references.
     """
-    parts = []
-    _json_parts(value, nl, parts, streams)
-    return "".join(parts)
-
-
-def _json_parts(value, nl, parts, streams):
-    """``_json_text`` as pieces appended to ``parts``.  A float value of a
-    dict is written in place, and a list of floats in one join."""
     if isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -253,11 +242,8 @@ def _json_parts(value, nl, parts, streams):
         inner = nl + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            if type(item) is float:
-                parts.append(sep + _quote(key) + ": " + _finite_floats(float.__repr__(item)))
-            else:
-                parts.append(sep + _quote(key) + ": ")
-                _json_parts(item, inner, parts, streams)
+            parts.append(sep + _quote(key) + ": ")
+            _json_parts(item, inner, parts)
             sep = "," + inner
         parts.append(nl + "}")
     elif isinstance(value, (list, tuple)):
@@ -276,7 +262,7 @@ def _json_parts(value, nl, parts, streams):
         sep = "[" + inner
         for item in value:
             parts.append(sep)
-            _json_parts(item, inner, parts, streams)
+            _json_parts(item, inner, parts)
             sep = "," + inner
         parts.append(nl + "]")
     elif isinstance(value, float):
@@ -291,42 +277,11 @@ def _json_parts(value, nl, parts, streams):
         parts.append("false")
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
-    elif callable(value):
-        streams.append((value, nl))
-        parts.append(_STREAM)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _finite(block):
-    """Whether a list of numbers, or of rows of numbers, holds no inf or NaN."""
-    try:
-        return all(map(math.isfinite, block))
-    except TypeError:  # rows
-        return all(all(map(math.isfinite, row)) for row in block)
-
-
-def _write_stream(fh, stream, nl):
-    """Write the blocks of ``stream()``, each a list, to ``fh`` as one JSON array."""
-    opening = "["
-    for block in stream():
-        if block:
-            text = _json_text(block, nl, None)  # "[", the items, nl "]"
-            fh.write(opening + text[1:-1 - len(nl)])
-            opening = ","
-    fh.write("[]" if opening == "[" else nl + "]")
-
-
 def _write_json(args, config, result):
-    """Write the result's document, the bytes of ``json.dumps(indent=2, sort_keys=True)``.
-
-    A list in ``result`` may be given as a zero-argument callable that
-    returns a fresh iterator of blocks, lists of numbers or of rows of
-    numbers; the blocks are written one after another as one array, so the
-    whole list is never held.  The rest of the document is encoded, and
-    every stream read once and checked to be finite, before the output is
-    opened: a refused result (exit 3) writes nothing.
-    """
     document = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": args.command,
@@ -334,20 +289,14 @@ def _write_json(args, config, result):
         "seed": args.seed,
         "result": result,
     }
-    streams = []
-    try:
-        first, *rest = _json_text(document, "\n", streams).split(_STREAM)
-        for stream, _ in streams:
-            if not all(map(_finite, stream())):
-                raise ValueError("JSON has no inf or NaN")
+    parts = []
+    try:  # serialized before the output is opened, so a refusal writes nothing
+        _json_parts(document, "\n", parts)
     except ValueError as err:
         raise EvaluationDomainError(f"non-finite value in the {args.command} result") from err
+    parts.append("\n")
     with _output(args.out) as fh:
-        fh.write(first)
-        for (stream, nl), text in zip(streams, rest):
-            _write_stream(fh, stream, nl)
-            fh.write(text)
-        fh.write("\n")
+        fh.write("".join(parts))
 
 
 def _write_csv(header, blocks, out):
@@ -393,20 +342,15 @@ def _write_finite_csv(args, header, row_blocks):
 
 
 def _write_table(args, config, header, key, blocks):
-    """(times, values) blocks as streamed CSV rows, or a streamed JSON table under ``key``.
+    """(times, values) blocks as streamed CSV rows, or one JSON table under ``key``."""
+    import numpy as np
 
-    ``blocks()`` returns a fresh iterator of (times, values) array blocks at
-    each call, so each JSON column, and its finite check, reads the run anew.
-    """
+    rows = (np.column_stack(block) for block in blocks)
     if args.format == "csv":
-        import numpy as np
-
-        _write_finite_csv(args, header, (np.column_stack(block) for block in blocks()))
+        _write_finite_csv(args, header, rows)
         return
-    _write_json(args, config, {
-        "times": lambda: (times.tolist() for times, _ in blocks()),
-        key: lambda: (values.tolist() for _, values in blocks()),
-    })
+    table = np.concatenate(list(rows))
+    _write_json(args, config, {"times": table[:, 0].tolist(), key: table[:, 1:].tolist()})
 
 
 def _geodesic_blocks(curve):
@@ -508,15 +452,12 @@ def _cmd_surface(config, args):
 def _cmd_geodesic(config, args):
     cfg, c = _merge(config, _SURFACE_DEFAULTS, required=("point", "nu", "ds", "steps"))
     curve = integrate_geodesic(_surface(c), c["point"], c["nu"], c["ds"], c["steps"])
-    states, ds, n = curve.states, curve.ds, len(curve.states)
+    states = curve.states
     if args.format == "json":
-        def column(rows):  # a stream of rows(i, j) for samples i to j, BLOCK at a time
-            return lambda: (rows(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
-
         result = {
-            "s": column(lambda i, j: [k * ds for k in range(i, j)]),
-            "points": column(lambda i, j: [y[:3] for y in states[i:j]]),
-            "velocities": column(lambda i, j: [y[3:] for y in states[i:j]]),
+            "s": [k * curve.ds for k in range(len(states))],
+            "points": [y[:3] for y in states],
+            "velocities": [y[3:] for y in states],
             "aborted": curve.aborted,
             "abort_reason": curve.abort_reason,
         }
@@ -551,7 +492,7 @@ def _cmd_foucault_geometry(config, args):
 
 def _cmd_foucault_sim(config, args):
     cfg, c = _merge(config, _FOUCAULT_DEFAULTS, required=("latitude", "dt", "duration", "initial"))
-    _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c).blocks)
+    _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c).blocks())
 
 
 def _cmd_foucault_precession(config, args):
@@ -584,9 +525,10 @@ def _cmd_transport(config, args):
         defaults={**_FOUCAULT_DEFAULTS, "kind": "vector", "t0": 0.0},
         required=("latitude", "initial", "t1", "dt"),
     )
-    run = (_foucault_config(c), c["kind"], _initial(c, 3), c["t0"], c["t1"], c["dt"])
-    _write_table(args, cfg, ["t", "ct", "cx", "cy"], "components",
-                 lambda: fc.transport_blocks(*run))
+    blocks = fc.transport_blocks(
+        _foucault_config(c), c["kind"], _initial(c, 3), c["t0"], c["t1"], c["dt"]
+    )
+    _write_table(args, cfg, ["t", "ct", "cx", "cy"], "components", blocks)
 
 
 # -- driver ----------------------------------------------------------------

@@ -767,7 +767,6 @@ def test_a_non_finite_csv_row_stops_the_output_with_exit_3(tmp_path, capsys, wor
 ], ids=["sim", "precession", "transport"])
 @pytest.mark.parametrize("out", ["stdout", "file"])
 def test_a_non_finite_json_table_writes_nothing(tmp_path, capsys, words, config, out):
-    # the streamed tables are checked before the output is opened
     target = tmp_path / "table.json"
     argv = ["--format", "json", *words] if out == "stdout" else [
         "--out", str(target), "--format", "json", *words]
@@ -786,28 +785,6 @@ def test_a_non_finite_surface_result_writes_nothing(tmp_path, capsys, monkeypatc
     assert (code, out) == (3, "")
     assert err == "numerical error: non-finite value in the surface result\n"
     assert not target.exists()
-
-
-def test_sim_json_memory_does_not_grow_with_duration(tmp_path):
-    # the table is streamed one orbit block at a time; the whole 2e4-row
-    # document would take more than 15 MB
-    config = {**_PARIS_RUN, "dt": 1e-2}
-    _traced_peak_mb(tmp_path, ["--format", "json", "foucault", "sim"], {**config, "duration": 1.0})
-    short = _traced_peak_mb(tmp_path, ["--format", "json", "foucault", "sim"],
-                            {**config, "duration": 20.0})
-    long = _traced_peak_mb(tmp_path, ["--format", "json", "foucault", "sim"],
-                           {**config, "duration": 200.0})
-    assert long <= 2.0 and long <= 1.5 * short
-
-
-def test_geodesic_json_memory_stays_near_the_csv_peak(tmp_path):
-    # both hold the sampled curve; the JSON columns are streamed from its states
-    config = {"levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [1, 0], "ds": 1e-3,
-              "steps": 5000}
-    _traced_peak_mb(tmp_path, ["geodesic"], {**config, "steps": 10})
-    csv = _traced_peak_mb(tmp_path, ["--format", "csv", "geodesic"], config)
-    doc = _traced_peak_mb(tmp_path, ["--format", "json", "geodesic"], config)
-    assert doc <= csv + 0.5
 
 
 def test_json_keys_sorted(tmp_path, capsys):

@@ -1,6 +1,5 @@
-"""The CLI's JSON writer: the bytes of json.dumps(indent=2, sort_keys=True), streamed or not."""
+"""The CLI's JSON writer: the bytes of json.dumps(indent=2, sort_keys=True) for string keys."""
 
-import argparse
 import json
 import math
 
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoform import cli
-from pseudoform.errors import EvaluationDomainError
 
 from test_cli import _OVERFLOWING_TRANSPORT, _PARIS_RUN, _run, _strict_json
 
@@ -19,7 +17,9 @@ def _dumps(value):
 
 
 def _text(value):
-    return cli._json_text(value, "\n", [])
+    parts = []
+    cli._json_parts(value, "\n", parts)
+    return "".join(parts)
 
 
 _SPHERE = {"levelset": "x^2+y^2+z^2"}
@@ -96,43 +96,3 @@ def test_inf_and_nan_raise_value_error(bad, place):
 def test_a_value_json_cannot_hold_raises_type_error(value):
     with pytest.raises(TypeError):
         _text(value)
-
-
-def _args(tmp_path):
-    return argparse.Namespace(command="test", seed=0, out=str(tmp_path / "out.json"))
-
-
-def _write(tmp_path, result):
-    args = _args(tmp_path)
-    cli._write_json(args, {}, result)
-    with open(args.out) as fh:
-        return fh.read()
-
-
-def _document(result):
-    return {"config": {}, "result": result, "schema_version": cli.SCHEMA_VERSION, "seed": 0,
-            "subcommand": "test"}
-
-
-_ROWS = st.lists(st.lists(_FLOATS, min_size=1, max_size=3), max_size=12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.lists(_FLOATS, max_size=5), _ROWS), max_size=4), st.booleans())
-def test_streamed_blocks_are_the_bytes_of_the_whole_list(tmp_path_factory, blocks, nested):
-    # the blocks of a stream, some of them empty, write one array
-    tmp_path = tmp_path_factory.getbasetemp()
-    whole = [item for block in blocks for item in block]
-    result = {"a": 1, "rows": whole, "z": [whole]} if nested else whole
-    streamed = {"a": 1, "rows": lambda: iter(blocks), "z": [lambda: iter(blocks)]} if nested \
-        else (lambda: iter(blocks))
-    assert _write(tmp_path, streamed) == _dumps(_document(result)) + "\n"
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_a_non_finite_stream_is_refused_before_the_output_is_opened(tmp_path, bad):
-    blocks = [[[0.0, 1.0]] * 3, [[2.0, bad]]]
-    args = _args(tmp_path)
-    with pytest.raises(EvaluationDomainError, match="non-finite value in the test result"):
-        cli._write_json(args, {}, {"ok": [1.0], "rows": lambda: iter(blocks)})
-    assert not (tmp_path / "out.json").exists()
