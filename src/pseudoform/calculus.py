@@ -97,6 +97,13 @@ def _check_finite(p, *values):
         )
 
 
+def _domain_error(err, p):
+    """The ``EvaluationDomainError`` for a compiled field that raised ``err`` at p."""
+    if isinstance(err, OverflowError):
+        return EvaluationDomainError(f"overflow at point {format_point(p)}")
+    return EvaluationDomainError(f"{err} at point {format_point(p)}")
+
+
 class ScalarField:
     """A real function on the chart with exact derivatives.
 
@@ -115,17 +122,20 @@ class ScalarField:
         """``Dual.v``, ``grad`` and ``hess`` of ``fn`` at the point p (3 floats)."""
         try:
             d = self.fn(*p)
-        except OverflowError as err:
-            raise EvaluationDomainError(f"overflow at point {format_point(p)}") from err
-        except ZeroDivisionError as err:
-            raise EvaluationDomainError(f"{err} at point {format_point(p)}") from err
+        except (OverflowError, ZeroDivisionError) as err:
+            raise _domain_error(err, p) from err
         return d.v, d.grad, d.hess
 
     def differentiate(self, p):
         """Value, gradient (3-tuple) and Hessian (three 3-tuple rows) at p, as floats."""
-        p = point_coords(p)
+        return self.jet(point_coords(p))
+
+    def jet(self, p):
+        """``differentiate`` at a point p already checked as 3 floats: one call
+        of ``fn``, and every value, gradient and Hessian entry checked finite."""
         v, g, h = self._vgh(p)
-        _check_finite(p, v, *g, *h)
+        if not math.isfinite(v + sum(g) + sum(h)):  # a sum can overflow: then check each
+            _check_finite(p, v, *g, *h)
         return v, g, (h[0:3], h[3:6], h[6:9])
 
     def value(self, p):
@@ -163,13 +173,25 @@ class OneForm:
         Returns the values (theta_1, theta_2, theta_3) and three rows
         J[i] = (d_i theta_1, d_i theta_2, d_i theta_3), all tuples of floats.
         """
-        p = point_coords(p)
-        c1, c2, c3 = self.components
-        v1, g1, _ = c1._vgh(p)
-        v2, g2, _ = c2._vgh(p)
-        v3, g3, _ = c3._vgh(p)
-        _check_finite(p, v1, v2, v3, *g1, *g2, *g3)
-        return (v1, v2, v3), tuple(zip(g1, g2, g3))
+        return self.jet(point_coords(p))
+
+    def jet(self, p):
+        """``values_and_jacobian`` at a point p already checked as 3 floats.
+
+        The one evaluation kernel of the form: each component's compiled
+        function is called once on the point, with ``_vgh``'s error
+        mapping, and the values and gradients are checked to be finite.
+        """
+        f1, f2, f3 = self.components
+        try:
+            d1, d2, d3 = f1.fn(*p), f2.fn(*p), f3.fn(*p)
+        except (OverflowError, ZeroDivisionError) as err:
+            raise _domain_error(err, p) from err
+        v1, v2, v3 = d1.v, d2.v, d3.v
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = d1.grad, d2.grad, d3.grad
+        if not math.isfinite(v1 + v2 + v3 + a1 + a2 + a3 + b1 + b2 + b3 + c1 + c2 + c3):
+            _check_finite(p, v1, v2, v3, a1, a2, a3, b1, b2, b3, c1, c2, c3)
+        return (v1, v2, v3), ((a1, b1, c1), (a2, b2, c2), (a3, b3, c3))
 
 
 class PointTwoForm:
@@ -206,8 +228,8 @@ class _GradientOneForm(OneForm):
     def components_at(self, p):
         return self.parent.differentiate(p)[1]
 
-    def values_and_jacobian(self, p):
-        return self.parent.differentiate(p)[1:]
+    def jet(self, p):
+        return self.parent.jet(p)[1:]
 
 
 def gradient_oneform(f):

@@ -5,11 +5,13 @@ after the initial velocity.
 
 The geodesic runs on plain floats from its arguments to its samples:
 the initial velocity is summed from the adapted frame's float rows, the
-state is a 6-tuple, each RK4 stage evaluates the Pfaffian once at its
-point and builds the unit normal and its derivative with ``math``, and
-``SampledCurve`` keeps the states as they were stepped.  NumPy is
-imported only when a caller reads the samples as arrays, so the
-``geodesic`` command never loads it.
+state is a 6-tuple stepped by ``integrate.rk4_step``, and ``SampledCurve``
+keeps the states as they were stepped.  Each RK4 stage is one field
+evaluation: the right-hand side checks the stage point and calls the
+normal kernel of ``geometry.normal_kernel``, built once per march, which
+evaluates the Pfaffian once (its ``jet``) and returns the unit normal and
+its derivative.  NumPy is imported only when a caller reads the samples
+as arrays, so the ``geodesic`` command never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 from .calculus import float_coords, point_coords
 from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
-from .geometry import unit_normal
+from .geometry import normal_kernel
 from .integrate import rk4_step, validate_steps
 
 
@@ -60,8 +62,10 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     tangential acceleration, so the state (x, v) obeys x-dot = v and
     v-dot = -(v . du . v) u, with u the unit normal and du[i, j] = d_i u_j
     (the normal component keeps u . v = 0).  The state is stepped as a
-    6-tuple of floats: each stage point is checked to be finite and
-    evaluated once, and ``unit_normal`` returns floats.  A degenerate
+    6-tuple of floats: each stage point is checked to be finite (a
+    ``ValidationError`` naming it otherwise) and evaluated once by the
+    normal kernel that ``unit_normal`` uses too.  ``steps * ds`` must be
+    finite, so that every sample's arc parameter k * ds is.  A degenerate
     Pfaffian or a field leaving its domain along the way aborts and
     returns the partial curve with ``aborted`` set, as does a state that
     stops being finite.
@@ -75,16 +79,27 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
         raise ValidationError(f"initial frame velocity nu must be finite, got {nu}")
     if math.hypot(*nu) <= 1e-15:
         raise ValidationError("initial frame velocity nu must be non-zero")
-    pfaffian, metric = surface.pfaffian, surface.metric
+    try:
+        finite = math.isfinite(float(steps) * float(ds))
+    except OverflowError:  # a step count past the largest float
+        finite = False
+    if not finite:
+        raise ValidationError(
+            f"steps * ds must be finite, got steps={steps!r} and ds={ds!r}: "
+            "the arc parameter k * ds of the samples would overflow"
+        )
+    normal = normal_kernel(surface.pfaffian, surface.metric)
 
     def rhs(_s, y):
-        v1, v2, v3 = v = y[3:]
-        (u1, u2, u3), du = unit_normal(pfaffian, metric, y[:3])
-        (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = du
+        x1, x2, x3, v1, v2, v3 = y
+        p = (x1, x2, x3)
+        if not math.isfinite(x1 + x2 + x3):  # a sum can overflow: point_coords checks each
+            point_coords(p)
+        (u1, u2, u3), ((d11, d12, d13), (d21, d22, d23), (d31, d32, d33)) = normal(p)
         vdv = ((v1 * d11 + v2 * d21 + v3 * d31) * v1
                + (v1 * d12 + v2 * d22 + v3 * d32) * v2
                + (v1 * d13 + v2 * d23 + v3 * d33) * v3)
-        return (*v, -vdv * u1, -vdv * u2, -vdv * u3)
+        return (v1, v2, v3, -vdv * u1, -vdv * u2, -vdv * u3)
 
     nu1, nu2 = nu
     y = p0 + tuple([e1 * nu1 + e2 * nu2 for e1, e2, _ in surface.frame.rows_at(p0)])

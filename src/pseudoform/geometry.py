@@ -137,28 +137,41 @@ def unit_normal(pfaffian, metric, p):
 
     Floats in and floats out: p is 3 floats (or anything ``point_coords``
     takes), u comes back as a 3-tuple and du as three 3-tuple rows, built
-    with ``math`` from one evaluation of N at p as
-    du[i] = (J[i] - (J[i] . u) u) / |N| with J[i] = d_i N.  No |N|^2 is
-    formed, so an N whose square would overflow still normalizes.  Raises
-    ``DegeneratePfaffianError`` where N vanishes and
+    with ``math`` from one evaluation of N at p (the Pfaffian's ``jet``)
+    as du[i] = (J[i] - (J[i] . u) u) / |N| with J[i] = d_i N.  No |N|^2
+    is formed, so an N whose square would overflow still normalizes.
+    Raises ``DegeneratePfaffianError`` where N vanishes and
     ``DegenerateNormalizationError`` where a degenerate metric is asked
-    to normalize a space-time Pfaffian with a time component.
+    to normalize a space-time Pfaffian with a time component.  This is
+    ``normal_kernel(pfaffian, metric)`` applied to the checked point.
     """
-    comps, jac = pfaffian.values_and_jacobian(p)
-    norm = pfaffian_norm(comps, p)
-    n1, n2, n3 = comps
-    u1, u2, u3 = n1 / norm, n2 / norm, n3 / norm
-    if metric.degenerate and pfaffian.chart == "spacetime" and abs(u1) > 1e-9:
-        raise DegenerateNormalizationError(
-            "Galilean metric cannot normalize a Pfaffian with a time component"
-        )
-    du = []
-    for j1, j2, j3 in jac:
-        along = j1 * u1 + j2 * u2 + j3 * u3  # d_i |N|
-        du.append(((j1 - along * u1) / norm,
-                   (j2 - along * u2) / norm,
-                   (j3 - along * u3) / norm))
-    return (u1, u2, u3), tuple(du)
+    return normal_kernel(pfaffian, metric)(point_coords(p))
+
+
+def normal_kernel(pfaffian, metric):
+    """``unit_normal`` of a fixed Pfaffian and metric, as a function of a point
+    already checked as 3 floats; the frame and the geodesic build it once."""
+    jet = pfaffian.jet
+    galilean = metric.degenerate and pfaffian.chart == "spacetime"
+
+    def normal(p):
+        comps, ((j11, j12, j13), (j21, j22, j23), (j31, j32, j33)) = jet(p)
+        norm = pfaffian_norm(comps, p)
+        n1, n2, n3 = comps
+        u1, u2, u3 = n1 / norm, n2 / norm, n3 / norm
+        if galilean and abs(u1) > 1e-9:
+            raise DegenerateNormalizationError(
+                "Galilean metric cannot normalize a Pfaffian with a time component"
+            )
+        a1 = j11 * u1 + j12 * u2 + j13 * u3  # d_i |N|
+        a2 = j21 * u1 + j22 * u2 + j23 * u3
+        a3 = j31 * u1 + j32 * u2 + j33 * u3
+        return (u1, u2, u3), (
+            ((j11 - a1 * u1) / norm, (j12 - a1 * u2) / norm, (j13 - a1 * u3) / norm),
+            ((j21 - a2 * u1) / norm, (j22 - a2 * u2) / norm, (j23 - a2 * u3) / norm),
+            ((j31 - a3 * u1) / norm, (j32 - a3 * u2) / norm, (j33 - a3 * u3) / norm))
+
+    return normal
 
 
 def adapt_frame(pfaffian, metric=EUCLIDEAN):
@@ -175,9 +188,10 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
     to rounding wherever N does not vanish.
     """
     spacetime = pfaffian.chart == "spacetime"
+    normal = normal_kernel(pfaffian, metric)
 
     def pair_fn(p, need_derivative):
-        u, du = unit_normal(pfaffian, metric, p)  # u is e3
+        u, du = normal(p)  # u is e3
         u1, u2, u3 = u
         a1, a2, a3 = abs(u1), abs(u2), abs(u3)
         if (spacetime and a1 < 0.9) or (a1 <= a2 and a1 <= a3):

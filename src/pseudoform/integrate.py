@@ -1,7 +1,9 @@
 """Fixed-step classical RK4 helpers (deterministic, no adaptivity).
 
-``rk4_step`` and ``validate_steps`` run on plain Python numbers; the
-linear-orbit helpers import NumPy when they are called.
+``rk4_step`` and ``validate_steps`` run on plain Python numbers:
+``rk4_step`` is the step of the geodesic's 6-float state, its only
+caller, written out entry by entry.  The linear-orbit helpers import
+NumPy when they are called.
 """
 
 from __future__ import annotations
@@ -12,22 +14,30 @@ BLOCK = 1024  # rows advanced per flat product of powers in linear_rk4_blocks
 
 
 def rk4_step(f, t, y, h):
-    """One classical RK4 step of y' = f(t, y) on plain floats.
+    """One classical RK4 step of y' = f(t, y) for a state of 6 floats.
 
-    Floats in and floats out: ``y`` is a sequence of floats, ``f`` returns
-    one of the same length, and the step returns a tuple.  Each entry is
-    computed in the order of the NumPy-array form, y + (h / 6) (k1 + 2 k2
-    + 2 k3 + k4) with stage points y + (h / 2) k, so for the same ``f`` it
-    equals that form bit for bit.
+    Floats in and floats out: ``y`` and what ``f`` returns are 6 floats,
+    and the step returns a 6-tuple, written out entry by entry.  Each
+    entry is computed in the order of the NumPy-array form, y + (h / 6)
+    (k1 + 2 k2 + 2 k3 + k4) with stage points y + (h / 2) k, so for the
+    same ``f`` it equals that form bit for bit.
     """
+    y1, y2, y3, y4, y5, y6 = y
     half = 0.5 * h
-    k1 = f(t, y)
-    k2 = f(t + half, tuple([a + half * k for a, k in zip(y, k1)]))
-    k3 = f(t + half, tuple([a + half * k for a, k in zip(y, k2)]))
-    k4 = f(t + h, tuple([a + h * k for a, k in zip(y, k3)]))
+    a1, a2, a3, a4, a5, a6 = f(t, y)
+    b1, b2, b3, b4, b5, b6 = f(t + half, (y1 + half * a1, y2 + half * a2, y3 + half * a3,
+                                          y4 + half * a4, y5 + half * a5, y6 + half * a6))
+    c1, c2, c3, c4, c5, c6 = f(t + half, (y1 + half * b1, y2 + half * b2, y3 + half * b3,
+                                          y4 + half * b4, y5 + half * b5, y6 + half * b6))
+    d1, d2, d3, d4, d5, d6 = f(t + h, (y1 + h * c1, y2 + h * c2, y3 + h * c3,
+                                       y4 + h * c4, y5 + h * c5, y6 + h * c6))
     sixth = h / 6.0
-    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    return (y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+            y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
 
 
 def validate_steps(steps, h):

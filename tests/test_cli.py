@@ -694,6 +694,17 @@ def test_overflowing_step_count_is_a_config_error(tmp_path, capsys, argv, config
     assert err.startswith("config error: ") and "dt" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_geodesic_arc_parameter_is_a_config_error(tmp_path, capsys, fmt):
+    # every state stays finite, but k * ds overflows: the CSV used to write inf
+    # in its t column and exit 0, and the JSON document was refused with exit 3
+    config = {"levelset": "z", "point": [0, 0, 0], "nu": [1e-10, 0], "ds": 1e308, "steps": 3}
+    code, out, err = _run(tmp_path, capsys, ["--format", fmt, "geodesic"], config)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: steps * ds must be finite")
+    assert "steps=3" in err and "ds=1e+308" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [

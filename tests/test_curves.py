@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from pseudoform.calculus import pfaffian_norm
 from pseudoform.curves import integrate_geodesic
 from pseudoform.errors import (
     ConstraintViolationError,
     DegenerateNormalizationError,
+    DegeneratePfaffianError,
+    EvaluationDomainError,
     ValidationError,
 )
 from pseudoform.formlang import parse_oneform, parse_scalar
-from pseudoform.geometry import GALILEAN, PseudoSurface, second_form_via_connection
+from pseudoform.geometry import (
+    GALILEAN, MINKOWSKI, PseudoSurface, second_form_via_connection,
+)
 
 
 def _sphere():
@@ -285,3 +290,139 @@ def test_float_start_velocity_matches_the_frame_matvec():
             scale = np.abs(surface.frame.matrix_at(p0)[:, :2]) @ np.abs(nu)
             for g, w, m in zip(got, want.tolist(), scale.tolist()):
                 assert abs(g - w) <= 2 * math.ulp(m), (p0, nu)
+
+
+def _reference_float_march(surface, p0, nu, ds, steps):
+    """The float march written generically, as a reference for the unrolled one.
+
+    Each stage point goes through ``values_and_jacobian`` (which checks it),
+    the unit normal and its derivative are formed row by row in a loop, and
+    RK4 builds every stage and the step with ``zip`` comprehensions.  The
+    start state comes from the frame rows, as in ``integrate_geodesic``.
+    Returns (states, aborted, abort_reason).
+    """
+    pfaffian, metric = surface.pfaffian, surface.metric
+    galilean = metric.degenerate and pfaffian.chart == "spacetime"
+
+    def unit_normal(p):
+        comps, jac = pfaffian.values_and_jacobian(p)
+        norm = pfaffian_norm(comps, p)
+        u1, u2, u3 = (c / norm for c in comps)
+        if galilean and abs(u1) > 1e-9:
+            raise DegenerateNormalizationError(
+                "Galilean metric cannot normalize a Pfaffian with a time component"
+            )
+        du = []
+        for j1, j2, j3 in jac:
+            along = j1 * u1 + j2 * u2 + j3 * u3
+            du.append(((j1 - along * u1) / norm, (j2 - along * u2) / norm,
+                       (j3 - along * u3) / norm))
+        return (u1, u2, u3), tuple(du)
+
+    def rhs(y):
+        v1, v2, v3 = v = y[3:]
+        (u1, u2, u3), du = unit_normal(y[:3])
+        (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = du
+        vdv = ((v1 * d11 + v2 * d21 + v3 * d31) * v1
+               + (v1 * d12 + v2 * d22 + v3 * d32) * v2
+               + (v1 * d13 + v2 * d23 + v3 * d33) * v3)
+        return (*v, -vdv * u1, -vdv * u2, -vdv * u3)
+
+    def step(y, h):
+        half = 0.5 * h
+        k1 = rhs(y)
+        k2 = rhs(tuple([a + half * k for a, k in zip(y, k1)]))
+        k3 = rhs(tuple([a + half * k for a, k in zip(y, k2)]))
+        k4 = rhs(tuple([a + h * k for a, k in zip(y, k3)]))
+        sixth = h / 6.0
+        return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+
+    p0 = tuple(float(c) for c in p0)
+    nu1, nu2 = (float(c) for c in nu)
+    y = p0 + tuple([e1 * nu1 + e2 * nu2 for e1, e2, _ in surface.frame.rows_at(p0)])
+    states = [y]
+    for k in range(steps):
+        try:
+            y = step(y, ds)
+        except (DegeneratePfaffianError, EvaluationDomainError) as err:
+            return states, True, str(err)
+        if not all(map(math.isfinite, y)):
+            return states, True, f"non-finite state at step {k + 1}"
+        states.append(y)
+    return states, False, ""
+
+
+def _march_case(case):
+    """(surface, p0, nu, ds, steps) of a named bit-for-bit case."""
+    if case in ("tilted-circle", "equator"):
+        surface = _sphere()
+        p0, v = _tilted_start((1.0, 0.0, 0.0), 0.7) if case == "tilted-circle" else _equator_start()
+        return surface, p0, _frame_nu(surface, p0, v), 2 * math.pi / 1000, 1000
+    if case == "contact":
+        surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]))
+        return surface, (0.1, -0.2, 0.3), (math.cos(1.0), math.sin(1.0)), 2e-3, 1000
+    if case == "minkowski":
+        theta = parse_oneform(["0.3*x", "1+y^2", "t*x"], chart="spacetime")
+        return PseudoSurface.from_pfaffian(theta, MINKOWSKI), (0.2, 0.1, -0.3), (0.6, 0.8), 1e-3, 500
+    if case == "transcendental":
+        f = parse_scalar("exp(0.3*x*y) + sin(y*z) + x*z^2 + ln(2+x)")
+        return PseudoSurface.from_levelset(f), (0.2, 0.4, 0.9), (0.8, -0.6), 2e-3, 500
+    if case == "sqrt-abort":
+        surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "0", "sqrt(1-x)"]))
+        return surface, (0.0, 0.0, 0.0), (1.0, 0.0), 0.05, 100
+    assert case == "galilean-spatial"
+    surface = PseudoSurface.from_pfaffian(parse_oneform(["y", "1", "x*z"]), GALILEAN)
+    return surface, (0.3, -0.1, 0.2), (0.5, 0.5), 1e-3, 500
+
+
+@pytest.mark.parametrize("case", ["tilted-circle", "equator", "contact", "minkowski",
+                                  "transcendental", "sqrt-abort", "galilean-spatial"])
+def test_unrolled_march_equals_the_generic_float_march(case):
+    # the shared normal kernel and the unrolled RK4 step change no bit of a state
+    surface, p0, nu, ds, steps = _march_case(case)
+    curve = integrate_geodesic(surface, p0, nu, ds, steps)
+    states, aborted, reason = _reference_float_march(surface, p0, nu, ds, steps)
+    assert curve.aborted == aborted == (case == "sqrt-abort")
+    assert curve.abort_reason == reason
+    assert len(curve.states) == len(states) > 1
+    assert curve.states == states
+
+
+def _count_calls(field, calls):
+    """Wrap a field's compiled function so that each call adds 1 to ``calls[field]``."""
+    fn = field.fn
+
+    def counted(*point):
+        calls[field] += 1
+        return fn(*point)
+
+    calls[field] = 0
+    field.fn = counted
+
+
+@pytest.mark.parametrize("kind", ["levelset", "oneform"])
+def test_one_field_evaluation_per_stage(kind):
+    # one call of each compiled function for the start frame, then one per RK4 stage
+    if kind == "levelset":
+        surface = _sphere()
+        fields = [surface.levelset]
+    else:
+        surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]))
+        fields = list(surface.pfaffian.components)
+    calls = {}
+    for field in fields:
+        _count_calls(field, calls)
+    steps = 250
+    curve = integrate_geodesic(surface, (0.6, 0.0, 0.8), (0.6, 0.8), 1e-3, steps)
+    assert not curve.aborted and len(curve.states) == steps + 1
+    assert list(calls.values()) == [1 + 4 * steps] * len(fields)
+
+
+def test_overflowing_arc_parameter_is_refused():
+    # every step is finite, but the arc parameter k * ds of the last sample is not
+    plane = PseudoSurface.from_levelset(parse_scalar("z"))
+    with pytest.raises(ValidationError, match=r"steps \* ds must be finite.*steps=3.*ds=1e\+308"):
+        integrate_geodesic(plane, (0.0, 0.0, 0.0), (1e-10, 0.0), 1e308, 3)
+    with pytest.raises(ValidationError, match="steps \\* ds must be finite"):
+        integrate_geodesic(plane, (0.0, 0.0, 0.0), (1.0, 0.0), 1e-300, 10**400)

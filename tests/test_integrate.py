@@ -88,7 +88,9 @@ def test_blocks_match_the_stacked_product_of_the_powers(a, y0, h):
 
 def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():
     def f(t, y):
-        return (y[1], -math.sin(y[0]) + 0.1 * math.cos(t), y[0] * y[1])
+        x1, x2, x3, v1, v2, v3 = y
+        return (v1, v2, v3, -math.sin(x1) + 0.1 * math.cos(t), 0.2 * x1 * v3 - x2,
+                -0.5 * x3 - 0.1 * v1 * v2)
 
     def array_step(t, y, h):
         g = lambda s, z: np.array(f(s, z.tolist()))
@@ -99,7 +101,8 @@ def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     h = 0.037
-    y_floats, y_array = (0.3, 0.1, -0.4), np.array([0.3, 0.1, -0.4])
+    y_floats = (0.3, 0.1, -0.4, 0.7, -0.2, 0.5)
+    y_array = np.array(y_floats)
     for k in range(300):
         y_floats = rk4_step(f, k * h, y_floats, h)
         y_array = array_step(k * h, y_array, h)
