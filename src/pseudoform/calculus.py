@@ -3,9 +3,10 @@
 Scalar fields carry exact first and second derivatives: ``formlang``
 compiles each expression into straight-line code that takes a point's
 three floats and returns one ``Dual`` record of the value, the gradient
-and the Hessian.  Every evaluation below goes through that one call
-(``ScalarField._vgh``) and reads what it needs from the record.
-One-forms are built from three scalar fields, and
+and the Hessian.  Only two methods call that code: ``ScalarField._vgh``
+for a field and ``OneForm.jet``, once per component, for a one-form;
+every evaluation below goes through one of them and reads what it needs
+from the records.  One-forms are built from three scalar fields, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form.
 
 The evaluations take and return plain floats: the point as 3 floats (a
@@ -160,12 +161,13 @@ class OneForm:
         self.chart = chart
 
     def components_at(self, p):
-        """The component values (theta_1, theta_2, theta_3) at p, as floats."""
-        p = point_coords(p)
-        c1, c2, c3 = self.components
-        vals = (c1._vgh(p)[0], c2._vgh(p)[0], c3._vgh(p)[0])
-        _check_finite(p, *vals)
-        return vals
+        """The component values (theta_1, theta_2, theta_3) at p, as floats.
+
+        They come from ``jet``, which checks the gradients too, so a
+        non-finite gradient raises ``EvaluationDomainError`` here as it
+        does in ``values_and_jacobian``.
+        """
+        return self.jet(point_coords(p))[0]
 
     def values_and_jacobian(self, p):
         """Component values and the Jacobian at p, as floats.
@@ -224,9 +226,6 @@ class _GradientOneForm(OneForm):
     def __init__(self, f):
         self.chart = f.chart
         self.parent = f
-
-    def components_at(self, p):
-        return self.parent.differentiate(p)[1]
 
     def jet(self, p):
         return self.parent.jet(p)[1:]

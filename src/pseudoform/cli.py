@@ -379,12 +379,7 @@ _METRIC_DEFAULTS = {"metric": "euclidean", "light_speed": geometry.LIGHT_SPEED}
 
 _SURFACE_DEFAULTS = {**_METRIC_DEFAULTS, "chart": "spatial", "levelset": None, "pfaffian": None}
 
-_FOUCAULT_DEFAULTS = {
-    "length": 67.0,
-    "gravity": 9.81,
-    "omega_earth": fc.OMEGA_EARTH,
-    "frame_rate": None,
-}
+_FOUCAULT_DEFAULTS = fc.FoucaultConfig._field_defaults
 
 
 def _surface(c):
@@ -397,13 +392,7 @@ def _surface(c):
 
 
 def _foucault_config(c):
-    return fc.FoucaultConfig(
-        latitude=c["latitude"],
-        length=c["length"],
-        gravity=c["gravity"],
-        omega_earth=c["omega_earth"],
-        frame_rate=c["frame_rate"],
-    )
+    return fc.FoucaultConfig(*[c[name] for name in fc.FoucaultConfig._fields])
 
 
 def _pendulum_orbit(c):
@@ -413,7 +402,8 @@ def _pendulum_orbit(c):
 def _cmd_classify(config, args):
     cfg, c = _merge(
         config,
-        defaults={"chart": "spatial", "count": 100, "tol": 1e-8},
+        defaults={"chart": "spatial", "count": pfaff.RegionSampler._field_defaults["count"],
+                  "tol": pfaff.DEFAULT_TOL},
         required=("theta", "lower", "upper"),
     )
     theta = parse_oneform(c["theta"], c["chart"])

@@ -70,6 +70,6 @@ def check_real(name, value):
     try:
         if not isinstance(value, bool) and math.isfinite(value):  # a bool is not a number
             return value
-    except TypeError:  # not a real number, or an array
+    except (TypeError, OverflowError):  # not a real number, an array, or an int too big for a float
         pass
     raise ValidationError(f"{name} must be a finite real number, got {value!r}")

@@ -60,12 +60,12 @@ class FoucaultConfig(_FoucaultFields):
 
     __slots__ = ()
 
-    def __new__(cls, latitude, length=67.0, gravity=9.81, omega_earth=OMEGA_EARTH,
-                frame_rate=None):
-        self = super().__new__(cls, latitude, length, gravity, omega_earth, frame_rate)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
             if value is not None:
                 check_real(name, value)
+        latitude, length, gravity, omega_earth, _ = self
         if length <= 0 or gravity <= 0:
             raise ValidationError("pendulum length and gravity must be positive")
         if abs(latitude) > math.pi / 2:

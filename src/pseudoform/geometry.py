@@ -63,13 +63,14 @@ class MetricSignature(_MetricFields):
 
     __slots__ = ()
 
-    def __new__(cls, kind, light_speed=LIGHT_SPEED):
-        c = check_real("light_speed", light_speed)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        c = check_real("light_speed", self.light_speed)
         if not (c > 0.0 and 0.0 < c * c < math.inf):
             raise ValidationError(
                 f"light_speed must be positive with a finite non-zero square, got {c!r}"
             )
-        return super().__new__(cls, kind, light_speed)
+        return self
 
     @classmethod
     def _make(cls, iterable):  # the inherited one checks the length but skips __new__

@@ -57,7 +57,9 @@ class RegionSampler(_RegionFields):
 
     __slots__ = ()
 
-    def __new__(cls, lower, upper, count=100, seed=0):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        lower, upper, count, seed = self
         lo, hi = float_coords(lower, 3), float_coords(upper, 3)
         if lo is None or hi is None:
             raise ValidationError("region bounds must each have 3 coordinates, all real numbers")
@@ -72,7 +74,7 @@ class RegionSampler(_RegionFields):
             raise ValidationError(f"sample count {count} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
         if check_integer("seed", seed) < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-        return super().__new__(cls, lower, upper, count, seed)
+        return self
 
     @classmethod
     def _make(cls, iterable):  # the inherited one checks the length but skips __new__

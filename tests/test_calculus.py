@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pseudoform.calculus import OneForm, exterior_derivative, gradient_oneform
-from pseudoform.errors import ValidationError
+from pseudoform.errors import EvaluationDomainError, ValidationError
 from pseudoform.formlang import parse_oneform, parse_scalar
 from pseudoform.pfaff import RegionSampler
 
@@ -119,6 +119,18 @@ def test_values_and_jacobian_consistency():
     assert np.allclose(vals, theta.components_at(p))
     x, y, z = p  # J[i][j] = d_i theta_j
     assert np.allclose(jac, [(y, 0.0, 0.0), (x, 0.0, 1.0), (0.0, -math.sin(z), 0.0)])
+
+
+def test_components_at_refuses_a_non_finite_gradient_as_values_and_jacobian_does():
+    # the value underflows to a finite 1e-10 while d_x theta_1 = y*y*1e300 overflows
+    theta = parse_oneform(["x*y*y*1e300", "0", "1"])
+    p = (1e-320, 1e5, 0.0)
+    messages = []
+    for evaluate in (theta.components_at, theta.values_and_jacobian):
+        with pytest.raises(EvaluationDomainError) as err:
+            evaluate(p)
+        messages.append(str(err.value))
+    assert messages == ["non-finite field value or derivative at point (1e-320, 100000.0, 0.0)"] * 2
 
 
 def test_one_seed_values_and_jacobian_equal_per_component_evaluations():

@@ -138,6 +138,15 @@ _REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal 
     "light-speed": (lambda: MetricSignature(MetricKind.MINKOWSKI, "3e8"), "light_speed"),
     "tol": (lambda: classify(parse_oneform(["0", "x", "1"]), RegionSampler(*_BOX, count=4),
                              tol="1e-8"), "tol"),
+    # an int too large for a float
+    "latitude-huge-int": (lambda: fc.FoucaultConfig(latitude=10**400), "latitude"),
+    "light-speed-huge-int": (lambda: MetricSignature(MetricKind.MINKOWSKI, 10**400),
+                             "light_speed"),
+    "step-size-huge-int": (lambda: validate_steps(1, 10**400), "step size"),
+    "orbit-duration-huge-int": (lambda: fc.pendulum_orbit(PARIS, _START, 1e-3, 10**400),
+                                "duration"),
+    "tol-huge-int": (lambda: classify(parse_oneform(["0", "x", "1"]),
+                                      RegionSampler(*_BOX, count=4), tol=10**400), "tol"),
 }
 
 
@@ -151,6 +160,7 @@ def test_library_numbers_are_refused_with_a_typed_error_that_names_them(case):
 _VALIDATED_RECORDS = {  # a record whose constructor validates, and a field value it refuses
     "region-count": (RegionSampler(*_BOX), "count", 0),
     "foucault-latitude": (PARIS, "latitude", 2.0),
+    "foucault-length": (PARIS, "length", -1.0),
     "metric-light-speed": (MetricSignature(MetricKind.MINKOWSKI), "light_speed", -1.0),
 }
 
@@ -168,6 +178,27 @@ def test_validated_records_refuse_bad_fields_through_make_and_replace(case):
         cls._make(list(record)[:-1])
     assert type(cls._make(record)) is cls and cls._make(record) == record
     assert record._replace() == record
+
+
+@pytest.mark.parametrize("cls, required, defaults, field, bad", [
+    (fc.FoucaultConfig, (0.5,), (67.0, 9.81, fc.OMEGA_EARTH, None), "length", -1.0),
+    (RegionSampler, _BOX, (100, 0), "count", 0),
+    (MetricSignature, (MetricKind.MINKOWSKI,), (299792458.0,), "light_speed", -1.0),
+], ids=["foucault", "region", "metric"])
+def test_records_take_defaults_and_arity_from_their_named_tuple(cls, required, defaults, field,
+                                                                 bad):
+    record = cls(*required)
+    assert type(record) is cls and record == cls(*required, *defaults) == (*required, *defaults)
+    keywords = dict(zip(cls._fields, required))
+    assert cls(**keywords) == record
+    with pytest.raises(ValidationError):
+        cls(**keywords, **{field: bad})
+    with pytest.raises(TypeError):
+        cls(*required[:-1])
+    with pytest.raises(TypeError):
+        cls(*required, *defaults, 0)
+    with pytest.raises(TypeError):
+        cls(*required, colour=1)
 
 
 def test_validate_steps_takes_numpy_scalars():
