@@ -37,23 +37,27 @@ DEGENERACY_TOL = 1e-12  # |N| at or below this is a vanishing Pfaffian
 def float_coords(v, size):
     """The ``size`` entries of a vector as a tuple of floats, or None.
 
-    None stands for anything but ``size`` real numbers (plain or NumPy
-    ints and floats, not bools): another length, a scalar, or an entry
-    that is a string, None, a complex number or a nested sequence.  A
-    list or tuple of plain ints and floats is read as it is.
+    None stands for anything but ``size`` real numbers that a float can
+    hold (plain or NumPy ints and floats, not bools): another length, a
+    scalar, an int too large for a float, or an entry that is a string,
+    None, a complex number or a nested sequence.  A list or tuple of plain
+    ints and floats is read as it is.
     """
-    if type(v) in (tuple, list) and len(v) == size and all(type(c) in (float, int) for c in v):
-        return tuple([float(c) for c in v])
-    import numbers
-
     try:
-        entries = list(v)
-    except TypeError:  # a scalar
+        if type(v) in (tuple, list) and len(v) == size and all(type(c) in (float, int) for c in v):
+            return tuple([float(c) for c in v])
+        import numbers
+
+        try:
+            entries = list(v)
+        except TypeError:  # a scalar
+            return None
+        if len(entries) != size or not all(
+                isinstance(c, numbers.Real) and not isinstance(c, bool) for c in entries):
+            return None
+        return tuple([float(c) for c in entries])
+    except OverflowError:  # an int too large for a float
         return None
-    if len(entries) != size or not all(
-            isinstance(c, numbers.Real) and not isinstance(c, bool) for c in entries):
-        return None
-    return tuple([float(c) for c in entries])
 
 
 def point_coords(p):

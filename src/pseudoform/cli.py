@@ -8,6 +8,13 @@ documents carry ``schema_version`` 1, echo every defaulted config field
 and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
 %.17g formatting.
 
+CSV text is ``'%.17g' % v`` per value, whichever path writes it.  The
+geodesic's float rows go through ``%`` itself.  The ``foucault`` and
+``transport`` tables go through ``csvtext``, which converts whole 2-D
+blocks with NumPy: a value whose 17 correctly rounded digits float64
+arithmetic certifies is written from those digits, and every other value
+through ``%``, so the bytes are the same either way.
+
 JSON is written by this module's own encoder, byte for byte the layout of
 ``json.dumps(document, indent=2, sort_keys=True)``, whose pure-Python
 indenting path costs about twice as much.  The JSON forms build the whole
@@ -300,30 +307,37 @@ def _write_json(args, config, result):
 
 
 def _write_csv(header, blocks, out):
-    """Write the header, then each block of rows as it arrives.
+    """Write the header, then the geodesic's rows, one block as it arrives.
 
     ``blocks`` is an iterable of flat sequences of floats, each holding
     whole rows one after another.  Each block is formatted by one ``%``
     over its values, ``%.17g`` each, so only one block's text is held at a
-    time.
+    time and no NumPy is loaded.
     """
-    width = len(header)
-    row_fmt = ",".join(["%.17g"] * width) + "\n"
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    _write_text(header, (row_fmt * (len(block) // len(header)) % tuple(block) for block in blocks),
+                out)
+
+
+def _write_text(header, texts, out):
     with _output(out) as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
-            fh.write(row_fmt * (len(block) // width) % tuple(block))
+        for text in texts:
+            fh.write(text)
 
 
 def _write_finite_csv(args, header, row_blocks):
-    """Write 2-D blocks of rows as CSV, each checked before it is written.
+    """Write 2-D float64 blocks of rows as CSV, each checked before it is written.
 
     At the first row that holds a value that is not finite, the rows before
     it are written and ``EvaluationDomainError`` names it (exit 3), as an
     aborted geodesic reports its last step.  Rows count from 0 after the
-    header, so an orbit's row is its step.
+    header, so an orbit's row is its step.  ``csvtext`` writes the text,
+    the same bytes as ``'%.17g' % v`` per value.
     """
     import numpy as np
+
+    from .csvtext import csv_text
 
     def checked():
         row = 0
@@ -331,14 +345,14 @@ def _write_finite_csv(args, header, row_blocks):
             bad = ~np.isfinite(block).all(axis=1)
             if bad.any():
                 first = int(bad.argmax())
-                yield block[:first].ravel().tolist()
+                yield block[:first]
                 raise EvaluationDomainError(
                     f"non-finite value in the {args.command} result at row {row + first}"
                 )
-            yield block.ravel().tolist()
+            yield block
             row += len(block)
 
-    _write_csv(header, checked(), args.out)
+    _write_text(header, csv_text(checked()), args.out)
 
 
 def _write_table(args, config, header, key, blocks):

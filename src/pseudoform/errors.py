@@ -55,6 +55,22 @@ class ValidationError(PseudoformError):
     """Invalid argument or configuration value."""
 
 
+def describe(value):
+    """``repr(value)`` for a message, or, for an int too long to convert to
+    text (past ``sys.get_int_max_str_digits()``), its count of digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to print"
+    digits = int(abs(value).bit_length() * 0.30103)  # within one of the count
+    while 10**digits > abs(value):
+        digits -= 1
+    while 10**digits <= abs(value):
+        digits += 1
+    return f"an integer of {digits} digits"
+
+
 def check_integer(name, value):
     """``value`` as an int, else ``ValidationError`` naming ``name``; a bool is not one."""
     try:
@@ -62,7 +78,7 @@ def check_integer(name, value):
             return operator.index(value)
     except TypeError:
         pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+    raise ValidationError(f"{name} must be an integer, got {describe(value)}")
 
 
 def check_real(name, value):
@@ -72,4 +88,4 @@ def check_real(name, value):
             return value
     except (TypeError, OverflowError):  # not a real number, an array, or an int too big for a float
         pass
-    raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    raise ValidationError(f"{name} must be a finite real number, got {describe(value)}")

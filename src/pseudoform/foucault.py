@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
+from .calculus import float_coords
 from .errors import ConstraintViolationError, DegenerateWindowError, ValidationError, check_real
 from .formlang import parse_oneform
 from .geometry import (
@@ -246,16 +247,22 @@ def pendulum_orbit(cfg, initial, dt, duration):
     validate_steps(steps, dt)
     if isinstance(initial, PendulumState):
         initial = (initial.x, initial.y, initial.vx, initial.vy)
-    z0 = np.asarray(initial, dtype=float)
-    if z0.shape != (4,):
-        raise ValidationError("initial pendulum state must be (x, y, vx, vy)")
+    z0 = _finite_entries(initial, 4, "initial pendulum state (x, y, vx, vy)")
     amplitude = math.hypot(z0[0], z0[1])
     if amplitude >= cfg.length:
         raise ValidationError(
             f"initial amplitude {amplitude:.3g} m exceeds the pendulum length "
             f"{cfg.length:.3g} m: small-angle model invalid"
         )
-    return PendulumOrbit(cfg, z0, dt, steps)
+    return PendulumOrbit(cfg, np.array(z0), dt, steps)
+
+
+def _finite_entries(v, size, what):
+    """``v`` as a tuple of ``size`` floats, else ``ValidationError`` naming ``what``."""
+    entries = float_coords(v, size)
+    if entries is None or not all(map(math.isfinite, entries)):
+        raise ValidationError(f"{what} must be {size} finite real numbers")
+    return entries
 
 
 def simulate_pendulum(cfg, initial, dt, duration):
@@ -435,9 +442,7 @@ def _transport_run(cfg, kind, initial, t0, t1, dt):
     """Checked (generator, initial components, step, step count) of a transport."""
     import numpy as np
 
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (3,):
-        raise ValidationError("transported components must have shape (3,)")
+    initial = np.array(_finite_entries(initial, 3, "initial transported components"))
     if check_real("t1", t1) <= check_real("t0", t0):
         raise ValidationError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
     if check_real("dt", dt) <= 0:

@@ -8,7 +8,7 @@ NumPy when they are called.
 
 from __future__ import annotations
 
-from .errors import ValidationError, check_integer, check_real
+from .errors import ValidationError, check_integer, check_real, describe
 
 BLOCK = 1024  # rows advanced per flat product of powers in linear_rk4_blocks
 
@@ -44,7 +44,7 @@ def validate_steps(steps, h):
     """Refuse a step count that is not a positive integer (a bool is not one)
     and a step size that is not a finite, non-zero real number."""
     if check_integer("step count", steps) < 1:
-        raise ValidationError(f"step count must be a positive integer, got {steps!r}")
+        raise ValidationError(f"step count must be a positive integer, got {describe(steps)}")
     check_step_size(h)
 
 

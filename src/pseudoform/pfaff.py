@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .calculus import dtheta_cyclic, float_coords, format_point, pfaffian_norm, point_coords
-from .errors import ValidationError, check_integer, check_real
+from .errors import ValidationError, check_integer, check_real, describe
 
 DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
@@ -69,11 +69,12 @@ class RegionSampler(_RegionFields):
         if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
             raise ValidationError(f"region box is wider than a float can hold: {box}")
         if check_integer("sample count", count) < 1:
-            raise ValidationError(f"sample count must be >= 1, got {count}")
+            raise ValidationError(f"sample count must be >= 1, got {describe(count)}")
         if count > MAX_SAMPLES:
-            raise ValidationError(f"sample count {count} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+            raise ValidationError(
+                f"sample count must be at most MAX_SAMPLES = {MAX_SAMPLES}, got {describe(count)}")
         if check_integer("seed", seed) < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+            raise ValidationError(f"seed must be a non-negative integer, got {describe(seed)}")
         return self
 
     @classmethod

@@ -275,6 +275,26 @@ def test_transport_csv(tmp_path, capsys):
     assert code == 0 and [result["times"][-1], *result["components"][-1]] == last.tolist()
 
 
+@pytest.mark.parametrize("words, config, key", [
+    (["foucault", "sim"], {"latitude": 0.853, "length": 10.0, "initial": [0.2, -0.05, 0.0, 1e-6],
+                           "dt": 0.01, "duration": 30.0}, "states"),
+    (["transport"], {"latitude": 0.9, "initial": [0.3, 1.0, 0.0], "t1": 2000.0, "dt": 0.5},
+     "components"),
+], ids=["sim", "transport"])
+def test_table_csv_is_the_per_value_format_of_the_json_values(tmp_path, capsys, words, config,
+                                                               key):
+    # more rows than one block, so the rows cross block boundaries
+    code, out, _ = _run(tmp_path, capsys, ["--format", "csv", *words], config)
+    assert code == 0
+    code, doc, _ = _run(tmp_path, capsys, ["--format", "json", *words], config)
+    result = json.loads(doc)["result"]
+    rows = [[t, *values] for t, values in zip(result["times"], result[key])]
+    assert code == 0 and len(rows) > BLOCK
+    header = out.partition("\n")[0]
+    assert out == header + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                          for row in rows)
+
+
 # -- error handling ---------------------------------------------------------
 
 

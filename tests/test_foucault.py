@@ -443,6 +443,32 @@ def test_transport_blocks_give_parallel_transport_rows_bit_for_bit(kind):
     assert np.all(times == whole.times) and np.all(components == whole.components)
 
 
+_BAD_ENTRIES = {  # an entry that is not a finite real number a float can hold
+    "nan": math.nan, "inf": -math.inf, "none": None, "str": "a", "complex": 1j,
+    "nested": [0.1], "huge-int": 10**400,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+@pytest.mark.parametrize("call", [fc.pendulum_orbit, fc.simulate_pendulum],
+                         ids=["pendulum_orbit", "simulate_pendulum"])
+def test_a_bad_initial_pendulum_state_is_refused_with_a_typed_error(call, entry):
+    with pytest.raises(ValidationError, match="initial pendulum state"):
+        call(PARIS, [0.1, _BAD_ENTRIES[entry], 0.0, 0.0], 1e-3, 1.0)
+    with pytest.raises(ValidationError, match="initial pendulum state"):
+        call(PARIS, [0.1, 0.0, 0.0], 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+@pytest.mark.parametrize("call", [fc.parallel_transport, fc.transport_blocks],
+                         ids=["parallel_transport", "transport_blocks"])
+def test_bad_initial_transported_components_are_refused_with_a_typed_error(call, entry):
+    with pytest.raises(ValidationError, match="initial transported components"):
+        call(PARIS, "vector", [0.0, _BAD_ENTRIES[entry], 0.0], 0.0, 1.0, 0.1)
+    with pytest.raises(ValidationError, match="initial transported components"):
+        call(PARIS, "vector", np.zeros((3, 1)), 0.0, 1.0, 0.1)
+
+
 def test_transport_validation():
     with pytest.raises(ValidationError):
         fc.parallel_transport(PARIS, "tensor", (0.0, 1.0, 0.0), 0.0, 1.0, 0.1)

@@ -8,8 +8,9 @@ import pytest
 from pseudoform import foucault as fc
 from pseudoform.errors import ValidationError
 from pseudoform.formlang import parse_oneform
-from pseudoform.geometry import MetricKind, MetricSignature
-from pseudoform.pfaff import RegionSampler, classify
+from pseudoform.curves import integrate_geodesic
+from pseudoform.geometry import MetricKind, MetricSignature, PseudoSurface
+from pseudoform.pfaff import RegionSampler, classify, frobenius_coefficient
 from pseudoform.integrate import (
     BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_step, rk4_transition_matrix, validate_steps,
 )
@@ -147,6 +148,19 @@ _REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal 
                                 "duration"),
     "tol-huge-int": (lambda: classify(parse_oneform(["0", "x", "1"]),
                                       RegionSampler(*_BOX, count=4), tol=10**400), "tol"),
+    "region-bound-huge-int": (lambda: RegionSampler((10**400, 0, 0), (1, 1, 1)), "region bounds"),
+    "frobenius-point-huge-int": (lambda: frobenius_coefficient(parse_oneform(["0", "x", "1"]),
+                                                               (0, 10**400, 0)), "chart point"),
+    "geodesic-nu-huge-int": (lambda: integrate_geodesic(
+        PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"])), (0.1, 0.2, 0.3),
+        (10**400, 1), 0.01, 5), "nu"),
+    # an int past the digit limit of int-to-text conversion, in the message
+    "latitude-past-the-digit-limit": (lambda: fc.FoucaultConfig(latitude=10**5000), "latitude"),
+    "count-past-the-digit-limit": (lambda: RegionSampler(*_BOX, count=10**5000), "sample count"),
+    "negative-count-past-the-digit-limit": (lambda: RegionSampler(*_BOX, count=-10**5000),
+                                            "sample count"),
+    "seed-past-the-digit-limit": (lambda: RegionSampler(*_BOX, seed=-10**5000), "seed"),
+    "step-count-past-the-digit-limit": (lambda: validate_steps(-10**5000, 0.1), "step count"),
 }
 
 
@@ -155,6 +169,22 @@ def test_library_numbers_are_refused_with_a_typed_error_that_names_them(case):
     call, name = _REFUSED_NUMBERS[case]
     with pytest.raises(ValidationError, match=name):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fc.FoucaultConfig(latitude=10**5000),
+     "latitude must be a finite real number, got an integer of 5001 digits"),
+    (lambda: RegionSampler(*_BOX, count=10**5000),
+     "sample count must be at most MAX_SAMPLES = 10000000, got an integer of 5001 digits"),
+    (lambda: RegionSampler(*_BOX, count=-(10**5000 - 1)),
+     "sample count must be >= 1, got an integer of 5000 digits"),
+], ids=["latitude", "count", "negative-count"])
+def test_a_refused_int_past_the_digit_limit_is_described_by_its_length(call, message):
+    # str() of an int of more than 4300 digits raises ValueError, which the
+    # message must not
+    with pytest.raises(ValidationError) as refusal:
+        call()
+    assert str(refusal.value) == message
 
 
 _VALIDATED_RECORDS = {  # a record whose constructor validates, and a field value it refuses

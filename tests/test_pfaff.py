@@ -252,6 +252,12 @@ def test_cli_import_and_float_calls_leave_dataclasses_and_inspect_unloaded(tmp_p
     assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(_FLOAT_CALLS) + "\n", "")
 
 
+def test_cli_import_and_float_calls_leave_the_table_writer_unloaded(tmp_path):
+    # only the foucault and transport tables are written by csvtext
+    proc = _loaded_by_float_calls(tmp_path, "pseudoform.csvtext")
+    assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(_FLOAT_CALLS) + "\n", "")
+
+
 def test_classify_normalizes_huge_finite_forms():
     # |theta| = exp(1000 x) up to 1e304: the norms and the Frobenius
     # normalization stay finite, and no NumPy warning is raised
