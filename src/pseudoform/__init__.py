@@ -32,10 +32,9 @@ from .formlang import parse_expression, parse_oneform, parse_scalar
 from .foucault import (
     FoucaultConfig,
     FoucaultGeometry,
-    PendulumOrbit,
+    Orbit,
     PendulumState,
     Trajectory,
-    TransportState,
     decompose_acceleration,
     foucault_frame_field,
     foucault_geometry,
@@ -45,7 +44,7 @@ from .foucault import (
     precession_per_day,
     simulate_pendulum,
     theta2_oneform,
-    transport_blocks,
+    transport_orbit,
 )
 from .geometry import (
     EUCLIDEAN,

@@ -13,7 +13,9 @@ geodesic's float rows go through ``%`` itself.  The ``foucault`` and
 ``transport`` tables go through ``csvtext``, which converts whole 2-D
 blocks with NumPy: a value whose 17 correctly rounded digits float64
 arithmetic certifies is written from those digits, and every other value
-through ``%``, so the bytes are the same either way.
+through ``%``, so the bytes are the same either way.  The ``foucault sim``
+and ``transport`` tables are a ``foucault.Orbit``: CSV streams its blocks,
+JSON holds its ``trajectory()``.
 
 JSON is written by this module's own encoder, byte for byte the layout of
 ``json.dumps(document, indent=2, sort_keys=True)``, whose pure-Python
@@ -355,16 +357,15 @@ def _write_finite_csv(args, header, row_blocks):
     _write_text(header, csv_text(checked()), args.out)
 
 
-def _write_table(args, config, header, key, blocks):
-    """(times, values) blocks as streamed CSV rows, or one JSON table under ``key``."""
-    import numpy as np
-
-    rows = (np.column_stack(block) for block in blocks)
+def _write_table(args, config, header, key, orbit):
+    """An orbit as CSV rows, block by block, or as JSON ``times`` and ``key`` tables."""
     if args.format == "csv":
-        _write_finite_csv(args, header, rows)
+        import numpy as np
+
+        _write_finite_csv(args, header, (np.column_stack(block) for block in orbit.blocks()))
         return
-    table = np.concatenate(list(rows))
-    _write_json(args, config, {"times": table[:, 0].tolist(), key: table[:, 1:].tolist()})
+    traj = orbit.trajectory()
+    _write_json(args, config, {"times": traj.times.tolist(), key: traj.states.tolist()})
 
 
 def _geodesic_blocks(curve):
@@ -496,7 +497,7 @@ def _cmd_foucault_geometry(config, args):
 
 def _cmd_foucault_sim(config, args):
     cfg, c = _merge(config, _FOUCAULT_DEFAULTS, required=("latitude", "dt", "duration", "initial"))
-    _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c).blocks())
+    _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c))
 
 
 def _cmd_foucault_precession(config, args):
@@ -529,10 +530,10 @@ def _cmd_transport(config, args):
         defaults={**_FOUCAULT_DEFAULTS, "kind": "vector", "t0": 0.0},
         required=("latitude", "initial", "t1", "dt"),
     )
-    blocks = fc.transport_blocks(
+    orbit = fc.transport_orbit(
         _foucault_config(c), c["kind"], _initial(c, 3), c["t0"], c["t1"], c["dt"]
     )
-    _write_table(args, cfg, ["t", "ct", "cx", "cy"], "components", blocks)
+    _write_table(args, cfg, ["t", "ct", "cx", "cy"], "components", orbit)
 
 
 # -- driver ----------------------------------------------------------------

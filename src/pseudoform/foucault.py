@@ -14,8 +14,8 @@ Sign convention (see :mod:`pseudoform.geometry`): with the frame
 completed from theta2 the Frobenius coefficient is -phi_dot and the
 off-diagonal second-form entry is +phi_dot / 2.
 
-The orbits, the precession fit and the transport are NumPy arrays; the
-functions that build them import NumPy when they are called.
+The orbit and the transport are each an ``Orbit``, RK4 on y' = A y; the
+functions that build its NumPy arrays import NumPy when they are called.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import math
 from typing import NamedTuple, Optional
 
 from .calculus import float_coords
-from .errors import ConstraintViolationError, DegenerateWindowError, ValidationError, check_real
+from .errors import (ConstraintViolationError, DegenerateWindowError, EvaluationDomainError,
+                     ValidationError, check_real)
 from .formlang import parse_oneform
 from .geometry import (
     EUCLIDEAN,
@@ -151,12 +152,11 @@ class PendulumState(NamedTuple):
 
 class Trajectory(NamedTuple):
     times: np.ndarray
-    states: np.ndarray  # columns x, y, vx, vy
+    states: np.ndarray  # pendulum: columns x, y, vx, vy; transport: natural components
     config: "FoucaultConfig"
 
     @property
-    def dt(self):
-        """Sample spacing, read from the first two times."""
+    def dt(self):  # read from the first two times
         return float(self.times[1] - self.times[0])
 
     @property
@@ -168,17 +168,16 @@ class Trajectory(NamedTuple):
         yield self.times, self.states
 
 
-class PendulumOrbit(NamedTuple):
-    """A pendulum run computed one row block at a time.
-
-    ``blocks()`` yields (times, states) pairs, times ``dt * k``; their rows,
-    concatenated, are ``simulate_pendulum``'s bit for bit.  Only the block
-    being read is held, so ``measure_precession`` and the CLI's CSV writer
-    never hold the whole trajectory.
+class Orbit(NamedTuple):
+    """The fixed-step RK4 run of y' = A y, A the ``generator``, row k at
+    time ``t0 + dt * k``.  ``blocks()`` computes and holds one block of rows
+    at a time; ``trajectory()`` holds the same rows, bit for bit, at once.
     """
 
     config: "FoucaultConfig"
-    initial: np.ndarray  # x, y, vx, vy
+    generator: np.ndarray
+    initial: np.ndarray
+    t0: float
     dt: float
     steps: int
 
@@ -186,20 +185,41 @@ class PendulumOrbit(NamedTuple):
     def rows(self):
         return self.steps + 1
 
+    def _times(self, start, stop):
+        import numpy as np
+
+        times = np.arange(start, stop, dtype=float)
+        times *= self.dt  # in place: the whole run's times are one array
+        times += self.t0
+        return times
+
     def blocks(self):
-        dt = self.dt
-        states = linear_rk4_blocks(dynamics_matrix(self.config), self.initial, dt, self.steps)
-        return _with_times(states, lambda k: dt * k)
+        k = 0
+        for states in linear_rk4_blocks(self.generator, self.initial, self.dt, self.steps):
+            yield self._times(k, k + len(states)), states
+            k += len(states)
+
+    def trajectory(self):
+        times = self._times(0, self.rows)
+        states = linear_rk4_orbit(self.generator, self.initial, self.dt, self.steps)
+        return Trajectory(times, states, self.config)
 
 
-def _with_times(state_blocks, time_of):
-    """Pair each state block with ``time_of`` its row indices."""
-    import numpy as np
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)  # largest |h * omega| RK4 keeps bounded
 
-    k = 0
-    for states in state_blocks:
-        yield time_of(np.arange(k, k + len(states))), states
-        k += len(states)
+
+def _check_stable(omega_max, h, dt):
+    """Refuse a step ``h``, derived from ``dt``, on which RK4 grows for y' = A y,
+    A's eigenvalues imaginary and at most ``omega_max`` in modulus.  RK4 scales
+    the mode of i omega by R(i h omega), |R(iy)|^2 = 1 - y^6/72 + y^8/576 > 1
+    exactly for |y| > 2 sqrt(2).  Rounding may judge a step within a few ulps of
+    the limit either way; there |R| - 1 < 1e-14, or 1e-5 over MAX_STEPS steps."""
+    if omega_max * abs(h) > RK4_STABILITY_LIMIT:
+        step = "" if h == dt else f" (RK4 steps of {h!r} s)"
+        raise ValidationError(
+            f"step size dt={dt!r}{step} is past RK4's stability limit: "
+            f"the largest stable step is {RK4_STABILITY_LIMIT / omega_max!r} s"
+        )
 
 
 def dynamics_matrix(cfg):
@@ -235,16 +255,19 @@ def _step_count(span, dt):
 
 
 def pendulum_orbit(cfg, initial, dt, duration):
-    """The small-angle pendulum's fixed-step RK4 run over [0, T], unevaluated.
+    """The small-angle pendulum's fixed-step RK4 ``Orbit`` over [0, T].
 
     ``initial`` is a PendulumState or an (x, y, vx, vy) sequence.  The
-    arguments are checked here; the returned ``PendulumOrbit`` computes its
-    rows only as its blocks are read.
+    arguments are checked here, the step against RK4's stability limit with
+    A's eigenvalues +-i (Omega +- sqrt(Omega^2 + omega0^2)).  t0 = -0.0, the
+    additive identity, keeps the times ``dt * k`` bit for bit.
     """
     import numpy as np
 
     steps = _step_count(check_real("duration", duration), check_step_size(dt, "step size dt"))
     validate_steps(steps, dt)
+    om = cfg.precession_rate
+    _check_stable(abs(om) + math.hypot(om, cfg.omega0), dt, dt)
     if isinstance(initial, PendulumState):
         initial = (initial.x, initial.y, initial.vx, initial.vy)
     z0 = _finite_entries(initial, 4, "initial pendulum state (x, y, vx, vy)")
@@ -254,7 +277,7 @@ def pendulum_orbit(cfg, initial, dt, duration):
             f"initial amplitude {amplitude:.3g} m exceeds the pendulum length "
             f"{cfg.length:.3g} m: small-angle model invalid"
         )
-    return PendulumOrbit(cfg, np.array(z0), dt, steps)
+    return Orbit(cfg, dynamics_matrix(cfg), np.array(z0), -0.0, dt, steps)
 
 
 def _finite_entries(v, size, what):
@@ -266,19 +289,9 @@ def _finite_entries(v, size, what):
 
 
 def simulate_pendulum(cfg, initial, dt, duration):
-    """Fixed-step RK4 trajectory of the small-angle pendulum over [0, T].
-
-    The whole ``pendulum_orbit`` held in memory: 32 bytes of states per
-    step, so prefer the orbit's blocks for long runs.  Row 0 is the initial
-    state exactly.  The states are ``linear_rk4_orbit`` of the linearized
-    dynamics; over 2e5 steps the tests hold them to within 1e-12 of the
-    largest state component from stepping the one-step RK4 matrix.
-    """
-    import numpy as np
-
-    orbit = pendulum_orbit(cfg, initial, dt, duration)
-    states = linear_rk4_orbit(dynamics_matrix(cfg), orbit.initial, dt, orbit.steps)
-    return Trajectory(dt * np.arange(orbit.rows), states, cfg)
+    """The whole ``pendulum_orbit`` as a ``Trajectory``: 40 bytes a step, so
+    prefer the orbit's blocks for long runs.  Row 0 is the initial state exactly."""
+    return pendulum_orbit(cfg, initial, dt, duration).trajectory()
 
 
 def decompose_acceleration(cfg, state, restoring):
@@ -318,8 +331,8 @@ class PrecessionEstimate(NamedTuple):
     center_states: np.ndarray  # (x, y, vx, vy) at the sample nearest each centre
 
 
-def _window_angle(x, y):
-    """Principal-axis angle of the second-moment matrix of a point cloud."""
+def _window_angle(x, y, k, center):
+    """Principal-axis angle of the second-moment matrix of window ``k``'s points."""
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,7 +340,8 @@ def _window_angle(x, y):
         myy = float(np.mean(y * y))
         mxy = float(np.mean(x * y))
     if not math.isfinite(mxx + myy + mxy):  # overflowed: no angle, not a wrong finite one
-        return math.nan
+        raise EvaluationDomainError(f"the swing's second moments overflow in precession "
+                                    f"window {k} (centre t = {center!r} s)")
     tr = mxx + myy
     if tr <= 0:
         raise DegenerateWindowError("window has no signal (all points at origin)")
@@ -373,13 +387,14 @@ def _windows(blocks, size, count):
 def measure_precession(traj, window_seconds=None):
     """Least-squares precession rate of the swing plane.
 
-    ``traj`` is a ``Trajectory`` or a ``PendulumOrbit``; either is read
-    through its row blocks with one window of rows held at a time.  The
+    ``traj`` is a ``Trajectory`` or an ``Orbit``; either is read through
+    its row blocks with one window of rows held at a time.  The
     samples are cut into non-overlapping windows (default and minimum: two
     pendulum periods, so the plane angle is averaged over whole swings);
     each window contributes a principal-axis angle and the state at its
     sample nearest the window centre (the earlier on a tie).  The angles
-    are unwrapped modulo pi and fit by least squares.
+    are unwrapped modulo pi and fit by least squares.  A window whose moments
+    overflow raises ``EvaluationDomainError``.
     """
     import numpy as np
 
@@ -401,9 +416,9 @@ def measure_precession(traj, window_seconds=None):
     angles = np.empty(n_windows)
     center_states = np.empty((n_windows, 4))
     for k, (times, states) in enumerate(_windows(traj.blocks(), per_window, n_windows)):
-        centers[k] = float(np.mean(times))
-        angles[k] = _window_angle(states[:, 0], states[:, 1])
-        center_states[k] = states[int(np.argmin(np.abs(times - centers[k])))]
+        centers[k] = center = float(np.mean(times))
+        angles[k] = _window_angle(states[:, 0], states[:, 1], k, center)
+        center_states[k] = states[int(np.argmin(np.abs(times - center)))]
     # unwrap modulo pi (the plane angle is direction-free)
     for k in range(1, n_windows):
         while angles[k] - angles[k - 1] > math.pi / 2:
@@ -415,11 +430,6 @@ def measure_precession(traj, window_seconds=None):
 
 
 # -- parallel transport ---------------------------------------------------
-
-
-class TransportState(NamedTuple):
-    times: np.ndarray
-    components: np.ndarray  # natural (chart) components, shape (n, 3)
 
 
 def transport_generator(cfg, kind="vector"):
@@ -438,8 +448,10 @@ def transport_generator(cfg, kind="vector"):
     raise ValidationError(f"transport kind must be 'vector' or 'covector', got {kind!r}")
 
 
-def _transport_run(cfg, kind, initial, t0, t1, dt):
-    """Checked (generator, initial components, step, step count) of a transport."""
+def transport_orbit(cfg, kind, initial, t0, t1, dt):
+    """RK4 parallel transport of natural components from t0 to t1, as an ``Orbit``
+    of round((t1 - t0) / dt) steps, at least one.  Its step, up to 1.5 dt, is
+    checked against RK4's stability limit (A's eigenvalues 0, +-i phi_dot)."""
     import numpy as np
 
     initial = np.array(_finite_entries(initial, 3, "initial transported components"))
@@ -449,26 +461,13 @@ def _transport_run(cfg, kind, initial, t0, t1, dt):
         raise ValidationError(f"step size dt must be positive and finite, got {dt!r}")
     steps = max(1, _step_count(t1 - t0, dt))
     h = (t1 - t0) / steps
-    return transport_generator(cfg, kind), initial, h, steps
+    _check_stable(abs(cfg.phi_dot), h, dt)
+    return Orbit(cfg, transport_generator(cfg, kind), initial, t0, h, steps)
 
 
 def parallel_transport(cfg, kind, initial, t0, t1, dt):
-    """RK4 parallel transport of natural components from t0 to t1."""
-    import numpy as np
-
-    w, initial, h, steps = _transport_run(cfg, kind, initial, t0, t1, dt)
-    states = linear_rk4_orbit(w, initial, h, steps)
-    return TransportState(t0 + h * np.arange(steps + 1), states)
-
-
-def transport_blocks(cfg, kind, initial, t0, t1, dt):
-    """``parallel_transport``'s rows as (times, components) blocks.
-
-    The arguments are checked before this returns; each block is computed
-    only when it is read, so the whole run is never held.
-    """
-    w, initial, h, steps = _transport_run(cfg, kind, initial, t0, t1, dt)
-    return _with_times(linear_rk4_blocks(w, initial, h, steps), lambda k: t0 + h * k)
+    """The whole ``transport_orbit`` held in memory, as a ``Trajectory``."""
+    return transport_orbit(cfg, kind, initial, t0, t1, dt).trajectory()
 
 
 # -- small physical helpers ------------------------------------------------

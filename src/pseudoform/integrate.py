@@ -106,16 +106,12 @@ def linear_rk4_blocks(a, y0, h, steps):
 
 
 def linear_rk4_orbit(a, y0, h, steps):
-    """All RK4 iterates of y' = A y, as a (steps + 1, n) array.
-
-    The rows are the blocks of ``linear_rk4_blocks``, bit for bit, so row 0
-    is ``y0`` exactly.
-    """
+    """All RK4 iterates of y' = A y as one (steps + 1, n) array, filled with
+    the blocks of ``linear_rk4_blocks``, bit for bit, so row 0 is ``y0``."""
     import numpy as np
 
     validate_steps(steps, h)
-    y0 = np.asarray(y0, dtype=float)
-    out = np.empty((steps + 1, y0.size))
+    out = np.empty((steps + 1, np.size(y0)))
     row = 0
     for block in linear_rk4_blocks(a, y0, h, steps):
         out[row : row + len(block)] = block

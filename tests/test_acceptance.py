@@ -217,10 +217,10 @@ def test_criterion_10_parallel_transport_holonomy():
     expect = np.column_stack(
         [np.zeros_like(res.times), np.cos(rate * res.times), np.sin(rate * res.times)]
     )
-    norms = np.linalg.norm(res.components, axis=1)
+    norms = np.linalg.norm(res.states, axis=1)
     ok = (
         len(res.times) == 10001
-        and np.max(np.abs(res.components - expect)) <= 1e-8
+        and np.max(np.abs(res.states - expect)) <= 1e-8
         and np.max(np.abs(norms - 1.0)) <= 1e-9
     )
     _verdict(10, "10^4-step parallel transport tracks the rotating frame", ok)

@@ -768,18 +768,39 @@ def test_a_non_finite_json_result_is_a_numerical_error_and_writes_nothing(
     assert not target.exists()
 
 
-# dt = 1e3 is far past RK4's stability limit for this pendulum, so its orbit
-# grows to inf and NaN; the transported 1e300 overflows in its one step
+# steps past RK4's stability limit, which is 7.39 s for this pendulum and
+# 2.58e4 s for this transport, whose one step is 3e8 s
+_DT10_PENDULUM = {"latitude": 0.8526, "dt": 10, "duration": 300, "initial": [0.1, 0, 0, 0]}
 _UNSTABLE_PENDULUM = {"latitude": 0.8526, "dt": 1e3, "duration": 1e5, "initial": [0.1, 0, 0, 0]}
-_OVERFLOWING_TRANSPORT = {"latitude": 0.8526, "initial": [1e-9, 3, 1e300], "t0": 0.5,
-                          "t1": 299792458, "dt": 1e300}
+_UNSTABLE_TRANSPORT = {"latitude": 0.8526, "initial": [1e-9, 3, 1e300], "t0": 0.5,
+                       "t1": 299792458, "dt": 1e300}
+# stable steps whose rows overflow: the swing's x passes the largest float at
+# row 199, the transported cx at row 206
+_OVERFLOWING_PENDULUM = {"latitude": 0.8526, "dt": 1e-2, "duration": 10,
+                         "initial": [0.1, 0, 1e308, 0]}
+_OVERFLOWING_TRANSPORT = {"latitude": 0.8526, "initial": [0, 1.5e308, 1.5e308], "t1": 1e5,
+                          "dt": 10}
+
+
+@pytest.mark.parametrize("words, config, limit", [
+    (["foucault", "sim"], _DT10_PENDULUM, "7.390699957776241"),
+    (["foucault", "sim"], _UNSTABLE_PENDULUM, "7.390699957776241"),
+    (["foucault", "precession"], _UNSTABLE_PENDULUM, "7.390699957776241"),
+    (["transport"], _UNSTABLE_TRANSPORT, "25755.911607706155"),
+], ids=["sim-dt10", "sim", "precession", "transport"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_step_past_rk4s_stability_limit_is_a_config_error(tmp_path, capsys, fmt, words,
+                                                            config, limit):
+    code, out, err = _run(tmp_path, capsys, ["--format", fmt, *words], config)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: step size dt={config['dt']!r}")
+    assert err.endswith(f"is past RK4's stability limit: the largest stable step is {limit} s\n")
 
 
 @pytest.mark.parametrize("words, config", [
-    (["foucault", "sim"], _UNSTABLE_PENDULUM),
-    (["foucault", "precession"], _UNSTABLE_PENDULUM),
+    (["foucault", "sim"], _OVERFLOWING_PENDULUM),
     (["transport"], _OVERFLOWING_TRANSPORT),
-], ids=["sim", "precession", "transport"])
+], ids=["sim", "transport"])
 def test_a_non_finite_csv_row_stops_the_output_with_exit_3(tmp_path, capsys, words, config):
     # the rows before the first non-finite one are written, and the error names
     # that row; a NumPy warning would fail the test, as warnings are errors here
@@ -792,10 +813,9 @@ def test_a_non_finite_csv_row_stops_the_output_with_exit_3(tmp_path, capsys, wor
 
 
 @pytest.mark.parametrize("words, config", [
-    (["foucault", "sim"], _UNSTABLE_PENDULUM),
-    (["foucault", "precession"], _UNSTABLE_PENDULUM),
+    (["foucault", "sim"], _OVERFLOWING_PENDULUM),
     (["transport"], _OVERFLOWING_TRANSPORT),
-], ids=["sim", "precession", "transport"])
+], ids=["sim", "transport"])
 @pytest.mark.parametrize("out", ["stdout", "file"])
 def test_a_non_finite_json_table_writes_nothing(tmp_path, capsys, words, config, out):
     target = tmp_path / "table.json"
@@ -805,6 +825,16 @@ def test_a_non_finite_json_table_writes_nothing(tmp_path, capsys, words, config,
     assert (code, stdout) == (3, "")
     assert err == f"numerical error: non-finite value in the {'-'.join(words)} result\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_overflowing_precession_window_is_a_numerical_error(tmp_path, capsys, fmt):
+    # the first window's second moments overflow, so no plane angle exists
+    config = {**_OVERFLOWING_PENDULUM, "initial": [0.1, 0, 1e200, 0], "duration": 200}
+    code, out, err = _run(tmp_path, capsys, ["--format", fmt, "foucault", "precession"], config)
+    assert (code, out) == (3, "")
+    assert err == ("numerical error: the swing's second moments overflow in precession "
+                   "window 0 (centre t = 16.415 s)\n")
 
 
 def test_a_non_finite_surface_result_writes_nothing(tmp_path, capsys, monkeypatch):

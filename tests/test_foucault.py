@@ -9,6 +9,7 @@ from pseudoform import foucault as fc
 from pseudoform.errors import (
     ConstraintViolationError,
     DegenerateWindowError,
+    EvaluationDomainError,
     ValidationError,
 )
 from pseudoform.geometry import (
@@ -18,6 +19,7 @@ from pseudoform.geometry import (
     PseudoSurface,
     connection_form,
 )
+from pseudoform.integrate import rk4_transition_matrix
 from pseudoform.pfaff import frobenius_coefficient
 from test_geometry import structure_functions
 
@@ -66,7 +68,7 @@ def test_step_count_is_capped_at_max_steps():
     with pytest.raises(ValidationError, match="dt"):
         fc.pendulum_orbit(cfg, (0.1, 0, 0, 0), dt, (fc.MAX_STEPS + 1) * dt)
     with pytest.raises(ValidationError, match="dt"):
-        fc.transport_blocks(cfg, "vector", (0.0, 1.0, 0.0), 0.0, 1.0, 1e-300)
+        fc.transport_orbit(cfg, "vector", (0.0, 1.0, 0.0), 0.0, 1.0, 1e-300)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -263,6 +265,52 @@ def test_trajectory_uniform_spacing():
     assert np.max(np.abs(dts - 0.5)) < 1e-12
 
 
+def _spectral_radius(a, h):
+    return max(abs(np.linalg.eigvals(rk4_transition_matrix(a, h))))
+
+
+_FAST = fc.FoucaultConfig(latitude=0.8526)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_a_pendulum_step_past_rk4s_stability_limit_is_refused(sign):
+    om = _FAST.precession_rate
+    h_max = fc.RK4_STABILITY_LIMIT / (abs(om) + math.hypot(om, _FAST.omega0))
+    assert abs(h_max - 7.3907) < 1e-4
+    inside, outside = sign * 0.999999 * h_max, sign * 1.000001 * h_max
+    # the one-step matrix's spectral radius crosses 1 between the two steps
+    a = fc.dynamics_matrix(_FAST)
+    assert _spectral_radius(a, inside) < 1.0 < _spectral_radius(a, outside)
+    states = fc.simulate_pendulum(_FAST, (0.1, 0.0, 0.0, 0.0), inside, 1000 * inside).states
+    assert np.max(np.abs(states[:, :2])) < 1.0
+    for call in (fc.pendulum_orbit, fc.simulate_pendulum):
+        with pytest.raises(ValidationError, match=f"dt={outside!r} is past RK4's stability "
+                                                  f"limit: the largest stable step is 7.3906"):
+            call(_FAST, (0.1, 0.0, 0.0, 0.0), outside, 1000 * outside)
+
+
+def test_a_step_far_past_the_limit_is_refused_before_any_precession():
+    with pytest.raises(ValidationError, match="dt=1000.0 is past RK4's stability limit"):
+        fc.pendulum_orbit(_FAST, (0.1, 0.0, 0.0, 0.0), 1e3, 1e5)
+
+
+@pytest.mark.parametrize("kind", ["vector", "covector"])
+def test_a_transport_step_past_rk4s_stability_limit_is_refused(kind):
+    h_max = fc.RK4_STABILITY_LIMIT / _FAST.phi_dot
+    w = fc.transport_generator(_FAST, kind)
+    assert _spectral_radius(w, 0.999999 * h_max) <= 1.0 < _spectral_radius(w, 1.000001 * h_max)
+    inside = fc.transport_orbit(_FAST, kind, (0.0, 1.0, 0.0), 0.0, 2 * 0.999999 * h_max,
+                                0.999999 * h_max)
+    assert inside.steps == 2 and np.all(np.isfinite(inside.trajectory().states))
+    with pytest.raises(ValidationError, match="largest stable step is 25755.9"):
+        fc.transport_orbit(_FAST, kind, (0.0, 1.0, 0.0), 0.0, 2 * 1.000001 * h_max,
+                           1.000001 * h_max)
+    # dt = 0.9 h_max is stable, but 1.4 dt rounds to one step of 1.26 h_max
+    dt = 0.9 * h_max
+    with pytest.raises(ValidationError, match=f"dt={dt!r} \\(RK4 steps of {1.4 * dt!r} s\\)"):
+        fc.parallel_transport(_FAST, kind, (0.0, 1.0, 0.0), 0.0, 1.4 * dt, dt)
+
+
 def test_decompose_acceleration_at_rest():
     state = fc.PendulumState(0.0, 0.05, 0.0, 0.0, 0.0)
     a0, a1, a2 = fc.decompose_acceleration(PARIS, state, restoring=0.007)
@@ -343,7 +391,8 @@ def _sliced_precession(traj, window_seconds):
         # the window and one neighbour on each side, so an outside sample could win
         lo = max(sl.start - 1, 0)
         nearest = lo + int(np.argmin(np.abs(traj.times[lo : sl.stop + 1] - center)))
-        rows.append([center, fc._window_angle(traj.states[sl, 0], traj.states[sl, 1]), *traj.states[nearest]])
+        angle = fc._window_angle(traj.states[sl, 0], traj.states[sl, 1], k, center)
+        rows.append([center, angle, *traj.states[nearest]])
     return np.array(rows)
 
 
@@ -378,12 +427,12 @@ def test_streamed_precession_matches_materialized(cfg, initial, dt, duration, wi
     assert np.max(np.abs(turns - np.round(turns))) <= 1e-12
 
 
-def test_orbit_blocks_concatenate_to_simulation():
-    orbit = fc.pendulum_orbit(PARIS, (0.1, 0.02, 0.0, 0.01), 1e-3, 5.0)
-    traj = fc.simulate_pendulum(PARIS, (0.1, 0.02, 0.0, 0.01), 1e-3, 5.0)
-    times, states = (np.concatenate(part) for part in zip(*orbit.blocks()))
-    assert times.tobytes() == traj.times.tobytes()
-    assert states.tobytes() == traj.states.tobytes()
+def test_an_overflowing_precession_window_is_refused_not_a_nan_rate():
+    # a stable step, but x = vx / omega0 squares past the largest float
+    orbit = fc.pendulum_orbit(_FAST, [0.1, 0, 1e200, 0], 1e-2, 200.0)
+    with pytest.raises(EvaluationDomainError,
+                       match=r"overflow in precession window 0 \(centre t = 16\.415 s\)"):
+        fc.measure_precession(orbit)
 
 
 def test_precession_window_too_short():
@@ -403,21 +452,21 @@ def test_transport_tracks_rotation():
     expect = np.column_stack(
         [np.zeros_like(res.times), np.cos(rate * res.times), np.sin(rate * res.times)]
     )
-    assert np.max(np.abs(res.components - expect)) < 1e-8
-    norms = np.linalg.norm(res.components, axis=1)
+    assert np.max(np.abs(res.states - expect)) < 1e-8
+    norms = np.linalg.norm(res.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
 def test_transport_time_axis_constant():
     res = fc.parallel_transport(PARIS, "vector", (1.0, 0.0, 0.0), 0.0, 100.0, 0.01)
-    assert np.max(np.abs(res.components - np.array([1.0, 0.0, 0.0]))) < 1e-14
+    assert np.max(np.abs(res.states - np.array([1.0, 0.0, 0.0]))) < 1e-14
 
 
 def test_transport_moving_frame_constancy():
     res = fc.parallel_transport(PARIS, "vector", (0.3, 0.5, -0.2), 0.0, 500.0, 0.05)
     for i in (0, len(res.times) // 2, len(res.times) - 1):
         frame = fc.foucault_frame_field(PARIS).matrix_at((res.times[i], 0.0, 0.0))
-        nu = np.linalg.inv(frame) @ res.components[i]
+        nu = np.linalg.inv(frame) @ res.states[i]
         if i == 0:
             nu0 = nu
         assert np.max(np.abs(nu - nu0)) < 1e-8
@@ -427,20 +476,46 @@ def test_transport_covector_inverse_rotation():
     vec = fc.parallel_transport(PARIS, "vector", (0.0, 1.0, 0.0), 0.0, 200.0, 0.01)
     cov = fc.parallel_transport(PARIS, "covector", (0.0, 1.0, 0.0), 0.0, 200.0, 0.01)
     # the pairing <alpha, v> is invariant under dual transport
-    assert np.isclose(cov.components[-1] @ vec.components[-1], 1.0, atol=1e-10)
+    assert np.isclose(cov.states[-1] @ vec.states[-1], 1.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("kind", ["vector", "covector"])
-def test_transport_blocks_give_parallel_transport_rows_bit_for_bit(kind):
-    # 2500 steps from t0 = 3: more than two integrate.BLOCK blocks of rows
-    args = (PARIS, kind, (0.3, 0.5, -0.2), 3.0, 3.0 + 2500 * 0.1, 0.1)
-    whole = fc.parallel_transport(*args)
-    blocks = list(fc.transport_blocks(*args))
-    assert len(blocks) > 2 and len(whole.times) == 2501
-    times = np.concatenate([t for t, _ in blocks])
-    components = np.concatenate([c for _, c in blocks])
-    assert times.shape == whole.times.shape and components.shape == whole.components.shape
-    assert np.all(times == whole.times) and np.all(components == whole.components)
+# every orbit here runs to more than two integrate.BLOCK blocks of rows
+_ORBITS = {
+    "pendulum": lambda: fc.pendulum_orbit(PARIS, (0.1, 0.02, 0.0, 0.01), 1e-3, 5.0),
+    "pendulum-negative-dt": lambda: fc.pendulum_orbit(PARIS, (0.1, 0.02, 0.0, 0.01), -1e-3, -5.0),
+    "transport-vector": lambda: fc.transport_orbit(
+        PARIS, "vector", (0.3, 0.5, -0.2), 3.0, 3.0 + 2500 * 0.1, 0.1),
+    "transport-covector": lambda: fc.transport_orbit(
+        PARIS, "covector", (0.3, 0.5, -0.2), 3.0, 3.0 + 2500 * 0.1, 0.1),
+}
+
+
+@pytest.mark.parametrize("make", _ORBITS.values(), ids=list(_ORBITS))
+def test_orbit_blocks_concatenate_to_its_trajectory_bit_for_bit(make):
+    orbit = make()
+    blocks = list(orbit.blocks())
+    traj = orbit.trajectory()
+    assert len(blocks) > 2 and traj.rows == orbit.rows
+    times, states = (np.concatenate(part) for part in zip(*blocks))
+    assert times.shape == traj.times.shape and states.shape == traj.states.shape
+    assert times.tobytes() == traj.times.tobytes()
+    assert states.tobytes() == traj.states.tobytes()
+    # row k is at t0 + dt * k; the pendulum's t0 = -0.0 keeps dt * k, -0.0 included
+    assert times.tobytes() == (orbit.t0 + orbit.dt * np.arange(orbit.rows)).tobytes()
+
+
+def test_a_trajectory_holds_little_more_than_its_times_and_states():
+    import tracemalloc
+
+    orbit = fc.pendulum_orbit(PARIS, (0.1, 0.0, 0.0, 0.0), 1e-3, 1e3)  # 1e6 steps
+    tracemalloc.start()
+    try:
+        traj = orbit.trajectory()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = traj.times.nbytes + traj.states.nbytes
+    assert orbit.steps == 10**6 and peak <= 1.3 * held
 
 
 _BAD_ENTRIES = {  # an entry that is not a finite real number a float can hold
@@ -460,8 +535,8 @@ def test_a_bad_initial_pendulum_state_is_refused_with_a_typed_error(call, entry)
 
 
 @pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
-@pytest.mark.parametrize("call", [fc.parallel_transport, fc.transport_blocks],
-                         ids=["parallel_transport", "transport_blocks"])
+@pytest.mark.parametrize("call", [fc.parallel_transport, fc.transport_orbit],
+                         ids=["parallel_transport", "transport_orbit"])
 def test_bad_initial_transported_components_are_refused_with_a_typed_error(call, entry):
     with pytest.raises(ValidationError, match="initial transported components"):
         call(PARIS, "vector", [0.0, _BAD_ENTRIES[entry], 0.0], 0.0, 1.0, 0.1)

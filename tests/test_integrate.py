@@ -125,7 +125,7 @@ _ORBIT = fc.pendulum_orbit(PARIS, _START, 0.01, 120.0)
 _REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal names
     "orbit-dt": (lambda: fc.pendulum_orbit(PARIS, _START, "0.1", 10.0), "dt"),
     "orbit-duration": (lambda: fc.pendulum_orbit(PARIS, _START, 0.1, None), "duration"),
-    "transport-dt": (lambda: fc.transport_blocks(PARIS, "vector", (0, 1, 0), 0.0, 1.0, "0.1"), "dt"),
+    "transport-dt": (lambda: fc.transport_orbit(PARIS, "vector", (0, 1, 0), 0.0, 1.0, "0.1"), "dt"),
     "transport-t0": (lambda: fc.parallel_transport(PARIS, "vector", (0, 1, 0), "0", 1.0, 0.1), "t0"),
     "latitude": (lambda: fc.FoucaultConfig(latitude="0.8"), "latitude"),
     "window-nan": (lambda: fc.measure_precession(_ORBIT, math.nan), "window_seconds"),
