@@ -8,8 +8,9 @@ documents carry ``schema_version`` 1, echo every defaulted config field
 and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
 %.17g formatting.
 
-CSV text is ``'%.17g' % v`` per value, whichever path writes it.  The
-geodesic's float rows go through ``%`` itself.  The ``foucault`` and
+CSV text is ``'%.17g' % v`` per value, whichever path writes it.  Each
+of the geodesic's float rows is one ``%`` over its state, written as
+``curve.states`` is iterated.  The ``foucault`` and
 ``transport`` tables go through ``csvtext``, which converts whole 2-D
 blocks with NumPy: a value whose 17 correctly rounded digits float64
 arithmetic certifies is written from those digits, and every other value
@@ -48,7 +49,6 @@ from .curves import integrate_geodesic
 from .errors import EvaluationDomainError, FormSyntaxError, PseudoformError, ValidationError
 from .formlang import CHARTS, parse_oneform, parse_scalar
 from .geometry import MetricKind, MetricSignature
-from .integrate import BLOCK
 
 SCHEMA_VERSION = 1
 
@@ -308,19 +308,6 @@ def _write_json(args, config, result):
         fh.write("".join(parts))
 
 
-def _write_csv(header, blocks, out):
-    """Write the header, then the geodesic's rows, one block as it arrives.
-
-    ``blocks`` is an iterable of flat sequences of floats, each holding
-    whole rows one after another.  Each block is formatted by one ``%``
-    over its values, ``%.17g`` each, so only one block's text is held at a
-    time and no NumPy is loaded.
-    """
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    _write_text(header, (row_fmt * (len(block) // len(header)) % tuple(block) for block in blocks),
-                out)
-
-
 def _write_text(header, texts, out):
     with _output(out) as fh:
         fh.write(",".join(header) + "\n")
@@ -366,17 +353,6 @@ def _write_table(args, config, header, key, orbit):
         return
     traj = orbit.trajectory()
     _write_json(args, config, {"times": traj.times.tolist(), key: traj.states.tolist()})
-
-
-def _geodesic_blocks(curve):
-    """The geodesic's CSV rows (s, x, v), ``BLOCK`` rows to a flat block of floats."""
-    states, ds = curve.states, curve.ds
-    for start in range(0, len(states), BLOCK):
-        block = []
-        for k, y in enumerate(states[start:start + BLOCK], start):
-            block.append(k * ds)
-            block += y
-        yield block
 
 
 @contextlib.contextmanager
@@ -468,7 +444,9 @@ def _cmd_geodesic(config, args):
         }
         _write_json(args, cfg, result)
     else:
-        _write_csv(["t", "x", "y", "z", "vx", "vy", "vz"], _geodesic_blocks(curve), args.out)
+        row, ds = ",".join(["%.17g"] * 7) + "\n", curve.ds
+        _write_text(["t", "x", "y", "z", "vx", "vy", "vz"],
+                    (row % (k * ds, *y) for k, y in enumerate(states)), args.out)
     if curve.aborted:
         raise PseudoformError(
             f"geodesic aborted after {len(states) - 1} of {c['steps']} steps: "

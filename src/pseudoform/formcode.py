@@ -14,7 +14,8 @@ tree on those numbers:
 * Derivative entries that are zero at every point are folded away.  A
   folded term ``0 * m`` is exactly zero only for finite ``m``, so the
   function sums every such ``m``; when the sum is not finite, it
-  evaluates again with nothing folded, term for term as the walk does.
+  evaluates again with nothing folded, term for term as the walk does,
+  through a twin written from the tree on the first such evaluation.
   Otherwise only the sign of a zero derivative entry can differ.
 * Everything that can raise (division, ``**``, ``math`` calls and the
   domain checks) runs in the tree's order, folded or not, with the
@@ -351,15 +352,15 @@ def _function(source, constants, exact=None):
 def compile_field(node, variables):
     """The function ``field(x0, x1, x2)`` for ``node`` over the chart's ``variables``.
 
-    Its unfolded twin is written now and compiled on the first
-    evaluation that needs it; few inputs ever do.
+    Its unfolded twin is written and compiled on the first evaluation
+    that calls it, which only a point where the folded multipliers are
+    not finite does; most fields never call it.
     """
-    exact_source = field_source(node, variables, fold=False)
     compiled = []
 
     def exact(*point):
         if not compiled:
-            compiled.append(_function(*exact_source))
+            compiled.append(_function(*field_source(node, variables, fold=False)))
         return compiled[0](*point)
 
     return _function(*field_source(node, variables), exact)

@@ -9,10 +9,11 @@ unary minus):
     power  := atom ('^' unary)?
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-Identifiers are the chart variables, the constants ``pi`` and ``e``,
-or the functions sin, cos, tan, exp, ln, sqrt, abs.  Angles are in
-radians.  Domain errors (ln/sqrt of a negative, division by zero)
-surface at evaluation time, not parse time.
+Identifiers are the chart variables, the constants ``pi`` and ``e``
+(parsed to the numbers ``math.pi`` and ``math.e``), or the functions sin,
+cos, tan, exp, ln, sqrt, abs.  Angles are in radians.  Domain errors
+(ln/sqrt of a negative, division by zero) surface at evaluation time, not
+parse time.
 
 ``expression_field`` compiles a parsed tree, once, into one
 straight-line Python function for its value, gradient and Hessian
@@ -53,16 +54,6 @@ class Num:
 
     def emit(self, code):
         return code.constant(self.value)
-
-
-class Const:
-    depth = 1
-
-    def __init__(self, name):
-        self.name = name
-
-    def emit(self, code):
-        return code.constant(CONSTANTS[self.name])
 
 
 class Var:
@@ -267,7 +258,7 @@ class _Parser:
                 self.expect_op(")")
                 return self.built(Call(name, arg), tok)
             if name in CONSTANTS:
-                return Const(name)
+                return Num(CONSTANTS[name])
             if name in self.variables:
                 return Var(name)
             all_vars = {v for vs in CHARTS.values() for v in vs}

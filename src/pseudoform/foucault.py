@@ -302,23 +302,20 @@ def decompose_acceleration(cfg, state, restoring):
     Pfaffian constraint); then a0 = 0 along the time leg, a1 = minus the
     supplied restoring term along the swing, and a2 = phi_dot * v along
     the normal (v the signed speed) -- the normal-acceleration identity
-    a2 = H(v, v) / |v|-scaling of the constraint geometry.
+    a2 = H(v, v) / |v|-scaling of the constraint geometry.  A state entry
+    or a ``restoring`` that is not a finite real number raises
+    ``ValidationError``.
     """
-    import numpy as np
-
-    v = np.array([state.vx, state.vy])
-    speed = float(np.linalg.norm(v))
-    phi = cfg.phi_dot * state.t
-    e1 = np.array([math.cos(phi), math.sin(phi)])
-    e2 = np.array([-math.sin(phi), math.cos(phi)])
+    t, _, _, vx, vy = _finite_entries(state, 5, "state (t, x, y, vx, vy)")
+    restoring = float(check_real("restoring", restoring))
+    phi = cfg.phi_dot * t
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    speed = math.hypot(vx, vy)
     if speed > 1e-15:
-        residual = abs(float(v @ e2)) / speed
+        residual = abs(vx * -sin_phi + vy * cos_phi) / speed  # v . e2
         if residual > 1e-6:
-            raise ConstraintViolationError(
-                f"velocity leaves the swing plane at t={state.t!r}", residual
-            )
-    v_signed = float(v @ e1)
-    return 0.0, -float(restoring), cfg.phi_dot * v_signed
+            raise ConstraintViolationError(f"velocity leaves the swing plane at t={t!r}", residual)
+    return 0.0, -restoring, cfg.phi_dot * (vx * cos_phi + vy * sin_phi)  # v . e1
 
 
 # -- precession measurement ----------------------------------------------
@@ -361,7 +358,8 @@ def _windows(blocks, size, count):
     """The first ``count`` windows of ``size`` rows from (times, states) blocks.
 
     Each window is copied into one reused buffer, so the caller must be done
-    with a window before it asks for the next.
+    with a window before it asks for the next.  Blocks whose rows are not
+    (x, y, vx, vy) states are refused as ``measure_precession``'s ``traj``.
     """
     import numpy as np
 
@@ -369,6 +367,9 @@ def _windows(blocks, size, count):
     states = np.empty((size, 4))
     fill = 0
     for block_times, block_states in blocks:
+        if block_states.shape[1:] != (4,):
+            raise ValidationError(f"traj must hold pendulum states (x, y, vx, vy), "
+                                  f"got rows of shape {block_states.shape[1:]}")
         start = 0
         while start < len(block_times):
             take = min(size - fill, len(block_times) - start)
@@ -394,10 +395,16 @@ def measure_precession(traj, window_seconds=None):
     each window contributes a principal-axis angle and the state at its
     sample nearest the window centre (the earlier on a tie).  The angles
     are unwrapped modulo pi and fit by least squares.  A window whose moments
-    overflow raises ``EvaluationDomainError``.
+    overflow raises ``EvaluationDomainError``; a ``traj`` of fewer than 2
+    rows, whose first step is not forward and finite, or whose rows are not
+    pendulum states (a transport run) raises ``ValidationError``.
     """
     import numpy as np
 
+    if traj.rows < 2:
+        raise ValidationError(f"traj must hold at least 2 rows, got {traj.rows}")
+    if not 0.0 < traj.dt < math.inf:
+        raise ValidationError(f"traj must step forward in time, got a first step of {traj.dt!r}")
     cfg = traj.config
     if window_seconds is None:
         window_seconds = 2.0 * cfg.period

@@ -17,7 +17,7 @@ import numpy as np
 from pseudoform import autodiff
 from pseudoform.calculus import ScalarField
 from pseudoform.errors import EvaluationDomainError
-from pseudoform.formlang import CONSTANTS, BinOp, Call, Const, Neg, Num, Var, chart_variables
+from pseudoform.formlang import BinOp, Call, Neg, Num, Var, chart_variables
 
 _ZERO_G = (0.0, 0.0, 0.0)
 _ZERO_H = (0.0,) * 9
@@ -263,8 +263,6 @@ def walk(node, env):
     """The value of ``node`` with the variables bound by ``env`` (name -> Dual or float)."""
     if isinstance(node, Num):
         return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
@@ -289,7 +287,7 @@ def pretty(node):
     """Fully parenthesized text of a tree that re-parses to an equivalent tree."""
     if isinstance(node, Num):
         return repr(node.value)
-    if isinstance(node, (Const, Var)):
+    if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
         return f"(-{pretty(node.operand)})"

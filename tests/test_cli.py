@@ -103,9 +103,9 @@ def test_geodesic_csv(tmp_path, capsys):
 
 
 def test_geodesic_output_matches_the_stacked_arrays(tmp_path, capsys):
-    # the CLI writes the march's float states, the CSV in blocks of at most
-    # BLOCK rows; both documents equal the ones formatted from the curve's
-    # stacked arrays, over three blocks, the last one partial
+    # the CLI writes the march's float states, the CSV one row at a time;
+    # both documents equal the ones formatted from the curve's stacked
+    # arrays, over more rows than two integrate.BLOCK blocks
     config = {"pfaffian": ["0", "x", "1"], "point": [0.1, -0.2, 0.3], "nu": [0.6, -0.8],
               "ds": 2e-3, "steps": 2 * BLOCK + 5}
     curve = integrate_geodesic(geometry.PseudoSurface.from_pfaffian(
@@ -188,23 +188,6 @@ def test_foucault_precession_csv_and_json(tmp_path, capsys):
     assert np.isclose(
         doc["result"]["plane_frame_rate"], 2 * doc["result"]["oracle_rate"], rtol=1e-12
     )
-
-
-def test_csv_rows_match_per_value_format(tmp_path):
-    rows = np.array(
-        [
-            [-0.0, 5e-324, 1e-310, 1e300, -1e300],
-            [3.0, -7.0, 0.1, 1.0 / 3.0, 2.0**53],
-            [math.inf, -math.inf, math.nan, 0.0, -5e-324],
-        ]
-    )
-    lines = ["a,b,c,d,e"] + [",".join("%.17g" % v for v in row) for row in rows]
-    out = tmp_path / "rows.csv"
-    # whole, uneven, and with empty blocks: the bytes never depend on the split
-    for cuts in [(), (1,), (2,), (0, 1, 1, 3)]:
-        blocks = [block.ravel().tolist() for block in np.split(rows, cuts)]
-        cli._write_csv(["a", "b", "c", "d", "e"], blocks, str(out))
-        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("window", [60.0, 60.01])  # even and odd samples per window

@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoform import cli
@@ -59,7 +59,11 @@ _METRIC = {"metric": st.sampled_from(["euclidean", "minkowski", "galilean"]),
            "light_speed": st.sampled_from([1.0, 3.0, 299792458.0])}
 _SOURCE = st.one_of(st.fixed_dictionaries({"levelset": _TREE}),
                     st.fixed_dictionaries({"pfaffian": _TEXTS}))
-_PENDULUM = {"latitude": _floats(-1.5, 1.5), "initial": _floats(-0.2, 0.2, 4),
+# vx may also be large enough that the swing overflows (exit 3)
+_VX = st.one_of(_floats(-0.2, 0.2), st.sampled_from([1e200, 1e308, -1e308]))
+_PENDULUM = {"latitude": _floats(-1.5, 1.5),
+             "initial": st.tuples(_floats(-0.2, 0.2), _floats(-0.2, 0.2), _VX,
+                                  _floats(-0.2, 0.2)).map(list),
              "dt": st.sampled_from([0.05, 0.5, 5.0, 1e3]),
              "duration": st.sampled_from([1.0, 20.0, 100.0])}
 
@@ -130,8 +134,14 @@ def _check_table(text):
         assert len(values) == header.count(",") + 1 and all(map(math.isfinite, values))
 
 
+_OVERFLOWING = {"latitude": 0.8526, "initial": [0.1, 0, 1e308, 0], "dt": 0.05, "duration": 100.0}
+
+
 @settings(max_examples=400, deadline=None)
 @given(_CALLS)
+@example(call=(("foucault", "sim"), _OVERFLOWING, {}, "csv", 0))
+@example(call=(("foucault", "sim"), _OVERFLOWING, {}, "json", 0))
+@example(call=(("foucault", "precession"), _OVERFLOWING, {}, None, 0))
 def test_generated_configs_end_in_a_typed_exit(tmp_path_factory, call):
     words, config, damage, fmt, seed = call
     config = {**config, **damage}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudoform import autodiff, formlang
+from pseudoform import autodiff, formcode, formlang
 from pseudoform.calculus import OneForm, gradient_oneform
 from pseudoform.errors import FormSyntaxError
 from pseudoform.formcode import field_source
@@ -122,21 +122,50 @@ def test_dense_hessians_keep_the_dual_association():
 
 
 def test_no_tree_node_evaluates_and_evaluation_walks_no_tree(monkeypatch):
-    nodes = (formlang.Num, formlang.Const, formlang.Var, formlang.Neg, formlang.BinOp,
-             formlang.Call)
+    nodes = (formlang.Num, formlang.Var, formlang.Neg, formlang.BinOp, formlang.Call)
     assert not any(hasattr(cls, "eval") for cls in nodes)
-    fields = [formlang.parse_scalar(text) for text in ["x^2 + sin(y*z)", "1e999*x", "ln(x)"]]
+    plain = [formlang.parse_scalar(text) for text in ["x^2 + sin(y*z)", "ln(x)"]]
+    twinned = formlang.parse_scalar("1e999*x")  # its folded multiplier is infinite
+    walked = []
 
-    def refuse(*_):
-        raise AssertionError("a tree was walked during evaluation")
+    def counted(emit):
+        def walk(node, code):
+            walked.append(node)
+            return emit(node, code)
+
+        return walk
 
     for cls in nodes:
-        monkeypatch.setattr(cls, "emit", refuse)
-    for field in fields:
+        monkeypatch.setattr(cls, "emit", counted(cls.emit))
+
+    def walks(field):
+        before = len(walked)
         try:
             field.fn(0.5, 0.25, 2.0)
         except ArithmeticError:
             pass
+        return len(walked) - before
+
+    for field in plain:
+        assert [walks(field), walks(field)] == [0, 0]
+    # the unfolded twin is written from the tree at the first evaluation that takes it
+    first, *later = [walks(twinned) for _ in range(3)]
+    assert first > 0 and later == [0, 0]
+
+
+def test_a_parse_writes_one_source_and_the_twin_waits_for_its_first_call(monkeypatch):
+    folds = []
+
+    def counted(node, variables, fold=True):
+        folds.append(fold)
+        return field_source(node, variables, fold)
+
+    monkeypatch.setattr(formcode, "field_source", counted)
+    field = formlang.parse_scalar("1e999*x + sin(y*z)")
+    assert folds == [True]
+    for _ in range(2):
+        field.fn(0.5, 0.25, 2.0)
+    assert folds == [True, False]
 
 
 # -- hypothesis: every operator and function, constants that reach the edge cases

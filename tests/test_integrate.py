@@ -161,6 +161,30 @@ _REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal 
                                             "sample count"),
     "seed-past-the-digit-limit": (lambda: RegionSampler(*_BOX, seed=-10**5000), "seed"),
     "step-count-past-the-digit-limit": (lambda: validate_steps(-10**5000, 0.1), "step count"),
+    # a record too short, not stepping forward or not a pendulum's, and a
+    # state that is not finite numbers: an IndexError, ZeroDivisionError,
+    # NumPy ValueError or warning, or a silent NaN, before they were refused
+    "precession-no-rows": (lambda: fc.measure_precession(
+        fc.Trajectory(np.empty(0), np.empty((0, 4)), PARIS)), "traj must hold at least 2 rows"),
+    "precession-one-row": (lambda: fc.measure_precession(
+        fc.Trajectory(np.zeros(1), np.zeros((1, 4)), PARIS)), "traj must hold at least 2 rows"),
+    "precession-equal-times": (lambda: fc.measure_precession(
+        fc.Trajectory(np.array([0.0, 0.0, 1.0]), np.ones((3, 4)), PARIS)),
+        "traj must step forward"),
+    "precession-transport-orbit": (lambda: fc.measure_precession(
+        fc.transport_orbit(PARIS, "vector", (0, 1, 0), 0.0, 200.0, 0.1)),
+        "traj must hold pendulum states"),
+    "precession-transport-trajectory": (lambda: fc.measure_precession(
+        fc.parallel_transport(PARIS, "vector", (0, 1, 0), 0.0, 200.0, 0.1)),
+        "traj must hold pendulum states"),
+    "decompose-nan-state": (lambda: fc.decompose_acceleration(
+        PARIS, fc.PendulumState(0.0, math.nan, 0.0, 0.0, 0.0), 0.0), "state"),
+    "decompose-infinite-velocity": (lambda: fc.decompose_acceleration(
+        PARIS, fc.PendulumState(0.0, 0.0, 0.0, math.inf, 0.0), 0.0), "state"),
+    "decompose-nan-restoring": (lambda: fc.decompose_acceleration(
+        PARIS, fc.PendulumState(0.0, 0.05, 0.0, 0.0, 0.0), math.nan), "restoring"),
+    "decompose-string-entry": (lambda: fc.decompose_acceleration(
+        PARIS, fc.PendulumState(0.0, 0.05, "0", 0.0, 0.0), 0.0), "state"),
 }
 
 
