@@ -1,11 +1,12 @@
 """A day of the Paris pendulum: simulate, measure, and compare.
 
 Runs the small-angle pendulum in the co-rotating frame for two hours,
-measures the swing-plane precession from the trajectory alone, and
-compares it with the latitude oracle omega_E * sin(latitude).  The
-trajectory is written as CSV next to this script, one sample per second.
-The orbit is read one block of rows at a time, so the 7.2e6 steps are
-never held at once.
+measures the swing-plane precession from the orbit's step matrix and
+start state alone (each window's second moments are exact quadratic
+forms of its start state), and compares it with the latitude oracle
+omega_E * sin(latitude).  The trajectory is written as CSV next to this
+script, one sample per second.  The orbit is read one block of rows at a
+time, so the 7.2e6 steps are never held at once.
 """
 
 import csv

@@ -9,8 +9,8 @@ and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
 %.17g formatting.
 
 CSV text is ``'%.17g' % v`` per value, whichever path writes it.  Each
-of the geodesic's float rows is one ``%`` over its state, written as
-``curve.states`` is iterated.  The ``foucault`` and
+of the geodesic's and the precession's float rows is one ``%`` over its
+values, written as the rows are iterated.  The ``foucault sim`` and
 ``transport`` tables go through ``csvtext``, which converts whole 2-D
 blocks with NumPy: a value whose 17 correctly rounded digits float64
 arithmetic certifies is written from those digits, and every other value
@@ -28,10 +28,10 @@ Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
 components) extend the same layout with a z / time-component column.
 
-``classify``, ``surface`` and ``geodesic`` run on floats from their
-config to their JSON or CSV, so they load no NumPy; the ``foucault`` and
-``transport`` commands, whose results are arrays, import it where those
-arrays are built.
+``classify``, ``surface``, ``geodesic`` and ``foucault precession`` run on
+floats from their config to their JSON or CSV, so they load no NumPy; the
+other ``foucault`` commands and ``transport``, whose results are arrays,
+import it where those arrays are built.
 """
 
 from __future__ import annotations
@@ -315,22 +315,28 @@ def _write_text(header, texts, out):
             fh.write(text)
 
 
-def _write_finite_csv(args, header, row_blocks):
-    """Write 2-D float64 blocks of rows as CSV, each checked before it is written.
+def _write_table(args, config, header, key, orbit):
+    """An orbit as CSV rows, block by block, or as JSON ``times`` and ``key`` tables.
 
-    At the first row that holds a value that is not finite, the rows before
-    it are written and ``EvaluationDomainError`` names it (exit 3), as an
-    aborted geodesic reports its last step.  Rows count from 0 after the
-    header, so an orbit's row is its step.  ``csvtext`` writes the text,
-    the same bytes as ``'%.17g' % v`` per value.
+    Each CSV block is checked before it is written: at the first row that
+    holds a value that is not finite, the rows before it are written and
+    ``EvaluationDomainError`` names it (exit 3), as an aborted geodesic
+    reports its last step.  Rows count from 0 after the header, so an orbit's
+    row is its step.  ``csvtext`` writes the text, the same bytes as
+    ``'%.17g' % v`` per value.
     """
+    if args.format == "json":
+        traj = orbit.trajectory()
+        _write_json(args, config, {"times": traj.times.tolist(), key: traj.states.tolist()})
+        return
     import numpy as np
 
     from .csvtext import csv_text
 
     def checked():
         row = 0
-        for block in row_blocks:
+        for block in orbit.blocks():
+            block = np.column_stack(block)
             bad = ~np.isfinite(block).all(axis=1)
             if bad.any():
                 first = int(bad.argmax())
@@ -342,17 +348,6 @@ def _write_finite_csv(args, header, row_blocks):
             row += len(block)
 
     _write_text(header, csv_text(checked()), args.out)
-
-
-def _write_table(args, config, header, key, orbit):
-    """An orbit as CSV rows, block by block, or as JSON ``times`` and ``key`` tables."""
-    if args.format == "csv":
-        import numpy as np
-
-        _write_finite_csv(args, header, (np.column_stack(block) for block in orbit.blocks()))
-        return
-    traj = orbit.trajectory()
-    _write_json(args, config, {"times": traj.times.tolist(), key: traj.states.tolist()})
 
 
 @contextlib.contextmanager
@@ -491,15 +486,20 @@ def _cmd_foucault_precession(config, args):
             "rate": estimate.rate,
             "oracle_rate": orbit.config.precession_rate,
             "plane_frame_rate": orbit.config.phi_dot,
-            "window_centers": estimate.window_centers.tolist(),
-            "angles": estimate.angles.tolist(),
+            "window_centers": estimate.window_centers,
+            "angles": estimate.angles,
         }
         _write_json(args, cfg, result)
     else:
-        import numpy as np
+        def rows():
+            for k, (t, z, angle) in enumerate(zip(estimate.window_centers,
+                                                  estimate.center_states, estimate.angles)):
+                if not all(map(math.isfinite, (t, *z, angle))):
+                    raise EvaluationDomainError(
+                        f"non-finite value in the {args.command} result at row {k}")
+                yield "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (t, *z, angle)
 
-        rows = np.column_stack([estimate.window_centers, estimate.center_states, estimate.angles])
-        _write_finite_csv(args, ["t", "x", "y", "vx", "vy", "plane_angle_rad"], [rows])
+        _write_text(["t", "x", "y", "vx", "vy", "plane_angle_rad"], rows(), args.out)
 
 
 def _cmd_transport(config, args):

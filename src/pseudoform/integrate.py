@@ -1,12 +1,14 @@
 """Fixed-step classical RK4 helpers (deterministic, no adaptivity).
 
-``rk4_step`` and ``validate_steps`` run on plain Python numbers:
-``rk4_step`` is the step of the geodesic's 6-float state, its only
-caller, written out entry by entry.  The linear-orbit helpers import
-NumPy when they are called.
+``rk4_step``, ``validate_steps`` and ``rk4_transition_matrix`` run on
+plain Python numbers; ``rk4_step`` is the step of the geodesic's 6-float
+state, its only caller, written out entry by entry.  The linear-orbit
+helpers import NumPy when they are called.
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 from .errors import ValidationError, check_integer, check_real, describe
 
@@ -55,17 +57,26 @@ def check_step_size(h, name="step size"):
     return h
 
 
-def rk4_transition_matrix(a, h):
-    """One-step RK4 update matrix for the linear system y' = A y."""
-    import numpy as np
+def matmul(a, b):
+    """a b for matrices of float rows, each entry summed left to right from 0.0."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col), 0.0) for col in cols) for row in a)
 
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    m = np.eye(n)
-    term = np.eye(n)
+
+def identity(n):
+    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+
+
+def rk4_transition_matrix(a, h):
+    """One-step RK4 matrix I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 of y' = A y
+    as float rows, ``a`` any real matrix.  Term k is (h / k) A (term k - 1),
+    added entry by entry: for the pendulum and transport generators, the bits
+    of the same sum formed with NumPy arrays."""
+    a = tuple(tuple(map(float, row)) for row in a)
+    m = term = identity(len(a))
     for k in range(1, 5):
-        term = (h / k) * (a @ term)
-        m = m + term
+        term = tuple(tuple(h / k * v for v in row) for row in matmul(a, term))
+        m = tuple(tuple(map(add, x, y)) for x, y in zip(m, term))
     return m
 
 
@@ -91,11 +102,10 @@ def linear_rk4_blocks(a, y0, h, steps):
     y = np.asarray(y0, dtype=float)
     n = y.size
     with np.errstate(over="ignore", invalid="ignore"):
-        m = rk4_transition_matrix(a, h)
         powers = np.empty((min(BLOCK, steps), n, n))
-        powers[0] = m
+        powers[0] = rk4_transition_matrix(a, h)
         for j in range(1, len(powers)):
-            powers[j] = powers[j - 1] @ m
+            powers[j] = powers[j - 1] @ powers[0]
     flat = powers.reshape(-1, n)
     yield y.reshape(1, -1).copy()
     for s in range(0, steps, len(powers)):

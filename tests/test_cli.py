@@ -191,7 +191,7 @@ def test_foucault_precession_csv_and_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("window", [60.0, 60.01])  # even and odd samples per window
-def test_foucault_precession_csv_rows_match_full_scan(tmp_path, capsys, window):
+def test_foucault_precession_csv_rows_are_the_estimate(tmp_path, capsys, window):
     config = {
         "latitude": 0.853,
         "length": 10.0,
@@ -203,13 +203,12 @@ def test_foucault_precession_csv_rows_match_full_scan(tmp_path, capsys, window):
     code, out, _ = _run(tmp_path, capsys, ["foucault", "precession"], config)
     assert code == 0
     pendulum = fc.FoucaultConfig(latitude=0.853, length=10.0)
-    traj = fc.simulate_pendulum(pendulum, config["initial"], 0.01, 600.0)
-    estimate = fc.measure_precession(traj, window_seconds=window)
+    orbit = fc.pendulum_orbit(pendulum, config["initial"], 0.01, 600.0)
+    estimate = fc.measure_precession(orbit, window_seconds=window)
     lines = ["t,x,y,vx,vy,plane_angle_rad"]
-    for center, angle in zip(estimate.window_centers, estimate.angles):
-        idx = int(np.argmin(np.abs(traj.times - center)))
-        row = [center, *traj.states[idx], angle]
-        lines.append(",".join("%.17g" % v for v in row))
+    for center, state, angle in zip(estimate.window_centers, estimate.center_states,
+                                    estimate.angles):
+        lines.append(",".join("%.17g" % v for v in [center, *state, angle]))
     assert out == "\n".join(lines) + "\n"
 
 
@@ -818,6 +817,23 @@ def test_an_overflowing_precession_window_is_a_numerical_error(tmp_path, capsys,
     assert (code, out) == (3, "")
     assert err == ("numerical error: the swing's second moments overflow in precession "
                    "window 0 (centre t = 16.415 s)\n")
+
+
+def test_a_non_finite_precession_row_stops_the_csv_with_exit_3(tmp_path, capsys, monkeypatch):
+    # measure_precession refuses overflowing windows, so the estimate is
+    # damaged here to reach the writer's own check
+    def damaged(orbit, window_seconds):
+        estimate = measure(orbit, window_seconds)
+        states = list(estimate.center_states)
+        states[2] = (math.inf, *states[2][1:])
+        return estimate._replace(center_states=tuple(states))
+
+    measure = fc.measure_precession
+    monkeypatch.setattr(fc, "measure_precession", damaged)
+    config = {**_PARIS_RUN, "dt": 1e-2, "duration": 200.0}
+    code, out, err = _run(tmp_path, capsys, ["foucault", "precession"], config)
+    assert code == 3 and len(out.splitlines()) == 3
+    assert err == "numerical error: non-finite value in the foucault-precession result at row 2\n"
 
 
 def test_a_non_finite_surface_result_writes_nothing(tmp_path, capsys, monkeypatch):

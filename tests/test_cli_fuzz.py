@@ -5,7 +5,9 @@ typed line to stderr, and no call prints a traceback or a warning.  What a
 call writes to stdout is strict JSON (no NaN or Infinity) or a CSV table
 of finite numbers, and exit 0 always writes one of them.  Step and sample
 counts are capped so the whole run takes seconds; a config that asks for
-1e8 rows is a legal request, not a defect.
+1e8 rows is a legal request, not a defect.  ``foucault precession`` steps
+no rows, so its durations are long enough for several windows and its
+row count is not capped.
 """
 
 import contextlib
@@ -66,6 +68,8 @@ _PENDULUM = {"latitude": _floats(-1.5, 1.5),
                                   _floats(-0.2, 0.2)).map(list),
              "dt": st.sampled_from([0.05, 0.5, 5.0, 1e3]),
              "duration": st.sampled_from([1.0, 20.0, 100.0])}
+# at least three default windows (two periods, 32.8 s at the default 67 m)
+_PRECESSION = {**_PENDULUM, "duration": st.sampled_from([100.0, 600.0, 3600.0])}
 
 
 def _config(fields, optional=None, source=None):
@@ -89,7 +93,7 @@ _CONFIGS = {
     ("foucault", "geometry"): _config({"latitude": _floats(-1.5, 1.5)},
                                       {**_METRIC, "time": _floats(0, 1e5)}),
     ("foucault", "sim"): _config(_PENDULUM, {"length": _floats(1, 100)}),
-    ("foucault", "precession"): _config(_PENDULUM, {"window": st.sampled_from([10.0, 50.0])}),
+    ("foucault", "precession"): _config(_PRECESSION, {"window": st.sampled_from([10.0, 50.0])}),
     ("transport",): _config(
         {"latitude": _floats(-1.5, 1.5), "initial": _floats(-1, 1, 3),
          "t1": st.sampled_from([1.0, 100.0, 1e3]), "dt": st.sampled_from([0.5, 10.0, 1e300])},
@@ -146,7 +150,7 @@ def test_generated_configs_end_in_a_typed_exit(tmp_path_factory, call):
     words, config, damage, fmt, seed = call
     config = {**config, **damage}
     rows = _rows(config)
-    assume(not ROWS_CAP < rows <= MAX_STEPS)
+    assume(words == ("foucault", "precession") or not ROWS_CAP < rows <= MAX_STEPS)
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(json.dumps(config))
     argv = ["--config", str(path), "--seed", str(seed)]

@@ -75,7 +75,7 @@ def test_blocks_match_the_stacked_product_of_the_powers(a, y0, h):
     # the same powers with the same row computes every entry as the same dot
     # product, so the two agree to one ulp of each row's largest entry
     steps = 2 * BLOCK + 5
-    m = rk4_transition_matrix(a, h)
+    m = np.array(rk4_transition_matrix(a, h))
     powers = [m]
     while len(powers) < BLOCK:
         powers.append(powers[-1] @ m)
@@ -85,6 +85,26 @@ def test_blocks_match_the_stacked_product_of_the_powers(a, y0, h):
         stacked = powers[: len(block)] @ before[-1]
         ulp = np.spacing(np.max(np.abs(stacked), axis=1))[:, None]
         assert np.all(np.abs(block - stacked) <= ulp)
+
+
+@pytest.mark.parametrize("a, h", [
+    (fc.dynamics_matrix(PARIS), 1e-3), (fc.dynamics_matrix(PARIS), -1e-2),
+    (fc.dynamics_matrix(fc.FoucaultConfig(latitude=0.853, length=10.0)), 0.01),
+    (fc.transport_generator(PARIS), 0.1), (fc.transport_generator(PARIS, "covector"), 0.1),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.01),
+], ids=["paris", "paris-backward", "ten-metre", "transport", "covector", "jordan"])
+def test_transition_matrix_on_floats_matches_the_array_form(a, h):
+    # the same sum as NumPy arrays; a BLAS product may fuse a multiply and an
+    # add, so the two are held to one ulp of each row's largest entry
+    m = rk4_transition_matrix(a, h)
+    assert type(m) is tuple and all(type(v) is float for row in m for v in row)
+    a = np.asarray(a, dtype=float)
+    term = expect = np.eye(len(a))
+    for k in range(1, 5):
+        term = (h / k) * (a @ term)
+        expect = expect + term
+    ulp = np.spacing(np.max(np.abs(expect), axis=1))[:, None]
+    assert np.all(np.abs(np.array(m) - expect) <= ulp)
 
 
 def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():
@@ -161,21 +181,15 @@ _REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal 
                                             "sample count"),
     "seed-past-the-digit-limit": (lambda: RegionSampler(*_BOX, seed=-10**5000), "seed"),
     "step-count-past-the-digit-limit": (lambda: validate_steps(-10**5000, 0.1), "step count"),
-    # a record too short, not stepping forward or not a pendulum's, and a
+    # a record that is not a pendulum orbit or does not step forward, and a
     # state that is not finite numbers: an IndexError, ZeroDivisionError,
     # NumPy ValueError or warning, or a silent NaN, before they were refused
-    "precession-no-rows": (lambda: fc.measure_precession(
-        fc.Trajectory(np.empty(0), np.empty((0, 4)), PARIS)), "traj must hold at least 2 rows"),
-    "precession-one-row": (lambda: fc.measure_precession(
-        fc.Trajectory(np.zeros(1), np.zeros((1, 4)), PARIS)), "traj must hold at least 2 rows"),
-    "precession-equal-times": (lambda: fc.measure_precession(
-        fc.Trajectory(np.array([0.0, 0.0, 1.0]), np.ones((3, 4)), PARIS)),
-        "traj must step forward"),
+    "precession-trajectory": (lambda: fc.measure_precession(
+        fc.simulate_pendulum(PARIS, _START, 0.01, 120.0)), "traj must be a pendulum Orbit"),
+    "precession-negative-dt": (lambda: fc.measure_precession(
+        fc.pendulum_orbit(PARIS, _START, -0.01, -120.0)), "traj must step forward"),
     "precession-transport-orbit": (lambda: fc.measure_precession(
         fc.transport_orbit(PARIS, "vector", (0, 1, 0), 0.0, 200.0, 0.1)),
-        "traj must hold pendulum states"),
-    "precession-transport-trajectory": (lambda: fc.measure_precession(
-        fc.parallel_transport(PARIS, "vector", (0, 1, 0), 0.0, 200.0, 0.1)),
         "traj must hold pendulum states"),
     "decompose-nan-state": (lambda: fc.decompose_acceleration(
         PARIS, fc.PendulumState(0.0, math.nan, 0.0, 0.0, 0.0), 0.0), "state"),

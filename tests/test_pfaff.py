@@ -202,11 +202,14 @@ _FLOAT_CONFIGS = {
     "levelset": {"levelset": "x^2+y^2+z^2", "points": [[0.6, 0.8, 0.0], [0, 0, 1]]},
     "pfaffian": {"pfaffian": ["0", "x", "1"], "chart": "spacetime", "metric": "minkowski",
                  "points": [[0.1, 0.2, 0.3]]},
+    "precession": {"latitude": 0.8526, "initial": [0.1, 0, 0, 0], "dt": 1e-3,
+                   "duration": 1800},
 }
-# (config, format, command) of each float call
+# (config, format, command words) of each float call
 _FLOAT_CALLS = [("classify", "json", "classify"), ("levelset", "json", "surface"),
                 ("pfaffian", "json", "surface"), ("geodesic", "csv", "geodesic"),
-                ("geodesic", "json", "geodesic")]
+                ("geodesic", "json", "geodesic"), ("precession", "csv", "foucault precession"),
+                ("precession", "json", "foucault precession")]
 
 
 def _loaded_by_float_calls(tmp_path, module):
@@ -223,7 +226,7 @@ def _loaded_by_float_calls(tmp_path, module):
         f"seen = [{module!r} in sys.modules]\n"
         f"for name, fmt, command in {_FLOAT_CALLS!r}:\n"
         "    config, out = f'{sys.argv[1]}/{name}.json', f'{sys.argv[1]}/out-{name}.{fmt}'\n"
-        "    code = cli.run(['--config', config, '--out', out, '--format', fmt, command])\n"
+        "    code = cli.run(['--config', config, '--out', out, '--format', fmt, *command.split()])\n"
         f"    seen += [code, {module!r} in sys.modules]\n"
         "print(*seen)\n"
     )
@@ -232,8 +235,8 @@ def _loaded_by_float_calls(tmp_path, module):
 
 
 def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
-    # classify, surface and the geodesic run on floats from their config to
-    # their JSON or CSV, so neither the import nor a call loads NumPy
+    # classify, surface, the geodesic and the precession run on floats from
+    # their config to their JSON or CSV, so neither the import nor a call loads NumPy
     proc = _loaded_by_float_calls(tmp_path, "numpy")
     assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(_FLOAT_CALLS) + "\n", "")
     assert (tmp_path / "out-geodesic.csv").read_text().count("\n") == 52
@@ -242,6 +245,8 @@ def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
         "non_integrable")
     assert len(json.loads((tmp_path / "out-levelset.json").read_text())["result"]) == 2
     assert len(json.loads((tmp_path / "out-pfaffian.json").read_text())["result"]) == 1
+    assert (tmp_path / "out-precession.csv").read_text().count("\n") == 55
+    assert len(json.loads((tmp_path / "out-precession.json").read_text())["result"]["angles"]) == 54
 
 
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
@@ -253,7 +258,7 @@ def test_cli_import_and_float_calls_leave_dataclasses_and_inspect_unloaded(tmp_p
 
 
 def test_cli_import_and_float_calls_leave_the_table_writer_unloaded(tmp_path):
-    # only the foucault and transport tables are written by csvtext
+    # only the foucault sim and transport tables are written by csvtext
     proc = _loaded_by_float_calls(tmp_path, "pseudoform.csvtext")
     assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(_FLOAT_CALLS) + "\n", "")
 
