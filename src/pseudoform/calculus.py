@@ -9,12 +9,13 @@ every evaluation below goes through one of them and reads what it needs
 from the records.  One-forms are built from three scalar fields, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form.
 
-The evaluations take and return plain floats: the point as 3 floats (a
-list or tuple of plain numbers is checked without NumPy), values,
-components and gradients as 3-tuples and a Jacobian or Hessian as three
-3-tuple rows.  ``exterior_derivative`` alone returns an array; it imports
-NumPy when it is called, so a caller that reads only floats never loads
-it.
+The evaluations take and return plain floats: the point as 3 finite
+floats, values, components and gradients as 3-tuples and a Jacobian or
+Hessian as three 3-tuple rows.  ``point_coords`` checks a point: a tuple
+of 3 finite floats passes as it is, and anything else goes through
+``errors.check_vector``, the package's one check of a vector.
+``exterior_derivative`` alone returns an array; it imports NumPy when it
+is called, so a caller that reads only floats never loads it.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
@@ -29,52 +30,21 @@ from __future__ import annotations
 
 import math
 
-from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
+from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError, check_vector
 
 DEGENERACY_TOL = 1e-12  # |N| at or below this is a vanishing Pfaffian
-
-
-def float_coords(v, size):
-    """The ``size`` entries of a vector as a tuple of floats, or None.
-
-    None stands for anything but ``size`` real numbers that a float can
-    hold (plain or NumPy ints and floats, not bools): another length, a
-    scalar, an int too large for a float, or an entry that is a string,
-    None, a complex number or a nested sequence.  A list or tuple of plain
-    ints and floats is read as it is.
-    """
-    try:
-        if type(v) in (tuple, list) and len(v) == size and all(type(c) in (float, int) for c in v):
-            return tuple([float(c) for c in v])
-        import numbers
-
-        try:
-            entries = list(v)
-        except TypeError:  # a scalar
-            return None
-        if len(entries) != size or not all(
-                isinstance(c, numbers.Real) and not isinstance(c, bool) for c in entries):
-            return None
-        return tuple([float(c) for c in entries])
-    except OverflowError:  # an int too large for a float
-        return None
 
 
 def point_coords(p):
     """Validate a chart point and return its 3 coordinates as a tuple of floats.
 
-    A tuple of 3 floats is checked as it is; anything else goes through
-    ``float_coords``.
+    A tuple of 3 finite floats is returned as it is; anything else goes
+    through ``errors.check_vector``.
     """
-    if type(p) is tuple and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is float:
-        coords = p
-    else:
-        coords = float_coords(p, 3)
-        if coords is None:
-            raise ValidationError("chart point must have 3 coordinates, all real numbers")
-    if not all(map(math.isfinite, coords)):
-        raise ValidationError(f"chart point has non-finite coordinates: {format_point(coords)}")
-    return coords
+    if (type(p) is tuple and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is float
+            and math.isfinite(p[0] + p[1] + p[2])):  # a sum can overflow: then check each
+        return p
+    return check_vector("chart point", p, 3)
 
 
 def format_point(p):

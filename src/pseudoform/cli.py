@@ -46,7 +46,8 @@ import sys
 from . import foucault as fc
 from . import geometry, pfaff
 from .curves import integrate_geodesic
-from .errors import EvaluationDomainError, FormSyntaxError, PseudoformError, ValidationError
+from .errors import (EvaluationDomainError, FormSyntaxError, PseudoformError, ValidationError,
+                     check_integer, check_real, check_vector)
 from .formlang import CHARTS, parse_oneform, parse_scalar
 from .geometry import MetricKind, MetricSignature
 
@@ -112,34 +113,16 @@ def _merge(config, defaults, required=()):
 # -- config field types ----------------------------------------------------
 
 
-def _is_finite(v):
-    # NaN fails the comparison, and so does an integer too large for a float
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def _number(key, v):
-    if not _is_finite(v):
-        raise ConfigError(f"config field {key!r} must be a finite number, got {v!r}")
-    return float(v)
+    return float(check_real(f"config field {key!r}", v))
 
 
 def _integer(key, v):
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"config field {key!r} must be an integer, got {v!r}")
-    return v
+    return check_integer(f"config field {key!r}", v)
 
 
-def _vector(size=None):
-    """Check for a list of ``size`` finite numbers, of any length if None."""
-    what = "finite numbers" if size is None else f"{size} finite numbers"
-
-    def check(key, v):
-        sized = isinstance(v, list) and (size is None or len(v) == size)
-        if not sized or not all(map(_is_finite, v)):
-            raise ConfigError(f"config field {key!r} must be a list of {what}")
-        return [float(c) for c in v]
-
-    return check
+def _vector(size):
+    return lambda key, v: check_vector(f"config field {key!r}", v, size)
 
 
 def _choice(*names):
@@ -180,7 +163,8 @@ _FIELDS = {
     "upper": _vector(3),
     "point": _vector(3),
     "nu": _vector(2),
-    "initial": _vector(),  # 4 numbers for the pendulum, 3 for transport
+    # 4 numbers for the pendulum, 3 for transport: _initial checks it where the size is known
+    "initial": lambda key, v: v,
     "chart": _choice(*CHARTS),
     "metric": _choice(*(k.value for k in MetricKind)),
     "kind": _choice("vector", "covector"),
@@ -192,9 +176,7 @@ _FIELDS = {
 
 
 def _initial(c, size):
-    if len(c["initial"]) != size:
-        raise ConfigError(f"config field 'initial' must be a list of {size} numbers")
-    return c["initial"]
+    return check_vector("config field 'initial'", c["initial"], size)
 
 
 def _metric(c):
@@ -393,9 +375,7 @@ def _cmd_classify(config, args):
         required=("theta", "lower", "upper"),
     )
     theta = parse_oneform(c["theta"], c["chart"])
-    region = pfaff.RegionSampler(
-        tuple(c["lower"]), tuple(c["upper"]), count=c["count"], seed=args.seed
-    )
+    region = pfaff.RegionSampler(c["lower"], c["upper"], count=c["count"], seed=args.seed)
     verdict = pfaff.classify(theta, region, tol=c["tol"])
     raw = verdict.max_frobenius_raw  # f |theta|^2 overflows where |theta|^2 does
     result = {

@@ -3,8 +3,10 @@
 A geodesic carries the chart velocity, so no frame enters its equations
 after the initial velocity.
 
-The geodesic runs on plain floats from its arguments to its samples:
-the initial velocity is summed from the adapted frame's float rows, the
+The geodesic runs on plain floats from its arguments to its samples.
+``errors.check_vector`` checks the start point (through
+``calculus.point_coords``) and nu, and its refusal names them.  The
+initial velocity is summed from the adapted frame's float rows, the
 state is a 6-tuple stepped by ``integrate.rk4_step``, and ``SampledCurve``
 keeps the states as they were stepped.  Each RK4 stage is one field
 evaluation: the right-hand side checks the stage point and calls the
@@ -19,8 +21,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .calculus import float_coords, point_coords
-from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
+from .calculus import point_coords
+from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError, check_vector
 from .geometry import normal_kernel
 from .integrate import rk4_step, validate_steps
 
@@ -72,11 +74,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     """
     validate_steps(steps, ds)
     p0 = point_coords(p0)
-    nu = float_coords(nu0, 2)
-    if nu is None:
-        raise ValidationError("initial frame velocity nu must have 2 components, all real numbers")
-    if not all(map(math.isfinite, nu)):
-        raise ValidationError(f"initial frame velocity nu must be finite, got {nu}")
+    nu = check_vector("initial frame velocity nu", nu0, 2)
     if math.hypot(*nu) <= 1e-15:
         raise ValidationError("initial frame velocity nu must be non-zero")
     try:

@@ -1,4 +1,6 @@
-"""Exception hierarchy of the package, and the number checks that raise ``ValidationError``."""
+"""Exception hierarchy of the package, and the checks that raise ``ValidationError``:
+one per kind of input, a finite real number, an integer, or a vector of
+finite real numbers, each refusal naming the argument and what it got."""
 
 import math
 import operator
@@ -89,3 +91,28 @@ def check_real(name, value):
     except (TypeError, OverflowError):  # not a real number, an array, or an int too big for a float
         pass
     raise ValidationError(f"{name} must be a finite real number, got {describe(value)}")
+
+
+def check_vector(name, value, size):
+    """``value`` as a tuple of ``size`` finite floats, else ``ValidationError`` naming ``name``.
+
+    An entry is a plain or NumPy int or float, not a bool.  A list or tuple
+    of plain ints and floats is read as it is; anything else is iterated,
+    and its entries are checked against ``numbers.Real``.
+    """
+    try:
+        if type(value) in (tuple, list) and all(type(c) in (float, int) for c in value):
+            entries = value
+        else:
+            import numbers
+
+            entries = list(value)  # a scalar raises TypeError
+            if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in entries):
+                entries = None
+        if entries is not None and len(entries) == size:
+            coords = tuple([float(c) for c in entries])
+            if all(map(math.isfinite, coords)):
+                return coords
+    except (TypeError, OverflowError):  # not iterable, or an int too large for a float
+        pass
+    raise ValidationError(f"{name} must be {size} finite real numbers, got {describe(value)}")

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from operator import add, mul
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
-from .calculus import float_coords
 from .errors import (ConstraintViolationError, DegenerateWindowError, EvaluationDomainError,
-                     ValidationError, check_real)
+                     ValidationError, check_real, check_vector)
 from .formlang import parse_oneform
 from .geometry import (
     EUCLIDEAN,
@@ -121,8 +120,8 @@ def foucault_frame_field(cfg, metric=EUCLIDEAN):
 
 class FoucaultGeometry(NamedTuple):
     frobenius: float
-    g: np.ndarray
-    h: np.ndarray
+    g: Any  # 2x2 NumPy arrays, which this module imports only where it builds one
+    h: Any
     report: Optional[CurvatureReport]
     metric: MetricSignature
 
@@ -155,8 +154,8 @@ class PendulumState(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    times: np.ndarray
-    states: np.ndarray  # pendulum: columns x, y, vx, vy; transport: natural components
+    times: Any  # a NumPy array, as are the states
+    states: Any  # pendulum: columns x, y, vx, vy; transport: natural components
     config: "FoucaultConfig"
 
 
@@ -248,18 +247,16 @@ def _step_count(span, dt):
 def pendulum_orbit(cfg, initial, dt, duration):
     """The small-angle pendulum's fixed-step RK4 ``Orbit`` over [0, T].
 
-    ``initial`` is a PendulumState or an (x, y, vx, vy) sequence.  The
-    arguments are checked here, the step against RK4's stability limit with
-    A's eigenvalues +-i (Omega +- sqrt(Omega^2 + omega0^2)).  t0 = -0.0, the
-    additive identity, keeps the times ``dt * k`` bit for bit.
+    ``initial`` is an (x, y, vx, vy) sequence.  The arguments are checked
+    here, the step against RK4's stability limit with A's eigenvalues
+    +-i (Omega +- sqrt(Omega^2 + omega0^2)).  t0 = -0.0, the additive
+    identity, keeps the times ``dt * k`` bit for bit.
     """
     steps = _step_count(check_real("duration", duration), check_step_size(dt, "step size dt"))
     validate_steps(steps, dt)
     om = cfg.precession_rate
     _check_stable(abs(om) + math.hypot(om, cfg.omega0), dt, dt)
-    if isinstance(initial, PendulumState):
-        initial = (initial.x, initial.y, initial.vx, initial.vy)
-    z0 = _finite_entries(initial, 4, "initial pendulum state (x, y, vx, vy)")
+    z0 = check_vector("initial pendulum state (x, y, vx, vy)", initial, 4)
     amplitude = math.hypot(z0[0], z0[1])
     if amplitude >= cfg.length:
         raise ValidationError(
@@ -267,14 +264,6 @@ def pendulum_orbit(cfg, initial, dt, duration):
             f"{cfg.length:.3g} m: small-angle model invalid"
         )
     return Orbit(cfg, dynamics_matrix(cfg), z0, -0.0, dt, steps)
-
-
-def _finite_entries(v, size, what):
-    """``v`` as a tuple of ``size`` floats, else ``ValidationError`` naming ``what``."""
-    entries = float_coords(v, size)
-    if entries is None or not all(map(math.isfinite, entries)):
-        raise ValidationError(f"{what} must be {size} finite real numbers")
-    return entries
 
 
 def simulate_pendulum(cfg, initial, dt, duration):
@@ -295,7 +284,7 @@ def decompose_acceleration(cfg, state, restoring):
     or a ``restoring`` that is not a finite real number raises
     ``ValidationError``.
     """
-    t, _, _, vx, vy = _finite_entries(state, 5, "state (t, x, y, vx, vy)")
+    t, _, _, vx, vy = check_vector("state (t, x, y, vx, vy)", state, 5)
     restoring = float(check_real("restoring", restoring))
     phi = cfg.phi_dot * t
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
@@ -448,7 +437,7 @@ def transport_orbit(cfg, kind, initial, t0, t1, dt):
     """RK4 parallel transport of natural components from t0 to t1, as an ``Orbit``
     of round((t1 - t0) / dt) steps, at least one.  Its step, up to 1.5 dt, is
     checked against RK4's stability limit (A's eigenvalues 0, +-i phi_dot)."""
-    initial = _finite_entries(initial, 3, "initial transported components")
+    initial = check_vector("initial transported components", initial, 3)
     if check_real("t1", t1) <= check_real("t0", t0):
         raise ValidationError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
     if check_real("dt", dt) <= 0:

@@ -23,8 +23,8 @@ import random
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .calculus import dtheta_cyclic, float_coords, format_point, pfaffian_norm, point_coords
-from .errors import ValidationError, check_integer, check_real, describe
+from .calculus import dtheta_cyclic, format_point, pfaffian_norm, point_coords
+from .errors import ValidationError, check_integer, check_real, check_vector, describe
 
 DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
@@ -59,10 +59,8 @@ class RegionSampler(_RegionFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        lower, upper, count, seed = self
-        lo, hi = float_coords(lower, 3), float_coords(upper, 3)
-        if lo is None or hi is None:
-            raise ValidationError("region bounds must each have 3 coordinates, all real numbers")
+        lo, hi = self._box()
+        count, seed = self.count, self.seed
         box = f"lower={format_point(lo)}, upper={format_point(hi)}"
         if not all(b > a for a, b in zip(lo, hi)):
             raise ValidationError(f"degenerate region box: {box}")
@@ -81,14 +79,18 @@ class RegionSampler(_RegionFields):
     def _make(cls, iterable):  # the inherited one checks the length but skips __new__
         return cls(*super()._make(iterable))
 
+    def _box(self):
+        """The corners as two tuples of 3 floats, each checked to be finite."""
+        return (check_vector("lower region bound", self.lower, 3),
+                check_vector("upper region bound", self.upper, 3))
+
     def points(self):
         """The ``count`` sample points as a sized sequence of 3-tuples of floats.
 
         Each point is computed from its index when it is read, so the
         sequence holds only the scramble's tables, whatever the count.
         """
-        lo, hi = float_coords(self.lower, 3), float_coords(self.upper, 3)
-        return _HaltonPoints(lo, hi, operator.index(self.count), operator.index(self.seed))
+        return _HaltonPoints(*self._box(), operator.index(self.count), operator.index(self.seed))
 
 
 class _HaltonPoints(Sequence):

@@ -604,7 +604,8 @@ def test_non_finite_geodesic_stage_point_is_a_config_error(tmp_path):
         "pfaffian": ["0", "0", "1"], "point": [0, 0, 0], "nu": [1e300, 0], "ds": 1e10,
         "steps": 3})
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "config error: chart point has non-finite coordinates: (inf, 0.0, 0.0)\n"
+    assert proc.stderr == ("config error: chart point must be 3 finite real numbers, "
+                           "got (inf, 0.0, 0.0)\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -59,12 +59,17 @@ _DAMAGE = st.one_of(
 
 _METRIC = {"metric": st.sampled_from(["euclidean", "minkowski", "galilean"]),
            "light_speed": st.sampled_from([1.0, 3.0, 299792458.0])}
-_SOURCE = st.one_of(st.fixed_dictionaries({"levelset": _TREE}),
-                    st.fixed_dictionaries({"pfaffian": _TEXTS}))
-# vx may also be large enough that the swing overflows (exit 3)
+_CHART = {"chart": st.sampled_from(["spatial", "spacetime"])}
+_SOURCES = {"levelset": _TREE, "pfaffian": _TEXTS}  # a surface takes exactly one
+# the pendulum's optional fields, which every foucault command and transport take
+_PLACE = {"length": _floats(1, 100), "gravity": _floats(1, 20),
+          "omega_earth": st.sampled_from([0.0, 7.292e-5, 1e-3]),
+          "frame_rate": st.one_of(st.none(), _floats(-1e-3, 1e-3))}
+# vx may also be large enough that the swing overflows (exit 3); x is not 0,
+# so that an undamaged precession has a swing to measure
 _VX = st.one_of(_floats(-0.2, 0.2), st.sampled_from([1e200, 1e308, -1e308]))
 _PENDULUM = {"latitude": _floats(-1.5, 1.5),
-             "initial": st.tuples(_floats(-0.2, 0.2), _floats(-0.2, 0.2), _VX,
+             "initial": st.tuples(_floats(0.01, 0.2), _floats(-0.2, 0.2), _VX,
                                   _floats(-0.2, 0.2)).map(list),
              "dt": st.sampled_from([0.05, 0.5, 5.0, 1e3]),
              "duration": st.sampled_from([1.0, 20.0, 100.0])}
@@ -72,39 +77,50 @@ _PENDULUM = {"latitude": _floats(-1.5, 1.5),
 _PRECESSION = {**_PENDULUM, "duration": st.sampled_from([100.0, 600.0, 3600.0])}
 
 
-def _config(fields, optional=None, source=None):
-    plain = st.fixed_dictionaries(fields, optional=optional or {})
-    if source is None:
-        return plain
-    return st.tuples(plain, source).map(lambda pair: {**pair[0], **pair[1]})
+def _config(fields, optional=None, sources=None):
+    """Configs with ``fields``, some of ``optional`` and one of ``sources``,
+    and the keys a damaged one may hold: these, which are all the fields the
+    command knows, and one it does not know."""
+    optional, sources = optional or {}, sources or {}
+    configs = st.fixed_dictionaries(fields, optional=optional)
+    if sources:
+        source = st.one_of([st.fixed_dictionaries({k: v}) for k, v in sources.items()])
+        configs = st.tuples(configs, source).map(lambda pair: {**pair[0], **pair[1]})
+    return configs, sorted({*fields, *optional, *sources, "bogus"})
 
 
-# argv words -> generated configs that are mostly valid
+# argv words -> (generated configs that are mostly valid, the keys damage may hit)
 _CONFIGS = {
     ("classify",): _config(
         {"theta": _TEXTS, "lower": _floats(-2, 0, 3), "upper": _floats(0.1, 2, 3)},
         {"chart": st.just("spacetime"), "count": st.integers(1, 64),
          "tol": st.sampled_from([1e-8, 1e-3])}),
     ("surface",): _config({"points": st.lists(_floats(-2, 2, 3), min_size=1, max_size=4)},
-                          _METRIC, _SOURCE),
+                          {**_METRIC, **_CHART}, _SOURCES),
     ("geodesic",): _config(
         {"point": _floats(-2, 2, 3), "nu": _floats(-1, 1, 2), "ds": _floats(0.01, 0.5),
-         "steps": st.integers(1, 50)}, _METRIC, _SOURCE),
+         "steps": st.integers(1, 50)}, {**_METRIC, **_CHART}, _SOURCES),
     ("foucault", "geometry"): _config({"latitude": _floats(-1.5, 1.5)},
-                                      {**_METRIC, "time": _floats(0, 1e5)}),
-    ("foucault", "sim"): _config(_PENDULUM, {"length": _floats(1, 100)}),
-    ("foucault", "precession"): _config(_PRECESSION, {"window": st.sampled_from([10.0, 50.0])}),
+                                      {**_METRIC, **_PLACE, "time": _floats(0, 1e5)}),
+    ("foucault", "sim"): _config(_PENDULUM, _PLACE),
+    ("foucault", "precession"): _config(_PRECESSION,
+                                        {**_PLACE, "window": st.sampled_from([10.0, 50.0])}),
     ("transport",): _config(
         {"latitude": _floats(-1.5, 1.5), "initial": _floats(-1, 1, 3),
          "t1": st.sampled_from([1.0, 100.0, 1e3]), "dt": st.sampled_from([0.5, 10.0, 1e300])},
-        {"t0": st.sampled_from([0.0, 0.5]), "kind": st.sampled_from(["vector", "covector"])}),
+        {**_PLACE, "t0": st.sampled_from([0.0, 0.5]),
+         "kind": st.sampled_from(["vector", "covector"])}),
 }
-_KEYS = sorted({key for words in _CONFIGS for key in cli._FIELDS} | {"bogus"})
 
 
 def _call(words):
-    damage = st.dictionaries(st.sampled_from(_KEYS), _DAMAGE, max_size=2)
-    return st.tuples(st.just(words), _CONFIGS[words], damage,
+    # damage only the command's own fields, so that most damage reaches the
+    # command's checks rather than the unknown-field refusal, and leave a
+    # share of the calls whole, so that every command also runs to its end
+    configs, keys = _CONFIGS[words]
+    damage = st.one_of(st.just({}),
+                       st.dictionaries(st.sampled_from(keys), _DAMAGE, min_size=1, max_size=2))
+    return st.tuples(st.just(words), configs, damage,
                      st.sampled_from([None, "csv", "json"]), st.sampled_from([0, 1, 2**64 - 1, -1]))
 
 
@@ -172,3 +188,12 @@ def test_generated_configs_end_in_a_typed_exit(tmp_path_factory, call):
         assert err.startswith(("usage error: ", "config error: ", "numerical error: "))
     if out:
         _check_table(out)
+
+
+def test_damage_can_hit_every_field_a_command_knows(tmp_path, capsys):
+    # the unknown-field refusal lists the fields the command knows
+    path = tmp_path / "unknown.json"
+    path.write_text('{"bogus": 1}')
+    for words, (_, keys) in _CONFIGS.items():
+        assert cli.run(["--config", str(path), *words]) == 2
+        assert capsys.readouterr().err.endswith(f"(known: {sorted(set(keys) - {'bogus'})})\n")

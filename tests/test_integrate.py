@@ -1,10 +1,12 @@
 """Block-power RK4 orbits against explicit one-step stepping."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
 
+import pseudoform
 from pseudoform import foucault as fc
 from pseudoform.errors import ValidationError
 from pseudoform.formlang import parse_oneform
@@ -168,7 +170,8 @@ _REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal 
                                 "duration"),
     "tol-huge-int": (lambda: classify(parse_oneform(["0", "x", "1"]),
                                       RegionSampler(*_BOX, count=4), tol=10**400), "tol"),
-    "region-bound-huge-int": (lambda: RegionSampler((10**400, 0, 0), (1, 1, 1)), "region bounds"),
+    "region-bound-huge-int": (lambda: RegionSampler((10**400, 0, 0), (1, 1, 1)),
+                              "lower region bound"),
     "frobenius-point-huge-int": (lambda: frobenius_coefficient(parse_oneform(["0", "x", "1"]),
                                                                (0, 10**400, 0)), "chart point"),
     "geodesic-nu-huge-int": (lambda: integrate_geodesic(
@@ -199,6 +202,26 @@ _REFUSED_NUMBERS = {  # a library caller's number, and the argument the refusal 
         PARIS, fc.PendulumState(0.0, 0.05, 0.0, 0.0, 0.0), math.nan), "restoring"),
     "decompose-string-entry": (lambda: fc.decompose_acceleration(
         PARIS, fc.PendulumState(0.0, 0.05, "0", 0.0, 0.0), 0.0), "state"),
+    # a vector at each call site of errors.check_vector, and each kind of entry it refuses
+    "chart-point-nan": (lambda: frobenius_coefficient(parse_oneform(["0", "x", "1"]),
+                                                      (0.0, math.nan, 0.0)), "chart point"),
+    "chart-point-numpy-nan": (lambda: frobenius_coefficient(parse_oneform(["0", "x", "1"]),
+                                                            np.array([0.0, 0.0, math.nan])),
+                              "chart point"),
+    "geodesic-nu-nan": (lambda: integrate_geodesic(
+        PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"])), (0.1, 0.2, 0.3),
+        (math.nan, 1.0), 0.01, 5), "initial frame velocity nu"),
+    "region-lower-inf": (lambda: RegionSampler((-math.inf, 0, 0), (1, 1, 1)),
+                         "lower region bound"),
+    "region-upper-nested": (lambda: RegionSampler((0, 0, 0), [[1, 1, 1]]), "upper region bound"),
+    "orbit-initial-bool": (lambda: fc.pendulum_orbit(PARIS, (0.1, True, 0.0, 0.0), 0.01, 10.0),
+                           "initial pendulum state"),
+    # a PendulumState carries t as a fifth entry: the orbit starts at t = 0 and takes 4
+    "orbit-initial-pendulum-state": (lambda: fc.pendulum_orbit(
+        PARIS, fc.PendulumState(0.0, *_START), 0.01, 10.0), "initial pendulum state"),
+    "transport-initial-huge-int": (lambda: fc.transport_orbit(
+        PARIS, "vector", (0, 10**400, 0), 0.0, 1.0, 0.1), "initial transported components"),
+    "decompose-short-state": (lambda: fc.decompose_acceleration(PARIS, _START, 0.0), "state"),
 }
 
 
@@ -216,7 +239,9 @@ def test_library_numbers_are_refused_with_a_typed_error_that_names_them(case):
      "sample count must be at most MAX_SAMPLES = 10000000, got an integer of 5001 digits"),
     (lambda: RegionSampler(*_BOX, count=-(10**5000 - 1)),
      "sample count must be >= 1, got an integer of 5000 digits"),
-], ids=["latitude", "count", "negative-count"])
+    (lambda: RegionSampler((10**5000, 0, 0), (1, 1, 1)),
+     "lower region bound must be 3 finite real numbers, got a tuple too long to print"),
+], ids=["latitude", "count", "negative-count", "region-bound"])
 def test_a_refused_int_past_the_digit_limit_is_described_by_its_length(call, message):
     # str() of an int of more than 4300 digits raises ValueError, which the
     # message must not
@@ -246,6 +271,15 @@ def test_validated_records_refuse_bad_fields_through_make_and_replace(case):
         cls._make(list(record)[:-1])
     assert type(cls._make(record)) is cls and cls._make(record) == record
     assert record._replace() == record
+
+
+def test_every_exported_named_tuple_has_field_types_that_resolve():
+    # typing.get_type_hints evaluates each annotation in its module's namespace
+    records = [v for v in vars(pseudoform).values()
+               if isinstance(v, type) and issubclass(v, tuple) and hasattr(v, "_fields")]
+    assert {"FoucaultGeometry", "Trajectory", "RegionSampler"} <= {r.__name__ for r in records}
+    for record in records:
+        assert list(typing.get_type_hints(record)) == list(record._fields)
 
 
 @pytest.mark.parametrize("cls, required, defaults, field, bad", [

@@ -120,9 +120,9 @@ def test_region_sampler_validation():
     "bound", [("a", 0, 0), (None, 0, 0), (1j, 0, 0), ([0, 1], 0, 0), "abc"],
     ids=["string", "none", "complex", "nested", "whole-string"])
 def test_bounds_and_points_that_are_not_real_numbers_are_refused(bound):
-    with pytest.raises(ValidationError, match="3 coordinates, all real numbers"):
+    with pytest.raises(ValidationError, match="lower region bound must be 3 finite real numbers"):
         RegionSampler(bound, (1, 1, 1))
-    with pytest.raises(ValidationError, match="3 coordinates, all real numbers"):
+    with pytest.raises(ValidationError, match="chart point must be 3 finite real numbers"):
         frobenius_coefficient(parse_oneform(["0", "x", "1"]), bound)
 
 
