@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 usage error (including a ``--format`` the
 subcommand does not write), 2 parse/config error or an unwritable output,
 3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout
-early.  All output is deterministic for a fixed config and seed; JSON
-documents carry ``schema_version`` 1, echo every defaulted config field
-and hold no NaN or infinity (RFC 8259), CSV uses a mandatory header and
-%.17g formatting.
+early.  Curvatures are null where g^ab does not exist (a degenerate g), in
+``surface`` and ``foucault geometry`` alike, and such a point exits 0.
+All output is deterministic for a fixed config and seed; JSON documents
+carry ``schema_version`` 1, echo every defaulted config field and hold no
+NaN or infinity (RFC 8259), CSV uses a mandatory header and %.17g
+formatting.
 
 CSV text is ``'%.17g' % v`` per value, whichever path writes it.  Each
 of the geodesic's and the precession's float rows is one ``%`` over its
@@ -28,9 +30,9 @@ Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
 components) extend the same layout with a z / time-component column.
 
-``classify``, ``surface``, ``geodesic`` and ``foucault precession`` run on
-floats from their config to their JSON or CSV, so they load no NumPy; the
-other ``foucault`` commands and ``transport``, whose results are arrays,
+``classify``, ``surface``, ``geodesic``, ``foucault geometry`` and ``foucault
+precession`` run on floats from their config to their JSON or CSV, so they
+load no NumPy; ``foucault sim`` and ``transport``, whose results are arrays,
 import it where those arrays are built.
 """
 
@@ -186,21 +188,12 @@ def _metric(c):
 # -- output ----------------------------------------------------------------
 
 
-def _complex_json(z):
-    if isinstance(z, complex):
-        return {"re": z.real, "im": z.imag}
-    return {"re": float(z), "im": 0.0}
-
-
-def _report_json(report):
-    if report is None:
-        return None
-    return {
-        "kappa1": _complex_json(report.kappa1),
-        "kappa2": _complex_json(report.kappa2),
-        "gaussian": _complex_json(report.gaussian),
-        "mean": _complex_json(report.mean),
-    }
+def _forms_json(forms, report):
+    """A point's g and h rows and its curvatures as ``{"re": ..., "im": ...}``
+    pairs, null where g^ab does not exist."""
+    curvatures = None if report is None else {
+        k: {"re": z.real, "im": z.imag} for k, z in report._asdict().items()}
+    return {"g": forms.g_rows, "h": forms.h_rows, "curvatures": curvatures}
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -393,15 +386,7 @@ def _cmd_surface(config, args):
     result = []
     for p in c["points"]:
         forms = surface.fundamental_forms(p)
-        report = geometry.shape_and_curvatures(forms)
-        result.append(
-            {
-                "point": p,
-                "g": forms.g_rows,
-                "h": forms.h_rows,
-                "curvatures": _report_json(report),
-            }
-        )
+        result.append({"point": p, **_forms_json(forms, geometry.curvatures_where_defined(forms))})
     _write_json(args, cfg, result)
 
 
@@ -440,10 +425,8 @@ def _cmd_foucault_geometry(config, args):
     result = {
         "frobenius": geo.frobenius,
         "phi_dot": pendulum.phi_dot,
-        "g": geo.g.tolist(),
-        "h": geo.h.tolist(),
-        "curvatures": _report_json(geo.report),
         "metric_degenerate": geo.metric.degenerate,
+        **_forms_json(geo.forms, geo.report),
     }
     _write_json(args, cfg, result)
 

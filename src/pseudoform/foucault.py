@@ -23,6 +23,7 @@ its start state, so it steps no row and loads no NumPy.
 from __future__ import annotations
 
 import math
+import sys
 from operator import add, mul
 from typing import Any, NamedTuple, Optional
 
@@ -30,15 +31,11 @@ from .errors import (ConstraintViolationError, DegenerateWindowError, Evaluation
                      ValidationError, check_real, check_vector)
 from .formlang import parse_oneform
 from .geometry import (
-    EUCLIDEAN,
-    CurvatureReport,
-    MetricSignature,
-    adapt_frame,
+    EUCLIDEAN, CurvatureReport, FundamentalForms, adapt_frame, curvatures_where_defined,
     fundamental_forms,
-    shape_and_curvatures,
 )
 from .integrate import (check_step_size, identity, linear_rk4_blocks, linear_rk4_orbit, matmul,
-                        rk4_transition_matrix, validate_steps)
+                        rk4_transition_matrix)
 from .pfaff import frobenius_coefficient
 
 OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
@@ -119,11 +116,16 @@ def foucault_frame_field(cfg, metric=EUCLIDEAN):
 
 
 class FoucaultGeometry(NamedTuple):
+    """The Frobenius coefficient, the float ``FundamentalForms`` and the
+    curvature report; ``g``, ``h`` and ``metric`` read through to the forms."""
+
     frobenius: float
-    g: Any  # 2x2 NumPy arrays, which this module imports only where it builds one
-    h: Any
+    forms: FundamentalForms
     report: Optional[CurvatureReport]
-    metric: MetricSignature
+
+    g = property(lambda self: self.forms.g)
+    h = property(lambda self: self.forms.h)
+    metric = property(lambda self: self.forms.metric)
 
 
 def foucault_geometry(cfg, metric=EUCLIDEAN, t=0.0):
@@ -131,15 +133,14 @@ def foucault_geometry(cfg, metric=EUCLIDEAN, t=0.0):
 
     The first fundamental form is reported in physical units (Minkowski:
     diag(c^2, -1)); the curvature report raises indices as every
-    ``shape_and_curvatures`` call does.  A degenerate g (the Galilean
-    case) yields report=None.
+    ``shape_and_curvatures`` call does, and is None where g is degenerate
+    (the Galilean case).
     """
     theta = theta2_oneform(cfg)
     p = (t, 0.0, 0.0)
     frob = frobenius_coefficient(theta, p)
     forms = fundamental_forms(theta, adapt_frame(theta, metric), metric, p)
-    report = None if metric.degenerate else shape_and_curvatures(forms)
-    return FoucaultGeometry(frob, forms.g, forms.h, report, metric)
+    return FoucaultGeometry(frob, forms, curvatures_where_defined(forms))
 
 
 # -- planar small-angle dynamics ----------------------------------------
@@ -253,7 +254,9 @@ def pendulum_orbit(cfg, initial, dt, duration):
     identity, keeps the times ``dt * k`` bit for bit.
     """
     steps = _step_count(check_real("duration", duration), check_step_size(dt, "step size dt"))
-    validate_steps(steps, dt)
+    if steps < 1:
+        raise ValidationError(f"duration={duration!r} holds no step of dt={dt!r}: "
+                              f"round(duration / dt) is {steps}")
     om = cfg.precession_rate
     _check_stable(abs(om) + math.hypot(om, cfg.omega0), dt, dt)
     z0 = check_vector("initial pendulum state (x, y, vx, vy)", initial, 4)
@@ -312,10 +315,13 @@ def _window_angle(mxx, myy, mxy, k, center):
         raise EvaluationDomainError(f"the swing's second moments overflow in precession "
                                     f"window {k} (centre t = {center!r} s)")
     tr = mxx + myy
-    if tr <= 0:
-        raise DegenerateWindowError("window has no signal (all points at origin)")
     half_gap = math.hypot(0.5 * (mxx - myy), mxy)
-    anisotropy = 2.0 * half_gap / (0.5 * tr + half_gap)  # (lam1 - lam2) / lam1
+    lam1 = 0.5 * tr + half_gap  # the larger principal moment
+    if not (tr > 0.0 and lam1 >= sys.float_info.min):  # a subnormal one keeps a few bits
+        raise DegenerateWindowError(f"swing has no signal in precession window {k} (centre "
+                                    f"t = {center!r} s): its larger principal moment {lam1!r} "
+                                    "m^2 is not a positive normal float")
+    anisotropy = 2.0 * half_gap / lam1  # (lam1 - lam2) / lam1
     if anisotropy < ANISOTROPY_TOL:
         raise DegenerateWindowError(
             f"swing plane ill-defined: moment anisotropy {anisotropy:.3f} "

@@ -365,6 +365,15 @@ def shape_and_curvatures(ff):
     return CurvatureReport(kappa1, kappa2, a * d - b * c, mean)
 
 
+def curvatures_where_defined(ff):
+    """``shape_and_curvatures(ff)``, or None where g is degenerate and g^ab
+    does not exist (the Galilean metric on legs that span its null first axis)."""
+    try:
+        return shape_and_curvatures(ff)
+    except DegenerateMetricError:
+        return None
+
+
 class PseudoSurface:
     """A unit Pfaffian together with its adapted frame and metric."""
 

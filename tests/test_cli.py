@@ -660,9 +660,32 @@ def test_surface_curvatures_match_foucault_geometry(tmp_path, capsys, metric):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_surface_theta2_galilean_numerical_error(tmp_path, capsys):
-    code, _, err = _run(tmp_path, capsys, ["surface"], _theta2_surface("galilean"))
-    assert code == 3 and err.startswith("numerical error:")
+def test_surface_theta2_galilean_writes_the_forms_of_foucault_geometry(tmp_path, capsys):
+    # g^ab does not exist, so both commands write g, h and null curvatures
+    code, out, _ = _run(tmp_path, capsys, ["surface"], _theta2_surface("galilean"))
+    assert code == 0
+    (entry,) = json.loads(out)["result"]
+    code, out, _ = _run(tmp_path, capsys, ["foucault", "geometry"],
+                        {"latitude": THETA2_LATITUDE, "metric": "galilean"})
+    assert code == 0
+    expected = json.loads(out)["result"]
+    assert (entry["g"], entry["h"]) == (expected["g"], expected["h"])
+    assert entry["g"] == [[0.0, 0.0], [0.0, 1.0]]
+    assert entry["curvatures"] is None is expected["curvatures"]
+
+
+def test_galilean_sphere_writes_every_point_and_curvatures_where_g_is_invertible(
+        tmp_path, capsys):
+    # the tangent plane at (0, 0, 1) holds the metric's null x axis, the one at (1, 0, 0) does not
+    config = {"levelset": "x^2+y^2+z^2", "metric": "galilean", "points": [[1, 0, 0], [0, 0, 1]]}
+    code, out, _ = _run(tmp_path, capsys, ["surface"], config)
+    assert code == 0
+    first, second = json.loads(out)["result"]
+    assert (first["point"], second["point"]) == ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    assert (first["g"], second["g"]) == ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]])
+    assert first["h"] == second["h"] == [[-1.0, -0.0], [-0.0, -1.0]]
+    assert first["curvatures"]["gaussian"] == {"re": 1.0, "im": 0.0}
+    assert second["curvatures"] is None
 
 
 def test_galilean_surface_numerical_error(tmp_path, capsys):
@@ -695,6 +718,20 @@ def test_overflowing_step_count_is_a_config_error(tmp_path, capsys, argv, config
     code, out, err = _run(tmp_path, capsys, argv, config)
     assert (code, out) == (2, "")
     assert err.startswith("config error: ") and "dt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("words, dt, duration", [
+    (["foucault", "sim"], 1e3, 100.0),
+    (["foucault", "precession"], 1e3, 100.0),
+    (["foucault", "sim"], 0.1, 0.0),
+    (["foucault", "sim"], -0.1, 10.0),
+], ids=["sim-step-past-duration", "precession-step-past-duration", "zero-duration", "negative-dt"])
+def test_a_duration_that_holds_no_step_is_a_config_error(tmp_path, capsys, words, dt, duration):
+    # round(duration / dt) < 1: the refusal names both fields, not the step count alone
+    code, out, err = _run(tmp_path, capsys, words, {**_SIM, "dt": dt, "duration": duration})
+    assert (code, out) == (2, "")
+    assert err == (f"config error: duration={duration!r} holds no step of dt={dt!r}: "
+                   f"round(duration / dt) is {round(duration / dt)}\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -394,6 +394,16 @@ def test_a_circular_pendulum_orbit_is_a_degenerate_window():
         fc.measure_precession(orbit, 40.0)
 
 
+def test_a_swing_damped_to_subnormal_moments_is_a_degenerate_window():
+    # RK4 at omega0 dt = 1.57 is stable but damps the swing: from window 574 on the
+    # moments are subnormal and carry a few bits, and window 603's trace is 5e-324,
+    # whose larger principal moment used to round to 0 and divide by zero
+    cfg = fc.FoucaultConfig(latitude=0.0, length=1.0)
+    orbit = fc.pendulum_orbit(cfg, (0.125, 0.0, 0.0, 0.0), 0.5, 3600.0)
+    with pytest.raises(DegenerateWindowError, match=r"window 574 \(centre t = 2297\.75 s\)"):
+        fc.measure_precession(orbit)
+
+
 # bounds of the exact window moments against the streamed window sums, 10 to
 # 20 times the largest error measured over these cases: M^n from binary
 # powering carries a phase error of about n ulps, and window k's state k times it

@@ -204,12 +204,15 @@ _FLOAT_CONFIGS = {
                  "points": [[0.1, 0.2, 0.3]]},
     "precession": {"latitude": 0.8526, "initial": [0.1, 0, 0, 0], "dt": 1e-3,
                    "duration": 1800},
+    "geometry": {"latitude": 0.8526},
+    "galilean": {"latitude": 0.8526, "metric": "galilean"},
 }
 # (config, format, command words) of each float call
 _FLOAT_CALLS = [("classify", "json", "classify"), ("levelset", "json", "surface"),
                 ("pfaffian", "json", "surface"), ("geodesic", "csv", "geodesic"),
                 ("geodesic", "json", "geodesic"), ("precession", "csv", "foucault precession"),
-                ("precession", "json", "foucault precession")]
+                ("precession", "json", "foucault precession"),
+                ("geometry", "json", "foucault geometry"), ("galilean", "json", "foucault geometry")]
 
 
 def _loaded_by_float_calls(tmp_path, module):
@@ -235,8 +238,9 @@ def _loaded_by_float_calls(tmp_path, module):
 
 
 def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
-    # classify, surface, the geodesic and the precession run on floats from
-    # their config to their JSON or CSV, so neither the import nor a call loads NumPy
+    # classify, surface, the geodesic, the precession and foucault geometry run on
+    # floats from their config to their JSON or CSV, so neither the import nor a call
+    # loads NumPy
     proc = _loaded_by_float_calls(tmp_path, "numpy")
     assert (proc.stdout, proc.stderr) == ("False" + " 0 False" * len(_FLOAT_CALLS) + "\n", "")
     assert (tmp_path / "out-geodesic.csv").read_text().count("\n") == 52
@@ -247,6 +251,8 @@ def test_cli_import_and_geodesic_leave_numpy_unloaded(tmp_path):
     assert len(json.loads((tmp_path / "out-pfaffian.json").read_text())["result"]) == 1
     assert (tmp_path / "out-precession.csv").read_text().count("\n") == 55
     assert len(json.loads((tmp_path / "out-precession.json").read_text())["result"]["angles"]) == 54
+    assert json.loads((tmp_path / "out-geometry.json").read_text())["result"]["curvatures"]
+    assert json.loads((tmp_path / "out-galilean.json").read_text())["result"]["curvatures"] is None
 
 
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
