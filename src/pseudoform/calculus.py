@@ -3,16 +3,19 @@
 Scalar fields carry exact first and second derivatives: ``formlang``
 compiles each expression into straight-line code that takes a point's
 three floats and returns one ``Dual`` record of the value, the gradient
-and the Hessian.  Only two methods call that code: ``ScalarField._vgh``
-for a field and ``OneForm.jet``, once per component, for a one-form;
-every evaluation below goes through one of them and reads what it needs
-from the records.  One-forms are built from three scalar fields, and
+and the Hessian.  ``ScalarField._vgh`` calls that code for a field, and
+each kind of one-form has one flat evaluator, ``flat_jet``, that calls
+it for the form: ``OneForm`` once per component, the gradient form of a
+level set once on its field.  Every evaluation below goes through one of
+them.  One-forms are built from three scalar fields, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form.
 
 The evaluations take and return plain floats: the point as 3 finite
 floats, values, components and gradients as 3-tuples and a Jacobian or
-Hessian as three 3-tuple rows.  ``point_coords`` checks a point: a tuple
-of 3 finite floats passes as it is, and anything else goes through
+Hessian as three 3-tuple rows.  ``flat_jet`` alone returns its values
+and Jacobian as one flat 12-tuple, which the geodesic's RK4 stages read
+through ``geometry.normal_kernel``.  ``point_coords`` checks a point: a
+tuple of 3 finite floats passes as it is, and anything else goes through
 ``errors.check_vector``, the package's one check of a vector.
 ``exterior_derivative`` alone returns an array; it imports NumPy when it
 is called, so a caller that reads only floats never loads it.
@@ -102,12 +105,9 @@ class ScalarField:
         return d.v, d.grad, d.hess
 
     def differentiate(self, p):
-        """Value, gradient (3-tuple) and Hessian (three 3-tuple rows) at p, as floats."""
-        return self.jet(point_coords(p))
-
-    def jet(self, p):
-        """``differentiate`` at a point p already checked as 3 floats: one call
-        of ``fn``, and every value, gradient and Hessian entry checked finite."""
+        """Value, gradient (3-tuple) and Hessian (three 3-tuple rows) at p, as floats:
+        one call of ``fn``, and every value, gradient and Hessian entry checked finite."""
+        p = point_coords(p)
         v, g, h = self._vgh(p)
         if not math.isfinite(v + sum(g) + sum(h)):  # a sum can overflow: then check each
             _check_finite(p, v, *g, *h)
@@ -137,11 +137,11 @@ class OneForm:
     def components_at(self, p):
         """The component values (theta_1, theta_2, theta_3) at p, as floats.
 
-        They come from ``jet``, which checks the gradients too, so a
+        They come from ``flat_jet``, which checks the gradients too, so a
         non-finite gradient raises ``EvaluationDomainError`` here as it
         does in ``values_and_jacobian``.
         """
-        return self.jet(point_coords(p))[0]
+        return self.flat_jet(point_coords(p))[:3]
 
     def values_and_jacobian(self, p):
         """Component values and the Jacobian at p, as floats.
@@ -149,14 +149,18 @@ class OneForm:
         Returns the values (theta_1, theta_2, theta_3) and three rows
         J[i] = (d_i theta_1, d_i theta_2, d_i theta_3), all tuples of floats.
         """
-        return self.jet(point_coords(p))
+        jet = self.flat_jet(point_coords(p))
+        return jet[:3], (jet[3:6], jet[6:9], jet[9:12])
 
-    def jet(self, p):
-        """``values_and_jacobian`` at a point p already checked as 3 floats.
+    def flat_jet(self, p):
+        """The form's 12 floats at a point p already checked as 3 floats:
+        theta_1..3, then J row-major, J[i][j] = d_i theta_j.
 
         The one evaluation kernel of the form: each component's compiled
-        function is called once on the point, with ``_vgh``'s error
-        mapping, and the values and gradients are checked to be finite.
+        function is looked up and called once on the point, a compiled
+        function's ``OverflowError`` or ``ZeroDivisionError`` is raised as
+        ``EvaluationDomainError``, and the values and gradients are checked
+        to be finite.
         """
         f1, f2, f3 = self.components
         try:
@@ -167,7 +171,7 @@ class OneForm:
         (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = d1.grad, d2.grad, d3.grad
         if not math.isfinite(v1 + v2 + v3 + a1 + a2 + a3 + b1 + b2 + b3 + c1 + c2 + c3):
             _check_finite(p, v1, v2, v3, a1, a2, a3, b1, b2, b3, c1, c2, c3)
-        return (v1, v2, v3), ((a1, b1, c1), (a2, b2, c2), (a3, b3, c3))
+        return v1, v2, v3, a1, b1, c1, a2, b2, c2, a3, b3, c3
 
 
 class PointTwoForm:
@@ -201,8 +205,17 @@ class _GradientOneForm(OneForm):
         self.chart = f.chart
         self.parent = f
 
-    def jet(self, p):
-        return self.parent.jet(p)[1:]
+    def flat_jet(self, p):
+        """f's gradient, then its Hessian row-major as J, from one call of f's
+        ``fn``; f's value is checked to be finite with them, as in ``differentiate``."""
+        try:
+            d = self.parent.fn(*p)
+        except (OverflowError, ZeroDivisionError) as err:
+            raise _domain_error(err, p) from err
+        jet = d.grad + d.hess
+        if not math.isfinite(d.v + sum(jet)):  # a sum can overflow: then check each
+            _check_finite(p, d.v, *jet)
+        return jet
 
 
 def gradient_oneform(f):

@@ -1,5 +1,11 @@
 """Command-line front door: JSON configs in, JSON/CSV results out.
 
+The argv grammar is fixed: the options ``--config PATH``, ``--out PATH``,
+``--format csv|json`` and ``--seed N``, each as ``--name value`` or
+``--name=value``, then one or two command words from ``COMMANDS``.
+``-h`` or ``--help`` prints the usage.  ``run`` parses argv itself, so no
+argument-parsing library is loaded, and an option is spelled in full.
+
 Exit codes: 0 success, 1 usage error (including a ``--format`` the
 subcommand does not write), 2 parse/config error or an unwritable output,
 3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout
@@ -38,12 +44,12 @@ import it where those arrays are built.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import foucault as fc
 from . import geometry, pfaff
@@ -68,11 +74,6 @@ class UsageError(Exception):
 
 class ConfigError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); we map to 1
-        raise UsageError(message)
 
 
 def _load_config(path):
@@ -491,44 +492,83 @@ COMMANDS = {
 }
 
 
-def _build_parser():
-    parser = _Parser(prog="pseudoform", description=__doc__)
-    parser.add_argument("--config", default=None, help="path to a JSON config document")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--seed", type=int, default=0, help="sampler seed (u64)")
-    subparsers = {(): parser.add_subparsers(dest="subcommand")}
-    for words in COMMANDS:
-        group = words[:-1]
-        if group not in subparsers:
-            subparsers[group] = subparsers[()].add_parser(group[0]).add_subparsers(
-                dest=f"{group[0]}_subcommand"
-            )
-        subparsers[group].add_parser(words[-1]).set_defaults(words=words)
-    return parser
+def _usage():
+    width = max(len(" ".join(words)) for words in COMMANDS)
+    lines = [f"  {' '.join(words):<{width}}  {', '.join(formats)}"
+             for words, (_, formats) in COMMANDS.items()]
+    return ("usage: pseudoform [--config PATH] [--out PATH] [--format csv|json] [--seed N] "
+            "COMMAND\n\ncommands and their formats (the first is the default):\n"
+            + "\n".join(lines) + "\n")
+
+
+class _Args(NamedTuple):
+    """One call's parsed argv: its command words and options."""
+
+    words: tuple
+    command: str  # the command words joined by "-", as the JSON "subcommand" names it
+    config: str | None
+    out: str | None
+    format: str
+    seed: int
+
+
+def _parse_argv(argv):
+    """The ``_Args`` of argv, or None where it asks for help (``-h``/``--help``).
+
+    The options come first, each as ``--name value`` or ``--name=value``; a
+    repeated option keeps its last value.  One or two command words from
+    ``COMMANDS`` follow.  Anything else raises ``UsageError``.
+    """
+    if "-h" in argv or "--help" in argv:
+        return None
+    values = dict.fromkeys(("--config", "--out", "--format", "--seed"))
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        name, eq, value = argv[i].partition("=")
+        if name not in values:
+            raise UsageError(f"unknown option {argv[i]!r}")
+        if not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("--"):
+                raise UsageError(f"{name} needs a value")
+            value = argv[i]
+        values[name] = value
+        i += 1
+    words = tuple(argv[i:])
+    if not words:
+        raise UsageError("a subcommand is required")
+    if words not in COMMANDS:
+        actions = ", ".join(w[-1] for w in COMMANDS if len(w) == 2 and w[0] == words[0])
+        if len(words) == 1 and actions:
+            raise UsageError(f"{words[0]} requires one of: {actions}")
+        known = ", ".join(" ".join(w) for w in COMMANDS)
+        raise UsageError(f"unknown command {' '.join(words)!r} (known: {known})")
+    try:
+        seed = 0 if values["--seed"] is None else int(values["--seed"])
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
+    formats = COMMANDS[words][1]
+    fmt = formats[0] if values["--format"] is None else values["--format"]
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"--format must be csv or json, got {fmt!r}")
+    if fmt not in formats:
+        raise UsageError(f"{' '.join(words)} writes {' or '.join(formats)}, not {fmt}")
+    return _Args(words, "-".join(words), values["--config"], values["--out"], fmt, seed)
 
 
 def run(argv):
     """Parse argv, dispatch, and return the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand is None:
-            raise UsageError("a subcommand is required")
-        words = getattr(args, "words", None)  # unset when a group word comes alone
-        if words is None:
-            actions = ", ".join(w[-1] for w in COMMANDS if w[0] == args.subcommand)
-            raise UsageError(f"{args.subcommand} requires one of: {actions}")
-        if args.seed < 0:
-            raise UsageError("--seed must be a non-negative integer")
-        handler, formats = COMMANDS[words]
-        args.format = args.format or formats[0]
-        if args.format not in formats:
-            raise UsageError(f"{' '.join(words)} writes {' or '.join(formats)}, not {args.format}")
+        args = _parse_argv(argv)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    args.command = "-".join(words)
+    if args is None:
+        sys.stdout.write(_usage())
+        return EXIT_OK
+    handler = COMMANDS[args.words][0]
     try:
         handler(_load_config(args.config), args)
     except (ConfigError, FormSyntaxError, ValidationError) as err:

@@ -11,9 +11,10 @@ state is a 6-tuple stepped by ``integrate.rk4_step``, and ``SampledCurve``
 keeps the states as they were stepped.  Each RK4 stage is one field
 evaluation: the right-hand side checks the stage point and calls the
 normal kernel of ``geometry.normal_kernel``, built once per march, which
-evaluates the Pfaffian once (its ``jet``) and returns the unit normal and
-its derivative.  NumPy is imported only when a caller reads the samples
-as arrays, so the ``geodesic`` command never loads it.
+evaluates the Pfaffian once (its ``flat_jet``) and returns the unit normal
+and its derivative as 12 flat floats.  NumPy is imported only when a
+caller reads the samples as arrays, so the ``geodesic`` command never
+loads it.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
         p = (x1, x2, x3)
         if not math.isfinite(x1 + x2 + x3):  # a sum can overflow: point_coords checks each
             point_coords(p)
-        (u1, u2, u3), ((d11, d12, d13), (d21, d22, d23), (d31, d32, d33)) = normal(p)
+        u1, u2, u3, d11, d12, d13, d21, d22, d23, d31, d32, d33 = normal(p)
         vdv = ((v1 * d11 + v2 * d21 + v3 * d31) * v1
                + (v1 * d12 + v2 * d22 + v3 * d32) * v2
                + (v1 * d13 + v2 * d23 + v3 * d33) * v3)

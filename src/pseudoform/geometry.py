@@ -31,7 +31,8 @@ import math
 from typing import NamedTuple
 
 from .calculus import (
-    OneForm, ScalarField, format_point, gradient_oneform, pfaffian_norm, point_coords,
+    DEGENERACY_TOL, OneForm, ScalarField, format_point, gradient_oneform, pfaffian_norm,
+    point_coords,
 )
 from .errors import (
     DegenerateMetricError, DegenerateNormalizationError, FramePfaffianMismatchError,
@@ -137,28 +138,34 @@ def unit_normal(pfaffian, metric, p):
     """Unit normal u = N / |N| of a Pfaffian N at p and du[i][j] = d_i u_j.
 
     Floats in and floats out: p is 3 floats (or anything ``point_coords``
-    takes), u comes back as a 3-tuple and du as three 3-tuple rows, built
-    with ``math`` from one evaluation of N at p (the Pfaffian's ``jet``)
-    as du[i] = (J[i] - (J[i] . u) u) / |N| with J[i] = d_i N.  No |N|^2
-    is formed, so an N whose square would overflow still normalizes.
-    Raises ``DegeneratePfaffianError`` where N vanishes and
-    ``DegenerateNormalizationError`` where a degenerate metric is asked
-    to normalize a space-time Pfaffian with a time component.  This is
-    ``normal_kernel(pfaffian, metric)`` applied to the checked point.
+    takes), u comes back as a 3-tuple and du as three 3-tuple rows, read
+    from the 12 floats of ``normal_kernel(pfaffian, metric)`` at the
+    checked point.
     """
-    return normal_kernel(pfaffian, metric)(point_coords(p))
+    k = normal_kernel(pfaffian, metric)(point_coords(p))
+    return k[:3], (k[3:6], k[6:9], k[9:12])
 
 
 def normal_kernel(pfaffian, metric):
-    """``unit_normal`` of a fixed Pfaffian and metric, as a function of a point
-    already checked as 3 floats; the frame and the geodesic build it once."""
-    jet = pfaffian.jet
+    """The unit normal of a fixed Pfaffian and metric, as a function of a point
+    p already checked as 3 floats; the frame and the geodesic build it once.
+
+    The function returns 12 floats: u = N / |N|, then du row-major with
+    du[i][j] = d_i u_j.  They are formed with ``math`` from one evaluation of
+    N at p, the Pfaffian's ``flat_jet``, as du[i] = (J[i] - (J[i] . u) u) / |N|
+    with J[i] = d_i N.  No |N|^2 is formed, so an N whose square would
+    overflow still normalizes.  It raises ``DegeneratePfaffianError`` where N
+    vanishes and ``DegenerateNormalizationError`` where a degenerate metric is
+    asked to normalize a space-time Pfaffian with a time component.
+    """
+    jet = pfaffian.flat_jet
     galilean = metric.degenerate and pfaffian.chart == "spacetime"
 
     def normal(p):
-        comps, ((j11, j12, j13), (j21, j22, j23), (j31, j32, j33)) = jet(p)
-        norm = pfaffian_norm(comps, p)
-        n1, n2, n3 = comps
+        n1, n2, n3, j11, j12, j13, j21, j22, j23, j31, j32, j33 = jet(p)
+        norm = math.hypot(n1, n2, n3)
+        if norm <= DEGENERACY_TOL:
+            pfaffian_norm((n1, n2, n3), p)  # raises DegeneratePfaffianError
         u1, u2, u3 = n1 / norm, n2 / norm, n3 / norm
         if galilean and abs(u1) > 1e-9:
             raise DegenerateNormalizationError(
@@ -167,10 +174,10 @@ def normal_kernel(pfaffian, metric):
         a1 = j11 * u1 + j12 * u2 + j13 * u3  # d_i |N|
         a2 = j21 * u1 + j22 * u2 + j23 * u3
         a3 = j31 * u1 + j32 * u2 + j33 * u3
-        return (u1, u2, u3), (
-            ((j11 - a1 * u1) / norm, (j12 - a1 * u2) / norm, (j13 - a1 * u3) / norm),
-            ((j21 - a2 * u1) / norm, (j22 - a2 * u2) / norm, (j23 - a2 * u3) / norm),
-            ((j31 - a3 * u1) / norm, (j32 - a3 * u2) / norm, (j33 - a3 * u3) / norm))
+        return (u1, u2, u3,
+                (j11 - a1 * u1) / norm, (j12 - a1 * u2) / norm, (j13 - a1 * u3) / norm,
+                (j21 - a2 * u1) / norm, (j22 - a2 * u2) / norm, (j23 - a2 * u3) / norm,
+                (j31 - a3 * u1) / norm, (j32 - a3 * u2) / norm, (j33 - a3 * u3) / norm)
 
     return normal
 
@@ -192,8 +199,8 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
     normal = normal_kernel(pfaffian, metric)
 
     def pair_fn(p, need_derivative):
-        u, du = normal(p)  # u is e3
-        u1, u2, u3 = u
+        n = normal(p)
+        u1, u2, u3 = u = n[:3]  # u is e3
         a1, a2, a3 = abs(u1), abs(u2), abs(u3)
         if (spacetime and a1 < 0.9) or (a1 <= a2 and a1 <= a3):
             k = 0
@@ -213,7 +220,8 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
             return x, None
         import numpy as np
 
-        u, du, e1_raw, e1 = np.array(u), np.array(du), np.array(e1_raw), np.array(e1)
+        u, e1_raw, e1 = np.array(u), np.array(e1_raw), np.array(e1)
+        du = np.array(n[3:]).reshape(3, 3)
         de1_raw = -np.outer(du[:, k], u) - uk * du
         dm = de1_raw @ e1_raw / m
         de1 = de1_raw / m - np.outer(dm, e1_raw) / m**2

@@ -144,3 +144,31 @@ def test_one_seed_values_and_jacobian_equal_per_component_evaluations():
         assert vals == tuple(v for v, _, _ in per_component)
         assert jac == tuple(zip(*(g for _, g, _ in per_component)))
         assert all(type(x) is float for x in (*vals, *jac[0], *jac[1], *jac[2]))
+
+
+def test_flat_jet_is_each_kinds_values_then_jacobian_row_major():
+    # 12 floats: theta_1..3, then J[i][j] = d_i theta_j row by row; a one-form reads
+    # its components' gradients, a level set's gradient form its field's Hessian
+    theta = parse_oneform(["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"])
+    f = parse_scalar("exp(0.3*x*y) + sin(y*z) + x*z^2")
+    for p in RegionSampler((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), count=50, seed=3).points():
+        per_component = [c.differentiate(p) for c in theta.components]
+        values = tuple(v for v, _, _ in per_component)
+        rows = [g for _, g, _ in per_component]
+        assert theta.flat_jet(p) == (*values, *(r[i] for i in range(3) for r in rows))
+        _, grad, hess = f.differentiate(p)
+        assert gradient_oneform(f).flat_jet(p) == (*grad, *hess[0], *hess[1], *hess[2])
+        assert all(type(x) is float for x in theta.flat_jet(p) + gradient_oneform(f).flat_jet(p))
+
+
+def test_flat_jet_of_a_gradient_form_checks_the_fields_value():
+    # the value overflows while the gradient (1, 0, 0) and the Hessian are finite:
+    # the gradient form refuses it as differentiate does
+    f = parse_scalar("x + 1e308 + 1e308")
+    p = (0.5, 1.0, 0.0)
+    assert f.fn(*p).grad == (1.0, 0.0, 0.0)
+    with pytest.raises(EvaluationDomainError) as want:
+        f.differentiate(p)
+    with pytest.raises(EvaluationDomainError) as got:
+        gradient_oneform(f).flat_jet(p)
+    assert str(got.value) == str(want.value)

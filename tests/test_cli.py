@@ -290,6 +290,58 @@ def test_usage_errors(tmp_path, capsys):
     assert _run(tmp_path, capsys, ["--seed", "-3", "classify"])[0] == 1
 
 
+def test_argv_options_take_their_value_after_a_space_or_an_equals_sign(tmp_path, capsys):
+    config = {"theta": ["y", "x*z", "1"], "lower": [0.2, 0.2, 0.2], "upper": [1, 1, 1]}
+    spaced = _run(tmp_path, capsys, ["--seed", "7", "--format", "json", "classify"], config)
+    joined = _run(tmp_path, capsys, ["--seed=7", "--format=json", "classify"], config)
+    assert spaced == joined and spaced[0] == 0 and json.loads(spaced[1])["seed"] == 7
+    # a repeated option keeps its last value
+    assert _run(tmp_path, capsys, ["--seed", "3", "--seed=7", "classify"], config) == spaced
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config"], "--config needs a value"),
+    (["classify", "--seed"], "unknown command 'classify --seed'"),
+    (["--out", "--seed", "3", "classify"], "--out needs a value"),
+    (["--bogus", "classify"], "unknown option '--bogus'"),
+    (["--conf", "c.json", "classify"], "unknown option '--conf'"),  # no prefix abbreviations
+    (["-x", "classify"], "unknown option '-x'"),
+    (["--format", "xml", "geodesic"], "--format must be csv or json, got 'xml'"),
+    (["--format=", "geodesic"], "--format must be csv or json, got ''"),
+    (["--seed", "x", "classify"], "--seed must be a non-negative integer"),
+    (["--seed=-3", "classify"], "--seed must be a non-negative integer"),
+    (["classify", "extra"], "unknown command 'classify extra'"),
+    (["foucault", "no-such-command"], "unknown command 'foucault no-such-command'"),
+])
+def test_an_argv_outside_the_grammar_is_a_usage_error(tmp_path, capsys, argv, message):
+    code, out, err = _run(tmp_path, capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--seed", "3", "-h"],
+                                  ["classify", "--help"]])
+def test_help_prints_the_usage_to_stdout_and_exits_0(tmp_path, capsys, argv):
+    code, out, err = _run(tmp_path, capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: pseudoform [--config PATH] [--out PATH] [--format csv|json]")
+    for words, (_, formats) in cli.COMMANDS.items():
+        assert f"  {' '.join(words)} " in out and ", ".join(formats) in out
+
+
+def test_neither_the_cli_import_nor_a_geodesic_call_loads_argparse(tmp_path):
+    # a fresh interpreter: the CLI parses its fixed grammar itself
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_MINIMAL_CONFIGS[("geodesic",)]))
+    script = ("import sys; from pseudoform import cli; imported = 'argparse' in sys.modules; "
+              "code = cli.run(sys.argv[1:]); print(imported, code, 'argparse' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"), "geodesic"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True)
+    assert (proc.stdout, proc.stderr) == ("False 0 False\n", "")
+
+
 _MINIMAL_CONFIGS = {
     ("classify",): {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]},
     ("surface",): {"levelset": "z", "points": [[0, 0, 0]]},

@@ -371,20 +371,31 @@ def _march_case(case):
     if case == "sqrt-abort":
         surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "0", "sqrt(1-x)"]))
         return surface, (0.0, 0.0, 0.0), (1.0, 0.0), 0.05, 100
+    if case in ("overflow-abort", "derivative-overflow-abort"):
+        # a straight march along x into exp(800*x) overflowing: at ds 0.05 exp raises
+        # OverflowError at x = 0.9; at ds 0.01 the derivative 800*exp(800*x) is inf first
+        surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "0", "exp(800*x)"]))
+        ds = 0.05 if case == "overflow-abort" else 0.01
+        return surface, (0.0, 0.0, 0.0), (1.0, 0.0), ds, 100
     assert case == "galilean-spatial"
     surface = PseudoSurface.from_pfaffian(parse_oneform(["y", "1", "x*z"]), GALILEAN)
     return surface, (0.3, -0.1, 0.2), (0.5, 0.5), 1e-3, 500
 
 
 @pytest.mark.parametrize("case", ["tilted-circle", "equator", "contact", "minkowski",
-                                  "transcendental", "sqrt-abort", "galilean-spatial"])
+                                  "transcendental", "sqrt-abort", "overflow-abort",
+                                  "derivative-overflow-abort", "galilean-spatial"])
 def test_unrolled_march_equals_the_generic_float_march(case):
-    # the shared normal kernel and the unrolled RK4 step change no bit of a state
+    # the flat stage (one flat_jet per stage) and the unrolled RK4 step change
+    # no bit of a state, and an abort keeps its message
     surface, p0, nu, ds, steps = _march_case(case)
     curve = integrate_geodesic(surface, p0, nu, ds, steps)
     states, aborted, reason = _reference_float_march(surface, p0, nu, ds, steps)
-    assert curve.aborted == aborted == (case == "sqrt-abort")
+    assert curve.aborted == aborted == case.endswith("-abort")
     assert curve.abort_reason == reason
+    assert reason.startswith({"sqrt-abort": "sqrt of negative value",
+                              "overflow-abort": "overflow at point",
+                              "derivative-overflow-abort": "non-finite field value"}.get(case, ""))
     assert len(curve.states) == len(states) > 1
     assert curve.states == states
 
