@@ -14,17 +14,17 @@ Sign convention (see :mod:`pseudoform.geometry`): with the frame
 completed from theta2 the Frobenius coefficient is -phi_dot and the
 off-diagonal second-form entry is +phi_dot / 2.
 
-The orbit and the transport are each an ``Orbit``, RK4 on y' = A y, whose
-rows are NumPy arrays.  The precession reads only the orbit's step matrix
-and start state: each window's second moments are exact quadratic forms of
-its start state, so it steps no row and loads no NumPy.
+The orbit and the transport are each an ``Orbit`` of y' = A y, A constant,
+whose NumPy rows are stepped by the exact flow exp(dt A).  The precession
+reads only its step matrix and start state, as each window's second moments
+are exact quadratic forms of the start state: it loads no NumPy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import add, mul
+from operator import mul
 from typing import Any, NamedTuple, Optional
 
 from .errors import (ConstraintViolationError, DegenerateWindowError, EvaluationDomainError,
@@ -34,14 +34,14 @@ from .geometry import (
     EUCLIDEAN, CurvatureReport, FundamentalForms, adapt_frame, curvatures_where_defined,
     fundamental_forms,
 )
-from .integrate import (check_step_size, identity, linear_rk4_blocks, linear_rk4_orbit, matmul,
-                        rk4_transition_matrix)
+from .integrate import (check_step_size, flow_matrix, identity, linear_flow_blocks,
+                        linear_rk4_orbit, matadd, matmul)
 from .pfaff import frobenius_coefficient
 
 OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
 SECONDS_PER_DAY = 86400.0
 ANISOTROPY_TOL = 0.05
-MAX_STEPS = 10**9  # largest orbit step count accepted; 1e9 RK4 steps take hours
+MAX_STEPS = 10**9  # largest orbit step count accepted; 1e9 rows take hours to write
 
 
 class _FoucaultFields(NamedTuple):
@@ -161,9 +161,10 @@ class Trajectory(NamedTuple):
 
 
 class Orbit(NamedTuple):
-    """The fixed-step RK4 run of y' = A y, A the ``generator``, row k at
-    time ``t0 + dt * k``.  ``blocks()`` computes and holds one block of rows
-    at a time; ``trajectory()`` holds the same rows, bit for bit, at once.
+    """The orbit of y' = A y, A the ``generator``: row k is exp(k dt A)
+    applied to ``initial``, at time ``t0 + dt * k``.  ``blocks()`` computes
+    and holds one block of rows at a time; ``trajectory()`` holds the same
+    rows, bit for bit, at once.
     The generator and the initial state are floats, so ``measure_precession``
     reads a pendulum orbit without NumPy.
     """
@@ -189,7 +190,7 @@ class Orbit(NamedTuple):
 
     def blocks(self):
         k = 0
-        for states in linear_rk4_blocks(self.generator, self.initial, self.dt, self.steps):
+        for states in linear_flow_blocks(self.generator, self.initial, self.dt, self.steps):
             yield self._times(k, k + len(states)), states
             k += len(states)
 
@@ -199,20 +200,20 @@ class Orbit(NamedTuple):
         return Trajectory(times, states, self.config)
 
 
-RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)  # largest |h * omega| RK4 keeps bounded
+MAX_PHASE = 2.0**22  # rad, the largest turn of one orbit step accepted
 
 
-def _check_stable(omega_max, h, dt):
-    """Refuse a step ``h``, derived from ``dt``, on which RK4 grows for y' = A y,
-    A's eigenvalues imaginary and at most ``omega_max`` in modulus.  RK4 scales
-    the mode of i omega by R(i h omega), |R(iy)|^2 = 1 - y^6/72 + y^8/576 > 1
-    exactly for |y| > 2 sqrt(2).  Rounding may judge a step within a few ulps of
-    the limit either way; there |R| - 1 < 1e-14, or 1e-5 over MAX_STEPS steps."""
-    if omega_max * abs(h) > RK4_STABILITY_LIMIT:
-        step = "" if h == dt else f" (RK4 steps of {h!r} s)"
+def _check_resolved(omega_max, h, dt):
+    """Refuse a step ``h``, derived from ``dt``, over which y' = A y, A's
+    eigenvalues imaginary and at most ``omega_max`` in modulus, turns by more
+    than MAX_PHASE.  ``flow_matrix`` leaves up to about 8 ulps of rounding
+    per radian (measured to 1e8 rad), so an accepted step is exact to 3.7e-9."""
+    if omega_max * abs(h) > MAX_PHASE:
+        step = "" if h == dt else f" (steps of {h!r} s)"
         raise ValidationError(
-            f"step size dt={dt!r}{step} is past RK4's stability limit: "
-            f"the largest stable step is {RK4_STABILITY_LIMIT / omega_max!r} s"
+            f"step size dt={dt!r}{step} turns the orbit by more than MAX_PHASE = 2^22 rad, "
+            f"past which exp(dt A) may carry more than 3.7e-9 of rounding: the longest "
+            f"step is {MAX_PHASE / omega_max!r} s"
         )
 
 
@@ -246,19 +247,19 @@ def _step_count(span, dt):
 
 
 def pendulum_orbit(cfg, initial, dt, duration):
-    """The small-angle pendulum's fixed-step RK4 ``Orbit`` over [0, T].
+    """The small-angle pendulum's ``Orbit`` over [0, T], sampled every ``dt``.
 
     ``initial`` is an (x, y, vx, vy) sequence.  The arguments are checked
-    here, the step against RK4's stability limit with A's eigenvalues
-    +-i (Omega +- sqrt(Omega^2 + omega0^2)).  t0 = -0.0, the additive
-    identity, keeps the times ``dt * k`` bit for bit.
+    here, the step's turn with A's eigenvalues +-i (Omega +- sqrt(Omega^2 +
+    omega0^2)).  t0 = -0.0, the additive identity, keeps the times ``dt * k``
+    bit for bit.
     """
     steps = _step_count(check_real("duration", duration), check_step_size(dt, "step size dt"))
     if steps < 1:
         raise ValidationError(f"duration={duration!r} holds no step of dt={dt!r}: "
                               f"round(duration / dt) is {steps}")
     om = cfg.precession_rate
-    _check_stable(abs(om) + math.hypot(om, cfg.omega0), dt, dt)
+    _check_resolved(abs(om) + math.hypot(om, cfg.omega0), dt, dt)
     z0 = check_vector("initial pendulum state (x, y, vx, vy)", initial, 4)
     amplitude = math.hypot(z0[0], z0[1])
     if amplitude >= cfg.length:
@@ -330,10 +331,6 @@ def _window_angle(mxx, myy, mxy, k, center):
     return 0.5 * math.atan2(2.0 * mxy, mxx - myy)
 
 
-def _add(a, b):
-    return tuple(tuple(map(add, x, y)) for x, y in zip(a, b))
-
-
 def _apply(m, z):
     return tuple(sum(map(mul, row, z), 0.0) for row in m)
 
@@ -350,10 +347,10 @@ def _doubling(m, n, ws=()):
     G_2c = G_c + (M^c)^T G_c M^c and G_c+1 = W + M^T G_c M."""
     power, forms = identity(len(m)), [((0.0,) * len(m),) * len(m)] * len(ws)
     for bit in bin(n)[2:]:
-        forms = [_add(g, matmul(tuple(zip(*power)), matmul(g, power))) for g in forms]
+        forms = [matadd(g, matmul(tuple(zip(*power)), matmul(g, power))) for g in forms]
         power = matmul(power, power)
         if bit == "1":
-            forms = [_add(w, matmul(tuple(zip(*m)), matmul(g, m))) for w, g in zip(ws, forms)]
+            forms = [matadd(w, matmul(tuple(zip(*m)), matmul(g, m))) for w, g in zip(ws, forms)]
             power = matmul(power, m)
     return power, forms
 
@@ -363,15 +360,16 @@ def measure_precession(traj, window_seconds=None):
 
     The rows are cut into windows of n rows (default and minimum: two
     pendulum periods, so the angle is averaged over whole swings); a last
-    partial window is dropped.  With M the RK4 step matrix and z a window's
-    start state, the window's mean of x^2, y^2 or xy is z^T G z / n, G =
-    sum_{j<n} (M^j)^T W M^j for a selector W.  G and M^n, which carries z to
-    the next window, are built once by binary doubling, so no row is stepped.
+    partial window is dropped.  With M the one-step flow exp(dt A) and z a
+    window's start state, the window's mean of x^2, y^2 or xy is z^T G z / n,
+    G = sum_{j<n} (M^j)^T W M^j for a selector W.  G and M^n, which carries z
+    to the next window, are built once by binary doubling, so no row is
+    stepped.
     A window gives the principal-axis angle of its moments, its centre time
     t0 + dt (k n + (n - 1) / 2) and its state at row k n + floor((n - 1) / 2),
     the earlier of two middle rows.  The angles are unwrapped modulo pi and
     fit by least squares.  Against the means over the stepped rows
-    (``tests/precession_reference.py``) the rate agrees to 1.2e-11
+    (``tests/precession_reference.py``) the rate agrees to 3.3e-12
     (relative), the angles to 1.1e-12 rad and the centre states to 1e-10 of
     their largest entry (two-hour Paris run: M^n's phase error of about n
     ulps adds up over 219 windows).  Overflowing moments raise
@@ -400,7 +398,7 @@ def measure_precession(traj, window_seconds=None):
         raise ValidationError(
             f"trajectory too short: {n_windows} window(s) of {window_seconds:.3g} s"
         )
-    m = rk4_transition_matrix(traj.generator, dt)
+    m = flow_matrix(traj.generator, dt)
     advance, forms = _doubling(m, n, _SELECTORS)
     # z^T G z as coefficients of the monomials z_i z_j, i <= j
     coefficients = [[(2.0 - (i == j)) * g[i][j] for i, j in _PAIRS] for g in forms]
@@ -440,9 +438,9 @@ def transport_generator(cfg, kind="vector"):
 
 
 def transport_orbit(cfg, kind, initial, t0, t1, dt):
-    """RK4 parallel transport of natural components from t0 to t1, as an ``Orbit``
-    of round((t1 - t0) / dt) steps, at least one.  Its step, up to 1.5 dt, is
-    checked against RK4's stability limit (A's eigenvalues 0, +-i phi_dot)."""
+    """Parallel transport of natural components from t0 to t1, as an ``Orbit``
+    of round((t1 - t0) / dt) equal steps, at least one.  Its step, up to
+    1.5 dt, is checked for its turn (A's eigenvalues 0, +-i phi_dot)."""
     initial = check_vector("initial transported components", initial, 3)
     if check_real("t1", t1) <= check_real("t0", t0):
         raise ValidationError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
@@ -450,7 +448,7 @@ def transport_orbit(cfg, kind, initial, t0, t1, dt):
         raise ValidationError(f"step size dt must be positive and finite, got {dt!r}")
     steps = max(1, _step_count(t1 - t0, dt))
     h = (t1 - t0) / steps
-    _check_stable(abs(cfg.phi_dot), h, dt)
+    _check_resolved(abs(cfg.phi_dot), h, dt)
     return Orbit(cfg, transport_generator(cfg, kind), initial, t0, h, steps)
 
 

@@ -840,13 +840,13 @@ def test_a_non_finite_json_result_is_a_numerical_error_and_writes_nothing(
     assert not target.exists()
 
 
-# steps past RK4's stability limit, which is 7.39 s for this pendulum and
-# 2.58e4 s for this transport, whose one step is 3e8 s
+# long steps: 10 s and 1e3 s for this pendulum, whose period is 16.4 s, and
+# one step of 3e8 s (3.3e4 rad) for this transport
 _DT10_PENDULUM = {"latitude": 0.8526, "dt": 10, "duration": 300, "initial": [0.1, 0, 0, 0]}
-_UNSTABLE_PENDULUM = {"latitude": 0.8526, "dt": 1e3, "duration": 1e5, "initial": [0.1, 0, 0, 0]}
-_UNSTABLE_TRANSPORT = {"latitude": 0.8526, "initial": [1e-9, 3, 1e300], "t0": 0.5,
+_DT1000_PENDULUM = {"latitude": 0.8526, "dt": 1e3, "duration": 1e5, "initial": [0.1, 0, 0, 0]}
+_ONE_STEP_TRANSPORT = {"latitude": 0.8526, "initial": [1e-9, 3, 1e300], "t0": 0.5,
                        "t1": 299792458, "dt": 1e300}
-# stable steps whose rows overflow: the swing's x passes the largest float at
+# steps whose rows overflow: the swing's x passes the largest float at
 # row 199, the transported cx at row 206
 _OVERFLOWING_PENDULUM = {"latitude": 0.8526, "dt": 1e-2, "duration": 10,
                          "initial": [0.1, 0, 1e308, 0]}
@@ -854,19 +854,46 @@ _OVERFLOWING_TRANSPORT = {"latitude": 0.8526, "initial": [0, 1.5e308, 1.5e308], 
                           "dt": 10}
 
 
-@pytest.mark.parametrize("words, config, limit", [
-    (["foucault", "sim"], _DT10_PENDULUM, "7.390699957776241"),
-    (["foucault", "sim"], _UNSTABLE_PENDULUM, "7.390699957776241"),
-    (["foucault", "precession"], _UNSTABLE_PENDULUM, "7.390699957776241"),
-    (["transport"], _UNSTABLE_TRANSPORT, "25755.911607706155"),
+@pytest.mark.parametrize("words, config, rows", [
+    (["foucault", "sim"], _DT10_PENDULUM, 31),
+    (["foucault", "sim"], _DT1000_PENDULUM, 101),
+    (["foucault", "precession"], _DT1000_PENDULUM, 50),
+    (["transport"], _ONE_STEP_TRANSPORT, 2),
 ], ids=["sim-dt10", "sim", "precession", "transport"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_step_past_rk4s_stability_limit_is_a_config_error(tmp_path, capsys, fmt, words,
-                                                            config, limit):
+def test_a_long_step_runs(tmp_path, capsys, fmt, words, config, rows):
+    # each row is the exact flow of the one before, so a step is refused only
+    # where its turn passes MAX_PHASE
+    code, out, err = _run(tmp_path, capsys, ["--format", fmt, *words], config)
+    assert (code, err) == (0, "")
+    if fmt == "csv":
+        assert len(out.splitlines()) == rows + 1
+    else:
+        result = _strict_json(out)["result"]
+        assert len(result["times" if "times" in result else "angles"]) == rows
+
+
+_FAR_PENDULUM = {**_DT10_PENDULUM, "dt": 1e18, "duration": 1e20}
+
+
+@pytest.mark.parametrize("words, config, longest", [
+    (["foucault", "sim"], _FAR_PENDULUM, "10959745.83346651"),
+    (["foucault", "precession"], _FAR_PENDULUM, "10959745.83346651"),
+    (["transport"], {"latitude": 0.8526, "initial": [0, 1, 0], "t0": 0, "t1": 1e20, "dt": 1e20},
+     "38193709194.30788"),
+    (["transport"], {"latitude": 0.8526, "initial": [0, 1, 0], "t0": 0, "t1": 1e300,
+                     "dt": 1e300}, "38193709194.30788"),
+], ids=["sim", "precession", "transport-1e20", "transport-1e300"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_step_that_turns_past_max_phase_is_a_config_error(tmp_path, capsys, fmt, words,
+                                                            config, longest):
+    # a step whose turn passes MAX_PHASE is refused before any row is written;
+    # one step of 1e20 s turns the transported vector by 1.1e16 rad
     code, out, err = _run(tmp_path, capsys, ["--format", fmt, *words], config)
     assert (code, out) == (2, "")
-    assert err.startswith(f"config error: step size dt={config['dt']!r}")
-    assert err.endswith(f"is past RK4's stability limit: the largest stable step is {limit} s\n")
+    assert err.startswith(f"config error: step size dt={float(config['dt'])!r} turns the orbit "
+                          "by more than MAX_PHASE = 2^22 rad")
+    assert err.endswith(f"the longest step is {longest} s\n")
 
 
 @pytest.mark.parametrize("words, config", [

@@ -155,9 +155,8 @@ def _check_table(text):
 
 
 _OVERFLOWING = {"latitude": 0.8526, "initial": [0.1, 0, 1e308, 0], "dt": 0.05, "duration": 100.0}
-# RK4 damps this swing until its window moments are subnormal (exit 3)
-_DAMPED = {"latitude": 0.0, "initial": [0.125, 0, 0, 0], "dt": 0.5, "duration": 3600.0,
-           "length": 1.0}
+# this swing's window moments are subnormal from the start (exit 3)
+_SUBNORMAL = {"latitude": 0.8526, "initial": [1e-160, 0, 0, 0], "dt": 1e-2, "duration": 200.0}
 
 
 @settings(max_examples=400, deadline=None)
@@ -165,8 +164,8 @@ _DAMPED = {"latitude": 0.0, "initial": [0.125, 0, 0, 0], "dt": 0.5, "duration": 
 @example(call=(("foucault", "sim"), _OVERFLOWING, {}, "csv", 0))
 @example(call=(("foucault", "sim"), _OVERFLOWING, {}, "json", 0))
 @example(call=(("foucault", "precession"), _OVERFLOWING, {}, None, 0))
-@example(call=(("foucault", "precession"), _DAMPED, {}, "csv", 0))
-@example(call=(("foucault", "precession"), _DAMPED, {}, "json", 0))
+@example(call=(("foucault", "precession"), _SUBNORMAL, {}, "csv", 0))
+@example(call=(("foucault", "precession"), _SUBNORMAL, {}, "json", 0))
 def test_generated_configs_end_in_a_typed_exit(tmp_path_factory, call):
     words, config, damage, fmt, seed = call
     config = {**config, **damage}

@@ -1,4 +1,5 @@
-"""Block-power RK4 orbits against explicit one-step stepping."""
+"""The exact one-step flow of y' = A y against closed forms, its block-power
+orbits against explicit stepping, and the geodesic's RK4 step."""
 
 import math
 import typing
@@ -14,7 +15,7 @@ from pseudoform.curves import integrate_geodesic
 from pseudoform.geometry import MetricKind, MetricSignature, PseudoSurface
 from pseudoform.pfaff import RegionSampler, classify, frobenius_coefficient
 from pseudoform.integrate import (
-    BLOCK, linear_rk4_blocks, linear_rk4_orbit, rk4_step, rk4_transition_matrix, validate_steps,
+    BLOCK, flow_matrix, linear_flow_blocks, linear_rk4_orbit, rk4_step, validate_steps,
 )
 
 PARIS = fc.FoucaultConfig(latitude=math.radians(48.85), length=67.0)
@@ -23,7 +24,7 @@ DEVIATION_BOUND = 1e-12  # max |orbit - stepping| over max |stepping|
 
 def _stepped(a, y0, h, steps):
     """Reference orbit: y = M @ y, one step at a time."""
-    m = rk4_transition_matrix(a, h)
+    m = flow_matrix(a, h)
     out = np.empty((steps + 1, len(y0)))
     out[0] = y = np.asarray(y0, dtype=float)
     for k in range(steps):
@@ -61,7 +62,7 @@ def test_orbit_block_edges(steps):
     assert orbit.shape == (steps + 1, 4)
     assert orbit[0].tobytes() == y0.tobytes()
     assert _deviation(a, y0, 1e-3, steps) <= DEVIATION_BOUND
-    blocks = list(linear_rk4_blocks(a, y0, 1e-3, steps))
+    blocks = list(linear_flow_blocks(a, y0, 1e-3, steps))
     assert [len(b) for b in blocks] == [1] + [BLOCK] * (steps // BLOCK) + [steps % BLOCK] * (
         steps % BLOCK > 0
     )
@@ -77,36 +78,72 @@ def test_blocks_match_the_stacked_product_of_the_powers(a, y0, h):
     # the same powers with the same row computes every entry as the same dot
     # product, so the two agree to one ulp of each row's largest entry
     steps = 2 * BLOCK + 5
-    m = np.array(rk4_transition_matrix(a, h))
+    m = np.array(flow_matrix(a, h))
     powers = [m]
     while len(powers) < BLOCK:
         powers.append(powers[-1] @ m)
     powers = np.array(powers)
-    blocks = list(linear_rk4_blocks(a, y0, h, steps))
+    blocks = list(linear_flow_blocks(a, y0, h, steps))
     for before, block in zip(blocks, blocks[1:]):
         stacked = powers[: len(block)] @ before[-1]
         ulp = np.spacing(np.max(np.abs(stacked), axis=1))[:, None]
         assert np.all(np.abs(block - stacked) <= ulp)
 
 
-@pytest.mark.parametrize("a, h", [
-    (fc.dynamics_matrix(PARIS), 1e-3), (fc.dynamics_matrix(PARIS), -1e-2),
-    (fc.dynamics_matrix(fc.FoucaultConfig(latitude=0.853, length=10.0)), 0.01),
-    (fc.transport_generator(PARIS), 0.1), (fc.transport_generator(PARIS, "covector"), 0.1),
-    (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.01),
-], ids=["paris", "paris-backward", "ten-metre", "transport", "covector", "jordan"])
-def test_transition_matrix_on_floats_matches_the_array_form(a, h):
-    # the same sum as NumPy arrays; a BLAS product may fuse a multiply and an
-    # add, so the two are held to one ulp of each row's largest entry
-    m = rk4_transition_matrix(a, h)
-    assert type(m) is tuple and all(type(v) is float for row in m for v in row)
-    a = np.asarray(a, dtype=float)
-    term = expect = np.eye(len(a))
-    for k in range(1, 5):
-        term = (h / k) * (a @ term)
-        expect = expect + term
-    ulp = np.spacing(np.max(np.abs(expect), axis=1))[:, None]
-    assert np.all(np.abs(np.array(m) - expect) <= ulp)
+def _pendulum_flow(cfg, h):
+    """exp(hA) of the co-rotating pendulum from its closed form: in xi = x + i y,
+    xi = e^{i Omega t} eta, eta a harmonic oscillator of frequency
+    w = sqrt(omega0^2 + Omega^2).  Column j is the state at h from unit state j."""
+    om, w = cfg.precession_rate, math.hypot(cfg.omega0, cfg.precession_rate)
+    turn, c, s = np.exp(1j * om * h), math.cos(w * h), math.sin(w * h)
+    columns = []
+    for x, y, vx, vy in np.eye(4):
+        xi0, v0 = x + 1j * y, vx + 1j * vy
+        eta0, deta0 = xi0, v0 - 1j * om * xi0  # eta = e^{-i Omega t} xi
+        eta, deta = eta0 * c + deta0 * s / w, deta0 * c - eta0 * w * s
+        xi, v = turn * eta, turn * (deta + 1j * om * eta)
+        columns.append([xi.real, xi.imag, v.real, v.imag])
+    return np.array(columns).T
+
+
+_TEN = fc.FoucaultConfig(latitude=0.853, length=10.0)
+_ONE = fc.FoucaultConfig(latitude=0.853, length=1.0)
+
+
+FLOW_BOUND = 2e-14  # of the largest entry, for steps up to 20 s
+
+
+@pytest.mark.parametrize("cfg", [PARIS, _TEN, _ONE], ids=["paris", "ten-metre", "one-metre"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_flow_matrix_is_the_pendulums_closed_form(cfg, sign):
+    # steps up to 20 s, 10 periods of the 1 m pendulum; the largest error
+    # measured is 1.2e-15 (Paris), 4.9e-15 (10 m) and 1.1e-14 (1 m)
+    a = fc.dynamics_matrix(cfg)
+    for h in [1e-3, 0.37, 1.0, 2.0, 5.0, 7.39, 12.5, 20.0]:
+        m = flow_matrix(a, sign * h)
+        assert type(m) is tuple and all(type(v) is float for row in m for v in row)
+        expect = _pendulum_flow(cfg, sign * h)
+        assert np.max(np.abs(np.array(m) - expect)) <= FLOW_BOUND * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("kind", ["vector", "covector"])
+@pytest.mark.parametrize("h", [0.1, -0.1, 1e3, 1e4, -2.5e5, 3e8])
+def test_flow_matrix_of_the_transport_is_the_rotation_by_phi_dot_h(kind, h):
+    w = fc.transport_generator(PARIS, kind)
+    angle = PARIS.phi_dot * h
+    expect = np.array([[1.0, 0.0, 0.0],
+                       [0.0, math.cos(angle), -math.sin(angle)],
+                       [0.0, math.sin(angle), math.cos(angle)]])
+    m = np.array(flow_matrix(w, h))
+    # the squarings leave a few ulps per radian of the turn: 1.0e-11 at 3.3e4 rad
+    assert np.max(np.abs(m - expect)) <= 1e-15 * max(1.0, abs(angle))
+    assert m[0].tolist() == [1.0, 0.0, 0.0] and m[:, 0].tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("h", [0.01, -0.01, 1.0, 10.0, -3.7, 1e6])
+def test_flow_matrix_of_a_jordan_block_is_exact(h):
+    # a defective matrix, with no eigenbasis: exp(hN) = I + hN exactly
+    assert flow_matrix([[0.0, 1.0], [0.0, 0.0]], h) == ((1.0, h), (0.0, 1.0))
 
 
 def test_rk4_step_on_floats_matches_the_array_form_bit_for_bit():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pseudoform import cli
 
-from test_cli import _UNSTABLE_TRANSPORT, _PARIS_RUN, _run, _strict_json
+from test_cli import _ONE_STEP_TRANSPORT, _PARIS_RUN, _run, _strict_json
 
 
 def _dumps(value):
@@ -42,7 +42,7 @@ _PENDULUM = {**_PARIS_RUN, "dt": 0.5, "duration": 1200.0}  # 2401 rows, three bl
     (["foucault", "geometry"], {"latitude": 0.8527, "metric": "galilean"}, 0),
     (["--format", "json", "foucault", "sim"], _PENDULUM, 0),
     (["--format", "json", "foucault", "precession"], {**_PENDULUM, "duration": 3600.0}, 0),
-    (["--format", "json", "transport"], {**_UNSTABLE_TRANSPORT, "initial": [1, 0, 0],
+    (["--format", "json", "transport"], {**_ONE_STEP_TRANSPORT, "initial": [1, 0, 0],
                                          "t1": 3e3, "dt": 1.0}, 0),
 ], ids=["classify", "classify-null-raw", "surface-levelset", "surface-pfaffian",
         "geodesic", "geodesic-aborted", "foucault-geometry", "foucault-sim",
