@@ -26,11 +26,9 @@ through ``%``, so the bytes are the same either way.  The ``foucault sim``
 and ``transport`` tables are a ``foucault.Orbit``: CSV streams its blocks,
 JSON holds its ``trajectory()``.
 
-JSON is written by this module's own encoder, byte for byte the layout of
-``json.dumps(document, indent=2, sort_keys=True)``, whose pure-Python
-indenting path costs about twice as much.  The JSON forms build the whole
-document before the output is opened, so a refused result (exit 3) writes
-nothing.
+A JSON document is the one line of ``json.dumps(document, sort_keys=True,
+allow_nan=False)`` and a newline.  The JSON forms build the whole document
+before the output is opened, so a refused result (exit 3) writes nothing.
 
 Trajectory CSV columns are ``t,x,y,vx,vy`` (plus ``plane_angle_rad`` for
 precession output).  Three-dimensional curves (geodesics, transported
@@ -72,22 +70,27 @@ class UsageError(Exception):
     pass
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_config(path):
     if path is None:
         return {}
+
+    def unique(pairs):  # json keeps the last of a repeated key; a config may not repeat one
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"config file {path!r} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=unique)
     except OSError as err:
-        raise ConfigError(f"cannot read config file {path!r}: {err}")
+        raise ValidationError(f"cannot read config file {path!r}: {err}")
     except ValueError as err:  # bad syntax or encoding, or an integer past the digit limit
-        raise ConfigError(f"config file {path!r} is not valid JSON: {err}")
+        raise ValidationError(f"config file {path!r} is not valid JSON: {err}")
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
+        raise ValidationError(f"config file {path!r} must hold a JSON object")
     return cfg
 
 
@@ -100,12 +103,12 @@ def _merge(config, defaults, required=()):
     known = set(defaults) | set(required)
     for key in config:
         if key not in known:
-            raise ConfigError(f"unknown config field {key!r} (known: {sorted(known)})")
+            raise ValidationError(f"unknown config field {key!r} (known: {sorted(known)})")
     merged = dict(defaults)
     merged.update(config)
     for key in required:
         if key not in merged:
-            raise ConfigError(f"missing required config field {key!r}")
+            raise ValidationError(f"missing required config field {key!r}")
     checked = {}
     for key, value in merged.items():
         nullable = key in defaults and defaults[key] is None
@@ -131,7 +134,7 @@ def _vector(size):
 def _choice(*names):
     def check(key, v):
         if v not in names:
-            raise ConfigError(f"config field {key!r} must be one of {sorted(names)}, got {v!r}")
+            raise ValidationError(f"config field {key!r} must be one of {sorted(names)}, got {v!r}")
         return v
 
     return check
@@ -139,19 +142,19 @@ def _choice(*names):
 
 def _string(key, v):
     if not isinstance(v, str):
-        raise ConfigError(f"config field {key!r} must be a string, got {v!r}")
+        raise ValidationError(f"config field {key!r} must be a string, got {v!r}")
     return v
 
 
 def _texts(key, v):
     if not isinstance(v, list) or len(v) != 3 or not all(isinstance(s, str) for s in v):
-        raise ConfigError(f"config field {key!r} must be a list of 3 component strings")
+        raise ValidationError(f"config field {key!r} must be a list of 3 component strings")
     return v
 
 
 def _points(key, v):
     if not isinstance(v, list) or not v:
-        raise ConfigError(f"config field {key!r} must be a non-empty list of 3-vectors")
+        raise ValidationError(f"config field {key!r} must be a non-empty list of 3-vectors")
     return [_vector(3)(key, p) for p in v]
 
 
@@ -197,75 +200,6 @@ def _forms_json(forms, report):
     return {"g": forms.g_rows, "h": forms.h_rows, "curvatures": curvatures}
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _finite_floats(text):
-    """``text``, the repr of one or more floats, refused if one is inf or NaN."""
-    if "n" in text:
-        raise ValueError("JSON has no inf or NaN")
-    return text
-
-
-def _json_parts(value, nl, parts):
-    """Append the text of ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` to ``parts``, for a ``value`` whose dict keys are
-    strings and which starts a line indented as ``nl`` (a newline and the
-    spaces before it) says.
-
-    As in ``json``, floats and float subclasses are written by
-    ``float.__repr__``, ints by ``int.__repr__`` and tuples as lists; a list
-    of floats goes in one join.  An inf or NaN raises ``ValueError``; a key
-    that is not a string, or a value JSON has no form for, raises
-    ``TypeError``.  The documents are trees, so there is no check for
-    circular references.
-    """
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            parts.append(sep + _quote(key) + ": ")
-            _json_parts(item, inner, parts)
-            sep = "," + inner
-        parts.append(nl + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = nl + "  "
-        if isinstance(value[0], float):
-            try:
-                text = ("," + inner).join(map(float.__repr__, value))
-            except TypeError:  # not all floats
-                pass
-            else:
-                parts.append("[" + inner + _finite_floats(text) + nl + "]")
-                return
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _json_parts(item, inner, parts)
-            sep = "," + inner
-        parts.append(nl + "]")
-    elif isinstance(value, float):
-        parts.append(_finite_floats(float.__repr__(value)))
-    elif isinstance(value, str):
-        parts.append(_quote(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _write_json(args, config, result):
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -274,14 +208,12 @@ def _write_json(args, config, result):
         "seed": args.seed,
         "result": result,
     }
-    parts = []
     try:  # serialized before the output is opened, so a refusal writes nothing
-        _json_parts(document, "\n", parts)
+        text = json.dumps(document, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as err:
         raise EvaluationDomainError(f"non-finite value in the {args.command} result") from err
-    parts.append("\n")
     with _output(args.out) as fh:
-        fh.write("".join(parts))
+        fh.write(text)
 
 
 def _write_text(header, texts, out):
@@ -346,7 +278,7 @@ _FOUCAULT_DEFAULTS = fc.FoucaultConfig._field_defaults
 
 def _surface(c):
     if (c["levelset"] is None) == (c["pfaffian"] is None):
-        raise ConfigError("exactly one of config fields 'levelset', 'pfaffian' is required")
+        raise ValidationError("exactly one of config fields 'levelset', 'pfaffian' is required")
     metric = _metric(c)
     if c["levelset"] is not None:
         return geometry.PseudoSurface.from_levelset(parse_scalar(c["levelset"], c["chart"]), metric)
@@ -571,7 +503,7 @@ def run(argv):
     handler = COMMANDS[args.words][0]
     try:
         handler(_load_config(args.config), args)
-    except (ConfigError, FormSyntaxError, ValidationError) as err:
+    except (FormSyntaxError, ValidationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except PseudoformError as err:

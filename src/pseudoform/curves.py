@@ -77,7 +77,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     p0 = point_coords(p0)
     nu = check_vector("initial frame velocity nu", nu0, 2)
     if math.hypot(*nu) <= 1e-15:
-        raise ValidationError("initial frame velocity nu must be non-zero")
+        raise ValidationError(f"initial frame velocity nu must have a norm above 1e-15, got {nu}")
     try:
         finite = math.isfinite(float(steps) * float(ds))
     except OverflowError:  # a step count past the largest float

@@ -421,6 +421,19 @@ def test_config_error_invalid_json(tmp_path, capsys):
     assert code == 2 and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"theta": ["0", "x", "1"], "theta": ["1", "0", "0"], "lower": [0, 0, 0], "upper": [1, 1, 1]}',
+    '{"theta": ["0", "x", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1], "theta": ["0", "x", "1"]}',
+], ids=["other-value", "same-value"])
+def test_config_error_repeated_key(tmp_path, capsys, text):
+    # json.load would keep the last value and classify that form
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = _run(tmp_path, capsys, ["--config", str(path), "classify"])
+    assert (code, out) == (2, "")
+    assert err == f"config error: config file {str(path)!r} repeats the key 'theta'\n"
+
+
 @pytest.mark.parametrize(
     "data", [b"\xff\xfe{}", b'{"count": ' + b"1" * 5000 + b"}"], ids=["not-utf8", "huge-integer"]
 )
@@ -658,6 +671,17 @@ def test_non_finite_geodesic_stage_point_is_a_config_error(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("config error: chart point must be 3 finite real numbers, "
                            "got (inf, 0.0, 0.0)\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_geodesic_nu_of_norm_at_most_1e_15_is_a_config_error(tmp_path, capsys, fmt):
+    out = tmp_path / "geodesic.out"
+    code, _, err = _run(tmp_path, capsys, ["--out", str(out), "--format", fmt, "geodesic"], {
+        "levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [1e-300, 0], "ds": 0.01,
+        "steps": 5})
+    assert code == 2 and not out.exists()
+    assert err == ("config error: initial frame velocity nu must have a norm above 1e-15, "
+                   "got (1e-300, 0.0)\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -194,6 +194,17 @@ def test_geodesic_refuses_a_non_finite_nu_up_front(nu):
         integrate_geodesic(_sphere(), (1.0, 0.0, 0.0), nu, 0.01, 5)
 
 
+@pytest.mark.parametrize("nu, text", [
+    ((1e-300, 0), r"\(1e-300, 0\.0\)"),
+    ((0.0, 0.0), r"\(0\.0, 0\.0\)"),
+    ((7e-16, -7e-16), r"\(7e-16, -7e-16\)"),
+])
+def test_geodesic_refuses_a_nu_of_norm_at_most_1e_15_and_names_it(nu, text):
+    message = r"^initial frame velocity nu must have a norm above 1e-15, got " + text
+    with pytest.raises(ValidationError, match=message):
+        integrate_geodesic(_sphere(), (1.0, 0.0, 0.0), nu, 0.01, 5)
+
+
 def test_geodesic_abort_on_frame_breakdown():
     # normal coefficient sqrt(1-x) leaves its domain at x = 1: the run
     # aborts there and returns the partial curve

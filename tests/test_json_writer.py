@@ -1,25 +1,16 @@
-"""The CLI's JSON writer: the bytes of json.dumps(indent=2, sort_keys=True) for string keys."""
+"""The CLI's JSON documents: the one-line bytes of json.dumps(sort_keys=True, allow_nan=False)."""
 
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pseudoform import cli
+from pseudoform.errors import EvaluationDomainError
 
 from test_cli import _ONE_STEP_TRANSPORT, _PARIS_RUN, _run, _strict_json
-
-
-def _dumps(value):
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
-
-
-def _text(value):
-    parts = []
-    cli._json_parts(value, "\n", parts)
-    return "".join(parts)
 
 
 _SPHERE = {"levelset": "x^2+y^2+z^2"}
@@ -50,7 +41,24 @@ _PENDULUM = {**_PARIS_RUN, "dt": 0.5, "duration": 1200.0}  # 2401 rows, three bl
 def test_every_document_is_the_bytes_of_json_dumps(tmp_path, capsys, argv, config, code):
     status, out, _ = _run(tmp_path, capsys, argv, config)
     assert status == code
-    assert out == _dumps(_strict_json(out)) + "\n"
+    assert out == json.dumps(_strict_json(out), sort_keys=True, allow_nan=False) + "\n"
+
+
+def _written(tmp_path, result):
+    """The bytes ``cli._write_json`` writes to ``--out`` for ``result``; None if it wrote none."""
+    out = tmp_path / "out.json"
+    args = cli._Args(("surface",), "surface", None, str(out), "json", 7)
+    cli._write_json(args, {"levelset": "x"}, result)
+    return out.read_text() if out.exists() else None
+
+
+def _as_json(value):
+    """``value`` as JSON reads it back: tuples become lists."""
+    if isinstance(value, (list, tuple)):
+        return [_as_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _as_json(item) for key, item in value.items()}
+    return value
 
 
 _FLOATS = st.one_of(
@@ -73,10 +81,14 @@ _DOCUMENTS = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_DOCUMENTS)
-def test_generated_documents_are_the_bytes_of_json_dumps(document):
-    assert _text(document) == _dumps(document)
+def test_generated_documents_are_the_bytes_of_json_dumps(tmp_path, document):
+    text = _written(tmp_path, document)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(_strict_json(text), sort_keys=True, allow_nan=False) + "\n"
+    assert _strict_json(text)["result"] == _as_json(document)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -87,12 +99,16 @@ def test_generated_documents_are_the_bytes_of_json_dumps(document):
     lambda x: [1, x],
     lambda x: {"a": {"b": [[0.5], [x, 0.5]]}},
 ], ids=["scalar", "float-list", "tail-of-floats", "mixed-list", "nested"])
-def test_inf_and_nan_raise_value_error(bad, place):
-    with pytest.raises(ValueError):
-        _text(place(bad))
+def test_inf_and_nan_raise_value_error(tmp_path, bad, place):
+    match = "non-finite value in the surface result"
+    with pytest.raises(EvaluationDomainError, match=match) as caught:
+        _written(tmp_path, place(bad))
+    assert isinstance(caught.value.__cause__, ValueError)
+    assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("value", [{1, 2}, {"a": object()}, {1: "int key"}, b"bytes", 1j])
-def test_a_value_json_cannot_hold_raises_type_error(value):
+@pytest.mark.parametrize("value", [{1, 2}, {"a": object()}, {(1, 2): "tuple key"}, b"bytes", 1j])
+def test_a_value_json_cannot_hold_raises_type_error(tmp_path, value):
     with pytest.raises(TypeError):
-        _text(value)
+        _written(tmp_path, value)
+    assert not (tmp_path / "out.json").exists()
