@@ -11,6 +11,16 @@ subcommand does not write), 2 parse/config error or an unwritable output,
 3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout
 early.  Curvatures are null where g^ab does not exist (a degenerate g), in
 ``surface`` and ``foucault geometry`` alike, and such a point exits 0.
+
+A process call (the ``pseudoform`` console script, ``python -m
+pseudoform.cli``) flushes its output, runs its ``atexit`` handlers and
+ends with ``os._exit``, skipping the interpreter's teardown of every
+module and object.  A flush that fails ends it as a failed write does:
+141 for a closed pipe, 2 and ``output error`` otherwise.  Under a
+profiler, tracer or debugger, or ``python -i``, it ends through
+``SystemExit`` instead, so they report as at any exit.  ``run`` and
+``main`` in-process are unchanged, and so are the exit codes.
+
 All output is deterministic for a fixed config and seed; JSON documents
 carry ``schema_version`` 1, echo every defaulted config field and hold no
 NaN or infinity (RFC 8259), CSV uses a mandatory header and %.17g
@@ -42,6 +52,7 @@ import it where those arrays are built.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import json
 import math
@@ -475,9 +486,10 @@ def _parse_argv(argv):
             raise UsageError(f"{words[0]} requires one of: {actions}")
         known = ", ".join(" ".join(w) for w in COMMANDS)
         raise UsageError(f"unknown command {' '.join(words)!r} (known: {known})")
-    try:
-        seed = 0 if values["--seed"] is None else int(values["--seed"])
-    except ValueError:
+    seed = "0" if values["--seed"] is None else values["--seed"]
+    try:  # ASCII digits only: int() alone also reads "1_0", " 7", "+3" and other scripts' digits
+        seed = int(seed) if seed.isascii() and seed.isdigit() else -1
+    except ValueError:  # more digits than int() converts
         seed = -1
     if seed < 0:
         raise UsageError("--seed must be a non-negative integer")
@@ -510,21 +522,67 @@ def run(argv):
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BrokenPipeError:
-        # the reader is gone: stop quietly, and send what stdout still buffers to
-        # devnull so the interpreter's flush at exit does not fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        return _broken_pipe()
     except OSError as err:  # the config was read in _load_config, so this is a write
-        print(f"output error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _output_error(err)
     return EXIT_OK
+
+
+def _broken_pipe():
+    """The reader is gone: stop quietly, and send what stdout still buffers to
+    devnull so a later flush does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_BROKEN_PIPE
+
+
+def _output_error(err):
+    print(f"output error: {err}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def main():
     raise SystemExit(run(sys.argv[1:]))
 
 
+def _watched():
+    """Whether a profiler, tracer, debugger or ``python -i`` waits for the normal exit."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, where cProfile registers
+    return (sys.getprofile() is not None or sys.gettrace() is not None or sys.flags.inspect
+            or "bdb" in sys.modules
+            or monitoring is not None and any(map(monitoring.get_tool, range(6))))
+
+
+def _exit_process(code):
+    """End the process with ``code`` once its output is flushed.
+
+    A failed flush of stdout sets the code as a failed write in ``run``
+    does.  The ``atexit`` handlers run, then ``os._exit`` ends the process
+    without the interpreter's teardown of every module and object.  Where
+    ``_watched`` holds, ``SystemExit`` ends it instead, as ``main`` does.
+    """
+    if _watched():
+        raise SystemExit(code)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = _broken_pipe()
+    except OSError as err:
+        code = _output_error(err)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):  # also what the handlers printed
+        if stream is not None:
+            with contextlib.suppress(OSError):  # already reported, or stderr itself
+                stream.flush()
+    os._exit(code)
+
+
+def script():
+    """The ``pseudoform`` console script and ``python -m pseudoform.cli``."""
+    _exit_process(run(sys.argv[1:]))
+
+
 if __name__ == "__main__":
-    main()
+    script()

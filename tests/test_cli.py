@@ -319,6 +319,13 @@ def test_an_argv_outside_the_grammar_is_a_usage_error(tmp_path, capsys, argv, me
     assert err.startswith("usage error: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", ["1_0", " 7", "7 ", "+3", "\u0663", "\uff17", "", "0x1"])
+def test_a_seed_of_anything_but_ascii_digits_is_a_usage_error(tmp_path, capsys, seed):
+    code, out, err = _run(tmp_path, capsys, ["--seed", seed, "classify"], _CLASSIFY_BOX)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: --seed must be a non-negative integer")
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--seed", "3", "-h"],
                                   ["classify", "--help"]])
 def test_help_prints_the_usage_to_stdout_and_exits_0(tmp_path, capsys, argv):
@@ -575,14 +582,28 @@ def test_light_speed_needs_a_positive_finite_square(tmp_path, capsys, argv, conf
     assert err.startswith("config error: light_speed must be positive")
 
 
-def _run_process(tmp_path, argv, config, stdout=subprocess.PIPE):
-    """Run the CLI in a fresh interpreter, so a NumPy warning reaches stderr as for a user."""
+def _process_env(buffered=False):
+    """The environment of a fresh interpreter that imports this checkout's pseudoform.
+
+    ``buffered`` drops ``PYTHONUNBUFFERED``, so stdout buffers its writes as
+    in a user's shell and a write error can wait for the flush at exit.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _run_process(tmp_path, argv, config, stdout=subprocess.PIPE, buffered=False, python=()):
+    """Run the CLI in a fresh interpreter, so a NumPy warning reaches stderr as for a user.
+
+    ``python`` holds interpreter arguments that go before ``-m pseudoform.cli``.
+    """
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "pseudoform.cli", "--config", str(path), *argv],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        [sys.executable, *python, "-m", "pseudoform.cli", "--config", str(path), *argv],
+        env=_process_env(buffered), stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
 
 
@@ -612,6 +633,66 @@ def test_closed_stdout_stops_quietly_with_exit_141(tmp_path):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_a_buffered_result_to_a_closed_stdout_stops_quietly_with_exit_141(tmp_path):
+    # the small JSON document stays in stdout's buffer until the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_process(tmp_path, ["classify"], _CLASSIFY_BOX, stdout=write_end,
+                            buffered=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_buffered_result_to_a_full_device_is_an_output_error(tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = _run_process(tmp_path, ["classify"], _CLASSIFY_BOX, stdout=full, buffered=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, "output error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("words, config", [
+    (["foucault", "sim"],  # 2501 rows: three csvtext blocks
+     {"latitude": 0.85, "dt": 0.01, "duration": 25.0, "initial": [0.1, 0, 0, 0]}),
+    (["surface"], {"levelset": "x^2+y^2+z^2", "points": [[0, 0, 1], [0.6, 0, 0.8]]}),
+], ids=["foucault-sim-csv", "surface-json"])
+def test_a_process_writes_the_bytes_of_an_in_process_run(tmp_path, capsys, words, config):
+    proc = _run_process(tmp_path, words, config, buffered=True)
+    code, out, err = _run(tmp_path, capsys, words, config)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+    assert out.count("\n") == (2502 if words == ["foucault", "sim"] else 1)
+
+
+def test_a_process_runs_its_atexit_handlers_and_skips_the_teardown(tmp_path):
+    # the handler runs before os._exit; the object's __del__ would print only
+    # when the interpreter tears down the script's globals
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_CLASSIFY_BOX))
+    script = ("import atexit, runpy\n"
+              "atexit.register(print, 'atexit handler ran')\n"
+              "class Teardown:\n"
+              "    def __del__(self): print('torn down')\n"
+              "kept = Teardown()\n"
+              "runpy.run_module('pseudoform.cli', run_name='__main__')\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--config", str(path), "--out", str(tmp_path / "out"),
+         "classify"], env=_process_env(buffered=True), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "atexit handler ran\n", "")
+    assert json.loads((tmp_path / "out").read_text())["subcommand"] == "classify"
+
+
+def test_a_process_under_cprofile_prints_its_stats(tmp_path):
+    # a profiler waits for the normal exit, so the process ends through SystemExit
+    out = tmp_path / "out"
+    proc = _run_process(tmp_path, ["--out", str(out), "classify"], _CLASSIFY_BOX,
+                        python=("-m", "cProfile"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "function calls" in proc.stdout and "(run)" in proc.stdout
+    assert json.loads(out.read_text())["subcommand"] == "classify"
 
 
 def test_overflowing_gradient_prints_only_the_typed_error(tmp_path):
