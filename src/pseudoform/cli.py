@@ -60,13 +60,10 @@ import os
 import sys
 from typing import NamedTuple
 
+from . import curves, formlang, geometry, pfaff
 from . import foucault as fc
-from . import geometry, pfaff
-from .curves import integrate_geodesic
 from .errors import (EvaluationDomainError, FormSyntaxError, PseudoformError, ValidationError,
                      check_integer, check_real, check_vector)
-from .formlang import CHARTS, parse_oneform, parse_scalar
-from .geometry import MetricKind, MetricSignature
 
 SCHEMA_VERSION = 1
 
@@ -142,8 +139,9 @@ def _vector(size):
     return lambda key, v: check_vector(f"config field {key!r}", v, size)
 
 
-def _choice(*names):
+def _choice(choices):
     def check(key, v):
+        names = tuple(choices())  # read at the check; a tuple refuses an unhashable v by ==
         if v not in names:
             raise ValidationError(f"config field {key!r} must be one of {sorted(names)}, got {v!r}")
         return v
@@ -182,9 +180,9 @@ _FIELDS = {
     "nu": _vector(2),
     # 4 numbers for the pendulum, 3 for transport: _initial checks it where the size is known
     "initial": lambda key, v: v,
-    "chart": _choice(*CHARTS),
-    "metric": _choice(*(k.value for k in MetricKind)),
-    "kind": _choice("vector", "covector"),
+    "chart": _choice(lambda: formlang.CHARTS),
+    "metric": _choice(lambda: [k.value for k in geometry.MetricKind]),
+    "kind": _choice(lambda: ("vector", "covector")),
     "levelset": _string,
     "theta": _texts,
     "pfaffian": _texts,
@@ -197,7 +195,7 @@ def _initial(c, size):
 
 
 def _metric(c):
-    return MetricSignature(MetricKind(c["metric"]), c["light_speed"])
+    return geometry.MetricSignature(geometry.MetricKind(c["metric"]), c["light_speed"])
 
 
 # -- output ----------------------------------------------------------------
@@ -280,20 +278,22 @@ def _output(out):
 
 # -- subcommand handlers --------------------------------------------------
 
-_METRIC_DEFAULTS = {"metric": "euclidean", "light_speed": geometry.LIGHT_SPEED}
 
-_SURFACE_DEFAULTS = {**_METRIC_DEFAULTS, "chart": "spatial", "levelset": None, "pfaffian": None}
+def _metric_defaults():
+    return {"metric": "euclidean", "light_speed": geometry.LIGHT_SPEED}
 
-_FOUCAULT_DEFAULTS = fc.FoucaultConfig._field_defaults
+
+def _surface_defaults():
+    return {**_metric_defaults(), "chart": "spatial", "levelset": None, "pfaffian": None}
 
 
 def _surface(c):
     if (c["levelset"] is None) == (c["pfaffian"] is None):
         raise ValidationError("exactly one of config fields 'levelset', 'pfaffian' is required")
-    metric = _metric(c)
+    chart, metric, surface = c["chart"], _metric(c), geometry.PseudoSurface
     if c["levelset"] is not None:
-        return geometry.PseudoSurface.from_levelset(parse_scalar(c["levelset"], c["chart"]), metric)
-    return geometry.PseudoSurface.from_pfaffian(parse_oneform(c["pfaffian"], c["chart"]), metric)
+        return surface.from_levelset(formlang.parse_scalar(c["levelset"], chart), metric)
+    return surface.from_pfaffian(formlang.parse_oneform(c["pfaffian"], chart), metric)
 
 
 def _foucault_config(c):
@@ -311,7 +311,7 @@ def _cmd_classify(config, args):
                   "tol": pfaff.DEFAULT_TOL},
         required=("theta", "lower", "upper"),
     )
-    theta = parse_oneform(c["theta"], c["chart"])
+    theta = formlang.parse_oneform(c["theta"], c["chart"])
     region = pfaff.RegionSampler(c["lower"], c["upper"], count=c["count"], seed=args.seed)
     verdict = pfaff.classify(theta, region, tol=c["tol"])
     raw = verdict.max_frobenius_raw  # f |theta|^2 overflows where |theta|^2 does
@@ -325,7 +325,7 @@ def _cmd_classify(config, args):
 
 
 def _cmd_surface(config, args):
-    cfg, c = _merge(config, _SURFACE_DEFAULTS, required=("points",))
+    cfg, c = _merge(config, _surface_defaults(), required=("points",))
     surface = _surface(c)
     result = []
     for p in c["points"]:
@@ -335,8 +335,8 @@ def _cmd_surface(config, args):
 
 
 def _cmd_geodesic(config, args):
-    cfg, c = _merge(config, _SURFACE_DEFAULTS, required=("point", "nu", "ds", "steps"))
-    curve = integrate_geodesic(_surface(c), c["point"], c["nu"], c["ds"], c["steps"])
+    cfg, c = _merge(config, _surface_defaults(), required=("point", "nu", "ds", "steps"))
+    curve = curves.integrate_geodesic(_surface(c), c["point"], c["nu"], c["ds"], c["steps"])
     states = curve.states
     if args.format == "json":
         result = {
@@ -361,7 +361,7 @@ def _cmd_geodesic(config, args):
 def _cmd_foucault_geometry(config, args):
     cfg, c = _merge(
         config,
-        defaults={**_FOUCAULT_DEFAULTS, **_METRIC_DEFAULTS, "time": 0.0},
+        defaults={**fc.FoucaultConfig._field_defaults, **_metric_defaults(), "time": 0.0},
         required=("latitude",),
     )
     pendulum = _foucault_config(c)
@@ -376,14 +376,15 @@ def _cmd_foucault_geometry(config, args):
 
 
 def _cmd_foucault_sim(config, args):
-    cfg, c = _merge(config, _FOUCAULT_DEFAULTS, required=("latitude", "dt", "duration", "initial"))
+    cfg, c = _merge(config, fc.FoucaultConfig._field_defaults,
+                    required=("latitude", "dt", "duration", "initial"))
     _write_table(args, cfg, ["t", "x", "y", "vx", "vy"], "states", _pendulum_orbit(c))
 
 
 def _cmd_foucault_precession(config, args):
     cfg, c = _merge(
         config,
-        defaults={**_FOUCAULT_DEFAULTS, "window": None},
+        defaults={**fc.FoucaultConfig._field_defaults, "window": None},
         required=("latitude", "dt", "duration", "initial"),
     )
     orbit = _pendulum_orbit(c)
@@ -412,7 +413,7 @@ def _cmd_foucault_precession(config, args):
 def _cmd_transport(config, args):
     cfg, c = _merge(
         config,
-        defaults={**_FOUCAULT_DEFAULTS, "kind": "vector", "t0": 0.0},
+        defaults={**fc.FoucaultConfig._field_defaults, "kind": "vector", "t0": 0.0},
         required=("latitude", "initial", "t1", "dt"),
     )
     orbit = fc.transport_orbit(

@@ -27,16 +27,11 @@ import sys
 from operator import mul
 from typing import Any, NamedTuple, Optional
 
+from . import formlang, geometry, pfaff
 from .errors import (ConstraintViolationError, DegenerateWindowError, EvaluationDomainError,
                      ValidationError, check_real, check_vector)
-from .formlang import parse_oneform
-from .geometry import (
-    EUCLIDEAN, CurvatureReport, FundamentalForms, adapt_frame, curvatures_where_defined,
-    fundamental_forms,
-)
 from .integrate import (check_step_size, flow_matrix, identity, linear_flow_blocks,
                         linear_rk4_orbit, matadd, matmul)
-from .pfaff import frobenius_coefficient
 
 OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
 SECONDS_PER_DAY = 86400.0
@@ -107,12 +102,14 @@ def theta2_oneform(cfg):
     The rate enters as its ``repr``, which parses back to the same float.
     """
     r = repr(cfg.phi_dot)
-    return parse_oneform(["0*t", f"-sin({r}*t)", f"cos({r}*t)"], "spacetime")
+    return formlang.parse_oneform(["0*t", f"-sin({r}*t)", f"cos({r}*t)"], "spacetime")
 
 
-def foucault_frame_field(cfg, metric=EUCLIDEAN):
-    """Adapted frame for theta2: columns e_t, e2(swing), e3(normal)."""
-    return adapt_frame(theta2_oneform(cfg), metric)
+def foucault_frame_field(cfg, metric=None):
+    """Adapted frame for theta2: columns e_t, e2(swing), e3(normal).  A
+    ``metric`` of None is Euclidean."""
+    metric = geometry.EUCLIDEAN if metric is None else metric
+    return geometry.adapt_frame(theta2_oneform(cfg), metric)
 
 
 class FoucaultGeometry(NamedTuple):
@@ -120,27 +117,28 @@ class FoucaultGeometry(NamedTuple):
     curvature report; ``g``, ``h`` and ``metric`` read through to the forms."""
 
     frobenius: float
-    forms: FundamentalForms
-    report: Optional[CurvatureReport]
+    forms: geometry.FundamentalForms
+    report: Optional[geometry.CurvatureReport]
 
     g = property(lambda self: self.forms.g)
     h = property(lambda self: self.forms.h)
     metric = property(lambda self: self.forms.metric)
 
 
-def foucault_geometry(cfg, metric=EUCLIDEAN, t=0.0):
+def foucault_geometry(cfg, metric=None, t=0.0):
     """Frobenius coefficient and fundamental forms of the constraint plane.
 
-    The first fundamental form is reported in physical units (Minkowski:
-    diag(c^2, -1)); the curvature report raises indices as every
-    ``shape_and_curvatures`` call does, and is None where g is degenerate
-    (the Galilean case).
+    A ``metric`` of None is Euclidean.  The first fundamental form is
+    reported in physical units (Minkowski: diag(c^2, -1)); the curvature
+    report raises indices as every ``shape_and_curvatures`` call does, and
+    is None where g is degenerate (the Galilean case).
     """
+    metric = geometry.EUCLIDEAN if metric is None else metric
     theta = theta2_oneform(cfg)
     p = (t, 0.0, 0.0)
-    frob = frobenius_coefficient(theta, p)
-    forms = fundamental_forms(theta, adapt_frame(theta, metric), metric, p)
-    return FoucaultGeometry(frob, forms, curvatures_where_defined(forms))
+    frob = pfaff.frobenius_coefficient(theta, p)
+    forms = geometry.fundamental_forms(theta, geometry.adapt_frame(theta, metric), metric, p)
+    return FoucaultGeometry(frob, forms, geometry.curvatures_where_defined(forms))
 
 
 # -- planar small-angle dynamics ----------------------------------------

@@ -621,6 +621,33 @@ def test_formcode_is_loaded_by_the_first_parse_only(tmp_path, words, loaded):
     assert (proc.stdout, proc.stderr) == (f"0 {loaded}\n", "")
 
 
+# the lazily registered modules each command leaves unexecuted
+_UNEXECUTED = {
+    ("classify",): {"foucault", "geometry", "curves", "integrate"},
+    ("surface",): {"foucault", "pfaff", "curves", "integrate"},
+    ("geodesic",): {"foucault", "pfaff"},
+    **dict.fromkeys([("foucault", "sim"), ("foucault", "precession"), ("transport",)],
+                    {"formlang", "calculus", "geometry", "pfaff", "curves"}),
+}
+
+
+@pytest.mark.parametrize("words", list(_UNEXECUTED), ids="-".join)
+def test_a_call_executes_only_the_modules_its_command_uses(tmp_path, words):
+    # a fresh interpreter: a module whose body ran is a plain module, an unrun one is not
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_MINIMAL_CONFIGS[words]))
+    script = ("import sys, types; from pseudoform import cli; code = cli.run(sys.argv[1:]); "
+              "print(code, *(n for n in sorted(sys.modules) if n.startswith('pseudoform.') "
+              "and type(sys.modules[n]) is types.ModuleType))")
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"), *words]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_process_env(),
+                          capture_output=True, text=True)
+    code, *executed = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    assert "pseudoform.cli" in executed
+    assert not {f"pseudoform.{name}" for name in _UNEXECUTED[words]} & set(executed)
+
+
 def test_closed_stdout_stops_quietly_with_exit_141(tmp_path):
     # 20001 CSV rows (about 1.5 MB) overflow any pipe buffer, so the CLI's own
     # writes meet the closed read end, as under `pseudoform ... | head -1`

@@ -206,6 +206,16 @@ def test_geometry_galilean_degenerate():
     assert geo.report is None
 
 
+def test_no_metric_is_the_euclidean_one():
+    assert fc.foucault_geometry(PARIS, t=3.0) == fc.foucault_geometry(PARIS, EUCLIDEAN, t=3.0)
+    default, euclidean = fc.foucault_frame_field(PARIS), fc.foucault_frame_field(PARIS, EUCLIDEAN)
+    for p in [(0.0, 0.0, 0.0), (7.0, 0.5, -1.0)]:
+        assert default.rows_at(p) == euclidean.rows_at(p)
+        x, dx = default.matrix_and_derivative(p)
+        x_ref, dx_ref = euclidean.matrix_and_derivative(p)
+        assert np.array_equal(x, x_ref) and np.array_equal(dx, dx_ref)
+
+
 def test_second_form_matches_connection_route():
     from pseudoform.geometry import second_form_via_connection
 

@@ -312,7 +312,8 @@ def test_validated_records_refuse_bad_fields_through_make_and_replace(case):
 
 def test_every_exported_named_tuple_has_field_types_that_resolve():
     # typing.get_type_hints evaluates each annotation in its module's namespace
-    records = [v for v in vars(pseudoform).values()
+    exported = [getattr(pseudoform, name) for name in pseudoform.__all__]
+    records = [v for v in exported
                if isinstance(v, type) and issubclass(v, tuple) and hasattr(v, "_fields")]
     assert {"FoucaultGeometry", "Trajectory", "RegionSampler"} <= {r.__name__ for r in records}
     for record in records:
