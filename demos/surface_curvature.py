@@ -20,8 +20,8 @@ for label, (levelset, point) in SURFACES.items():
     forms = surface.fundamental_forms(point)
     report = surface.curvature_report(point)
     print(f"== {label} at {point}")
-    print(f"   g = {np.array2string(forms.g, precision=6)}")
-    print(f"   h = {np.array2string(forms.h, precision=6)}")
+    print(f"   g = {np.array2string(np.array(forms.g_rows), precision=6)}")
+    print(f"   h = {np.array2string(np.array(forms.h_rows), precision=6)}")
     print(
         f"   kappa1 = {report.kappa1:.6g}, kappa2 = {report.kappa2:.6g}, "
         f"K = {report.gaussian:.6g}, mean = {report.mean:.6g}"

@@ -8,7 +8,8 @@ each kind of one-form has one flat evaluator, ``flat_jet``, that calls
 it for the form: ``OneForm`` once per component, the gradient form of a
 level set once on its field.  Every evaluation below goes through one of
 them.  One-forms are built from three scalar fields, and
-``exterior_derivative`` evaluates d theta at a point as a two-form.
+``exterior_derivative`` evaluates d theta at a point as a two-form's
+cyclic components.
 
 The evaluations take and return plain floats: the point as 3 finite
 floats, values, components and gradients as 3-tuples and a Jacobian or
@@ -17,8 +18,8 @@ and Jacobian as one flat 12-tuple, which the geodesic's RK4 stages read
 through ``geometry.normal_kernel``.  ``point_coords`` checks a point: a
 tuple of 3 finite floats passes as it is, and anything else goes through
 ``errors.check_vector``, the package's one check of a vector.
-``exterior_derivative`` alone returns an array; it imports NumPy when it
-is called, so a caller that reads only floats never loads it.
+``exterior_derivative`` returns d theta's 3 cyclic components, so no
+evaluation here loads NumPy.
 
 Conventions (all sign-sensitive results in the package refer to these):
 
@@ -174,15 +175,6 @@ class OneForm:
         return v1, v2, v3, a1, b1, c1, a2, b2, c2, a3, b3, c3
 
 
-class PointTwoForm:
-    """A two-form evaluated at a point: 3 cyclic components."""
-
-    def __init__(self, components):
-        import numpy as np
-
-        self.components = np.asarray(components, dtype=float)
-
-
 def dtheta_cyclic(jac):
     """The cyclic components (d2 theta3 - d3 theta2, d3 theta1 - d1 theta3,
     d1 theta2 - d2 theta1) of d theta, from Jacobian rows J[i][j] = d_i theta_j."""
@@ -191,11 +183,11 @@ def dtheta_cyclic(jac):
 
 
 def exterior_derivative(theta, p):
-    """d theta at p as a PointTwoForm (cyclic components).
+    """d theta at p as its 3 cyclic components, floats.
 
     For an exact form (theta = df) the result vanishes.
     """
-    return PointTwoForm(dtheta_cyclic(theta.values_and_jacobian(p)[1]))
+    return dtheta_cyclic(theta.values_and_jacobian(p)[1])
 
 
 class _GradientOneForm(OneForm):

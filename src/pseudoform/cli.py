@@ -456,18 +456,23 @@ class _Args(NamedTuple):
     seed: int
 
 
+_HELP = frozenset(("-h", "--help"))
+
+
 def _parse_argv(argv):
     """The ``_Args`` of argv, or None where it asks for help (``-h``/``--help``).
 
     The options come first, each as ``--name value`` or ``--name=value``; a
     repeated option keeps its last value.  One or two command words from
-    ``COMMANDS`` follow.  Anything else raises ``UsageError``.
+    ``COMMANDS`` follow.  ``-h`` or ``--help`` asks for help where an option
+    or a command word is read, not as an option's value.  Anything else
+    raises ``UsageError``.
     """
-    if "-h" in argv or "--help" in argv:
-        return None
     values = dict.fromkeys(("--config", "--out", "--format", "--seed"))
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
+        if argv[i] in _HELP:
+            return None
         name, eq, value = argv[i].partition("=")
         if name not in values:
             raise UsageError(f"unknown option {argv[i]!r}")
@@ -479,6 +484,8 @@ def _parse_argv(argv):
         values[name] = value
         i += 1
     words = tuple(argv[i:])
+    if not _HELP.isdisjoint(words):
+        return None
     if not words:
         raise UsageError("a subcommand is required")
     if words not in COMMANDS:

@@ -13,8 +13,8 @@ evaluation: the right-hand side checks the stage point and calls the
 normal kernel of ``geometry.normal_kernel``, built once per march, which
 evaluates the Pfaffian once (its ``flat_jet``) and returns the unit normal
 and its derivative as 12 flat floats.  NumPy is imported only when a
-caller reads the samples as arrays, so the ``geodesic`` command never
-loads it.
+caller reads ``SampledCurve.s``, so the ``geodesic`` command never loads
+it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class SampledCurve(NamedTuple):
     """Fixed-step samples of a curve, ``ds`` apart from s = 0.
 
     ``states`` holds one (x1, x2, x3, v1, v2, v3) tuple of floats per
-    sample.  ``s`` and ``points`` are the sample parameters and positions
-    as arrays, built each time they are read.
+    sample.  ``s`` is the sample parameters as an array, built each time
+    it is read.
     """
 
     ds: float
@@ -42,16 +42,10 @@ class SampledCurve(NamedTuple):
     abort_reason: str = ""
 
     @property
-    def s(self):
+    def s(self):  # kept while perfbench's span recorder counts the steps as len(curve.s)
         import numpy as np
 
         return np.arange(len(self.states)) * self.ds
-
-    @property
-    def points(self):
-        import numpy as np
-
-        return np.array(self.states)[:, :3]
 
     def closure_error(self):
         return math.dist(self.states[-1][:3], self.states[0][:3])

@@ -114,14 +114,12 @@ def foucault_frame_field(cfg, metric=None):
 
 class FoucaultGeometry(NamedTuple):
     """The Frobenius coefficient, the float ``FundamentalForms`` and the
-    curvature report; ``g``, ``h`` and ``metric`` read through to the forms."""
+    curvature report; ``metric`` reads through to the forms."""
 
     frobenius: float
     forms: geometry.FundamentalForms
     report: Optional[geometry.CurvatureReport]
 
-    g = property(lambda self: self.forms.g)
-    h = property(lambda self: self.forms.h)
     metric = property(lambda self: self.forms.metric)
 
 

@@ -6,7 +6,7 @@ unit Pfaffian) last.  The frame is orthonormal on the chart, so its
 inverse is its transpose: the coframe rows are the frame columns, and
 row 3 is the unit Pfaffian itself.
 
-Connection convention: omega[i, j, k] is the e_i-component of the
+Connection convention: omega[i][j][k] is the e_i-component of the
 directional derivative of e_j along e_k, i.e. omega = (d X) X^{-1} in
 the "X-dot X-inverse" ordering.  The second fundamental form that this
 produces is internally consistent with the symmetrized differential of
@@ -18,16 +18,16 @@ metric signature (the degenerate/indefinite metrics enter only the
 first fundamental form and index raising); a degenerate metric is
 rejected when asked to normalize a Pfaffian with a time component.
 
-The frame, the fundamental forms and the curvatures are computed on
-floats, so ``surface`` never loads NumPy; it is imported by the functions
-that return arrays (``matrix_at``, ``connection_form``, the frame
-derivative) and by the array views of ``FundamentalForms``.
+The frame and its derivative, the connection, the fundamental forms and
+the curvatures are computed on floats: a vector is a 3-tuple, a matrix
+its rows, and no function here loads NumPy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from operator import mul
 from typing import NamedTuple
 
 from .calculus import (
@@ -105,33 +105,23 @@ MINKOWSKI = MetricSignature(MetricKind.MINKOWSKI)
 class AdaptedFrame:
     """Orthonormal matrix-valued frame field adapted to a unit Pfaffian.
 
-    ``pair_fn(p, need_derivative)`` returns (X, dX) with X[m, j] the
-    chart components of e_j, as three rows of floats, and dX[n, m, j] =
-    d_n X[m, j] as an array (dX is None when not requested).
+    ``pair_fn(p, need_derivative)`` returns (X, dX) with X[m][j] the
+    chart components of e_j, as three rows of floats, and dX[n][m][j] =
+    d_n X[m][j] as three such matrices, one per n (dX is None when not
+    requested).  The coframe X^{-1} is X^T, as the frame is orthonormal.
     """
 
     def __init__(self, pair_fn):
         self.pair_fn = pair_fn
 
     def rows_at(self, p):
-        """The frame matrix X at p as three rows (X[m, 0], X[m, 1], X[m, 2]) of floats."""
+        """The frame matrix X at p as three rows (X[m][0], X[m][1], X[m][2]) of floats."""
         return self.pair_fn(point_coords(p), False)[0]
 
-    def matrix_at(self, p):
-        import numpy as np
-
-        return np.array(self.rows_at(p))
-
-    def matrix_and_derivative(self, p):
-        """Frame matrix X[m, j] and its derivatives dX[n, m, j] at p."""
-        import numpy as np
-
-        x, dx = self.pair_fn(point_coords(p), True)
-        return np.array(x), dx
-
-    def inverse_at(self, p):
-        """The coframe X^{-1}, which is X^T because the frame is orthonormal."""
-        return self.matrix_at(p).T
+    def rows_and_derivative(self, p):
+        """The frame matrix X at p as three rows of floats and its derivatives
+        dX[n][m][j] = d_n X[m][j] as three such matrices."""
+        return self.pair_fn(point_coords(p), True)
 
 
 def unit_normal(pfaffian, metric, p):
@@ -208,40 +198,47 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
             k = 1 if a2 <= a3 else 2
         uk = u[k]
         # seed - u[k] u; 0.0 - x rather than -x off the seed axis keeps an exact 0 at +0.0
-        r1, r2, r3 = e1_raw = tuple((1.0 if i == k else 0.0) - uk * ui for i, ui in enumerate(u))
+        r1, r2, r3 = ((1.0 if i == k else 0.0) - uk * ui for i, ui in enumerate(u))
         m = math.hypot(r1, r2, r3)
-        e1 = (r1 / m, r2 / m, r3 / m)
-        c1, c2, c3 = e1
+        c1, c2, c3 = r1 / m, r2 / m, r3 / m  # e1
         # columns e1, e2 = u x e1 and e3 = u
         x = ((c1, u2 * c3 - u3 * c2, u1),
              (c2, u3 * c1 - u1 * c3, u2),
              (c3, u1 * c2 - u2 * c1, u3))
         if not need_derivative:
             return x, None
-        import numpy as np
-
-        u, e1_raw, e1 = np.array(u), np.array(e1_raw), np.array(e1)
-        du = np.array(n[3:]).reshape(3, 3)
-        de1_raw = -np.outer(du[:, k], u) - uk * du
-        dm = de1_raw @ e1_raw / m
-        de1 = de1_raw / m - np.outer(dm, e1_raw) / m**2
-        de2 = np.cross(du, e1[None, :]) + np.cross(u[None, :], de1)
-        dx = np.stack([de1, de2, du], axis=2)
-        return x, dx
+        mm = m * m
+        dx = []
+        for du in (n[3:6], n[6:9], n[9:12]):  # du = d_n u, n = 1, 2, 3
+            d1, d2, d3 = du
+            duk = du[k]
+            # d_n of r = seed - u[k] u, of its norm m and of e1 = r / m
+            s1, s2, s3 = -duk * u1 - uk * d1, -duk * u2 - uk * d2, -duk * u3 - uk * d3
+            dm = (s1 * r1 + s2 * r2 + s3 * r3) / m
+            f1, f2, f3 = s1 / m - dm * r1 / mm, s2 / m - dm * r2 / mm, s3 / m - dm * r3 / mm
+            # d_n e2 = d_n u x e1 + u x d_n e1; the columns are d_n e1, d_n e2, d_n u
+            dx.append(((f1, (d2 * c3 - d3 * c2) + (u2 * f3 - u3 * f2), d1),
+                       (f2, (d3 * c1 - d1 * c3) + (u3 * f1 - u1 * f3), d2),
+                       (f3, (d1 * c2 - d2 * c1) + (u1 * f2 - u2 * f1), d3)))
+        return x, tuple(dx)
 
     return AdaptedFrame(pair_fn)
 
 
 def connection_form(frame, p):
-    """Teleparallelism connection components omega[i, j, k] at p.
+    """Teleparallelism connection components omega[i][j][k] at p, as nested
+    3-tuples of floats.
 
-    omega[i, j, k] = (e_k x^m_j) xtilde^i_m; for metric-orthonormal
-    frames omega[i, j, :] = -omega[j, i, :].
+    omega[i][j][k] = (e_k x^m_j) xtilde^i_m.  The frames are orthonormal on
+    the chart under every metric, so omega[i][j][k] = -omega[j][i][k].
     """
-    import numpy as np
-
-    x, dx = frame.matrix_and_derivative(p)
-    return np.einsum("nk,nmj,mi->ijk", x, dx, x)
+    x, dx = frame.rows_and_derivative(p)
+    legs = tuple(zip(*x))  # e_1, e_2, e_3 as chart 3-tuples, the columns of X
+    # along[k][j] = e_k x_j, the derivative of column j along e_k
+    along = [[tuple(sum(map(mul, leg, [dxn[m][j] for dxn in dx])) for m in range(3))
+              for j in range(3)] for leg in legs]
+    return tuple(tuple(tuple(sum(map(mul, leg, along[k][j])) for k in range(3))
+                       for j in range(3)) for leg in legs)
 
 
 class FundamentalForms(NamedTuple):
@@ -249,26 +246,13 @@ class FundamentalForms(NamedTuple):
 
     ``g_rows`` (in physical units) and ``h_rows`` are the 2x2 forms as two
     rows of floats, and ``legs`` the frame's tangent legs e1, e2 as chart
-    3-tuples.  ``g`` and ``h`` are the forms as arrays, built each time
-    they are read.
+    3-tuples.
     """
 
     g_rows: tuple
     h_rows: tuple
     metric: MetricSignature
     legs: tuple
-
-    @property
-    def g(self):
-        import numpy as np
-
-        return np.array(self.g_rows)
-
-    @property
-    def h(self):
-        import numpy as np
-
-        return np.array(self.h_rows)
 
 
 class CurvatureReport(NamedTuple):
@@ -326,10 +310,11 @@ def fundamental_forms(source, frame, metric, p):
 
 
 def second_form_via_connection(frame, p):
-    """H_ab as the symmetrized normal connection components omega^3_(ab)."""
-    omega = connection_form(frame, p)
-    h = 0.5 * (omega[2, :2, :2] + omega[2, :2, :2].T)
-    return h
+    """H_ab as the symmetrized normal connection components omega^3_(ab),
+    two rows of floats."""
+    (h11, a, _), (b, h22, _), _ = connection_form(frame, p)[2]
+    h12 = 0.5 * (a + b)
+    return (h11, h12), (h12, h22)
 
 
 def shape_and_curvatures(ff):

@@ -111,8 +111,9 @@ def test_geodesic_output_matches_the_stacked_arrays(tmp_path, capsys):
     curve = integrate_geodesic(geometry.PseudoSurface.from_pfaffian(
         formlang.parse_oneform(config["pfaffian"])), config["point"], config["nu"],
         config["ds"], config["steps"])
-    velocities = np.array(curve.states)[:, 3:]
-    rows = np.column_stack([curve.s, curve.points, velocities])
+    stacked = np.array(curve.states)
+    points, velocities = stacked[:, :3], stacked[:, 3:]
+    rows = np.column_stack([curve.s, points, velocities])
     code, out, _ = _run(tmp_path, capsys, ["geodesic"], config)
     assert code == 0
     lines = ["t,x,y,z,vx,vy,vz"] + [",".join("%.17g" % v for v in row) for row in rows]
@@ -121,7 +122,7 @@ def test_geodesic_output_matches_the_stacked_arrays(tmp_path, capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["s"] == curve.s.tolist()
-    assert result["points"] == curve.points.tolist()
+    assert result["points"] == points.tolist()
     assert result["velocities"] == velocities.tolist()
 
 
@@ -334,6 +335,14 @@ def test_help_prints_the_usage_to_stdout_and_exits_0(tmp_path, capsys, argv):
     assert out.startswith("usage: pseudoform [--config PATH] [--out PATH] [--format csv|json]")
     for words, (_, formats) in cli.COMMANDS.items():
         assert f"  {' '.join(words)} " in out and ", ".join(formats) in out
+
+
+def test_help_as_an_options_value_is_that_value(tmp_path, capsys, monkeypatch):
+    # "-h" after --out names the output file; it does not ask for help
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(tmp_path, capsys, ["--out", "-h", "classify"], _CLASSIFY_BOX)
+    assert (code, out, err) == (0, "", "")
+    assert _strict_json((tmp_path / "-h").read_text())["result"]["class"] == "closed"
 
 
 def test_neither_the_cli_import_nor_a_geodesic_call_loads_argparse(tmp_path):

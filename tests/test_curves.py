@@ -39,7 +39,12 @@ def _tilted_start(p0, tilt):
 
 
 def _frame_nu(surface, p0, v):
-    return (np.linalg.inv(surface.frame.matrix_at(p0)) @ v)[:2]
+    return (np.linalg.inv(surface.frame.rows_at(p0)) @ v)[:2]
+
+
+def _points(curve):
+    """The sample positions as an (n, 3) array."""
+    return np.array(curve.states)[:, :3]
 
 
 def _curvature_split(surface, p, v, acc):
@@ -52,7 +57,7 @@ def _curvature_split(surface, p, v, acc):
     constraint by more than 1e-6 (normalized) raises
     ``ConstraintViolationError``.
     """
-    xinv = surface.frame.inverse_at(p)
+    xinv = np.array(surface.frame.rows_at(p)).T  # the frame is orthonormal
     nu = xinv @ v
     residual = abs(nu[2]) / np.linalg.norm(v)
     if residual > 1e-6:
@@ -142,7 +147,7 @@ def test_tilted_great_circles_close_across_seed_switches():
             assert not curve.aborted
             assert curve.closure_error() <= 1e-3 * 2 * math.pi, (start, tilt)
             normal = np.cross(p0, v)
-            assert np.max(np.abs(curve.points @ normal)) <= 1e-6, (start, tilt)
+            assert np.max(np.abs(_points(curve) @ normal)) <= 1e-6, (start, tilt)
 
 
 def test_geodesic_rk4_order():
@@ -156,7 +161,7 @@ def test_geodesic_rk4_order():
     errs = []
     for ds, steps in ((0.05, 100), (0.025, 200)):
         c = integrate_geodesic(surface, p0, nu0, ds, steps)
-        errs.append(np.linalg.norm(c.points[-1] - exact(steps * ds)))
+        errs.append(np.linalg.norm(_points(c)[-1] - exact(steps * ds)))
     ratio = errs[0] / errs[1]
     assert 16 * 0.7 < ratio < 16 * 1.4  # ~16x within +-30%
 
@@ -165,10 +170,11 @@ def test_plane_geodesic_is_straight_line():
     surface = PseudoSurface.from_levelset(parse_scalar("z"))
     curve = integrate_geodesic(surface, (0.0, 0.0, 0.0), (0.6, 0.8), 0.01, 200)
     # direction e1*0.6 + e2*0.8 constant; all points collinear through origin
-    end = curve.points[-1]
+    points = _points(curve)
+    end = points[-1]
     assert np.isclose(np.linalg.norm(end), 2.0, atol=1e-10)
     unit = end / np.linalg.norm(end)
-    offsets = curve.points - np.outer(curve.points @ unit, unit)
+    offsets = points - np.outer(points @ unit, unit)
     assert np.max(np.linalg.norm(offsets, axis=1)) < 1e-10
 
 
@@ -212,8 +218,8 @@ def test_geodesic_abort_on_frame_breakdown():
     curve = integrate_geodesic(surface, (0.0, 0.0, 0.0), (1.0, 0.0), 0.05, 100)
     assert curve.aborted
     assert curve.abort_reason
-    assert 2 <= len(curve.points) < 101
-    assert np.all(curve.points[:, 0] < 1.0)
+    assert 2 <= len(curve.states) < 101
+    assert np.all(_points(curve)[:, 0] < 1.0)
 
 
 def test_geodesic_refuses_galilean_time_component_along_path():
@@ -243,7 +249,7 @@ def _array_geodesic(surface, p0, nu0, ds, steps):
         v = y[3:]
         return np.concatenate([v, -(v @ du @ v) * u])
 
-    y = np.concatenate([p0, surface.frame.matrix_at(p0)[:, :2] @ nu0])
+    y = np.concatenate([p0, np.array(surface.frame.rows_at(p0))[:, :2] @ nu0])
     states = [y]
     for _ in range(steps):
         k1 = rhs(y)
@@ -269,21 +275,20 @@ def test_float_geodesic_matches_array_reference(case):
     curve = integrate_geodesic(surface, p0, nu0, ds, 1000)
     reference = _array_geodesic(surface, p0, nu0, ds, 1000)
     assert not curve.aborted
-    assert np.max(np.abs(curve.points - reference[:, :3])) <= 1e-12
+    assert np.max(np.abs(_points(curve) - reference[:, :3])) <= 1e-12
     assert np.max(np.abs(np.array(curve.states)[:, 3:] - reference[:, 3:])) <= 1e-12
     assert np.array_equal(curve.s, np.arange(1001) * ds)
 
 
 def test_sampled_curve_arrays_equal_the_stacked_states():
-    # the arrays built from the float states when read: the parameters are
-    # np.arange(n) * ds and the points the stacked states, bit for bit
+    # the parameters, built from the float states when read, are
+    # np.arange(n) * ds bit for bit
     surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]))
     ds = 2e-3
     curve = integrate_geodesic(surface, (0.1, -0.2, 0.3), (0.6, -0.8), ds, 300)
     stacked = np.array(curve.states)
     assert stacked.shape == (301, 6)
     assert curve.s.tobytes() == (np.arange(301) * ds).tobytes()
-    assert curve.points.tobytes() == stacked[:, :3].tobytes()
     assert curve.closure_error() == pytest.approx(np.linalg.norm(stacked[-1, :3] - stacked[0, :3]))
 
 
@@ -297,8 +302,9 @@ def test_float_start_velocity_matches_the_frame_matvec():
     for surface in surfaces:
         for p0, nu in zip(rng.uniform(-1.0, 1.0, (1000, 3)), rng.normal(size=(1000, 2))):
             got = integrate_geodesic(surface, p0, nu, 1e-3, 1).states[0][3:]
-            want = surface.frame.matrix_at(p0)[:, :2] @ nu
-            scale = np.abs(surface.frame.matrix_at(p0)[:, :2]) @ np.abs(nu)
+            legs = np.array(surface.frame.rows_at(p0))[:, :2]
+            want = legs @ nu
+            scale = np.abs(legs) @ np.abs(nu)
             for g, w, m in zip(got, want.tolist(), scale.tolist()):
                 assert abs(g - w) <= 2 * math.ulp(m), (p0, nu)
 

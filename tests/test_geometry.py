@@ -1,12 +1,19 @@
 """Adapted frames, connection, fundamental forms, curvatures."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudoform
 from pseudoform import foucault as fc
-from pseudoform.calculus import gradient_oneform
+from pseudoform.calculus import exterior_derivative, gradient_oneform
+from pseudoform.curves import integrate_geodesic
 from pseudoform.errors import (
     DegenerateMetricError,
     DegenerateNormalizationError,
@@ -37,6 +44,13 @@ RNG = np.random.default_rng(23)
 # -- second routes, kept as test references -----------------------------------
 
 
+def frame_arrays(frame, p):
+    """The frame matrix X[m, j] and its derivatives dX[n, m, j] at p, as arrays
+    of the frame's float accessor."""
+    x, dx = frame.rows_and_derivative(p)
+    return np.array(x), np.array(dx)
+
+
 def structure_functions(frame, p):
     """Commutator coefficients of the tangent legs at p.
 
@@ -44,7 +58,7 @@ def structure_functions(frame, p):
     for all a, b iff the plane field is involutive at p (the Frobenius
     witness, a second route to theta ^ d theta).
     """
-    x, dx = frame.matrix_and_derivative(p)
+    x, dx = frame_arrays(frame, p)
     # bracket[i, a, b] = e_a x^i_b - e_b x^i_a
     directional = np.einsum("na,nib->iab", x, dx)
     bracket = directional - directional.transpose(0, 2, 1)
@@ -54,7 +68,7 @@ def structure_functions(frame, p):
 
 def second_form_via_frame(frame, p):
     """H_ab from frame derivatives: N_i e_(a x^i_b) (symmetrized)."""
-    x, dx = frame.matrix_and_derivative(p)
+    x, dx = frame_arrays(frame, p)
     unit = x[:, 2]
     # directional[a, i, b] = e_a x^i_b
     directional = np.einsum("na,nib->aib", x[:, :2], dx[:, :, :2])
@@ -66,7 +80,7 @@ def eigen_curvatures(ff):
     """(eigenvalues, K, mean) of g^-1 h by NumPy's general complex eigen-solver."""
     tangent = np.array(ff.legs).T
     g = tangent.T @ np.array(ff.metric.rows(normalized=True)) @ tangent
-    mixed = np.linalg.solve(0.5 * (g + g.T), ff.h)
+    mixed = np.linalg.solve(0.5 * (g + g.T), np.array(ff.h_rows))
     return np.linalg.eigvals(mixed.astype(complex)), np.linalg.det(mixed), 0.5 * np.trace(mixed)
 
 
@@ -88,15 +102,19 @@ def test_light_speed_needs_a_positive_finite_square(kind, light_speed):
         MetricSignature(kind, light_speed)
 
 
+def _seed_axis(pfaffian, u):
+    """The chart axis the adapted frame completes its tangent pair from."""
+    if pfaffian.chart == "spacetime" and abs(u[0]) < 0.9:
+        return 0
+    return int(np.argmin(np.abs(u)))
+
+
 def numpy_fundamental_forms(surface, p):
     """(g, h, tangent) at p by the array code: a NumPy Gram-Schmidt frame and
     ``tangent.T @ M @ tangent`` products, symmetrized."""
     pfaffian, metric = surface.pfaffian, surface.metric
     u = np.array(unit_normal(pfaffian, metric, p)[0])
-    if pfaffian.chart == "spacetime" and abs(u[0]) < 0.9:
-        k = 0
-    else:
-        k = int(np.argmin(np.abs(u)))
+    k = _seed_axis(pfaffian, u)
     e1 = np.eye(3)[k] - u[k] * u
     e1 /= np.linalg.norm(e1)
     tangent = np.column_stack([e1, np.cross(u, e1)])
@@ -108,6 +126,24 @@ def numpy_fundamental_forms(surface, p):
         h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
     g = tangent.T @ np.array(metric.rows()) @ tangent
     return 0.5 * (g + g.T), 0.5 * (h + h.T), tangent
+
+
+def numpy_connection(surface, p):
+    """omega[i, j, k] at p by the array code: a NumPy Gram-Schmidt frame X, its
+    derivative dX[n, m, j] = d_n X[m, j] through outer products and
+    ``np.cross``, and omega = (e_k x^m_j) xtilde^i_m by ``np.einsum``."""
+    u, du = (np.array(a) for a in unit_normal(surface.pfaffian, surface.metric, p))
+    k = _seed_axis(surface.pfaffian, u)
+    e1_raw = np.eye(3)[k] - u[k] * u
+    m = np.linalg.norm(e1_raw)
+    e1 = e1_raw / m
+    x = np.column_stack([e1, np.cross(u, e1), u])
+    de1_raw = -np.outer(du[:, k], u) - u[k] * du
+    dm = de1_raw @ e1_raw / m
+    de1 = de1_raw / m - np.outer(dm, e1_raw) / m**2
+    de2 = np.cross(du, e1[None, :]) + np.cross(u[None, :], de1)
+    dx = np.stack([de1, de2, du], axis=2)
+    return np.einsum("nk,nmj,mi->ijk", x, dx, x)
 
 
 def _float_path_cases():
@@ -133,34 +169,83 @@ def test_float_fundamental_forms_match_the_array_code(surface, points):
         g, h, tangent = numpy_fundamental_forms(surface, p)
         # relative to the largest entry: under Minkowski on a spatial chart the
         # entries of g are sums of terms of size c^2 that cancel
-        for ours, ref in ((ff.g, g), (ff.h, h), (np.array(ff.legs).T, tangent)):
+        for ours, ref in ((ff.g_rows, g), (ff.h_rows, h), (np.array(ff.legs).T, tangent)):
             scale = max(1.0, np.max(np.abs(ref)))
-            assert np.max(np.abs(ours - ref)) <= 1e-14 * scale, (p, ours, ref)
+            assert np.max(np.abs(np.array(ours) - ref)) <= 1e-14 * scale, (p, ours, ref)
+
+
+@pytest.mark.parametrize("surface, points", _float_path_cases())
+def test_float_connection_matches_the_array_code(surface, points):
+    for p in points:
+        omega, ref = np.array(connection_form(surface.frame, p)), numpy_connection(surface, p)
+        assert omega.shape == (3, 3, 3)
+        assert np.max(np.abs(omega - ref)) <= 1e-14 * np.max(np.abs(ref)), (p, omega, ref)
+
+
+_FLOAT_GEOMETRY = """
+import sys
+from pseudoform import foucault as fc
+from pseudoform.calculus import exterior_derivative
+from pseudoform.curves import integrate_geodesic
+from pseudoform.formlang import parse_oneform, parse_scalar
+from pseudoform.geometry import (PseudoSurface, connection_form, fundamental_forms,
+                                 second_form_via_connection)
+sphere = PseudoSurface.from_levelset(parse_scalar("x^2+y^2+z^2"))
+p = (0.0, 0.6, 0.8)
+ff = fundamental_forms(sphere.pfaffian, sphere.frame, sphere.metric, p)
+geo = fc.foucault_geometry(fc.FoucaultConfig(0.8527))
+curve = integrate_geodesic(sphere, (1.0, 0.0, 0.0), (0.6, 0.8), 0.01, 100)
+print(repr((connection_form(sphere.frame, p), second_form_via_connection(sphere.frame, p),
+            exterior_derivative(parse_oneform(["0", "x", "1"]), p), ff.g_rows, ff.h_rows,
+            geo.forms.h_rows, curve.states[-1])))
+print("numpy" in sys.modules)
+"""
+
+
+def test_geometry_calls_leave_numpy_unloaded():
+    # the frame derivative, the connection, d theta, the fundamental forms and the
+    # geodesic are floats from end to end: a fresh interpreter that calls them and
+    # reads their results never imports NumPy
+    src = str(Path(pseudoform.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FLOAT_GEOMETRY], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stderr == ""
+    values, loaded = proc.stdout.splitlines()
+    assert loaded == "False"
+    sphere = PseudoSurface.from_levelset(parse_scalar("x^2+y^2+z^2"))
+    p = (0.0, 0.6, 0.8)
+    ff = fundamental_forms(sphere.pfaffian, sphere.frame, sphere.metric, p)
+    curve = integrate_geodesic(sphere, (1.0, 0.0, 0.0), (0.6, 0.8), 0.01, 100)
+    assert ast.literal_eval(values) == (
+        connection_form(sphere.frame, p), second_form_via_connection(sphere.frame, p),
+        exterior_derivative(parse_oneform(["0", "x", "1"]), p), ff.g_rows, ff.h_rows,
+        fc.foucault_geometry(fc.FoucaultConfig(0.8527)).forms.h_rows, curve.states[-1])
+    assert np.allclose(ast.literal_eval(values)[1], -np.eye(2), atol=1e-10)
 
 
 def test_canonical_completion_for_dz():
     frame = adapt_frame(parse_oneform(["0", "0", "1"]))
-    assert np.allclose(frame.matrix_at((0.3, -0.5, 2.0)), np.eye(3))
+    assert np.allclose(frame.rows_at((0.3, -0.5, 2.0)), np.eye(3))
 
 
 def test_radial_normal_on_sphere():
     f = parse_scalar("x^2+y^2+z^2")
     frame = adapt_frame(gradient_oneform(f))
-    x = frame.matrix_at((0.0, 0.0, 1.0))
-    assert np.allclose(x[:, 2], [0.0, 0.0, 1.0])
+    x = frame.rows_at((0.0, 0.0, 1.0))
+    assert np.allclose([row[2] for row in x], [0.0, 0.0, 1.0])
 
 
 def test_degenerate_pfaffian_rejected():
     frame = adapt_frame(parse_oneform(["x", "y", "z"]))
     with pytest.raises(DegeneratePfaffianError):
-        frame.matrix_at((0.0, 0.0, 0.0))
+        frame.rows_at((0.0, 0.0, 0.0))
 
 
 def test_galilean_rejects_time_normal():
     theta = parse_oneform(["1", "0", "1"], chart="spacetime")
     frame = adapt_frame(theta, GALILEAN)
     with pytest.raises(DegenerateNormalizationError):
-        frame.matrix_at((0.0, 0.0, 0.0))
+        frame.rows_at((0.0, 0.0, 0.0))
 
 
 def test_frame_duality_randomized():
@@ -168,8 +253,8 @@ def test_frame_duality_randomized():
     frame = adapt_frame(gradient_oneform(f))
     for _ in range(100):
         p = RNG.uniform(0.3, 1.5, size=3)
-        x = frame.matrix_at(p)
-        assert np.max(np.abs(x @ frame.inverse_at(p) - np.eye(3))) < 1e-12
+        x = np.array(frame.rows_at(p))
+        assert np.max(np.abs(x @ x.T - np.eye(3))) < 1e-12
 
 
 def test_constant_frame_has_zero_connection():
@@ -179,24 +264,26 @@ def test_constant_frame_has_zero_connection():
 
 
 def test_connection_antisymmetry_randomized():
+    # the frames are orthonormal on the chart under every metric
     f = parse_scalar("x^2 + 0.5*y^2 + 2*z^2 + 0.3*x*z")
-    frame = adapt_frame(gradient_oneform(f))
-    for _ in range(100):
-        p = RNG.uniform(0.4, 1.2, size=3)
-        omega = connection_form(frame, p)
-        assert np.max(np.abs(omega + omega.transpose(1, 0, 2))) < 1e-10
+    points = RNG.uniform(0.4, 1.2, size=(100, 3))
+    for metric in (EUCLIDEAN, GALILEAN, MINKOWSKI):
+        frame = adapt_frame(gradient_oneform(f), metric)
+        for p in points:
+            omega = np.array(connection_form(frame, p))
+            assert np.max(np.abs(omega + omega.transpose(1, 0, 2))) < 1e-10, metric
 
 
 def test_frame_derivative_matches_finite_differences():
     f = parse_scalar("x^2 + 2*y^2 + 3*z^2")
     frame = adapt_frame(gradient_oneform(f))
     p = np.array([0.7, 0.5, 0.9])
-    _, dx = frame.matrix_and_derivative(p)
+    _, dx = frame_arrays(frame, p)
     h = 1e-6
     for n in range(3):
         e = np.zeros(3)
         e[n] = h
-        fd = (frame.matrix_at(p + e) - frame.matrix_at(p - e)) / (2 * h)
+        fd = (np.array(frame.rows_at(p + e)) - np.array(frame.rows_at(p - e))) / (2 * h)
         assert np.allclose(dx[n], fd, atol=1e-8)
 
 
@@ -218,8 +305,8 @@ def test_sphere_fundamental_forms():
     f = parse_scalar("x^2+y^2+z^2")
     surface = PseudoSurface.from_levelset(f)
     ff = surface.fundamental_forms((0.0, 0.0, 1.0))
-    assert np.allclose(ff.g, np.eye(2), atol=1e-12)
-    assert np.allclose(ff.h, -np.eye(2), atol=1e-10)
+    assert np.allclose(ff.g_rows, np.eye(2), atol=1e-12)
+    assert np.allclose(ff.h_rows, -np.eye(2), atol=1e-10)
     report = shape_and_curvatures(ff)
     assert np.isclose(report.kappa1.real, -1.0, atol=1e-6)
     assert np.isclose(report.kappa2.real, -1.0, atol=1e-6)
@@ -230,8 +317,8 @@ def test_sphere_h_route_agreement():
     f = parse_scalar("x^2+y^2+z^2")
     surface = PseudoSurface.from_levelset(f)
     p = np.array([0.0, 0.0, 1.0])
-    h_level = surface.fundamental_forms(p).h
-    h_pfaff = fundamental_forms(surface.pfaffian, surface.frame, EUCLIDEAN, p).h
+    h_level = surface.fundamental_forms(p).h_rows
+    h_pfaff = fundamental_forms(surface.pfaffian, surface.frame, EUCLIDEAN, p).h_rows
     h_frame = second_form_via_frame(surface.frame, p)
     h_conn = second_form_via_connection(surface.frame, p)
     assert np.allclose(h_level, h_pfaff, atol=1e-8)
@@ -256,8 +343,8 @@ def test_h_route_agreement_randomized_ellipsoids():
         a, b, c = rng.uniform(0.5, 2.0, size=3).tolist()
         surface = PseudoSurface.from_levelset(parse_scalar(f"{a!r}*x*x + {b!r}*y*y + {c!r}*z*z"))
         p = rng.uniform(0.3, 1.0, size=3)
-        h_level = surface.fundamental_forms(p).h
-        h_pfaff = fundamental_forms(surface.pfaffian, surface.frame, EUCLIDEAN, p).h
+        h_level = np.array(surface.fundamental_forms(p).h_rows)
+        h_pfaff = fundamental_forms(surface.pfaffian, surface.frame, EUCLIDEAN, p).h_rows
         h_conn = second_form_via_connection(surface.frame, p)
         assert np.allclose(h_level, h_pfaff, atol=1e-8)
         assert np.allclose(h_level, h_conn, atol=1e-8)
@@ -269,7 +356,7 @@ def test_spacetime_levelset_frame_matches_its_pfaffian():
     pfaff = PseudoSurface.from_pfaffian(parse_oneform(["1", "1", "y"], "spacetime"))
     assert level.pfaffian.chart == "spacetime"
     for p in [(0.0, 0.0, 0.3), (1.2, -0.4, -2.0), (-0.7, 2.5, 1.1)]:
-        assert np.allclose(level.frame.matrix_at(p), pfaff.frame.matrix_at(p), rtol=0, atol=1e-12)
+        assert np.allclose(level.frame.rows_at(p), pfaff.frame.rows_at(p), rtol=0, atol=1e-12)
 
 
 def test_frame_pfaffian_mismatch_error():
@@ -284,7 +371,7 @@ def test_galilean_degenerate_metric_error():
     theta = parse_oneform(["0", "0", "1"], chart="spacetime")
     frame = adapt_frame(theta, GALILEAN)
     ff = fundamental_forms(theta, frame, GALILEAN, (0.0, 0.0, 0.0))
-    assert np.allclose(ff.g, np.diag([0.0, 1.0]))
+    assert np.allclose(ff.g_rows, np.diag([0.0, 1.0]))
     with pytest.raises(DegenerateMetricError) as err:
         shape_and_curvatures(ff)
     assert "g^ab" in str(err.value)
@@ -302,8 +389,8 @@ def test_scaled_levelset_same_geometry():
     f1 = parse_scalar("x^2+y^2+z^2")
     f2 = parse_scalar("3*(x^2+y^2+z^2)")
     p = (0.2, 0.5, 0.9)
-    h1 = PseudoSurface.from_levelset(f1).fundamental_forms(p).h
-    h2 = PseudoSurface.from_levelset(f2).fundamental_forms(p).h
+    h1 = PseudoSurface.from_levelset(f1).fundamental_forms(p).h_rows
+    h2 = PseudoSurface.from_levelset(f2).fundamental_forms(p).h_rows
     assert np.allclose(h1, h2, atol=1e-10)
 
 
