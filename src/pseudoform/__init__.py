@@ -58,8 +58,7 @@ _EXPORTS = {
     "curves": ("SampledCurve", "integrate_geodesic"),
     "errors": ("ConstraintViolationError", "DegenerateMetricError",
                "DegenerateNormalizationError", "DegeneratePfaffianError", "DegenerateWindowError",
-               "EvaluationDomainError", "FormSyntaxError", "FramePfaffianMismatchError",
-               "PseudoformError", "ValidationError"),
+               "EvaluationDomainError", "FormSyntaxError", "PseudoformError", "ValidationError"),
     "formlang": ("parse_expression", "parse_oneform", "parse_scalar"),
     "foucault": ("FoucaultConfig", "FoucaultGeometry", "Orbit", "PendulumState", "Trajectory",
                  "decompose_acceleration", "foucault_frame_field", "foucault_geometry",

@@ -12,9 +12,11 @@ keeps the states as they were stepped.  Each RK4 stage is one field
 evaluation: the right-hand side checks the stage point and calls the
 normal kernel of ``geometry.normal_kernel``, built once per march, which
 evaluates the Pfaffian once (its ``flat_jet``) and returns the unit normal
-and its derivative as 12 flat floats.  NumPy is imported only when a
-caller reads ``SampledCurve.s``, so the ``geodesic`` command never loads
-it.
+and its derivative as 12 flat floats.  The adapted frame pairs such a
+kernel with a completion around its unit normal (``AdaptedFrame(normal,
+complete)``), so the start velocity is built on the same unit normal.
+NumPy is imported only when a caller reads ``SampledCurve.s``, so the
+``geodesic`` command never loads it.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     (the normal component keeps u . v = 0).  The state is stepped as a
     6-tuple of floats: each stage point is checked to be finite (a
     ``ValidationError`` naming it otherwise) and evaluated once by the
-    normal kernel that ``unit_normal`` uses too.  ``steps * ds`` must be
-    finite, so that every sample's arc parameter k * ds is.  A degenerate
-    Pfaffian or a field leaving its domain along the way aborts and
-    returns the partial curve with ``aborted`` set, as does a state that
-    stops being finite.
+    Pfaffian's normal kernel, which is also the frame's ``normal``.
+    ``steps * ds`` must be finite, so that every sample's arc parameter
+    k * ds is.  A degenerate Pfaffian or a field leaving its domain along
+    the way aborts and returns the partial curve with ``aborted`` set, as
+    does a state that stops being finite.
     """
     validate_steps(steps, ds)
     p0 = point_coords(p0)

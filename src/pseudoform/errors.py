@@ -37,10 +37,6 @@ class DegenerateMetricError(PseudoformError):
     """The first fundamental form is singular, so g^ab does not exist."""
 
 
-class FramePfaffianMismatchError(PseudoformError):
-    """The frame's normal coframe leg does not match the given Pfaffian."""
-
-
 class ConstraintViolationError(PseudoformError):
     """A curve or state does not satisfy the Pfaffian constraint."""
 

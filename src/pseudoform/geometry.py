@@ -31,13 +31,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .calculus import (
-    DEGENERACY_TOL, OneForm, ScalarField, format_point, gradient_oneform, pfaffian_norm,
-    point_coords,
+    DEGENERACY_TOL, OneForm, ScalarField, gradient_oneform, pfaffian_norm, point_coords,
 )
-from .errors import (
-    DegenerateMetricError, DegenerateNormalizationError, FramePfaffianMismatchError,
-    ValidationError, check_real,
-)
+from .errors import DegenerateMetricError, DegenerateNormalizationError, ValidationError, check_real
 
 LIGHT_SPEED = 299792458.0
 
@@ -105,35 +101,37 @@ MINKOWSKI = MetricSignature(MetricKind.MINKOWSKI)
 class AdaptedFrame:
     """Orthonormal matrix-valued frame field adapted to a unit Pfaffian.
 
-    ``pair_fn(p, need_derivative)`` returns (X, dX) with X[m][j] the
-    chart components of e_j, as three rows of floats, and dX[n][m][j] =
-    d_n X[m][j] as three such matrices, one per n (dX is None when not
-    requested).  The coframe X^{-1} is X^T, as the frame is orthonormal.
+    ``normal(p)`` is the Pfaffian's ``normal_kernel``: 12 floats, u and then
+    du row-major, at a point p already checked as 3 floats.
+    ``complete(n, need_derivative)`` builds the frame around such floats and
+    returns (X, dX) with X[m][j] the chart components of e_j, as three rows
+    of floats, and dX[n][m][j] = d_n X[m][j] as three such matrices, one per
+    n; dX is None when not requested, and then only the unit normal n[:3] is
+    read.  The coframe X^{-1} is X^T, as the frame is orthonormal.
     """
 
-    def __init__(self, pair_fn):
-        self.pair_fn = pair_fn
+    def __init__(self, normal, complete):
+        self.normal = normal
+        self.complete = complete
 
     def rows_at(self, p):
         """The frame matrix X at p as three rows (X[m][0], X[m][1], X[m][2]) of floats."""
-        return self.pair_fn(point_coords(p), False)[0]
+        return self.complete(self.normal(point_coords(p)), False)[0]
 
     def rows_and_derivative(self, p):
         """The frame matrix X at p as three rows of floats and its derivatives
         dX[n][m][j] = d_n X[m][j] as three such matrices."""
-        return self.pair_fn(point_coords(p), True)
+        return self.complete(self.normal(point_coords(p)), True)
 
 
-def unit_normal(pfaffian, metric, p):
-    """Unit normal u = N / |N| of a Pfaffian N at p and du[i][j] = d_i u_j.
-
-    Floats in and floats out: p is 3 floats (or anything ``point_coords``
-    takes), u comes back as a 3-tuple and du as three 3-tuple rows, read
-    from the 12 floats of ``normal_kernel(pfaffian, metric)`` at the
-    checked point.
-    """
-    k = normal_kernel(pfaffian, metric)(point_coords(p))
-    return k[:3], (k[3:6], k[6:9], k[9:12])
+def _refuse_time_component(u1):
+    """Raise ``DegenerateNormalizationError`` where a unit normal on the
+    space-time chart has a time component u1, which a degenerate metric
+    cannot normalize."""
+    if abs(u1) > 1e-9:
+        raise DegenerateNormalizationError(
+            "Galilean metric cannot normalize a Pfaffian with a time component"
+        )
 
 
 def normal_kernel(pfaffian, metric):
@@ -157,10 +155,8 @@ def normal_kernel(pfaffian, metric):
         if norm <= DEGENERACY_TOL:
             pfaffian_norm((n1, n2, n3), p)  # raises DegeneratePfaffianError
         u1, u2, u3 = n1 / norm, n2 / norm, n3 / norm
-        if galilean and abs(u1) > 1e-9:
-            raise DegenerateNormalizationError(
-                "Galilean metric cannot normalize a Pfaffian with a time component"
-            )
+        if galilean:
+            _refuse_time_component(u1)
         a1 = j11 * u1 + j12 * u2 + j13 * u3  # d_i |N|
         a2 = j21 * u1 + j22 * u2 + j23 * u3
         a3 = j31 * u1 + j32 * u2 + j33 * u3
@@ -175,21 +171,19 @@ def normal_kernel(pfaffian, metric):
 def adapt_frame(pfaffian, metric=EUCLIDEAN):
     """Build the deterministic adapted frame for a Pfaffian N.
 
-    The normal column is N normalized on the chart; the tangent pair is
-    completed by Gram-Schmidt from a canonical seed axis: the axis with
-    the smallest normal component (ties to the lowest index) on spatial
-    charts, and the time axis on the space-time chart whenever the
-    normal stays clear of it.  The seed index is treated as locally
-    constant, so frame derivatives are valid away from seed-switching
-    loci.  The seed's normal component is at most 0.9 in magnitude, so the
-    Gram-Schmidt norm is at least sqrt(0.19) and the frame is orthonormal
-    to rounding wherever N does not vanish.
+    The normal column is N normalized on the chart (``normal_kernel``); the
+    completion builds the tangent pair by Gram-Schmidt from a canonical
+    seed axis: the axis with the smallest normal component (ties to the
+    lowest index) on spatial charts, and the time axis on the space-time
+    chart whenever the normal stays clear of it.  The seed index is treated
+    as locally constant, so frame derivatives are valid away from
+    seed-switching loci.  The seed's normal component is at most 0.9 in
+    magnitude, so the Gram-Schmidt norm is at least sqrt(0.19) and the
+    frame is orthonormal to rounding wherever N does not vanish.
     """
     spacetime = pfaffian.chart == "spacetime"
-    normal = normal_kernel(pfaffian, metric)
 
-    def pair_fn(p, need_derivative):
-        n = normal(p)
+    def complete(n, need_derivative):
         u1, u2, u3 = u = n[:3]  # u is e3
         a1, a2, a3 = abs(u1), abs(u2), abs(u3)
         if (spacetime and a1 < 0.9) or (a1 <= a2 and a1 <= a3):
@@ -222,7 +216,7 @@ def adapt_frame(pfaffian, metric=EUCLIDEAN):
                        (f3, (d1 * c2 - d2 * c1) + (u1 * f2 - u2 * f1), d3)))
         return x, tuple(dx)
 
-    return AdaptedFrame(pair_fn)
+    return AdaptedFrame(normal_kernel(pfaffian, metric), complete)
 
 
 def connection_form(frame, p):
@@ -279,32 +273,31 @@ def _on_legs(rows, t1, t2):
 
 
 def fundamental_forms(source, frame, metric, p):
-    """First and second fundamental forms at p.
+    """First and second fundamental forms at p, from one evaluation of ``source``.
 
     ``source`` is either the Pfaffian one-form N (pseudo-surface route:
-    H = minus the pulled-back symmetrized differential of the unit N) or
-    a level-set scalar f (surface route: H from the Hessian of f).
-    Both forms are 2x2 sums of floats on the frame's tangent legs.
+    H = minus the pulled-back symmetrized differential of the unit N, from
+    its ``normal_kernel``) or a level-set scalar f (surface route: H from
+    the Hessian of f over |grad f|, from one ``differentiate``).  The
+    frame's ``complete`` builds the tangent legs around that evaluation's
+    unit normal, so the legs and H come from the same numbers.  Both forms
+    are 2x2 sums of floats on the legs.
     """
     p = point_coords(p)
-    (a1, b1, n1), (a2, b2, n2), (a3, b3, n3) = frame.rows_at(p)
-    t1, t2 = (a1, a2, a3), (b1, b2, b3)
     if isinstance(source, OneForm):  # h = -du on the legs; symmetrizing du is _on_legs' mean
-        unit, du = unit_normal(source, metric, p)
-        h11, h12, h22 = (-m for m in _on_legs(du, t1, t2))
+        n = normal_kernel(source, metric)(p)
+        second, scale = (n[3:6], n[6:9], n[9:12]), 1.0
     elif isinstance(source, ScalarField):
-        _, grad, hess = source.differentiate(p)
-        norm = pfaffian_norm(grad, p)
-        unit = (grad[0] / norm, grad[1] / norm, grad[2] / norm)
-        h11, h12, h22 = (-m / norm for m in _on_legs(hess, t1, t2))
+        _, grad, second = source.differentiate(p)
+        scale = pfaffian_norm(grad, p)
+        n = (grad[0] / scale, grad[1] / scale, grad[2] / scale)
+        if metric.degenerate and source.chart == "spacetime":
+            _refuse_time_component(n[0])
     else:
         raise TypeError("source must be a OneForm (pfaffian) or ScalarField (level set)")
-    deviation = max(abs(n1 - unit[0]), abs(n2 - unit[1]), abs(n3 - unit[2]))
-    if deviation > 1e-9:
-        raise FramePfaffianMismatchError(
-            "frame normal coframe leg differs from the given Pfaffian "
-            f"at point {format_point(p)} (max deviation {deviation:.3e})"
-        )
+    (a1, b1, _), (a2, b2, _), (a3, b3, _) = frame.complete(n, False)[0]
+    t1, t2 = (a1, a2, a3), (b1, b2, b3)
+    h11, h12, h22 = (-m / scale for m in _on_legs(second, t1, t2))
     g11, g12, g22 = _on_legs(metric.rows(), t1, t2)
     return FundamentalForms(((g11, g12), (g12, g22)), ((h11, h12), (h12, h22)), metric, (t1, t2))
 

@@ -4,8 +4,11 @@ The three normal forms (d mu, lambda d mu, d phi + lambda d mu) are
 decided pointwise from |d theta| and the Frobenius 3-form theta ^ d theta,
 sampled over a user box with a seeded scrambled Halton sequence.
 Magnitudes are normalized per sample (|d theta| by |theta|, the Frobenius
-coefficient by |theta|^2) so the verdict is invariant under constant
-rescaling of theta.
+coefficient by |theta|^2), so the verdict is invariant under a constant
+rescaling of theta that keeps |theta| > ``DEGENERACY_TOL`` = 1e-12 at every
+sample.  That threshold is absolute: a sample where the rescaled |theta| is
+at or below it raises ``DegeneratePfaffianError``, whatever the unscaled
+form gives there.
 
 The sampler and the classification run on plain floats and never import
 NumPy.  The digit scramble draws its permutations from
@@ -167,25 +170,23 @@ def frobenius_coefficient(theta, p):
     """Volume coefficient of theta ^ d theta at p.
 
     Vanishes identically iff the Pfaff equation is completely integrable
-    near p (Frobenius's theorem).
+    near p (Frobenius's theorem).  theta and its Jacobian come from one
+    evaluation of theta at p.
     """
-    return _sample(theta, point_coords(p))[2]
+    p = point_coords(p)
+    return _sample(*theta.values_and_jacobian(p), p)[2]
 
 
-def _sample(theta, p):
-    """|d theta| / |theta|, the unit and the raw Frobenius coefficient at p.
+def _sample(comps, jac, p):
+    """|d theta| / |theta|, the unit and the raw Frobenius coefficient at p,
+    from theta's components and Jacobian rows there.
 
-    p is 3 floats and everything here is float arithmetic, which
-    overflows to inf or NaN silently; the caller refuses what is not
-    finite.  d theta is ``dtheta_cyclic`` of the Jacobian rows.
+    Everything here is float arithmetic, which overflows to inf or NaN
+    silently; the caller refuses what is not finite.  d theta is
+    ``dtheta_cyclic`` of the Jacobian rows.
     """
-    # theta comes from its own components_at call, a second evaluation of
-    # the point, because the benchmark's tracer pins one such call per
-    # classify sample; it goes, and theta is read from values_and_jacobian,
-    # once the tracer counts evaluated points instead
-    comps = theta.components_at(p)
     norm = pfaffian_norm(comps, p)  # raises where theta vanishes
-    d = dtheta_cyclic(theta.values_and_jacobian(p)[1])
+    d = dtheta_cyclic(jac)
     unit = _dot(comps, d, norm)
     return math.hypot(*d) / norm, unit, (unit * norm) * norm
 
@@ -205,12 +206,18 @@ def classify(theta, region, tol=DEFAULT_TOL):
     Each sample is one float ``_sample``; the three maxima are tracked as
     floats, and a NaN sample makes its maximum NaN (as ``np.max`` would).
     The sample points are read one at a time, as the sampler computes
-    them, so no per-sample array or list of all points is built.
+    them, so no per-sample array or list of all points is built.  ``tol``
+    must be a finite number >= 0.
     """
-    check_real("tol", tol)
+    if check_real("tol", tol) < 0:
+        raise ValidationError(f"tol must be >= 0, got {describe(tol)}")
     max_d = max_f = max_f_raw = -math.inf
     for p in region.points():
-        d, f, f_raw = _sample(theta, p)
+        # theta comes from its own components_at call, a second evaluation of
+        # the point, because the benchmark's tracer pins one such call per
+        # classify sample; it goes, and theta is read from values_and_jacobian,
+        # once the tracer counts evaluated points instead
+        d, f, f_raw = _sample(theta.components_at(p), theta.values_and_jacobian(p)[1], p)
         f, f_raw = abs(f), abs(f_raw)
         if d > max_d or d != d:
             max_d = d

@@ -472,6 +472,15 @@ def test_config_error_region_box_names_the_box(tmp_path, lower, upper, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
+def test_classify_refuses_a_negative_tol_and_keeps_zero(tmp_path, capsys):
+    # a tolerance below 0 would call a closed form non_integrable
+    config = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1], "tol": -1}
+    code, out, err = _run(tmp_path, capsys, ["classify"], config)
+    assert (code, out, err) == (2, "", "config error: tol must be >= 0, got -1.0\n")
+    code, out, _ = _run(tmp_path, capsys, ["classify"], {**config, "tol": 0})
+    assert code == 0 and json.loads(out)["result"]["class"] == "closed"
+
+
 def test_config_error_both_surface_sources(tmp_path, capsys):
     config = {
         "levelset": "z",

@@ -12,13 +12,12 @@ import pytest
 
 import pseudoform
 from pseudoform import foucault as fc
-from pseudoform.calculus import exterior_derivative, gradient_oneform
+from pseudoform.calculus import exterior_derivative, gradient_oneform, point_coords
 from pseudoform.curves import integrate_geodesic
 from pseudoform.errors import (
     DegenerateMetricError,
     DegenerateNormalizationError,
     DegeneratePfaffianError,
-    FramePfaffianMismatchError,
     ValidationError,
 )
 from pseudoform.formlang import parse_oneform, parse_scalar
@@ -33,9 +32,9 @@ from pseudoform.geometry import (
     adapt_frame,
     connection_form,
     fundamental_forms,
+    normal_kernel,
     second_form_via_connection,
     shape_and_curvatures,
-    unit_normal,
 )
 
 RNG = np.random.default_rng(23)
@@ -102,6 +101,13 @@ def test_light_speed_needs_a_positive_finite_square(kind, light_speed):
         MetricSignature(kind, light_speed)
 
 
+def unit_and_derivative(pfaffian, metric, p):
+    """u = N / |N| and du[i, j] = d_i u_j at p as arrays, read from the 12
+    floats of ``normal_kernel``."""
+    k = np.array(normal_kernel(pfaffian, metric)(point_coords(p)))
+    return k[:3], k[3:].reshape(3, 3)
+
+
 def _seed_axis(pfaffian, u):
     """The chart axis the adapted frame completes its tangent pair from."""
     if pfaffian.chart == "spacetime" and abs(u[0]) < 0.9:
@@ -113,7 +119,7 @@ def numpy_fundamental_forms(surface, p):
     """(g, h, tangent) at p by the array code: a NumPy Gram-Schmidt frame and
     ``tangent.T @ M @ tangent`` products, symmetrized."""
     pfaffian, metric = surface.pfaffian, surface.metric
-    u = np.array(unit_normal(pfaffian, metric, p)[0])
+    u, du = unit_and_derivative(pfaffian, metric, p)
     k = _seed_axis(pfaffian, u)
     e1 = np.eye(3)[k] - u[k] * u
     e1 /= np.linalg.norm(e1)
@@ -122,7 +128,6 @@ def numpy_fundamental_forms(surface, p):
         _, grad, hess = surface.levelset.differentiate(p)
         h = -(tangent.T @ np.array(hess) @ tangent) / np.linalg.norm(grad)
     else:
-        du = np.array(unit_normal(pfaffian, metric, p)[1])
         h = -(tangent.T @ (0.5 * (du + du.T)) @ tangent)
     g = tangent.T @ np.array(metric.rows()) @ tangent
     return 0.5 * (g + g.T), 0.5 * (h + h.T), tangent
@@ -132,7 +137,7 @@ def numpy_connection(surface, p):
     """omega[i, j, k] at p by the array code: a NumPy Gram-Schmidt frame X, its
     derivative dX[n, m, j] = d_n X[m, j] through outer products and
     ``np.cross``, and omega = (e_k x^m_j) xtilde^i_m by ``np.einsum``."""
-    u, du = (np.array(a) for a in unit_normal(surface.pfaffian, surface.metric, p))
+    u, du = unit_and_derivative(surface.pfaffian, surface.metric, p)
     k = _seed_axis(surface.pfaffian, u)
     e1_raw = np.eye(3)[k] - u[k] * u
     m = np.linalg.norm(e1_raw)
@@ -359,12 +364,54 @@ def test_spacetime_levelset_frame_matches_its_pfaffian():
         assert np.allclose(level.frame.rows_at(p), pfaff.frame.rows_at(p), rtol=0, atol=1e-12)
 
 
-def test_frame_pfaffian_mismatch_error():
-    f = parse_scalar("x^2+y^2+z^2")
-    frame = adapt_frame(gradient_oneform(f))
-    other = parse_oneform(["0", "0", "1"])
-    with pytest.raises(FramePfaffianMismatchError):
-        fundamental_forms(other, frame, EUCLIDEAN, (0.3, 0.4, 0.8))
+def test_the_frame_completes_the_normal_of_the_source():
+    # the forms take their normal from the source alone, and the frame only
+    # completes it: a frame adapted to another Pfaffian gives the source's own forms
+    sphere = parse_scalar("x^2+y^2+z^2")
+    contact = parse_oneform(["0", "x", "1"])
+    p = (0.3, 0.4, 0.8)
+    for metric in (EUCLIDEAN, MINKOWSKI):
+        sphere_frame = adapt_frame(gradient_oneform(sphere), metric)
+        contact_frame = adapt_frame(contact, metric)
+        assert (fundamental_forms(contact, sphere_frame, metric, p)
+                == fundamental_forms(contact, contact_frame, metric, p))
+        assert (fundamental_forms(sphere, contact_frame, metric, p)
+                == fundamental_forms(sphere, sphere_frame, metric, p))
+
+
+def _counted(fields):
+    """Wrap each field's compiled ``fn`` so that every call appends its point
+    to the returned list."""
+    calls = []
+    for field in fields:
+        field.fn = lambda *p, fn=field.fn: calls.append(p) or fn(*p)
+    return calls
+
+
+def test_fundamental_forms_evaluate_each_field_once_per_point():
+    points = [(0.0, 0.6, 0.8), (0.48, 0.6, 0.64), (1.0, 0.0, 0.0)]
+    sphere = PseudoSurface.from_levelset(parse_scalar("x^2+y^2+z^2"))
+    calls = _counted([sphere.levelset])
+    for p in points:
+        sphere.fundamental_forms(p)
+    assert len(calls) == 3  # one differentiate per point
+    contact = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]), MINKOWSKI)
+    calls = _counted(contact.pfaffian.components)
+    for p in points:
+        contact.fundamental_forms(p)
+    assert len(calls) == 9  # one normal kernel per point, three components each
+
+
+def test_foucault_geometry_evaluates_theta2_twice(monkeypatch):
+    # once for the Frobenius coefficient and once for the fundamental forms,
+    # three component functions each
+    from pseudoform import formcode
+
+    compile_field, calls = formcode.compile_field, []
+    monkeypatch.setattr(formcode, "compile_field", lambda *args: (
+        lambda fn: lambda *p: calls.append(p) or fn(*p))(compile_field(*args)))
+    fc.foucault_geometry(fc.FoucaultConfig(0.8527), MINKOWSKI)
+    assert len(calls) == 6
 
 
 def test_galilean_degenerate_metric_error():
@@ -448,14 +495,14 @@ def test_minkowski_kappa1_sign_survives_a_relative_nudge():
 def _frame_seeded_on(pfaffian, metric, k):
     """The adapted frame with its tangent pair completed from chart axis k."""
 
-    def pair_fn(p, need_derivative):
+    def complete(n, need_derivative):
         assert not need_derivative
-        u = np.array(unit_normal(pfaffian, metric, p)[0])
+        u = np.array(n[:3])
         e1 = np.eye(3)[k] - u[k] * u
         e1 /= np.linalg.norm(e1)
         return np.column_stack([e1, np.cross(u, e1), u]), None
 
-    return AdaptedFrame(pair_fn)
+    return AdaptedFrame(normal_kernel(pfaffian, metric), complete)
 
 
 def _seed_surfaces():
@@ -487,7 +534,7 @@ def test_curvatures_do_not_depend_on_the_seed_axis(case):
         # that curvature: the contact form's mean is 0 up to rounding
         kappa = max(abs(want[2]), abs(want[3]))
         scales = (kappa * kappa, kappa, kappa, kappa)
-        u = unit_normal(pfaffian, metric, p)[0]
+        u = unit_and_derivative(pfaffian, metric, p)[0]
         # every axis the frame may seed from: its normal component is at most 0.9
         for k in [k for k in range(3) if abs(u[k]) <= 0.9]:
             frame = _frame_seeded_on(pfaffian, metric, k)

@@ -27,7 +27,7 @@ def test_star_import_and_dir_give_the_public_names():
     namespace = {}
     exec("from pseudoform import *", namespace)
     names = set(namespace) - {"__builtins__"}
-    assert len(pseudoform.__all__) == len(names) == 53
+    assert len(pseudoform.__all__) == len(names) == 52
     assert names == set(pseudoform.__all__) <= set(dir(pseudoform))
     assert all(namespace[name] is getattr(pseudoform, name) for name in names)
     assert pseudoform.classify is pseudoform.pfaff.classify

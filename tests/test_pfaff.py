@@ -295,6 +295,29 @@ def test_classify_huge_integrable_form_keeps_its_verdict():
         assert frobenius_coefficient(theta, (1.0, 0.7, 0.5)) == 0.0
 
 
+def test_rescaling_keeps_the_verdict_only_above_the_degeneracy_tolerance():
+    # the per-sample normalization makes the verdict scale-free while |theta| stays
+    # above DEGENERACY_TOL = 1e-12, an absolute threshold: |theta| is about 1e-11
+    # on the box at the first scale and about 1e-13 at the second
+    region = RegionSampler((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), count=100, seed=0)
+    unscaled = classify(parse_oneform(["0", "x", "1"]), region)
+    scaled = classify(parse_oneform(["0", "1e-11*x", "1e-11"]), region)
+    assert unscaled.kind is scaled.kind is NormalForm.NON_INTEGRABLE
+    assert math.isclose(scaled.max_dtheta, unscaled.max_dtheta, rel_tol=1e-12)
+    assert math.isclose(scaled.max_frobenius, unscaled.max_frobenius, rel_tol=1e-12)
+    with pytest.raises(DegeneratePfaffianError, match="Pfaffian vanishes"):
+        classify(parse_oneform(["0", "1e-13*x", "1e-13"]), region)
+
+
+def test_frobenius_coefficient_evaluates_theta_once():
+    theta = parse_oneform(["y", "x*z", "1"])
+    calls = []
+    for field in theta.components:
+        field.fn = lambda *p, fn=field.fn: calls.append(p) or fn(*p)
+    frobenius_coefficient(theta, (0.3, 0.2, 0.7))
+    assert len(calls) == 3  # one call of each component's compiled function
+
+
 # -- the float kernel against the array reference ---------------------------------
 
 # the four field-sample benchmark forms, on the box and count that the
