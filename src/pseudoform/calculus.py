@@ -14,8 +14,8 @@ cyclic components.
 The evaluations take and return plain floats: the point as 3 finite
 floats, values, components and gradients as 3-tuples and a Jacobian or
 Hessian as three 3-tuple rows.  ``flat_jet`` alone returns its values
-and Jacobian as one flat 12-tuple, which the geodesic's RK4 stages read
-through ``geometry.normal_kernel``.  ``point_coords`` checks a point: a
+and Jacobian as one flat 12-tuple, which the geodesic's RK4 stages and
+``geometry.normal_kernel`` read.  ``point_coords`` checks a point: a
 tuple of 3 finite floats passes as it is, and anything else goes through
 ``errors.check_vector``, the package's one check of a vector.
 ``exterior_derivative`` returns d theta's 3 cyclic components, so no

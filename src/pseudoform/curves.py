@@ -9,12 +9,12 @@ The geodesic runs on plain floats from its arguments to its samples.
 initial velocity is summed from the adapted frame's float rows, the
 state is a 6-tuple stepped by ``integrate.rk4_step``, and ``SampledCurve``
 keeps the states as they were stepped.  Each RK4 stage is one field
-evaluation: the right-hand side checks the stage point and calls the
-normal kernel of ``geometry.normal_kernel``, built once per march, which
-evaluates the Pfaffian once (its ``flat_jet``) and returns the unit normal
-and its derivative as 12 flat floats.  The adapted frame pairs such a
-kernel with a completion around its unit normal (``AdaptedFrame(normal,
-complete)``), so the start velocity is built on the same unit normal.
+evaluation: the right-hand side checks the stage point and reads N and its
+Jacobian J from one call of the Pfaffian's ``flat_jet`` (12 flat floats),
+and steps the multiplier form of the geodesic equations, which needs
+neither the unit normal's derivative nor |N|^2.  The start velocity is
+built on the adapted frame (``AdaptedFrame(normal, complete)``), whose
+unit normal is N / |N| from the same ``flat_jet``.
 NumPy is imported only when a caller reads ``SampledCurve.s``, so the
 ``geodesic`` command never loads it.
 """
@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .calculus import point_coords
+from .calculus import DEGENERACY_TOL, pfaffian_norm, point_coords
 from .errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError, check_vector
-from .geometry import normal_kernel
+from .geometry import _refuse_time_component
 from .integrate import rk4_step, validate_steps
 
 
@@ -58,16 +58,22 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
 
     The initial velocity is x-dot(0) = X(p0)[:, :2] nu0 in the adapted
     frame X, summed on the frame's float rows.  A geodesic has no
-    tangential acceleration, so the state (x, v) obeys x-dot = v and
-    v-dot = -(v . du . v) u, with u the unit normal and du[i, j] = d_i u_j
-    (the normal component keeps u . v = 0).  The state is stepped as a
-    6-tuple of floats: each stage point is checked to be finite (a
-    ``ValidationError`` naming it otherwise) and evaluated once by the
-    Pfaffian's normal kernel, which is also the frame's ``normal``.
-    ``steps * ds`` must be finite, so that every sample's arc parameter
-    k * ds is.  A degenerate Pfaffian or a field leaving its domain along
-    the way aborts and returns the partial curve with ``aborted`` set, as
-    does a state that stops being finite.
+    tangential acceleration, so the state (x, v) obeys x-dot = v and the
+    Lagrange-d'Alembert multiplier form v-dot = -((v . J . v) / |N|) u, with
+    u = N / |N| and J[i][j] = d_i N_j (Bloch, Nonholonomic Mechanics and
+    Control, 2003, ch. 5).  On N(v) = 0 it is v-dot = -(v . du . v) u, as
+    v . du . v = (v . J . v - (v . d|N|)(u . v)) / |N|, and the normal
+    component keeps u . v = 0.  Apart from the Galilean refusal of a unit
+    normal with a time component, which the frame makes too, the metric
+    does not enter: every metric gives the chart-Euclidean geodesic.  The
+    state is stepped as a 6-tuple of floats: each stage point is checked to
+    be finite (a ``ValidationError`` naming it otherwise) and evaluated
+    once, N and J from the Pfaffian's ``flat_jet``; |N| is ``math.hypot``'s,
+    so no |N|^2 is formed.  ``steps * ds`` must be finite, so that every
+    sample's arc parameter k * ds is.  A degenerate Pfaffian (|N| at most
+    ``DEGENERACY_TOL``) or a field leaving its domain along the way aborts
+    and returns the partial curve with ``aborted`` set, as does a state
+    that stops being finite.
     """
     validate_steps(steps, ds)
     p0 = point_coords(p0)
@@ -83,18 +89,27 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
             f"steps * ds must be finite, got steps={steps!r} and ds={ds!r}: "
             "the arc parameter k * ds of the samples would overflow"
         )
-    normal = normal_kernel(surface.pfaffian, surface.metric)
+    jet = surface.pfaffian.flat_jet
+    galilean = surface.metric.degenerate and surface.pfaffian.chart == "spacetime"
 
     def rhs(_s, y):
         x1, x2, x3, v1, v2, v3 = y
         p = (x1, x2, x3)
         if not math.isfinite(x1 + x2 + x3):  # a sum can overflow: point_coords checks each
             point_coords(p)
-        u1, u2, u3, d11, d12, d13, d21, d22, d23, d31, d32, d33 = normal(p)
-        vdv = ((v1 * d11 + v2 * d21 + v3 * d31) * v1
-               + (v1 * d12 + v2 * d22 + v3 * d32) * v2
-               + (v1 * d13 + v2 * d23 + v3 * d33) * v3)
-        return (v1, v2, v3, -vdv * u1, -vdv * u2, -vdv * u3)
+        n1, n2, n3, j11, j12, j13, j21, j22, j23, j31, j32, j33 = jet(p)
+        norm = math.hypot(n1, n2, n3)
+        if norm <= DEGENERACY_TOL:
+            pfaffian_norm((n1, n2, n3), p)  # raises DegeneratePfaffianError
+        u1, u2, u3 = n1 / norm, n2 / norm, n3 / norm
+        if galilean:
+            _refuse_time_component(u1)
+        # (v . J . v) / |N|, divided before the last contraction: then only
+        # |v| |J|, not |v|^2 |J|, must stay finite
+        lam = ((v1 * j11 + v2 * j21 + v3 * j31) / norm * v1
+               + (v1 * j12 + v2 * j22 + v3 * j32) / norm * v2
+               + (v1 * j13 + v2 * j23 + v3 * j33) / norm * v3)
+        return (v1, v2, v3, -lam * u1, -lam * u2, -lam * u3)
 
     nu1, nu2 = nu
     y = p0 + tuple([e1 * nu1 + e2 * nu2 for e1, e2, _ in surface.frame.rows_at(p0)])

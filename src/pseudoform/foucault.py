@@ -30,7 +30,7 @@ from typing import Any, NamedTuple, Optional
 from . import formlang, geometry, pfaff
 from .errors import (ConstraintViolationError, DegenerateWindowError, EvaluationDomainError,
                      ValidationError, check_real, check_vector)
-from .integrate import (check_step_size, flow_matrix, identity, linear_flow_blocks,
+from .integrate import (check_step_size, flow_matrix, fold_sum, identity, linear_flow_blocks,
                         linear_rk4_orbit, matadd, matmul)
 
 OMEGA_EARTH = 7.292e-5  # rad/s, sidereal rotation rate
@@ -328,7 +328,7 @@ def _window_angle(mxx, myy, mxy, k, center):
 
 
 def _apply(m, z):
-    return tuple(sum(map(mul, row, z), 0.0) for row in m)
+    return tuple(fold_sum(map(mul, row, z)) for row in m)
 
 
 _PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]  # the monomials z_i z_j, i <= j
@@ -404,7 +404,7 @@ def measure_precession(traj, window_seconds=None):
     for k in range(n_windows):
         center = traj.t0 + dt * (k * n + 0.5 * (n - 1))
         monomials = [z[i] * z[j] for i, j in _PAIRS]
-        moments = [sum(map(mul, c, monomials), 0.0) / n for c in coefficients]
+        moments = [fold_sum(map(mul, c, monomials)) / n for c in coefficients]
         angles.append(_window_angle(*moments, k, center))
         centers.append(center)
         center_states.append(_apply(to_center, z))

@@ -136,7 +136,8 @@ def _refuse_time_component(u1):
 
 def normal_kernel(pfaffian, metric):
     """The unit normal of a fixed Pfaffian and metric, as a function of a point
-    p already checked as 3 floats; the frame and the geodesic build it once.
+    p already checked as 3 floats; the frame builds it once, and
+    ``fundamental_forms`` once per point.
 
     The function returns 12 floats: u = N / |N|, then du row-major with
     du[i][j] = d_i u_j.  They are formed with ``math`` from one evaluation of
@@ -226,12 +227,14 @@ def connection_form(frame, p):
     omega[i][j][k] = (e_k x^m_j) xtilde^i_m.  The frames are orthonormal on
     the chart under every metric, so omega[i][j][k] = -omega[j][i][k].
     """
+    from .integrate import fold_sum  # loaded here: no command calls the connection
+
     x, dx = frame.rows_and_derivative(p)
     legs = tuple(zip(*x))  # e_1, e_2, e_3 as chart 3-tuples, the columns of X
     # along[k][j] = e_k x_j, the derivative of column j along e_k
-    along = [[tuple(sum(map(mul, leg, [dxn[m][j] for dxn in dx])) for m in range(3))
+    along = [[tuple(fold_sum(map(mul, leg, [dxn[m][j] for dxn in dx])) for m in range(3))
               for j in range(3)] for leg in legs]
-    return tuple(tuple(tuple(sum(map(mul, leg, along[k][j])) for k in range(3))
+    return tuple(tuple(tuple(fold_sum(map(mul, leg, along[k][j])) for k in range(3))
                        for j in range(3)) for leg in legs)
 
 

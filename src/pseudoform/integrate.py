@@ -3,12 +3,14 @@
 ``rk4_step`` is the classical RK4 step of the geodesic's 6-float state,
 written out entry by entry; ``flow_matrix`` is the exact one-step flow
 exp(hA) of a linear y' = A y, whose powers the linear-orbit helpers apply.
+``fold_sum`` is the package's float sum, left to right on every Python.
 Only the linear-orbit helpers import NumPy, when they are called.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from operator import add, mul
 
 from .errors import ValidationError, check_integer, check_real, describe
@@ -58,10 +60,17 @@ def check_step_size(h, name="step size"):
     return h
 
 
+def fold_sum(values):
+    """The floats ``values`` added left to right from 0.0, one rounding per
+    addition, on every Python: the builtin ``sum`` compensates float sums
+    since Python 3.12, so its bits depend on the version."""
+    return reduce(add, values, 0.0)
+
+
 def matmul(a, b):
     """a b for matrices of float rows, each entry summed left to right from 0.0."""
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col), 0.0) for col in cols) for row in a)
+    return tuple(tuple(fold_sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def matadd(a, b):
@@ -78,14 +87,14 @@ def _balanced_norm(a):
     & Reinsch): the pendulum's rows of 1 and omega0^2 become about omega0."""
     b = [list(map(abs, row)) for row in a]
     for i in range(len(b)):
-        c = sum(row[i] for j, row in enumerate(b) if j != i)
-        r = sum(v for j, v in enumerate(b[i]) if j != i)
+        c = fold_sum(row[i] for j, row in enumerate(b) if j != i)
+        r = fold_sum(v for j, v in enumerate(b[i]) if j != i)
         k = (math.frexp(r)[1] - math.frexp(c)[1]) // 2 if c and r else 0
         if math.ldexp(c, k) + math.ldexp(r, -k) < 0.95 * (c + r):
             for row in b:
                 row[i] = math.ldexp(row[i], k)
             b[i] = [math.ldexp(v, -k) for v in b[i]]
-    return max(map(sum, b))
+    return max(map(fold_sum, b))
 
 
 def flow_matrix(a, h):

@@ -232,11 +232,13 @@ def test_geodesic_refuses_galilean_time_component_along_path():
 
 
 def _array_geodesic(surface, p0, nu0, ds, steps):
-    """The geodesic march in NumPy arrays, as a reference for the float one.
+    """The geodesic march in NumPy arrays, as an independent reference for the float one.
 
-    Same equations as ``integrate_geodesic``: u = N / |N|, du = J / |N| -
-    outer(d|N|, N) / |N|^2 with d|N| = J N / |N|, and v-dot = -(v . du . v) u,
-    stepped by classical RK4 on a (6,) array.
+    The normalized equations: u = N / |N|, du = J / |N| - outer(d|N|, N) /
+    |N|^2 with d|N| = J N / |N|, and v-dot = -(v . du . v) u, stepped by
+    classical RK4 on a (6,) array.  ``integrate_geodesic`` steps the
+    multiplier form v-dot = -((v . J . v) / |N|) u instead; the two agree on
+    theta(v) = 0, where v . du . v = (v . J . v - (v . d|N|)(u . v)) / |N|.
     """
     theta = surface.pfaffian
 
@@ -312,16 +314,20 @@ def test_float_start_velocity_matches_the_frame_matvec():
 def _reference_float_march(surface, p0, nu, ds, steps):
     """The float march written generically, as a reference for the unrolled one.
 
-    Each stage point goes through ``values_and_jacobian`` (which checks it),
-    the unit normal and its derivative are formed row by row in a loop, and
-    RK4 builds every stage and the step with ``zip`` comprehensions.  The
-    start state comes from the frame rows, as in ``integrate_geodesic``.
-    Returns (states, aborted, abort_reason).
+    Same multiplier-form equations as ``integrate_geodesic``, v-dot =
+    -((v . J . v) / |N|) u with u = N / |N|: each stage point goes through
+    ``values_and_jacobian`` (which checks it), v . J / |N| is formed column
+    by column in a comprehension and then contracted with v, and RK4 builds
+    every stage and the step with ``zip`` comprehensions.  The start state
+    comes from the frame rows, as in ``integrate_geodesic``.  Returns
+    (states, aborted, abort_reason).
     """
     pfaffian, metric = surface.pfaffian, surface.metric
     galilean = metric.degenerate and pfaffian.chart == "spacetime"
 
-    def unit_normal(p):
+    def rhs(y):
+        v1, v2, v3 = v = y[3:]
+        p = y[:3]
         comps, jac = pfaffian.values_and_jacobian(p)
         norm = pfaffian_norm(comps, p)
         u1, u2, u3 = (c / norm for c in comps)
@@ -329,21 +335,9 @@ def _reference_float_march(surface, p0, nu, ds, steps):
             raise DegenerateNormalizationError(
                 "Galilean metric cannot normalize a Pfaffian with a time component"
             )
-        du = []
-        for j1, j2, j3 in jac:
-            along = j1 * u1 + j2 * u2 + j3 * u3
-            du.append(((j1 - along * u1) / norm, (j2 - along * u2) / norm,
-                       (j3 - along * u3) / norm))
-        return (u1, u2, u3), tuple(du)
-
-    def rhs(y):
-        v1, v2, v3 = v = y[3:]
-        (u1, u2, u3), du = unit_normal(y[:3])
-        (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = du
-        vdv = ((v1 * d11 + v2 * d21 + v3 * d31) * v1
-               + (v1 * d12 + v2 * d22 + v3 * d32) * v2
-               + (v1 * d13 + v2 * d23 + v3 * d33) * v3)
-        return (*v, -vdv * u1, -vdv * u2, -vdv * u3)
+        w1, w2, w3 = [(v1 * a + v2 * b + v3 * c) / norm for a, b, c in zip(*jac)]  # v^T J / |N|
+        lam = w1 * v1 + w2 * v2 + w3 * v3
+        return (*v, -lam * u1, -lam * u2, -lam * u3)
 
     def step(y, h):
         half = 0.5 * h
@@ -415,6 +409,54 @@ def test_unrolled_march_equals_the_generic_float_march(case):
                               "derivative-overflow-abort": "non-finite field value"}.get(case, ""))
     assert len(curve.states) == len(states) > 1
     assert curve.states == states
+
+
+TRANSCENDENTAL = ["sin(y*z)", "exp(x/2)*cos(z)", "2+sin(x*y)"]  # the benchmark's classify form
+
+
+@pytest.mark.parametrize("comps, p0, nu", [
+    (["0", "x", "1"], (0.1, -0.2, 0.3), (math.cos(1.0), math.sin(1.0))),
+    (TRANSCENDENTAL, (0.5, 0.9, 0.5), (0.6, 0.8)),
+], ids=["contact", "transcendental"])
+@pytest.mark.parametrize("scale", ["1e-8", "1e150", "1e200"])
+def test_geodesic_depends_on_the_plane_field_not_on_the_scale_of_theta(comps, p0, nu, scale):
+    # c theta and theta define the same planes, so the same geodesic; at c = 1e200
+    # |theta|^2 overflows, and the march never forms it
+    plain, curve = (integrate_geodesic(PseudoSurface.from_pfaffian(theta), p0, nu, 2e-3, 1000)
+                    for theta in (parse_oneform(comps),
+                                  parse_oneform([f"{scale}*({c})" for c in comps])))
+    assert not plain.aborted and not curve.aborted
+    assert len(curve.states) == len(plain.states) == 1001
+    assert np.max(np.abs(np.array(curve.states) - np.array(plain.states))) <= 1e-14
+
+
+def test_a_fast_geodesic_on_a_large_theta_stays_finite():
+    # |v|^2 |J| = 2e320 would overflow, |v| |J| = 1.4e260 does not: the run
+    # is the one of theta at the same speed, to rounding
+    fast = 1e60
+    plain, curve = (integrate_geodesic(PseudoSurface.from_pfaffian(parse_oneform(comps)),
+                                       (0.1, 0.2, 0.3), (fast, fast), 1e-62, 100)
+                    for comps in (["0", "x", "1"], ["1e200*(0)", "1e200*(x)", "1e200*(1)"]))
+    assert not plain.aborted and not curve.aborted
+    assert len(curve.states) == len(plain.states) == 101
+    delta = np.abs(np.array(curve.states) - np.array(plain.states))
+    assert np.max(delta[:, :3]) <= 1e-14 and np.max(delta[:, 3:]) <= 1e-14 * fast
+
+
+def test_geodesic_keeps_the_constraint_and_the_speed_on_a_transcendental_form():
+    # theta(v) = 0 and |v| are first integrals of the geodesic equations; RK4
+    # keeps both to rounding over 1000 steps of ds 2e-3
+    theta = parse_oneform(TRANSCENDENTAL)
+    curve = integrate_geodesic(PseudoSurface.from_pfaffian(theta), (0.5, 0.9, 0.5), (0.6, 0.8),
+                               2e-3, 1000)
+    assert not curve.aborted and len(curve.states) == 1001
+    states = np.array(curve.states)
+    normals = np.array([theta.components_at(y[:3]) for y in curve.states])
+    speeds = np.linalg.norm(states[:, 3:], axis=1)
+    residual = np.abs(np.sum(normals * states[:, 3:], axis=1)) / (
+        np.linalg.norm(normals, axis=1) * speeds)
+    assert np.max(residual) <= 1e-12
+    assert np.max(np.abs(speeds - speeds[0])) <= 1e-12
 
 
 def _count_calls(field, calls):

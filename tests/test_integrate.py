@@ -12,10 +12,13 @@ from pseudoform import foucault as fc
 from pseudoform.errors import ValidationError
 from pseudoform.formlang import parse_oneform
 from pseudoform.curves import integrate_geodesic
-from pseudoform.geometry import MetricKind, MetricSignature, PseudoSurface
+from pseudoform.geometry import (
+    AdaptedFrame, MetricKind, MetricSignature, PseudoSurface, connection_form,
+)
 from pseudoform.pfaff import RegionSampler, classify, frobenius_coefficient
 from pseudoform.integrate import (
-    BLOCK, flow_matrix, linear_flow_blocks, linear_rk4_orbit, rk4_step, validate_steps,
+    BLOCK, _balanced_norm, flow_matrix, fold_sum, linear_flow_blocks, linear_rk4_orbit, matmul,
+    rk4_step, validate_steps,
 )
 
 PARIS = fc.FoucaultConfig(latitude=math.radians(48.85), length=67.0)
@@ -344,3 +347,28 @@ def test_records_take_defaults_and_arity_from_their_named_tuple(cls, required, d
 def test_validate_steps_takes_numpy_scalars():
     validate_steps(np.int64(3), np.float64(-0.1))
     validate_steps(1, np.float32(1e-3))
+
+
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_float_sums_run_left_to_right_on_every_python():
+    # since Python 3.12 the builtin sum compensates float sums: it gives 1.0 for
+    # 1e16 + 1 - 1e16 and 1e16 + 2 for 1e16 + 1 + 1, where one rounding per
+    # addition from the left gives 0.0 and 1e16, as on Python 3.10 and 3.11
+    cancelling, absorbed = (1e16, 1.0, -1e16), (1e16, 1.0, 1.0)
+    assert fold_sum(cancelling) == _left_to_right(cancelling) == 0.0
+    assert fold_sum(absorbed) == _left_to_right(absorbed) == 1e16
+    assert matmul((cancelling,), ((1.0,), (1.0,), (1.0,))) == ((0.0,),)
+    assert _balanced_norm((absorbed, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))) == 1e16
+    assert fc._apply((cancelling,), (1.0, 1.0, 1.0)) == (0.0,)
+    # every leg is (1e16, 1, -1e16) and every derivative 1: each e_k x_j and
+    # each omega sums the cancelling triple
+    rows = tuple((c, c, c) for c in cancelling)
+    ones = ((1.0,) * 3,) * 3
+    frame = AdaptedFrame(lambda p: None, lambda n, need: (rows, (ones, ones, ones)))
+    assert connection_form(frame, (0.0, 0.0, 0.0)) == (((0.0,) * 3,) * 3,) * 3
