@@ -30,11 +30,13 @@ CSV text is ``'%.17g' % v`` per value, whichever path writes it.  Each
 of the geodesic's and the precession's float rows is one ``%`` over its
 values, written as the rows are iterated.  The ``foucault sim`` and
 ``transport`` tables go through ``csvtext``, which converts whole 2-D
-blocks with NumPy: a value whose 17 correctly rounded digits float64
-arithmetic certifies is written from those digits, and every other value
-through ``%``, so the bytes are the same either way.  The ``foucault sim``
-and ``transport`` tables are a ``foucault.Orbit``: CSV streams its blocks,
-JSON holds its ``trajectory()``.
+blocks with NumPy: a value of magnitude in [1e-99, 1e100) whose 17
+correctly rounded digits float64 arithmetic certifies is written from
+those digits, and every other value through ``%``, so the bytes are the
+same either way.  The ``foucault sim`` and ``transport`` tables are a
+``foucault.Orbit``: CSV streams its blocks, checked once each for a value
+that is not finite and written as ASCII bytes, and JSON holds its
+``trajectory()``.
 
 A JSON document is the one line of ``json.dumps(document, sort_keys=True,
 allow_nan=False)`` and a newline.  The JSON forms build the whole document
@@ -232,15 +234,36 @@ def _write_text(header, texts, out):
             fh.write(text)
 
 
+def _write_ascii(header, chunks, out):
+    """The header line, then ASCII ``chunks`` (bytes): straight to the byte
+    buffer under the stream where it writes them unchanged (it has one, the
+    newline is POSIX's and the encoding keeps ASCII), decoded otherwise (an
+    ``io.StringIO``, say)."""
+    with _output(out) as fh:
+        fh.write(",".join(header) + "\n")
+        write = fh.write
+        sample = "0123456789.,+-e\n"
+        if (hasattr(fh, "buffer") and os.linesep == "\n"
+                and sample.encode(fh.encoding) == sample.encode("ascii")):
+            fh.flush()
+            write = fh.buffer.write
+        else:
+            chunks = (chunk.decode("ascii") for chunk in chunks)
+        for chunk in chunks:
+            write(chunk)
+
+
 def _write_table(args, config, header, key, orbit):
     """An orbit as CSV rows, block by block, or as JSON ``times`` and ``key`` tables.
 
-    Each CSV block is checked before it is written: at the first row that
-    holds a value that is not finite, the rows before it are written and
-    ``EvaluationDomainError`` names it (exit 3), as an aborted geodesic
-    reports its last step.  Rows count from 0 after the header, so an orbit's
-    row is its step.  ``csvtext`` writes the text, the same bytes as
-    ``'%.17g' % v`` per value.
+    Each CSV block is checked before it is written, with one ``isfinite``
+    over the whole block; only a block that fails is searched row by row.
+    At the first row that holds a value that is not finite, the rows before
+    it are written and ``EvaluationDomainError`` names it (exit 3), as an
+    aborted geodesic reports its last step.  Rows count from 0 after the
+    header, so an orbit's row is its step.  ``csvtext`` writes the text, the
+    same bytes as ``'%.17g' % v`` per value, as ASCII bytes that
+    ``_write_ascii`` hands to the output's byte buffer undecoded.
     """
     if args.format == "json":
         traj = orbit.trajectory()
@@ -254,9 +277,8 @@ def _write_table(args, config, header, key, orbit):
         row = 0
         for block in orbit.blocks():
             block = np.column_stack(block)
-            bad = ~np.isfinite(block).all(axis=1)
-            if bad.any():
-                first = int(bad.argmax())
+            if not np.isfinite(block).all():
+                first = int(np.argmin(np.isfinite(block).all(axis=1)))
                 yield block[:first]
                 raise EvaluationDomainError(
                     f"non-finite value in the {args.command} result at row {row + first}"
@@ -264,7 +286,7 @@ def _write_table(args, config, header, key, orbit):
             yield block
             row += len(block)
 
-    _write_text(header, csv_text(checked()), args.out)
+    _write_ascii(header, csv_text(checked()), args.out)
 
 
 @contextlib.contextmanager

@@ -9,10 +9,11 @@ The geodesic runs on plain floats from its arguments to its samples.
 initial velocity is summed from the adapted frame's float rows, the
 state is a 6-tuple stepped by ``integrate.rk4_step``, and ``SampledCurve``
 keeps the states as they were stepped.  Each RK4 stage is one field
-evaluation: the right-hand side checks the stage point and reads N and its
-Jacobian J from one call of the Pfaffian's ``flat_jet`` (12 flat floats),
-and steps the multiplier form of the geodesic equations, which needs
-neither the unit normal's derivative nor |N|^2.  The start velocity is
+evaluation: the right-hand side checks that the stage point is finite
+(one that is not ends the march, as a non-finite state does), reads N and
+its Jacobian J from one call of the Pfaffian's ``flat_jet`` (12 flat
+floats), and steps the multiplier form of the geodesic equations, which
+needs neither the unit normal's derivative nor |N|^2.  The start velocity is
 built on the adapted frame (``AdaptedFrame(normal, complete)``), whose
 unit normal is N / |N| from the same ``flat_jet``.
 NumPy is imported only when a caller reads ``SampledCurve.s``, so the
@@ -53,6 +54,10 @@ class SampledCurve(NamedTuple):
         return math.dist(self.states[-1][:3], self.states[0][:3])
 
 
+class _NonFiniteStage(Exception):
+    """An RK4 stage point that is not finite, which ends the march."""
+
+
 def integrate_geodesic(surface, p0, nu0, ds, steps):
     """RK4-integrate the geodesic equations in chart position and velocity.
 
@@ -67,13 +72,14 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     normal with a time component, which the frame makes too, the metric
     does not enter: every metric gives the chart-Euclidean geodesic.  The
     state is stepped as a 6-tuple of floats: each stage point is checked to
-    be finite (a ``ValidationError`` naming it otherwise) and evaluated
-    once, N and J from the Pfaffian's ``flat_jet``; |N| is ``math.hypot``'s,
-    so no |N|^2 is formed.  ``steps * ds`` must be finite, so that every
-    sample's arc parameter k * ds is.  A degenerate Pfaffian (|N| at most
-    ``DEGENERACY_TOL``) or a field leaving its domain along the way aborts
-    and returns the partial curve with ``aborted`` set, as does a state
-    that stops being finite.
+    be finite and evaluated once, N and J from the Pfaffian's ``flat_jet``;
+    |N| is ``math.hypot``'s, so no |N|^2 is formed.  ``steps * ds`` must be
+    finite, so that every sample's arc parameter k * ds is.  A degenerate
+    Pfaffian (|N| at most ``DEGENERACY_TOL``) or a field leaving its domain
+    along the way aborts and returns the partial curve with ``aborted`` set,
+    as does a state, or an RK4 stage point, that stops being finite
+    ("non-finite state at step k").  Only ``p0`` is refused as a config
+    error.
     """
     validate_steps(steps, ds)
     p0 = point_coords(p0)
@@ -95,8 +101,9 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     def rhs(_s, y):
         x1, x2, x3, v1, v2, v3 = y
         p = (x1, x2, x3)
-        if not math.isfinite(x1 + x2 + x3):  # a sum can overflow: point_coords checks each
-            point_coords(p)
+        # a sum can overflow, so only then are the coordinates checked one by one
+        if not math.isfinite(x1 + x2 + x3) and not all(map(math.isfinite, p)):
+            raise _NonFiniteStage
         n1, n2, n3, j11, j12, j13, j21, j22, j23, j31, j32, j33 = jet(p)
         norm = math.hypot(n1, n2, n3)
         if norm <= DEGENERACY_TOL:
@@ -119,11 +126,14 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     for k in range(steps):
         try:
             y = rk4_step(rhs, k * ds, y, ds)
+            finite = all(map(math.isfinite, y))
+        except _NonFiniteStage:
+            finite = False
         except (DegeneratePfaffianError, EvaluationDomainError) as err:
             aborted = True
             reason = str(err)
             break
-        if not all(map(math.isfinite, y)):
+        if not finite:
             aborted = True
             reason = f"non-finite state at step {k + 1}"
             break

@@ -1,5 +1,7 @@
 """Command-line interface: configs, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -712,6 +714,20 @@ def test_a_process_writes_the_bytes_of_an_in_process_run(tmp_path, capsys, words
     assert out.count("\n") == (2502 if words == ["foucault", "sim"] else 1)
 
 
+def test_a_table_csv_is_the_same_through_a_file_stdout_and_a_text_stream(tmp_path, capsys):
+    # csvtext's ASCII bytes go to the byte buffer under the file or stdout, after
+    # the header; a stream without one (io.StringIO) gets them decoded
+    config = {"latitude": 0.85, "dt": 0.01, "duration": 25.0, "initial": [0.1, 0, 0, 0]}
+    target = tmp_path / "sim.csv"
+    assert _run(tmp_path, capsys, ["--out", str(target), "foucault", "sim"], config)[0] == 0
+    _, out, _ = _run(tmp_path, capsys, ["foucault", "sim"], config)
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        assert cli.run(["--config", str(tmp_path / "config.json"), "foucault", "sim"]) == 0
+    assert target.read_text() == out == stream.getvalue()
+    assert out.startswith("t,x,y,vx,vy\n0,0.10000000000000001,0,0,0\n")
+
+
 def test_a_process_runs_its_atexit_handlers_and_skips_the_teardown(tmp_path):
     # the handler runs before os._exit; the object's __del__ would print only
     # when the interpreter tears down the script's globals
@@ -789,14 +805,21 @@ def test_huge_normal_gives_the_flat_forms_without_warnings(tmp_path, source):
     assert all(part == 0.0 for z in entry["curvatures"].values() for part in z.values())
 
 
-def test_non_finite_geodesic_stage_point_is_a_config_error(tmp_path):
+@pytest.mark.parametrize("config, start", [
     # the state stays finite, but the first stage point x + (ds/2) v overflows
-    proc = _run_process(tmp_path, ["geodesic"], {
-        "pfaffian": ["0", "0", "1"], "point": [0, 0, 0], "nu": [1e300, 0], "ds": 1e10,
-        "steps": 3})
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("config error: chart point must be 3 finite real numbers, "
-                           "got (inf, 0.0, 0.0)\n")
+    ({"pfaffian": ["0", "0", "1"], "point": [0, 0, 0], "nu": [1e300, 0], "ds": 1e10, "steps": 3},
+     "0,0,0,0,1.0000000000000001e+300,0,0"),
+    # the first stage's acceleration overflows, so the next stage point is not finite
+    ({"levelset": "x^2+y^2+z^2", "point": [1, 0, 0], "nu": [1e155, 0], "ds": 1e-156,
+      "steps": 50}, "0,1,0,0,0,1e+155,0"),
+], ids=["velocity", "acceleration"])
+def test_a_non_finite_geodesic_stage_point_aborts_the_march(tmp_path, config, start):
+    # the march ends with the start row written, as at a non-finite state;
+    # only p0 is refused as a config error
+    proc = _run_process(tmp_path, ["geodesic"], config)
+    assert (proc.returncode, proc.stdout) == (3, f"t,x,y,z,vx,vy,vz\n{start}\n")
+    assert proc.stderr == (f"numerical error: geodesic aborted after 0 of {config['steps']} "
+                           "steps: non-finite state at step 1\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1046,18 +1069,23 @@ def test_a_step_that_turns_past_max_phase_is_a_config_error(tmp_path, capsys, fm
     assert err.endswith(f"the longest step is {longest} s\n")
 
 
-@pytest.mark.parametrize("words, config", [
-    (["foucault", "sim"], _OVERFLOWING_PENDULUM),
-    (["transport"], _OVERFLOWING_TRANSPORT),
-], ids=["sim", "transport"])
-def test_a_non_finite_csv_row_stops_the_output_with_exit_3(tmp_path, capsys, words, config):
+@pytest.mark.parametrize("words, config, row", [
+    (["foucault", "sim"], _OVERFLOWING_PENDULUM, 199),
+    (["transport"], _OVERFLOWING_TRANSPORT, 206),
+    # past the first 1024-row block: each block is checked whole, and only a
+    # block that fails is searched for its row, counted from the table's start
+    (["foucault", "sim"], {**_OVERFLOWING_PENDULUM, "dt": 1e-3}, 1983),
+    (["transport"], {**_OVERFLOWING_TRANSPORT, "dt": 1}, 2056),
+], ids=["sim", "transport", "sim-past-block-0", "transport-past-block-0"])
+def test_a_non_finite_csv_row_stops_the_output_with_exit_3(tmp_path, capsys, words, config,
+                                                           row):
     # the rows before the first non-finite one are written, and the error names
     # that row; a NumPy warning would fail the test, as warnings are errors here
     code, out, err = _run(tmp_path, capsys, ["--format", "csv", *words], config)
     lines = out.splitlines()
-    assert code == 3 and len(lines) >= 2
+    assert (code, len(lines)) == (3, row + 1)
     assert err == (f"numerical error: non-finite value in the {'-'.join(words)} result "
-                   f"at row {len(lines) - 1}\n")
+                   f"at row {row}\n")
     assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
 
 

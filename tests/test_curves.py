@@ -186,10 +186,14 @@ def test_geodesic_validation():
         integrate_geodesic(surface, (1.0, 0.0, 0.0), (1.0, 0.0), 0.0, 10)
     with pytest.raises(ValidationError):
         integrate_geodesic(surface, (1.0, 0.0, 0.0), (1.0, 0.0), 0.01, 0)
-    # the state stays finite, but the first stage point x + (ds/2) v overflows
+    # the state stays finite, but the first stage point x + (ds/2) v overflows:
+    # that ends the march as a non-finite state does, and only p0 is refused
     plane = PseudoSurface.from_pfaffian(parse_oneform(["0", "0", "1"]))
+    curve = integrate_geodesic(plane, (0.0, 0.0, 0.0), (1e300, 0.0), 1e10, 3)
+    assert (curve.aborted, curve.abort_reason) == (True, "non-finite state at step 1")
+    assert len(curve.states) == 1
     with pytest.raises(ValidationError, match=r"chart point must be 3 finite real numbers, got \(inf"):
-        integrate_geodesic(plane, (0.0, 0.0, 0.0), (1e300, 0.0), 1e10, 3)
+        integrate_geodesic(plane, (math.inf, 0.0, 0.0), (1.0, 0.0), 0.01, 3)
 
 
 @pytest.mark.parametrize("nu", [(math.nan, 1.0), [math.inf, 0.0], np.array([0.0, -math.inf])])
