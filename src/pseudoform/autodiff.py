@@ -6,6 +6,10 @@ Hessian (9 floats, row-major).  The record does no arithmetic: the
 derivative formulas live in the generated code alone.  It is a class
 rather than a tuple only because the benchmark (``perfbench``) counts
 its allocations by wrapping its ``__init__``.
+
+The function of a field without chart variables returns one record,
+built when the field is compiled, at every point, so callers share it:
+read a record's fields, and never assign them.
 """
 
 from __future__ import annotations

@@ -23,6 +23,10 @@ tree on those numbers:
 * The source holds only names the generator makes; finite literals are
   written with ``repr`` and non-finite ones (``1e999``) read from a
   constants tuple.
+* A tree without a chart variable is evaluated once, when it is
+  compiled, and its function returns that one record at every point.
+  If that evaluation raises, the straight-line function is kept, and
+  it raises at every point as before.
 
 The tree's nodes (``formlang``) call the ``_Code`` method of their
 operation from ``emit``; this module knows no node class.
@@ -317,7 +321,8 @@ _NAMESPACE = {
 
 
 def field_source(node, variables, fold=True):
-    """Source of ``field(x0, x1, x2)`` for ``node``, and its constants tuple.
+    """Source of ``field(x0, x1, x2)`` for ``node``, its constants tuple,
+    and whether the tree holds a chart variable.
 
     With ``fold`` the function ends in a finiteness check of the summed
     multipliers of folded zero terms and calls ``_exact``, the function
@@ -325,14 +330,16 @@ def field_source(node, variables, fold=True):
     """
     constants = []
     code = _Code(variables, fold, constants)
-    term = code.lift(node.emit(code))  # no variables: zero derivatives
+    term = node.emit(code)
+    varies = term.grad is not None
+    term = code.lift(term)  # no variables: zero derivatives
     body = list(code.lines)
     if code.checked:
         body += [f"if not _isfinite({_total(code.checked)}):", "    return _exact(x0, x1, x2)"]
     grad = ", ".join(g or "0.0" for g in term.grad)
     hess = ", ".join(h or "0.0" for h in term.hess)
     body.append(f"return _Dual({term.value}, ({grad}), ({hess}))")
-    return "\n".join(["def field(x0, x1, x2):"] + _indent(body)), tuple(constants)
+    return "\n".join(["def field(x0, x1, x2):"] + _indent(body)), tuple(constants), varies
 
 
 def _total(terms):
@@ -355,12 +362,26 @@ def compile_field(node, variables):
     Its unfolded twin is written and compiled on the first evaluation
     that calls it, which only a point where the folded multipliers are
     not finite does; most fields never call it.
+
+    A tree without a chart variable is evaluated once, here, and the
+    function returns that one ``Dual`` at every point.  If that
+    evaluation raises, the straight-line function is returned instead,
+    so every evaluation raises as it would have, with its point.
     """
     compiled = []
 
     def exact(*point):
         if not compiled:
-            compiled.append(_function(*field_source(node, variables, fold=False)))
+            source, constants, _ = field_source(node, variables, fold=False)
+            compiled.append(_function(source, constants))
         return compiled[0](*point)
 
-    return _function(*field_source(node, variables), exact)
+    source, constants, varies = field_source(node, variables)
+    field = _function(source, constants, exact)
+    if varies:
+        return field
+    try:
+        record = field(0.0, 0.0, 0.0)  # reads no coordinate
+    except Exception:  # whatever it is, each evaluation raises it again
+        return field
+    return lambda x0, x1, x2: record

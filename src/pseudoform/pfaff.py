@@ -13,8 +13,9 @@ form gives there.
 The sampler and the classification run on plain floats and never import
 NumPy.  The digit scramble draws its permutations from
 ``random.Random(seed).random()``, whose stream Python keeps stable for a
-given seed, so the points are the same bytes on every Python version; each
-point is computed from its index when it is read.
+given seed, so the points are the same bytes on every Python version.  The
+points are computed one range of indices at a time as they are read, at
+most 256 of them while a loop walks the sequence.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ DEFAULT_TOL = 1e-8
 HALTON_BASES = (2, 3, 5)
 MAX_SAMPLES = 10**7  # largest sample count accepted; the points are computed as they are read
 _LOW_SPAN = 256  # most digit values the sampler tabulates for the lowest positions of an axis
+_CHUNK = 256  # most points an iteration over the sampler computes at once
 
 
 class NormalForm(enum.Enum):
@@ -90,8 +92,9 @@ class RegionSampler(_RegionFields):
     def points(self):
         """The ``count`` sample points as a sized sequence of 3-tuples of floats.
 
-        Each point is computed from its index when it is read, so the
-        sequence holds only the scramble's tables, whatever the count.
+        The points are computed one range of indices at a time as they
+        are read, so the sequence holds only the scramble's tables,
+        whatever the count.
         """
         return _HaltonPoints(*self._box(), operator.index(self.count), operator.index(self.seed))
 
@@ -111,7 +114,9 @@ class _HaltonPoints(Sequence):
     floats are the same.  Each axis keeps that sum over its lowest
     positions for every value of their digits, the terms of the positions
     that indices below the count reach, and the nonzero terms of the
-    positions they do not (each the scrambled 0).
+    positions they do not (each the scrambled 0).  Indexing, slicing and
+    iteration (in chunks of at most ``_CHUNK`` indices) all compute their
+    points with ``_points``.
     """
 
     def __init__(self, lo, hi, count, seed):
@@ -142,28 +147,46 @@ class _HaltonPoints(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._point(i) for i in range(*index.indices(self._count))]
+            return self._points(range(self._count)[index])
         i = operator.index(index)
         if i < 0:
             i += self._count
         if not 0 <= i < self._count:
             raise IndexError("sample index out of range")
-        return self._point(i)
+        return self._points(range(i, i + 1))[0]
 
     def __iter__(self):
-        return map(self._point, range(self._count))
+        for start in range(0, self._count, _CHUNK):
+            yield from self._points(range(start, min(start + _CHUNK, self._count)))
 
-    def _point(self, i):
-        coords = []
+    def _points(self, indices):
+        """The points of a range of indices, in its order, as a list of 3-tuples.
+
+        Each axis splits the range where ``i // span`` changes.  A segment
+        looks up the terms of the higher digits once, and each of its
+        points adds them and then the tail to its tabulated low sum.
+        """
+        if indices.step < 0:
+            return self._points(indices[::-1])[::-1]
+        step, stop = indices.step, indices.stop
+        columns = []
         for base, span, sums, head, tail, lo, width in self._axes:
-            v, k = sums[i % span], i // span
-            for terms in head:
-                v += terms[k % base]
-                k //= base
-            for term in tail:
-                v += term
-            coords.append(lo + v * width)
-        return tuple(coords)
+            column, i = [], indices.start
+            while i < stop:
+                k, low = divmod(i, span)
+                values = sums[low:min(low + stop - i, span):step]
+                i += len(values) * step
+                addends = []
+                for terms in head:
+                    addends.append(terms[k % base])
+                    k //= base
+                addends += tail
+                for v in values:
+                    for term in addends:
+                        v += term
+                    column.append(lo + v * width)
+            columns.append(column)
+        return list(zip(*columns))
 
 
 def frobenius_coefficient(theta, p):
@@ -205,8 +228,8 @@ def classify(theta, region, tol=DEFAULT_TOL):
 
     Each sample is one float ``_sample``; the three maxima are tracked as
     floats, and a NaN sample makes its maximum NaN (as ``np.max`` would).
-    The sample points are read one at a time, as the sampler computes
-    them, so no per-sample array or list of all points is built.  ``tol``
+    The sample points are read as the sampler computes them, at most 256
+    at a time, so no per-sample array or list of all points is built.  ``tol``
     must be a finite number >= 0.
     """
     if check_real("tol", tol) < 0:

@@ -507,6 +507,29 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert "(0.0, 0.0, 0.0)" in err and "np.float64" not in err
 
 
+_FIRST_SAMPLE = "(0.9574043918304858, 0.3683589730966486, 0.3955177391537895)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "float division by zero at point {point}"),
+    ("10^400", "overflow at point {point}"),
+    ("ln(0)", "ln of non-positive value 0.0"),
+    ("(-8)^(1/3)", "negative base -8.0 with fractional exponent 0.3333333333333333"),
+    ("1e999", "non-finite field value or derivative at point {point}"),
+    ("0*1e999", "non-finite field value or derivative at point {point}"),
+])
+def test_a_failing_constant_component_is_a_numerical_error_at_its_first_point(
+        tmp_path, capsys, text, message):
+    # a constant is evaluated once when it is compiled, but a failure still
+    # comes from the first evaluation, with the point where one is named
+    config = {"theta": [text, "x", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
+    code, out, err = _run(tmp_path, capsys, ["classify"], config)
+    assert (code, out, err) == (3, "", f"numerical error: {message.format(point=_FIRST_SAMPLE)}\n")
+    config = {"pfaffian": ["0", "x", text], "points": [[0.1, 0.2, 0.3]]}
+    code, out, err = _run(tmp_path, capsys, ["surface"], config)
+    assert (code, out, err) == (3, "", f"numerical error: {message.format(point='(0.1, 0.2, 0.3)')}\n")
+
+
 _CLASSIFY_BOX = {"theta": ["0", "0", "1"], "lower": [0, 0, 0], "upper": [1, 1, 1]}
 _OVERFLOW_BOX = {"lower": [800, 0, 0], "upper": [900, 1, 1]}
 

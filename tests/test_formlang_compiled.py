@@ -5,6 +5,7 @@ same message, or their results compare equal with ``==``.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from test_autodiff import DOMAIN_FAILURES, ORDER_EXPRESSIONS, ORDER_POINTS, _sub
 
 # NaN and infinite constant exponents are no integers, at a zero, positive or negative base
 EXTRA_CASES = ["1e999*x", "0^(0-1)", "(0-8)^0.5", "1/0", "x^(0*1e999)", "(0-x)^(0*1e999)",
-               "x^1e999", "(0-x)^(0-1e999)"]
+               "x^1e999", "(0-x)^(0-1e999)",
+               # constants evaluated once at compile time, whose failures still come at evaluation
+               "10^400", "ln(0)", "(-8)^(1/3)", "1e999", "0*1e999"]
 EXTRA_POINTS = [(0.7, 1.3, 0.4), (0.0, -2.0, 1.0), (-0.0, 0.0, 0.0)]
 
 
@@ -94,7 +97,7 @@ def test_non_finite_literals_and_constant_errors_match_the_walk(text):
 
 
 def test_a_non_finite_literal_stays_out_of_the_source():
-    source, constants = field_source(parse_expression("1e999*x"), ("x", "y", "z"))
+    source, constants, _ = field_source(parse_expression("1e999*x"), ("x", "y", "z"))
     assert "inf" not in source and constants == (math.inf,)
     with pytest.raises(Exception, match="non-finite field value"):
         formlang.parse_scalar("1e999*x").value((1.0, 0.0, 0.0))
@@ -166,6 +169,30 @@ def test_a_parse_writes_one_source_and_the_twin_waits_for_its_first_call(monkeyp
     for _ in range(2):
         field.fn(0.5, 0.25, 2.0)
     assert folds == [True, False]
+
+
+def _bits(result):
+    """A Dual's floats as their IEEE bytes, so -0.0 differs from 0.0."""
+    return b"".join(struct.pack("<d", v) for v in (result.v, *result.grad, *result.hess))
+
+
+@pytest.mark.parametrize("text", ["0", "pi/2", "sin(1)*e"])
+def test_a_constant_runs_its_straight_line_code_once_per_parse(monkeypatch, text):
+    runs, function = [], formcode._function
+
+    def counted(*args):
+        fn = function(*args)
+        return lambda *p: runs.append(p) or fn(*p)
+
+    monkeypatch.setattr(formcode, "_function", counted)
+    node = parse_expression(text)
+    field, walked = expression_field(node), walked_field(node)
+    assert len(runs) == 1
+    for p in EXTRA_POINTS + ORDER_POINTS:
+        assert _bits(field.fn(*p)) == _bits(walked.fn(*p)), p
+    assert len(runs) == 1
+    for p in EXTRA_POINTS:
+        assert_equivalent(node, p)
 
 
 # -- hypothesis: every operator and function, constants that reach the edge cases

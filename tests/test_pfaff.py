@@ -145,15 +145,29 @@ def test_region_sampler_reference_points():
 
 
 TWIN_SEEDS = [*range(300), 2**64 - 1, 2**70 + 3]
+EDGE_SEEDS = (5, 2**64 - 1)
 
 
-@pytest.mark.parametrize("count", [1, 7, 2500])
+@pytest.mark.parametrize("count", [1, 7, 124, 125, 126, 242, 243, 244, 255, 256, 257, 513, 2500])
 def test_region_sampler_points_equal_the_array_reference(count):
+    # the base-5, base-3 and base-2 spans are 125, 243 and 256, and iteration
+    # computes chunks of 256 points
     lower, upper = (-2.0, 0.5, 10.0), (-1.5, 3.0, 10.25)
-    for seed in TWIN_SEEDS:
+    for seed in TWIN_SEEDS if count in (1, 7, 2500) else EDGE_SEEDS:
         region = RegionSampler(lower, upper, count=count, seed=seed)
         got = np.array(region.points())
         assert got.tobytes() == pfaff_reference.points(region).tobytes(), seed
+    for seed in EDGE_SEEDS:  # items, negative items and slices read the same points
+        region = RegionSampler(lower, upper, count=count, seed=seed)
+        points, want = region.points(), [tuple(p) for p in pfaff_reference.points(region).tolist()]
+        assert list(points) == want
+        assert [points[k] for k in range(count)] == want
+        assert [points[k] for k in range(-count, 0)] == want
+        for start in (None, 0, 3, 120, 250, -7):
+            for stop in (None, 130, 260, -2):
+                for step in (None, 1, 2, 3, 7, 250, -1, -3):
+                    cut = slice(start, stop, step)
+                    assert points[cut] == want[cut], (seed, cut)
 
 
 def test_region_sampler_points_are_a_sized_sequence():
