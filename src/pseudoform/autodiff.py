@@ -1,8 +1,9 @@
-"""The result record of compiled formlang fields.
+"""The result record of a compiled formlang field's own function.
 
 A field's compiled function (``formcode``) takes a point's three floats
 and returns one ``Dual``: the value, the gradient (3 floats) and the
-Hessian (9 floats, row-major).  The record does no arithmetic: the
+Hessian (9 floats, row-major).  A one-form's compiled ``flat_jet`` builds
+none: it calls such a function only for a field without a tree.  The record does no arithmetic: the
 derivative formulas live in the generated code alone.  It is a class
 rather than a tuple only because the benchmark (``perfbench``) counts
 its allocations by wrapping its ``__init__``.

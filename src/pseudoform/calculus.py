@@ -3,11 +3,14 @@
 Scalar fields carry exact first and second derivatives: ``formlang``
 compiles each expression into straight-line code that takes a point's
 three floats and returns one ``Dual`` record of the value, the gradient
-and the Hessian.  ``ScalarField._vgh`` calls that code for a field, and
-each kind of one-form has one flat evaluator, ``flat_jet``, that calls
-it for the form: ``OneForm`` once per component, the gradient form of a
-level set once on its field.  Every evaluation below goes through one of
-them.  One-forms are built from three scalar fields, and
+and the Hessian, and ``ScalarField._vgh`` calls it.  Each one-form has
+one flat evaluator, ``flat_jet``, which ``formcode.compile_jet`` writes
+when the form is built: one straight-line function of the point for the
+whole form, with the trees of all three components at first order, or a
+level set's tree at second order for its gradient form.  A field built
+from a plain function, with no tree, is called through its ``fn``.
+Every evaluation below goes through ``_vgh`` or ``flat_jet``.  One-forms
+are built from three scalar fields on the form's chart, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form's
 cyclic components.
 
@@ -90,12 +93,16 @@ class ScalarField:
     ``Dual`` record of the value, the gradient and the full Hessian, as
     the function that ``formlang`` compiles does.
     ``chart`` names the coordinates, as in ``formlang.CHARTS``, and
-    ``gradient_oneform`` of the field lives on the same chart.
+    ``gradient_oneform`` of the field lives on the same chart.  ``node``
+    is the ``formlang`` tree that ``fn`` was compiled from, if any, which
+    the flat jets of the forms built on the field are written from.
     """
 
-    def __init__(self, fn, chart="spatial"):
+    def __init__(self, fn, chart="spatial", node=None):
         self.fn = fn
         self.chart = chart
+        self.node = node
+        self.gradient = None  # its gradient_oneform, built on first use
 
     def _vgh(self, p):
         """``Dual.v``, ``grad`` and ``hess`` of ``fn`` at the point p (3 floats)."""
@@ -122,9 +129,18 @@ class ScalarField:
 
 
 class OneForm:
-    """theta = theta_i dx^i with scalar-field components."""
+    """theta = theta_i dx^i with scalar-field components on the form's chart.
+
+    ``flat_jet(p)`` gives the form's 12 floats at a point p already checked
+    as 3 floats: theta_1..3, then J row-major, J[i][j] = d_i theta_j.  It is
+    the form's one evaluation, compiled here (``formcode.compile_jet``): it
+    raises a compiled field's ``OverflowError`` or ``ZeroDivisionError`` as
+    ``EvaluationDomainError`` and checks every float it returns to be finite.
+    """
 
     def __init__(self, components, chart="spatial"):
+        from .formcode import compile_jet  # loaded with the first form
+
         if len(components) != 3:
             raise ValidationError("a one-form needs exactly 3 components")
         for idx, c in enumerate(components):
@@ -132,8 +148,12 @@ class OneForm:
                 raise ValidationError(
                     f"one-form component {idx} must be a ScalarField, got {type(c).__name__}"
                 )
+            if c.chart != chart:
+                raise ValidationError(f"one-form component {idx} is on chart {c.chart!r}, "
+                                      f"not the form's chart {chart!r}")
         self.components = tuple(components)
         self.chart = chart
+        self.flat_jet = compile_jet(self.components)
 
     def components_at(self, p):
         """The component values (theta_1, theta_2, theta_3) at p, as floats.
@@ -153,27 +173,6 @@ class OneForm:
         jet = self.flat_jet(point_coords(p))
         return jet[:3], (jet[3:6], jet[6:9], jet[9:12])
 
-    def flat_jet(self, p):
-        """The form's 12 floats at a point p already checked as 3 floats:
-        theta_1..3, then J row-major, J[i][j] = d_i theta_j.
-
-        The one evaluation kernel of the form: each component's compiled
-        function is looked up and called once on the point, a compiled
-        function's ``OverflowError`` or ``ZeroDivisionError`` is raised as
-        ``EvaluationDomainError``, and the values and gradients are checked
-        to be finite.
-        """
-        f1, f2, f3 = self.components
-        try:
-            d1, d2, d3 = f1.fn(*p), f2.fn(*p), f3.fn(*p)
-        except (OverflowError, ZeroDivisionError) as err:
-            raise _domain_error(err, p) from err
-        v1, v2, v3 = d1.v, d2.v, d3.v
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = d1.grad, d2.grad, d3.grad
-        if not math.isfinite(v1 + v2 + v3 + a1 + a2 + a3 + b1 + b2 + b3 + c1 + c2 + c3):
-            _check_finite(p, v1, v2, v3, a1, a2, a3, b1, b2, b3, c1, c2, c3)
-        return v1, v2, v3, a1, b1, c1, a2, b2, c2, a3, b3, c3
-
 
 def dtheta_cyclic(jac):
     """The cyclic components (d2 theta3 - d3 theta2, d3 theta1 - d1 theta3,
@@ -191,25 +190,19 @@ def exterior_derivative(theta, p):
 
 
 class _GradientOneForm(OneForm):
-    """df on f's chart, read from f's gradient and Hessian."""
+    """df on f's chart: its ``flat_jet`` gives f's gradient, then its Hessian
+    row-major as J, with f's value checked to be finite too."""
 
     def __init__(self, f):
+        from .formcode import compile_jet
+
         self.chart = f.chart
         self.parent = f
-
-    def flat_jet(self, p):
-        """f's gradient, then its Hessian row-major as J, from one call of f's
-        ``fn``; f's value is checked to be finite with them, as in ``differentiate``."""
-        try:
-            d = self.parent.fn(*p)
-        except (OverflowError, ZeroDivisionError) as err:
-            raise _domain_error(err, p) from err
-        jet = d.grad + d.hess
-        if not math.isfinite(d.v + sum(jet)):  # a sum can overflow: then check each
-            _check_finite(p, d.v, *jet)
-        return jet
+        self.flat_jet = compile_jet((f,), gradient=True)
 
 
 def gradient_oneform(f):
-    """df as a OneForm on f's chart."""
-    return _GradientOneForm(f)
+    """df as a OneForm on f's chart: one per field, built on first use."""
+    if f.gradient is None:
+        f.gradient = _GradientOneForm(f)
+    return f.gradient

@@ -11,11 +11,11 @@ state is a 6-tuple stepped by ``integrate.rk4_step``, and ``SampledCurve``
 keeps the states as they were stepped.  Each RK4 stage is one field
 evaluation: the right-hand side checks that the stage point is finite
 (one that is not ends the march, as a non-finite state does), reads N and
-its Jacobian J from one call of the Pfaffian's ``flat_jet`` (12 flat
-floats), and steps the multiplier form of the geodesic equations, which
-needs neither the unit normal's derivative nor |N|^2.  The start velocity is
-built on the adapted frame (``AdaptedFrame(normal, complete)``), whose
-unit normal is N / |N| from the same ``flat_jet``.
+its Jacobian J from one call of the Pfaffian's compiled ``flat_jet`` (12
+flat floats), and steps the multiplier form of the geodesic equations,
+which needs neither the unit normal's derivative nor |N|^2.  The start
+velocity is built on the adapted frame (``AdaptedFrame(normal, complete)``),
+whose unit normal is N / |N| from the same ``flat_jet``.
 NumPy is imported only when a caller reads ``SampledCurve.s``, so the
 ``geodesic`` command never loads it.
 """
@@ -126,7 +126,7 @@ def integrate_geodesic(surface, p0, nu0, ds, steps):
     for k in range(steps):
         try:
             y = rk4_step(rhs, k * ds, y, ds)
-            finite = all(map(math.isfinite, y))
+            finite = math.isfinite(sum(y)) or all(map(math.isfinite, y))  # a sum can overflow
         except _NonFiniteStage:
             finite = False
         except (DegeneratePfaffianError, EvaluationDomainError) as err:

@@ -4,11 +4,16 @@
 function and compiles it (Griewank & Walther, *Evaluating Derivatives*,
 ch. 6, source transformation).  The function takes a point's three
 floats and computes with ``math``, in straight-line code, the value,
-the gradient and the Hessian.  It always returns them as one ``Dual``
-record, with zero derivatives for an expression without variables.
-Its formulas and their operation order are those of the second-order
-forward-mode ``Dual`` arithmetic that the tests keep as the reference
-(``tests/formlang_reference.py``), so its results equal a walk of the
+the gradient and the Hessian.  It returns them as one ``Dual`` record,
+with zero derivatives for an expression without variables.
+``compile_jet`` writes a Pfaffian's ``flat_jet``: a one-form's three
+trees at first order (no Hessian entry, no ``Dual``, but every line that
+can raise) or a level set's tree at second order.  First order checks
+only the gradients' folded multipliers, so where only a Hessian's is not
+finite, a zero may differ in sign from the field's own function.  Both
+use the formulas and operation order of the second-order forward-mode
+``Dual`` arithmetic that the tests keep as the reference
+(``tests/formlang_reference.py``), so their results equal a walk of the
 tree on those numbers:
 
 * Derivative entries that are zero at every point are folded away.  A
@@ -37,7 +42,9 @@ from __future__ import annotations
 import math
 
 from .autodiff import Dual
+from .calculus import _check_finite, _domain_error
 from .errors import EvaluationDomainError
+from .formlang import CHARTS
 
 _ONE = "1.0"
 _CHAIN_TERMS = 32  # longest finiteness check written as a + b + ...
@@ -97,9 +104,11 @@ class _Term:
 class _Code:
     """Straight-line statements for one expression."""
 
-    def __init__(self, variables, fold, constants):
+    def __init__(self, variables, fold, constants, second=True):
         self.variables = variables
         self.zero = None if fold else "0.0"  # an entry that no point makes nonzero
+        self.second = second  # write Hessian entries; at first order every ``hess`` is None
+        self.zeros = [self.zero] * 9 if second else None  # a constant's Hessian
         self.constants = constants  # non-finite literals, read from _K
         self.lines = []
         self.checked = {}  # m of each folded term 0 * m, in order
@@ -129,18 +138,18 @@ class _Code:
         index = self.variables.index(name)
         grad = [self.zero] * 3
         grad[index] = _ONE
-        return _Term(f"x{index}", grad, [self.zero] * 9)
+        return _Term(f"x{index}", grad, self.zeros)
 
     def dual(self, value, grad, hess):
         """A Dual's term with every entry held in a local."""
         grad = [self.name(g) for g in grad]
-        return _Term(value, grad, [self.name(h) for h in hess])
+        return _Term(value, grad, hess and [self.name(h) for h in hess])
 
     def lift(self, term):
         """A constant as a Dual with zero derivatives, as the reference ``_lift``."""
         if term.grad is not None:
             return term
-        return _Term(term.value, [self.zero] * 3, [self.zero] * 9)
+        return _Term(term.value, [self.zero] * 3, self.zeros)
 
     def check(self, condition, message):
         self.lines += [f"if {condition}:", f"    raise _Domain(f{message!r})"]
@@ -177,21 +186,23 @@ class _Code:
 
     def add_terms(self, s, o):
         return self.dual(self.name(f"{s.value} + {o.value}"), map(self.add, s.grad, o.grad),
-                         map(self.add, s.hess, o.hess))
+                         s.hess and map(self.add, s.hess, o.hess))
 
     def sub_terms(self, s, o):
         return self.dual(self.name(f"{s.value} - {o.value}"), map(self.sub, s.grad, o.grad),
-                         map(self.sub, s.hess, o.hess))
+                         s.hess and map(self.sub, s.hess, o.hess))
 
     def mul_terms(self, s, o):
         av, bv = s.value, o.value
         value = self.name(f"{av} * {bv}")
-        cross = [self.name(self.mul(a, b)) for a in s.grad for b in o.grad]
-        hess = [
-            self.add(self.add(self.add(self.mul(s.hess[k], bv), self.mul(av, o.hess[k])),
-                              cross[k]), cross[3 * (k % 3) + k // 3])
-            for k in range(9)
-        ]
+        hess = None
+        if self.second:
+            cross = [self.name(self.mul(a, b)) for a in s.grad for b in o.grad]
+            hess = [
+                self.add(self.add(self.add(self.mul(s.hess[k], bv), self.mul(av, o.hess[k])),
+                                  cross[k]), cross[3 * (k % 3) + k // 3])
+                for k in range(9)
+            ]
         grad = [self.add(self.mul(a, bv), self.mul(av, b)) for a, b in zip(s.grad, o.grad)]
         return self.dual(value, grad, hess)
 
@@ -205,11 +216,12 @@ class _Code:
 
     def chain(self, u, f0, f1, f2):
         """The reference ``_chain``: f0, f1 and f2 are the value and derivatives at u."""
-        g = u.grad
-        square = {(i, j): self.name(self.mul(f2, self.mul(g[i], g[j])))
-                  for i in range(3) for j in range(i, 3)}
-        hess = [self.add(self.mul(f1, u.hess[3 * i + j]), square[min(i, j), max(i, j)])
-                for i in range(3) for j in range(3)]
+        g, hess = u.grad, None
+        if self.second:
+            square = {(i, j): self.name(self.mul(f2, self.mul(g[i], g[j])))
+                      for i in range(3) for j in range(i, 3)}
+            hess = [self.add(self.mul(f1, u.hess[3 * i + j]), square[min(i, j), max(i, j)])
+                    for i in range(3) for j in range(3)]
         return self.dual(f0, [self.mul(f1, g) for g in u.grad], hess)
 
     def pow_const(self, u, c):
@@ -228,7 +240,7 @@ class _Code:
         outer, self.lines = self.lines, []
         result = self.chain(u, r, f1, f2)
         chain_lines, self.lines = self.lines, outer
-        entries = result.grad + result.hess
+        entries = result.grad + (result.hess or [])
         out = [None if e is None else self.fresh() for e in entries]
 
         def assign(values):
@@ -238,7 +250,7 @@ class _Code:
         at_zero = _cases([
             (cases[0], [f"{r} = 0.0", f"{f1} = 0.0", f"{f2} = {square_f2}"] + on_chain),
             (cases[1], [f"{r} = {uv}", f"{f1} = 0.0", f"{f2} = 0.0"]
-             + assign(["0.0" if e is None else e for e in u.grad + u.hess])),
+             + assign(["0.0" if e is None else e for e in u.grad + (u.hess or [])])),
             (cases[2], [f"{r} = 1.0", f"{f1} = 0.0", f"{f2} = 0.0"] + assign(["0.0"] * len(out))),
             (True, [f'raise _Domain(f"0 raised to power {{{c}}}")']),
         ])
@@ -247,7 +259,7 @@ class _Code:
         elsewhere += [f"{r} = {uv} ** {c}", f"{f1} = {c} * {uv} ** ({c} - 1)",
                       f"{f2} = {c} * ({c} - 1) * {uv} ** ({c} - 2)"] + on_chain
         self.lines += _cases([(f"{uv} == 0.0", at_zero), (True, elsewhere)])
-        return _Term(r, out[:3], out[3:])
+        return _Term(r, out[:3], out[3:] or None)
 
     # -- tree nodes
 
@@ -255,7 +267,7 @@ class _Code:
         value = self.name(f"-{t.value}")
         if t.grad is None:
             return _Term(value)
-        return self.dual(value, map(_negated, t.grad), map(_negated, t.hess))
+        return self.dual(value, map(_negated, t.grad), t.hess and map(_negated, t.hess))
 
     def binop(self, op, a, b):
         if op == "^":
@@ -290,14 +302,14 @@ class _Code:
             return _Term(self.name(f"_{fname}({v})"))
         if fname == "sin":
             s, c = self.name(f"_sin({v})"), self.name(f"_cos({v})")
-            return self.chain(t, s, c, self.name(f"-{s}"))
+            return self.chain(t, s, c, self.second and self.name(f"-{s}"))
         if fname == "cos":
             c, s = self.name(f"_cos({v})"), self.name(f"_sin({v})")
-            return self.chain(t, c, self.name(f"-{s}"), self.name(f"-{c}"))
+            return self.chain(t, c, self.name(f"-{s}"), self.second and self.name(f"-{c}"))
         if fname == "tan":
             tv = self.name(f"_tan({v})")
             sec2 = self.name(f"1.0 + {tv} * {tv}")
-            return self.chain(t, tv, sec2, self.name(f"2.0 * {tv} * {sec2}"))
+            return self.chain(t, tv, sec2, self.second and self.name(f"2.0 * {tv} * {sec2}"))
         if fname == "exp":
             e = self.name(f"_exp({v})")
             return self.chain(t, e, e, e)
@@ -317,6 +329,8 @@ _NAMESPACE = {
     "_is_integer": float.is_integer, "_abs": abs, "_sum": sum, "_isinf": math.isinf,
     "_isfinite": math.isfinite, "_copysign": math.copysign, "_sin": math.sin, "_cos": math.cos,
     "_tan": math.tan, "_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt,
+    "_arith": (OverflowError, ZeroDivisionError), "_domain_error": _domain_error,
+    "_check_finite": _check_finite,
 }
 
 
@@ -333,13 +347,55 @@ def field_source(node, variables, fold=True):
     term = node.emit(code)
     varies = term.grad is not None
     term = code.lift(term)  # no variables: zero derivatives
-    body = list(code.lines)
-    if code.checked:
-        body += [f"if not _isfinite({_total(code.checked)}):", "    return _exact(x0, x1, x2)"]
     grad = ", ".join(g or "0.0" for g in term.grad)
     hess = ", ".join(h or "0.0" for h in term.hess)
+    body = code.lines + _fallback(code, "x0, x1, x2")
     body.append(f"return _Dual({term.value}, ({grad}), ({hess}))")
     return "\n".join(["def field(x0, x1, x2):"] + _indent(body)), tuple(constants), varies
+
+
+def jet_source(fields, gradient=False, trees=True):
+    """Source of ``field(p)``, the ``flat_jet`` of the one-form of 3 ``fields``
+    (values, then J[i][j] = d_i theta_j, at first order) or of the one
+    field's ``gradient`` form (gradient, then Hessian, at second order, its
+    value checked too), and its constants tuple.
+
+    The trees are written in turn, one counter naming all their locals; a
+    field without one, or each field without ``trees``, is called as
+    ``_F[k].fn``.  Errors are raised and floats checked as ``calculus``'s
+    ``_domain_error`` and ``_check_finite`` do.
+    """
+    code = _Code(None, True, [], gradient)
+    jets = []
+    for k, field in enumerate(fields):
+        if trees and field.node is not None:
+            code.variables = CHARTS[field.chart]
+            jets.append(code.lift(field.node.emit(code)))
+        else:
+            d = code.name(f"_F[{k}].fn(x0, x1, x2)")
+            jets.append(_Term(f"{d}.v", [f"{d}.grad[{i}]" for i in range(3)],
+                              [f"{d}.hess[{i}]" for i in range(9)]))
+    if gradient:
+        out = jets[0].grad + jets[0].hess
+        read = [jets[0].value] + out
+    else:
+        out = read = [t.value for t in jets] + [t.grad[i] for i in range(3) for t in jets]
+    read = [e for e in read if e is not None and not _is_literal(e)]
+    body = ["x0, x1, x2 = p"] + code.lines + _fallback(code, "p")
+    if read:
+        body += [f"if not _isfinite({' + '.join(read)}):",
+                 f"    _check_finite(p, {', '.join(read)})"]
+    body.append(f"return ({', '.join(e or '0.0' for e in out)})")
+    lines = ["def field(p):", "    try:", *_indent(_indent(body)),
+             "    except _arith as err:", "        raise _domain_error(err, p) from err"]
+    return "\n".join(lines), tuple(code.constants)
+
+
+def _fallback(code, args):
+    """Lines that return ``_exact(args)`` where the folded terms' multipliers are not finite."""
+    if not code.checked:
+        return []
+    return [f"if not _isfinite({_total(code.checked)}):", f"    return _exact({args})"]
 
 
 def _total(terms):
@@ -350,10 +406,22 @@ def _total(terms):
     return f"_sum(({', '.join(terms)}))"
 
 
-def _function(source, constants, exact=None):
-    namespace = dict(_NAMESPACE, _K=constants, _exact=exact)
+def _function(source, constants, exact=None, fields=()):
+    namespace = dict(_NAMESPACE, _K=constants, _exact=exact, _F=fields)
     exec(compile(source, "<formlang>", "exec"), namespace)
     return namespace["field"]
+
+
+def _on_first_call(build):
+    """A function that calls the function ``build()`` returns, built on its first call."""
+    built = []
+
+    def call(*args):
+        if not built:
+            built.append(build())
+        return built[0](*args)
+
+    return call
 
 
 def compile_field(node, variables):
@@ -368,14 +436,7 @@ def compile_field(node, variables):
     evaluation raises, the straight-line function is returned instead,
     so every evaluation raises as it would have, with its point.
     """
-    compiled = []
-
-    def exact(*point):
-        if not compiled:
-            source, constants, _ = field_source(node, variables, fold=False)
-            compiled.append(_function(source, constants))
-        return compiled[0](*point)
-
+    exact = _on_first_call(lambda: _function(*field_source(node, variables, fold=False)[:2]))
     source, constants, varies = field_source(node, variables)
     field = _function(source, constants, exact)
     if varies:
@@ -385,3 +446,13 @@ def compile_field(node, variables):
     except Exception:  # whatever it is, each evaluation raises it again
         return field
     return lambda x0, x1, x2: record
+
+
+def compile_jet(fields, gradient=False):
+    """The ``flat_jet`` of ``jet_source`` as a function of a point's 3 floats.
+
+    Where its folded multipliers are not finite, it calls each field's
+    ``fn`` instead, through a jet compiled on the first such point.
+    """
+    exact = _on_first_call(lambda: _function(*jet_source(fields, gradient, False), None, fields))
+    return _function(*jet_source(fields, gradient), exact, fields)

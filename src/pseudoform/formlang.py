@@ -17,7 +17,8 @@ parse time.
 
 ``expression_field`` compiles a parsed tree, once, into one
 straight-line Python function for its value, gradient and Hessian
-(``formcode``) and wraps it as a ``ScalarField``.
+(``formcode``) and wraps it, with the tree, as a ``ScalarField``; a
+one-form built on such fields writes its flat jet from their trees.
 """
 
 from __future__ import annotations
@@ -294,7 +295,7 @@ def expression_field(node, chart="spatial"):
     # imported on first use, so a CLI call that parses no expression never loads it
     from .formcode import compile_field
 
-    return ScalarField(compile_field(node, chart_variables(chart)), chart)
+    return ScalarField(compile_field(node, chart_variables(chart)), chart, node)
 
 
 def parse_scalar(text, chart="spatial"):

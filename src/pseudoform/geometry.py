@@ -281,7 +281,8 @@ def fundamental_forms(source, frame, metric, p):
     ``source`` is either the Pfaffian one-form N (pseudo-surface route:
     H = minus the pulled-back symmetrized differential of the unit N, from
     its ``normal_kernel``) or a level-set scalar f (surface route: H from
-    the Hessian of f over |grad f|, from one ``differentiate``).  The
+    the Hessian of f over |grad f|, from one call of the ``flat_jet`` of
+    f's ``gradient_oneform``).  The
     frame's ``complete`` builds the tangent legs around that evaluation's
     unit normal, so the legs and H come from the same numbers.  Both forms
     are 2x2 sums of floats on the legs.
@@ -291,7 +292,8 @@ def fundamental_forms(source, frame, metric, p):
         n = normal_kernel(source, metric)(p)
         second, scale = (n[3:6], n[6:9], n[9:12]), 1.0
     elif isinstance(source, ScalarField):
-        _, grad, second = source.differentiate(p)
+        jet = gradient_oneform(source).flat_jet(p)
+        grad, second = jet[:3], (jet[3:6], jet[6:9], jet[9:12])
         scale = pfaffian_norm(grad, p)
         n = (grad[0] / scale, grad[1] / scale, grad[2] / scale)
         if metric.degenerate and source.chart == "spacetime":

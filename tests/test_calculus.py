@@ -55,6 +55,17 @@ def test_oneform_components_must_be_scalar_fields():
         OneForm([f, f])
 
 
+def test_oneform_refuses_a_component_on_another_chart():
+    # one jet writes all three trees over the form's chart, where x would be read
+    # as the spacetime chart's first coordinate, t
+    with pytest.raises(ValidationError, match="component 0 is on chart 'spatial', "
+                                              "not the form's chart 'spacetime'"):
+        OneForm([parse_scalar("x", "spatial"), parse_scalar("x", "spacetime"),
+                 parse_scalar("1", "spacetime")], chart="spacetime")
+    theta = OneForm([parse_scalar(c, "spacetime") for c in ("x", "x", "1")], chart="spacetime")
+    assert theta.components_at((0.5, 2.0, 3.0)) == (2.0, 2.0, 1.0)
+
+
 def test_exterior_derivative_of_dz_vanishes():
     theta = parse_oneform(["0", "0", "1"])
     assert exterior_derivative(theta, (0.2, 0.5, -1.0)) == (0.0, 0.0, 0.0)

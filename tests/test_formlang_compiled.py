@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoform import autodiff, formcode, formlang
-from pseudoform.calculus import OneForm, gradient_oneform
+from pseudoform.calculus import OneForm, _check_finite, _domain_error, gradient_oneform
 from pseudoform.errors import FormSyntaxError
 from pseudoform.formcode import field_source
 from pseudoform.formlang import expression_field, parse_expression
@@ -25,7 +25,9 @@ from test_autodiff import DOMAIN_FAILURES, ORDER_EXPRESSIONS, ORDER_POINTS, _sub
 EXTRA_CASES = ["1e999*x", "0^(0-1)", "(0-8)^0.5", "1/0", "x^(0*1e999)", "(0-x)^(0*1e999)",
                "x^1e999", "(0-x)^(0-1e999)",
                # constants evaluated once at compile time, whose failures still come at evaluation
-               "10^400", "ln(0)", "(-8)^(1/3)", "1e999", "0*1e999"]
+               "10^400", "ln(0)", "(-8)^(1/3)", "1e999", "0*1e999",
+               # operands that raise different errors, so the order of a jet's trees shows
+               "ln(x - 5) * sqrt(x - 5)"]
 EXTRA_POINTS = [(0.7, 1.3, 0.4), (0.0, -2.0, 1.0), (-0.0, 0.0, 0.0)]
 
 
@@ -69,9 +71,36 @@ def _calls(field, p):
     }
 
 
+_CONSTANT = parse_expression("pi/2")
+
+
+def _mixed(make, node):
+    """Three different trees for one one-form: a subexpression of ``node``
+    (its last operand, so that an error of its own comes before the whole
+    expression's first one), ``node`` and a constant."""
+    sub = next((getattr(node, name) for name in ("right", "operand", "argument")
+                if hasattr(node, name)), node)
+    return [make(sub), make(node), make(_CONSTANT)]
+
+
+def _component_jet(fields, p):
+    """A one-form's values and Jacobian rows from each field's own function,
+    called in order, with the errors and the finiteness check of a flat jet."""
+    try:
+        duals = [field.fn(*p) for field in fields]
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _domain_error(err, p) from err
+    values, grads = tuple(d.v for d in duals), [d.grad for d in duals]
+    _check_finite(p, *values, *(g for grad in grads for g in grad))
+    return values, tuple(zip(*grads))
+
+
 def assert_equivalent(node, p):
     compiled = _calls(expression_field(node), p)
     walked = _calls(walked_field(node), p)
+    # one jet writes the three trees in turn: its names, error order and fallback
+    compiled["mixed"] = lambda: OneForm(_mixed(expression_field, node)).values_and_jacobian(p)
+    walked["mixed"] = lambda: _component_jet(_mixed(walked_field, node), p)
     for route in compiled:
         got, want = _outcome(compiled[route]), _outcome(walked[route])
         assert got[0] == want[0] and _same(list(got[1:]), list(want[1:])), (

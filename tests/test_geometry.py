@@ -379,39 +379,37 @@ def test_the_frame_completes_the_normal_of_the_source():
                 == fundamental_forms(sphere, sphere_frame, metric, p))
 
 
-def _counted(fields):
-    """Wrap each field's compiled ``fn`` so that every call appends its point
-    to the returned list."""
+def _counted(form):
+    """Wrap a form's flat jet so that every call appends its point to the returned list."""
     calls = []
-    for field in fields:
-        field.fn = lambda *p, fn=field.fn: calls.append(p) or fn(*p)
+    form.flat_jet = lambda p, jet=form.flat_jet: calls.append(p) or jet(p)
     return calls
 
 
 def test_fundamental_forms_evaluate_each_field_once_per_point():
     points = [(0.0, 0.6, 0.8), (0.48, 0.6, 0.64), (1.0, 0.0, 0.0)]
     sphere = PseudoSurface.from_levelset(parse_scalar("x^2+y^2+z^2"))
-    calls = _counted([sphere.levelset])
+    calls = _counted(sphere.pfaffian)
     for p in points:
         sphere.fundamental_forms(p)
-    assert len(calls) == 3  # one differentiate per point
+    assert len(calls) == 3  # one call of the gradient form's jet per point
     contact = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]), MINKOWSKI)
-    calls = _counted(contact.pfaffian.components)
+    calls = _counted(contact.pfaffian)
     for p in points:
         contact.fundamental_forms(p)
-    assert len(calls) == 9  # one normal kernel per point, three components each
+    assert len(calls) == 3  # one normal kernel per point, one jet call each
 
 
 def test_foucault_geometry_evaluates_theta2_twice(monkeypatch):
     # once for the Frobenius coefficient and once for the fundamental forms,
-    # three component functions each
+    # one call of the form's flat jet each
     from pseudoform import formcode
 
-    compile_field, calls = formcode.compile_field, []
-    monkeypatch.setattr(formcode, "compile_field", lambda *args: (
-        lambda fn: lambda *p: calls.append(p) or fn(*p))(compile_field(*args)))
+    compile_jet, calls = formcode.compile_jet, []
+    monkeypatch.setattr(formcode, "compile_jet", lambda *args: (
+        lambda jet: lambda p: calls.append(p) or jet(p))(compile_jet(*args)))
     fc.foucault_geometry(fc.FoucaultConfig(0.8527), MINKOWSKI)
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
 def test_galilean_degenerate_metric_error():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -13,9 +14,9 @@ import pytest
 
 import pfaff_reference
 import pseudoform
-from pseudoform.calculus import OneForm
+from pseudoform.calculus import OneForm, gradient_oneform
 from pseudoform.errors import DegeneratePfaffianError, EvaluationDomainError, ValidationError
-from pseudoform.formlang import parse_oneform
+from pseudoform.formlang import parse_oneform, parse_scalar
 from pseudoform.pfaff import (
     NormalForm,
     RegionSampler,
@@ -326,10 +327,9 @@ def test_rescaling_keeps_the_verdict_only_above_the_degeneracy_tolerance():
 def test_frobenius_coefficient_evaluates_theta_once():
     theta = parse_oneform(["y", "x*z", "1"])
     calls = []
-    for field in theta.components:
-        field.fn = lambda *p, fn=field.fn: calls.append(p) or fn(*p)
+    theta.flat_jet = lambda p, jet=theta.flat_jet: calls.append(p) or jet(p)
     frobenius_coefficient(theta, (0.3, 0.2, 0.7))
-    assert len(calls) == 3  # one call of each component's compiled function
+    assert len(calls) == 1  # one call of the form's flat jet
 
 
 # -- the float kernel against the array reference ---------------------------------
@@ -345,6 +345,31 @@ def _benchmark_region(seed):
     lower = (np.array([0.2, 0.5, 0.2]) + rng.uniform(-0.1, 0.1, 3)).tolist()
     upper = (np.array(lower) + [0.8, 1.0, 0.8]).tolist()
     return RegionSampler(tuple(lower), tuple(upper), count=2500, seed=seed)
+
+
+def _bits(floats):
+    """Floats as their IEEE bytes, so that -0.0 differs from 0.0."""
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+@pytest.mark.parametrize("texts", BENCHMARK_FORMS,
+                         ids=["closed", "factor", "contact", "transcendental"])
+def test_flat_jet_equals_the_per_component_path_bit_for_bit(texts):
+    # the jet written from the three trees at first order against each component's
+    # own compiled function, at the points of the seed-1 benchmark run
+    theta = parse_oneform(texts)
+    for p in _benchmark_region(1).points():
+        duals = [c.fn(*p) for c in theta.components]
+        want = (*(d.v for d in duals), *(d.grad[i] for i in range(3) for d in duals))
+        assert _bits(theta.flat_jet(p)) == _bits(want), p
+
+
+def test_gradient_jet_is_the_fields_gradient_then_its_hessian_bit_for_bit():
+    f = parse_scalar("x^2+y^2+z^2")
+    df = gradient_oneform(f)
+    for p in _benchmark_region(1).points():
+        d = f.fn(*p)
+        assert _bits(df.flat_jet(p)) == _bits(d.grad + d.hess), p
 
 
 def _outcome(classify_fn, texts, region):
