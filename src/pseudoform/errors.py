@@ -16,9 +16,11 @@ class EvaluationDomainError(PseudoformError):
 
 
 class FormSyntaxError(PseudoformError):
-    """A parse error in the expression DSL, with a 1-based column."""
+    """A parse error in the expression DSL: its bare ``message``, a 1-based
+    ``column``, and the one-form ``component`` it is in, if any."""
 
     def __init__(self, message, column, component=None):
+        self.message = message
         self.column = column
         self.component = component
         prefix = "" if component is None else f"component {component}: "

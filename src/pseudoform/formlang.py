@@ -1,13 +1,13 @@
 """Tiny text DSL for scalar fields and one-form components, compiled at parse time.
 
-Grammar (standard precedence, ^ right-associative and tighter than
-unary minus):
-
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
+A token is an operator ``+ - * / ^ ( )``, a number (decimal digits and
+dots, then an optional exponent such as ``e-3``) or a word that starts with
+a letter or ``_``; white space separates tokens, and any other character, a
+non-decimal digit such as ``²`` too, is a syntax error.  Operands (numbers,
+identifiers, calls ``f(expr)`` and ``(expr)``) are joined by, from loosest
+to tightest, ``+ -``, ``* /``, unary minus and ``^``; ``+ - * /`` group to
+the left and ``^`` to the right, with a unary as its right operand, so
+``-x^2`` is ``-(x^2)`` and ``2^-x^2`` is ``2^(-(x^2))``.
 
 Identifiers are the chart variables, the constants ``pi`` and ``e``
 (parsed to the numbers ``math.pi`` and ``math.e``), or the functions sin,
@@ -24,9 +24,10 @@ one-form built on such fields writes its flat jet from their trees.
 from __future__ import annotations
 
 import math
+import re
 
 from .calculus import OneForm, ScalarField
-from .errors import FormSyntaxError
+from .errors import FormSyntaxError, describe
 
 CHARTS = {
     "spatial": ("x", "y", "z"),
@@ -40,8 +41,8 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 def chart_variables(chart):
     try:
         return CHARTS[chart]
-    except KeyError:
-        raise FormSyntaxError(f"unknown chart {chart!r}", 1) from None
+    except (KeyError, TypeError):  # TypeError: an unhashable chart
+        raise FormSyntaxError(f"unknown chart {describe(chart)}", 1) from None
 
 
 # -- AST ---------------------------------------------------------------
@@ -99,69 +100,44 @@ class Call:
 
 # -- lexer -------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+# One token per match, after any white space: an operator, a number, or a
+# word or any other character, which _lex refuses unless it starts with a
+# letter or "_".
+_TOKEN = re.compile(r"\s*(?:([-+*/^()])|([\d.]+(?:[eE][+-]?\d+)?)|(\w+|\S))")
 
 
-class _Token:
-    __slots__ = ("kind", "value", "column")
-
-    def __init__(self, kind, value, column):
-        self.kind = kind
-        self.value = value
-        self.column = column
-
-
-def _tokenize(text):
+def _lex(text):
+    """``text`` as ``(kind, value, column)`` tokens, ending with ``eof``; an
+    operator's kind is the operator itself."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, col))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        lexeme = match[group]
+        column = match.start(group) + 1
+        if group == 1:
+            tokens.append((lexeme, lexeme, column))
+        elif group == 2:
             try:
-                value = float(lexeme)
+                tokens.append(("number", float(lexeme), column))
             except ValueError:
-                raise FormSyntaxError(f"malformed number {lexeme!r}", col)
-            tokens.append(_Token("number", value, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], col))
-            i = j
-            continue
-        raise FormSyntaxError(f"unexpected character {ch!r}", col)
-    tokens.append(_Token("eof", None, n + 1))
+                raise FormSyntaxError(f"malformed number {lexeme!r}", column) from None
+        elif lexeme[0].isalpha() or lexeme[0] == "_":
+            tokens.append(("ident", lexeme, column))
+        else:
+            raise FormSyntaxError(f"unexpected character {lexeme[0]!r}", column)
+    tokens.append(("eof", None, len(text) + 1))
     return tokens
 
 
 # -- parser ------------------------------------------------------------
 
+# The binding levels of the grammar, binary operators by their symbol.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY = 3
 
-# How deep an expression may nest, in two limits.  The parser recurses up
-# to 5 frames per parenthesis, function call, unary minus or exponent, so
+# How deep an expression may nest, in two limits.  The parser recurses at
+# most 5 frames per parenthesis or function call (an operand on each binding
+# level, the atom and the group) and 1 per unary minus or exponent, so
 # _MAX_NESTING of those keeps parsing inside Python's recursion limit.
 # Every later pass over the tree (compiling, walking, printing) recurses
 # about once per level of the tree, where each link of a + or * chain is a
@@ -172,120 +148,96 @@ _MAX_TREE_DEPTH = 750
 
 class _Parser:
     def __init__(self, text, variables):
-        self.tokens = _tokenize(text)
+        self.tokens = _lex(text)
         self.pos = 0
         self.variables = variables
-        self.depth = 0
 
     def peek(self):
-        return self.tokens[min(self.pos, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        token = self.tokens[self.pos]
+        if token[0] != "eof":
+            self.pos += 1
+        return token
 
-    def expect_op(self, op):
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            found = "end of input" if tok.kind == "eof" else repr(tok.value)
-            raise FormSyntaxError(f"expected {op!r}, found {found}", tok.column)
-        return self.advance()
+    def group(self, depth):
+        """The expression after a '(' and its ')', one level below ``depth``."""
+        node = self.operand(1, depth + 1, self.peek())
+        kind, value, column = self.peek()
+        if kind != ")":
+            found = "end of input" if kind == "eof" else repr(value)
+            raise FormSyntaxError(f"expected ')', found {found}", column)
+        self.pos += 1
+        return node
 
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise FormSyntaxError(f"unexpected trailing input {tok.value!r}", tok.column)
+        node = self.operand(1, 1, self.peek())
+        kind, value, column = self.peek()
+        if kind != "eof":
+            raise FormSyntaxError(f"unexpected trailing input {value!r}", column)
         return node
 
-    def descend(self, tok):
-        """Enter one more level of parser recursion."""
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise FormSyntaxError("expression too deeply nested", tok.column)
-
-    def built(self, node, tok):
-        """``node``, refused when its tree is too deep."""
+    def built(self, node, token):
+        """``node``, refused at ``token`` when its tree is too deep."""
         if node.depth > _MAX_TREE_DEPTH:
-            raise FormSyntaxError("expression too deeply nested", tok.column)
+            raise FormSyntaxError("expression too deeply nested", token[2])
         return node
 
-    def expr(self):
-        self.descend(self.peek())
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            tok = self.advance()
-            node = self.built(BinOp(tok.value, node, self.term()), tok)
-        self.depth -= 1
+    def operand(self, floor, depth, entry):
+        """The longest expression from here whose operators bind at ``floor`` or
+        tighter, ``depth`` levels deep: refused at ``entry`` past _MAX_NESTING."""
+        if depth > _MAX_NESTING:
+            raise FormSyntaxError("expression too deeply nested", entry[2])
+        token = self.advance()
+        if token[0] == "-":
+            node = self.built(Neg(self.operand(_UNARY, depth + 1, token)), token)
+        else:
+            node = self.atom(token, depth)
+        while _BINDING.get(self.peek()[0], 0) >= floor:
+            token = self.advance()
+            op = token[0]
+            if op == "^":
+                right = self.operand(_UNARY, depth + 1, token)
+            else:
+                right = self.operand(_BINDING[op] + 1, depth, token)
+            node = self.built(BinOp(op, node, right), token)
         return node
 
-    def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            tok = self.advance()
-            node = self.built(BinOp(tok.value, node, self.unary()), tok)
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != "-":
-            return self.power()
-        self.descend(self.advance())
-        node = self.built(Neg(self.unary()), tok)
-        self.depth -= 1
-        return node
-
-    def power(self):
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            self.descend(self.advance())
-            node = self.built(BinOp("^", node, self.unary()), tok)
-            self.depth -= 1
-        return node
-
-    def atom(self):
-        tok = self.advance()
-        if tok.kind == "number":
-            return Num(tok.value)
-        if tok.kind == "ident":
-            name = tok.value
-            if self.peek().kind == "op" and self.peek().value == "(":
-                if name not in FUNCTIONS:
-                    raise FormSyntaxError(f"unknown function {name!r}", tok.column)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return self.built(Call(name, arg), tok)
-            if name in CONSTANTS:
-                return Num(CONSTANTS[name])
-            if name in self.variables:
-                return Var(name)
-            all_vars = {v for vs in CHARTS.values() for v in vs}
-            if name in all_vars:
-                raise FormSyntaxError(
-                    f"variable {name!r} does not belong to this chart "
-                    f"(expected one of {', '.join(self.variables)})",
-                    tok.column,
-                )
-            raise FormSyntaxError(f"unknown identifier {name!r}", tok.column)
-        if tok.kind == "op" and tok.value == "(":
+    def atom(self, token, depth):
+        kind, name, column = token
+        if kind == "number":
+            return Num(token[1])
+        if kind == "(":
             try:
-                node = self.expr()
-                self.expect_op(")")
+                return self.group(depth)
             except FormSyntaxError:
-                if self.peek().kind == "eof":
-                    raise FormSyntaxError("unclosed parenthesis", tok.column) from None
+                if self.peek()[0] == "eof":
+                    raise FormSyntaxError("unclosed parenthesis", column) from None
                 raise
-            return node
-        found = "end of input" if tok.kind == "eof" else repr(tok.value)
-        raise FormSyntaxError(f"expected an operand, found {found}", tok.column)
+        if kind != "ident":
+            found = "end of input" if kind == "eof" else repr(name)
+            raise FormSyntaxError(f"expected an operand, found {found}", column)
+        if self.peek()[0] == "(":
+            if name not in FUNCTIONS:
+                raise FormSyntaxError(f"unknown function {name!r}", column)
+            self.advance()
+            return self.built(Call(name, self.group(depth)), token)
+        if name in CONSTANTS:
+            return Num(CONSTANTS[name])
+        if name in self.variables:
+            return Var(name)
+        if any(name in names for names in CHARTS.values()):
+            raise FormSyntaxError(f"variable {name!r} does not belong to this chart (expected "
+                                  f"one of {', '.join(self.variables)})", column)
+        raise FormSyntaxError(f"unknown identifier {name!r}", column)
 
 
 def parse_expression(text, chart="spatial"):
     """Parse text into an AST over the chart's variables."""
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise FormSyntaxError(f"an expression must be a string, got {describe(text)}", 1)
+    if not text.strip():
         raise FormSyntaxError("empty expression", 1)
     return _Parser(text, chart_variables(chart)).parse()
 
@@ -305,6 +257,9 @@ def parse_scalar(text, chart="spatial"):
 
 def parse_oneform(texts, chart="spatial"):
     """Parse 3 component strings into a OneForm over the chart."""
+    if not isinstance(texts, (list, tuple)):
+        raise FormSyntaxError(f"a one-form needs a list of 3 component strings, "
+                              f"got {describe(texts)}", 1)
     if len(texts) != 3:
         raise FormSyntaxError("a one-form needs exactly 3 component strings", 1)
     fields = []
@@ -312,5 +267,5 @@ def parse_oneform(texts, chart="spatial"):
         try:
             fields.append(parse_scalar(text, chart))
         except FormSyntaxError as err:
-            raise FormSyntaxError(str(err).rsplit(" (column", 1)[0], err.column, component=idx) from None
+            raise FormSyntaxError(err.message, err.column, component=idx) from None
     return OneForm(fields, chart=chart)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoform import formlang
 from pseudoform.errors import EvaluationDomainError, FormSyntaxError
 from pseudoform.formlang import (
     parse_expression,
@@ -29,12 +30,6 @@ def test_constant_expression():
     assert np.isclose(f.value((0.0, 0.0, 0.0)), 1.0)
 
 
-def test_unclosed_paren_column():
-    with pytest.raises(FormSyntaxError) as err:
-        parse_expression("x*(")
-    assert err.value.column == 3
-
-
 def test_precedence_and_associativity():
     f = parse_scalar("2 + 3 * 4 ^ 2")
     assert f.value((0, 0, 0)) == 50.0
@@ -51,33 +46,76 @@ def test_scientific_notation():
     assert np.isclose(f.value((2.0, 0.0, 0.0)), 3e-3)
 
 
-def test_wrong_chart_variable():
+_DEEP = formlang._MAX_NESTING  # parentheses or minus signs inside the top level
+_LONG = formlang._MAX_TREE_DEPTH  # links of a chain after its first operand
+
+
+@pytest.mark.parametrize("text, chart, message, column", [
+    pytest.param("x + 1.2.3", "spatial", "malformed number '1.2.3'", 5, id="malformed-number"),
+    pytest.param("x + .", "spatial", "malformed number '.'", 5, id="lone-dot"),
+    pytest.param("x # y", "spatial", "unexpected character '#'", 3, id="unexpected-character"),
+    # a digit that is not decimal is no part of a number or the start of a word
+    pytest.param("3²", "spatial", "unexpected character '²'", 2, id="superscript-digit"),
+    pytest.param("x + 1e²", "spatial", "unexpected trailing input 'e²'", 6, id="superscript-exponent"),
+    pytest.param("sinh(x)", "spatial", "unknown function 'sinh'", 1, id="unknown-function"),
+    pytest.param("x + foo", "spatial", "unknown identifier 'foo'", 5, id="unknown-identifier"),
+    pytest.param("t + x", "spatial",
+                 "variable 't' does not belong to this chart (expected one of x, y, z)", 1,
+                 id="spacetime-variable-on-spatial"),
+    pytest.param("t*z", "spacetime",
+                 "variable 'z' does not belong to this chart (expected one of t, x, y)", 3,
+                 id="spatial-variable-on-spacetime"),
+    pytest.param("x * / y", "spatial", "expected an operand, found '/'", 5, id="operand-mid-text"),
+    pytest.param("x +", "spatial", "expected an operand, found end of input", 4, id="operand-at-end"),
+    pytest.param("2^-", "spatial", "expected an operand, found end of input", 4, id="exponent-at-end"),
+    pytest.param("sin(x y)", "spatial", "expected ')', found 'y'", 7, id="call-not-closed"),
+    pytest.param("sin(x 2)", "spatial", "expected ')', found 2.0", 7, id="call-not-closed-number"),
+    pytest.param("sin(x", "spatial", "expected ')', found end of input", 6, id="call-at-end"),
+    pytest.param("x*(", "spatial", "unclosed parenthesis", 3, id="unclosed-parenthesis"),
+    # any error at the end of the text inside parentheses is the outermost one's
+    pytest.param("(x + (foo", "spatial", "unclosed parenthesis", 1, id="unclosed-outermost"),
+    pytest.param("(x))", "spatial", "unexpected trailing input ')'", 4, id="trailing-input"),
+    pytest.param("x 2", "spatial", "unexpected trailing input 2.0", 3, id="trailing-number"),
+    pytest.param("   ", "spatial", "empty expression", 1, id="blank"),
+    pytest.param("", "spacetime", "empty expression", 1, id="empty"),
+    pytest.param("(" * _DEEP + "x" + ")" * _DEEP, "spatial", "expression too deeply nested",
+                 _DEEP + 1, id="nesting-limit"),
+    pytest.param("-" * _DEEP + "x", "spatial", "expression too deeply nested", _DEEP,
+                 id="nesting-limit-minus"),
+    pytest.param("1" + "+x" * _LONG, "spatial", "expression too deeply nested", 2 * _LONG,
+                 id="tree-depth-limit"),
+    # the whole text is tokenized first, so a lexing error wins over an earlier syntax error
+    pytest.param("x y #", "spatial", "unexpected character '#'", 5, id="lexing-error-wins"),
+    pytest.param("x ) 1.2.3", "spatial", "malformed number '1.2.3'", 5, id="malformed-number-wins"),
+])
+def test_parser_refusals_pin_message_and_column(text, chart, message, column):
     with pytest.raises(FormSyntaxError) as err:
-        parse_expression("t + x", chart="spatial")
-    assert "chart" in str(err.value)
+        parse_expression(text, chart)
+    assert (str(err.value), err.value.column) == (f"{message} (column {column})", column)
+
+
+@pytest.mark.parametrize("parse, given", [
+    pytest.param(lambda: parse_oneform("xyz"), "'xyz'", id="oneform-of-a-string"),
+    pytest.param(lambda: parse_oneform(None), "None", id="oneform-of-none"),
+    pytest.param(lambda: parse_oneform(iter(["x", "y", "z"])), "<list_iterator object",
+                 id="oneform-of-an-iterator"),
+    pytest.param(lambda: parse_scalar(5), "5", id="scalar-of-an-int"),
+    pytest.param(lambda: parse_scalar("x", chart=["spatial"]), "['spatial']", id="list-chart"),
+    pytest.param(lambda: parse_oneform(["0", b"x", "1"]), "b'x'", id="bytes-component"),
+])
+def test_input_that_is_not_text_is_a_syntax_error_naming_it(parse, given):
+    with pytest.raises(FormSyntaxError) as err:
+        parse()
     assert err.value.column == 1
-
-
-def test_unknown_identifier_column():
-    with pytest.raises(FormSyntaxError) as err:
-        parse_expression("x + foo")
-    assert err.value.column == 5
-
-
-def test_unknown_function():
-    with pytest.raises(FormSyntaxError):
-        parse_expression("sinh(x)")
-
-
-def test_empty_expression():
-    with pytest.raises(FormSyntaxError):
-        parse_expression("   ")
+    assert given in err.value.message
 
 
 def test_parse_oneform_component_error_index():
     with pytest.raises(FormSyntaxError) as err:
         parse_oneform(["0", "x +", "1"])
     assert err.value.component == 1
+    assert err.value.message == "expected an operand, found end of input"
+    assert str(err.value) == "component 1: expected an operand, found end of input (column 4)"
 
 
 def test_parse_oneform_spacetime():
