@@ -262,6 +262,7 @@ def parse_oneform(texts, chart="spatial"):
                               f"got {describe(texts)}", 1)
     if len(texts) != 3:
         raise FormSyntaxError("a one-form needs exactly 3 component strings", 1)
+    chart_variables(chart)  # a bad chart is the form's error, not its first component's
     fields = []
     for idx, text in enumerate(texts):
         try:

@@ -103,20 +103,19 @@ class _HaltonPoints(Sequence):
     """Points ``lo + v * (hi - lo)`` of a digit-scrambled Halton sequence.
 
     Axis j of point i takes the radical inverse of i in base
-    ``HALTON_BASES[j]``, with every digit position passed through its own
-    random permutation of the digits (Owen, arXiv:1706.02808, Algorithm 1).
-    The permutations, axis by axis and position by position, sort the
-    digits by successive ``random.Random(seed).random()`` draws.
-    Positions run while ``base**-k > 2**-54``, so the fixed tail digits of
-    short indices are scrambled too and fill a double.  The value adds
-    ``perm[digit] * base**-k`` from the lowest position up, one addition
-    at a time, as the array form in the tests' reference does, so the
-    floats are the same.  Each axis keeps that sum over its lowest
-    positions for every value of their digits, the terms of the positions
-    that indices below the count reach, and the nonzero terms of the
-    positions they do not (each the scrambled 0).  Indexing, slicing and
-    iteration (in chunks of at most ``_CHUNK`` indices) all compute their
-    points with ``_points``.
+    b = ``HALTON_BASES[j]``, with every digit position passed through its
+    own random permutation of the digits (Owen, arXiv:1706.02808,
+    Algorithm 1).  The permutations, axis by axis and position by
+    position, sort the digits by successive ``random.Random(seed).random()``
+    draws.  Positions k = 0 .. K - 1 run while ``b**-(k + 1) > 2**-54``, so
+    the fixed tail digits of short indices are scrambled too and fill a
+    double.  The unit coordinate is exact up to one rounding: the integer
+    V = sum of ``perm_k[d_k(i)] * b**(K - 1 - k)`` and v = V / b**K, Python's
+    correctly rounded int division, as in the tests' reference.  V is at
+    most b**K - 1, and b**-K > 2**-54 rounds 1 - b**-K down, so v < 1.
+    Each axis keeps V's sum over its lowest positions for every value of
+    their digits.  Indexing, slicing and iteration (in chunks of at most
+    ``_CHUNK`` indices) all compute their points with ``_points``.
     """
 
     def __init__(self, lo, hi, count, seed):
@@ -124,23 +123,17 @@ class _HaltonPoints(Sequence):
         rng = random.Random(seed)
         self._axes = []
         for base, start, end in zip(HALTON_BASES, lo, hi):
-            terms, scale = [], 1.0 / base
-            for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            places = math.ceil(54 / math.log2(base)) - 1
+            terms = []
+            for k in range(places):
                 perm = sorted(range(base), key=lambda _: rng.random())
-                terms.append(tuple(d * scale for d in perm))
-                scale /= base
-            # the sums over the lowest `low` positions, for every value of their digits
-            sums, span, low = [0.0], 1, 0
+                terms.append(tuple(d * base ** (places - 1 - k) for d in perm))
+            # V's sums over the lowest `low` positions, for every value of their digits
+            sums, span, low = [0], 1, 0
             while span * base <= _LOW_SPAN:
                 sums = [v + t for t in terms[low] for v in sums]
                 span, low = span * base, low + 1
-            used = low  # every index below count has zero digits from position `used` on
-            while span * base ** (used - low) < count:
-                used += 1
-            tail = tuple(t[0] for t in terms[used:] if t[0])  # adding 0.0 changes no sum
-            if base == 2:  # every partial sum is a multiple of 2**-53 below 1, so exact
-                tail = (math.fsum(tail),)
-            self._axes.append((base, span, sums, tuple(terms[low:used]), tail, start, end - start))
+            self._axes.append((base, span, sums, terms[low:], base**places, start, end - start))
 
     def __len__(self):
         return self._count
@@ -163,28 +156,24 @@ class _HaltonPoints(Sequence):
         """The points of a range of indices, in its order, as a list of 3-tuples.
 
         Each axis splits the range where ``i // span`` changes.  A segment
-        looks up the terms of the higher digits once, and each of its
-        points adds them and then the tail to its tabulated low sum.
+        sums V's terms over the higher positions once, into ``c``, and each
+        of its points adds ``c`` to its tabulated low sum.
         """
         if indices.step < 0:
             return self._points(indices[::-1])[::-1]
         step, stop = indices.step, indices.stop
         columns = []
-        for base, span, sums, head, tail, lo, width in self._axes:
+        for base, span, sums, high, scale, lo, width in self._axes:
             column, i = [], indices.start
             while i < stop:
                 k, low = divmod(i, span)
                 values = sums[low:min(low + stop - i, span):step]
                 i += len(values) * step
-                addends = []
-                for terms in head:
-                    addends.append(terms[k % base])
-                    k //= base
-                addends += tail
-                for v in values:
-                    for term in addends:
-                        v += term
-                    column.append(lo + v * width)
+                c = 0
+                for terms in high:
+                    k, digit = divmod(k, base)
+                    c += terms[digit]
+                column += [lo + (s + c) / scale * width for s in values]
             columns.append(column)
         return list(zip(*columns))
 

@@ -26,27 +26,29 @@ def scrambled_halton(count, seed):
     """First ``count`` points of a digit-scrambled Halton sequence in [0, 1)^3.
 
     Axis j takes the radical inverse of the point index in base
-    ``HALTON_BASES[j]``, with every digit position passed through its own
-    permutation of the digits, the digits sorted by successive
+    b = ``HALTON_BASES[j]``, with every digit position passed through its
+    own permutation of the digits, the digits sorted by successive
     ``random.Random(seed).random()`` draws (Owen, arXiv:1706.02808,
-    Algorithm 1).  Positions run while ``base**-k > 2**-54``, so the fixed
-    tail digits of short indices are scrambled too and fill a double.
+    Algorithm 1).  Positions k = 0 .. K - 1 run while
+    ``b**-(k + 1) > 2**-54``, so the fixed tail digits of short indices are
+    scrambled too and fill a double.  The integer
+    V = sum of ``perm_k[d_k(i)] * b**(K - 1 - k)`` is summed digit by digit
+    on int64 arrays (3**34 < 2**63), and the coordinate is V / b**K,
+    Python's correctly rounded int division; NumPy's would round V to a
+    float first.  V is at most b**K - 1, and b**-K > 2**-54 rounds
+    1 - b**-K down, so every coordinate is below 1.
     """
     rng = random.Random(seed)
     unit = np.empty((count, len(HALTON_BASES)))
     for axis, base in enumerate(HALTON_BASES):
+        places = math.ceil(54 / math.log2(base)) - 1
         index = np.arange(count)
-        value = np.zeros(count)
-        scale = 1.0 / base
-        for _ in range(math.ceil(54 / math.log2(base)) - 1):
-            perm = np.array(sorted(range(base), key=lambda _: rng.random()))
-            if index.any():
-                value += perm[index % base] * scale
-                index //= base
-            else:  # every index is out of digits: all take the scrambled 0
-                value += perm[0] * scale
-            scale /= base
-        unit[:, axis] = value
+        total = np.zeros(count, dtype=np.int64)
+        for k in range(places):
+            perm = np.array(sorted(range(base), key=lambda _: rng.random()), dtype=np.int64)
+            total += perm[index % base] * base ** (places - 1 - k)
+            index //= base
+        unit[:, axis] = [v / base**places for v in total.tolist()]
     return unit
 
 

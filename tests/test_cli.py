@@ -15,6 +15,7 @@ import pytest
 
 from pseudoform import cli, formlang, geometry, pfaff
 from pseudoform import foucault as fc
+from pseudoform.calculus import format_point
 from pseudoform.curves import integrate_geodesic
 from pseudoform.integrate import BLOCK
 
@@ -507,7 +508,7 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert "(0.0, 0.0, 0.0)" in err and "np.float64" not in err
 
 
-_FIRST_SAMPLE = "(0.9574043918304858, 0.3683589730966486, 0.3955177391537895)"
+_FIRST_SAMPLE = format_point(pfaff.RegionSampler((0, 0, 0), (1, 1, 1)).points()[0])
 
 
 @pytest.mark.parametrize("text, message", [

@@ -110,6 +110,14 @@ def test_input_that_is_not_text_is_a_syntax_error_naming_it(parse, given):
     assert given in err.value.message
 
 
+@pytest.mark.parametrize("chart, given", [("bogus", "'bogus'"), (["spatial"], "['spatial']")])
+def test_parse_oneform_refuses_a_bad_chart_without_naming_a_component(chart, given):
+    with pytest.raises(FormSyntaxError) as err:
+        parse_oneform(["0", "x", "1"], chart=chart)
+    assert err.value.component is None
+    assert str(err.value) == f"unknown chart {given} (column 1)"
+
+
 def test_parse_oneform_component_error_index():
     with pytest.raises(FormSyntaxError) as err:
         parse_oneform(["0", "x +", "1"])

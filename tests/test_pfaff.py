@@ -1,5 +1,6 @@
 """Integrability classification of Pfaff equations."""
 
+import hashlib
 import json
 import math
 import os
@@ -136,13 +137,17 @@ def test_region_sampler_seeded_determinism():
 
 
 def test_region_sampler_reference_points():
-    got = RegionSampler((0, 0, 0), (1, 1, 1), count=3, seed=0).points()
+    # the same bytes on every Python: three points by value, and a digest of
+    # 2500 that cross every axis's tabulated span many times
+    got = RegionSampler((0, 0, 0), (1, 1, 1), count=2500, seed=0).points()
     expected = [
-        [0.9574043918304858, 0.3683589730966486, 0.3955177391537895],
-        [0.45740439183048576, 0.03502563976331525, 0.5955177391537897],
+        [0.9574043918304858, 0.3683589730966486, 0.39551773915378957],
+        [0.45740439183048576, 0.03502563976331526, 0.5955177391537896],
         [0.7074043918304858, 0.7016923064299819, 0.19551773915378956],
     ]
-    assert [list(p) for p in got] == expected
+    assert [list(p) for p in got[:3]] == expected
+    digest = hashlib.sha256(struct.pack("<7500d", *(c for p in got for c in p))).hexdigest()
+    assert digest == "f0c0c8598bf71dc50c6cdd4560dff9849d6d2284563efcd22ef70f7eb8c4e510"
 
 
 TWIN_SEEDS = [*range(300), 2**64 - 1, 2**70 + 3]
@@ -169,6 +174,17 @@ def test_region_sampler_points_equal_the_array_reference(count):
                 for step in (None, 1, 2, 3, 7, 250, -1, -3):
                     cut = slice(start, stop, step)
                     assert points[cut] == want[cut], (seed, cut)
+
+
+def test_region_sampler_points_past_two_to_the_sixteen_equal_the_array_reference():
+    # indices past 2**16, 3**10 and 5**6 carry digits at positions that no
+    # count above reaches; the slice crosses 2**16
+    lower, upper = (-2.0, 0.5, 10.0), (-1.5, 3.0, 10.25)
+    for seed in EDGE_SEEDS:
+        region = RegionSampler(lower, upper, count=70_000, seed=seed)
+        points, want = region.points(), pfaff_reference.points(region)
+        assert np.array(points).tobytes() == want.tobytes(), seed
+        assert points[65530:65540] == [tuple(p) for p in want[65530:65540].tolist()], seed
 
 
 def test_region_sampler_points_are_a_sized_sequence():
