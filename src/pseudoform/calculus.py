@@ -1,15 +1,17 @@
 """Differential forms on a 3-dimensional chart.
 
-Scalar fields carry exact first and second derivatives: ``formlang``
-compiles each expression into straight-line code that takes a point's
-three floats and returns one ``Dual`` record of the value, the gradient
-and the Hessian, and ``ScalarField._vgh`` calls it.  Each one-form has
-one flat evaluator, ``flat_jet``, which ``formcode.compile_jet`` writes
-when the form is built: one straight-line function of the point for the
-whole form, with the trees of all three components at first order, or a
-level set's tree at second order for its gradient form.  A field built
-from a plain function, with no tree, is called through its ``fn``.
-Every evaluation below goes through ``_vgh`` or ``flat_jet``.  One-forms
+Scalar fields carry exact first and second derivatives: a field's
+``fn`` takes a point's three floats and returns one ``Dual`` record of
+the value, the gradient and the Hessian, and ``ScalarField._vgh`` calls
+it.  A parsed field's ``fn`` is the walk of its tree written out as
+straight-line code, compiled on its first call (``formcode``).  Each
+one-form has one flat evaluator, ``flat_jet``, which
+``formcode.compile_jet`` writes when the form is built: one
+straight-line function of the point for the whole form, with the trees
+of all three components at first order, or a level set's tree at second
+order for its gradient form.  Only a component built from a plain
+function, with no tree, is called there through its ``fn``.  Every
+evaluation below goes through ``_vgh`` or ``flat_jet``.  One-forms
 are built from three scalar fields on the form's chart, and
 ``exterior_derivative`` evaluates d theta at a point as a two-form's
 cyclic components.
@@ -91,11 +93,12 @@ class ScalarField:
 
     ``fn(x1, x2, x3)`` takes the 3 floats of a point and returns a
     ``Dual`` record of the value, the gradient and the full Hessian, as
-    the function that ``formlang`` compiles does.
+    the function that ``formcode`` writes from a tree does.
     ``chart`` names the coordinates, as in ``formlang.CHARTS``, and
     ``gradient_oneform`` of the field lives on the same chart.  ``node``
-    is the ``formlang`` tree that ``fn`` was compiled from, if any, which
-    the flat jets of the forms built on the field are written from.
+    is the ``formlang`` tree that ``fn`` is compiled from, if any; the
+    flat jets of the forms built on the field are written from the tree,
+    and call no ``fn`` of it.
     """
 
     def __init__(self, fn, chart="spatial", node=None):
@@ -197,7 +200,6 @@ class _GradientOneForm(OneForm):
         from .formcode import compile_jet
 
         self.chart = f.chart
-        self.parent = f
         self.flat_jet = compile_jet((f,), gradient=True)
 
 

@@ -362,7 +362,7 @@ def _cmd_geodesic(config, args):
     states = curve.states
     if args.format == "json":
         result = {
-            "s": [k * curve.ds for k in range(len(states))],
+            "s": curve.s,
             "points": [y[:3] for y in states],
             "velocities": [y[3:] for y in states],
             "aborted": curve.aborted,

@@ -16,8 +16,6 @@ flat floats), and steps the multiplier form of the geodesic equations,
 which needs neither the unit normal's derivative nor |N|^2.  The start
 velocity is built on the adapted frame (``AdaptedFrame(normal, complete)``),
 whose unit normal is N / |N| from the same ``flat_jet``.
-NumPy is imported only when a caller reads ``SampledCurve.s``, so the
-``geodesic`` command never loads it.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ class SampledCurve(NamedTuple):
     """Fixed-step samples of a curve, ``ds`` apart from s = 0.
 
     ``states`` holds one (x1, x2, x3, v1, v2, v3) tuple of floats per
-    sample.  ``s`` is the sample parameters as an array, built each time
-    it is read.
+    sample.  ``s`` is the samples' arc parameters k * ds, a tuple of
+    floats built each time it is read.
     """
 
     ds: float
@@ -45,10 +43,9 @@ class SampledCurve(NamedTuple):
     abort_reason: str = ""
 
     @property
-    def s(self):  # kept while perfbench's span recorder counts the steps as len(curve.s)
-        import numpy as np
-
-        return np.arange(len(self.states)) * self.ds
+    def s(self):
+        ds = self.ds
+        return tuple([k * ds for k in range(len(self.states))])
 
     def closure_error(self):
         return math.dist(self.states[-1][:3], self.states[0][:3])

@@ -1,37 +1,36 @@
 """Straight-line derivative code for formlang trees: the library's one derivative engine.
 
-``compile_field`` turns a parsed tree into the source of one Python
-function and compiles it (Griewank & Walther, *Evaluating Derivatives*,
-ch. 6, source transformation).  The function takes a point's three
-floats and computes with ``math``, in straight-line code, the value,
-the gradient and the Hessian.  It returns them as one ``Dual`` record,
-with zero derivatives for an expression without variables.
+Each function is written from parsed trees as Python source and
+compiled (Griewank & Walther, *Evaluating Derivatives*, ch. 6, source
+transformation) at the order its caller reads (ch. 13).
 ``compile_jet`` writes a Pfaffian's ``flat_jet``: a one-form's three
 trees at first order (no Hessian entry, no ``Dual``, but every line that
-can raise) or a level set's tree at second order.  First order checks
-only the gradients' folded multipliers, so where only a Hessian's is not
-finite, a zero may differ in sign from the field's own function.  Both
-use the formulas and operation order of the second-order forward-mode
-``Dual`` arithmetic that the tests keep as the reference
-(``tests/formlang_reference.py``), so their results equal a walk of the
-tree on those numbers:
+can raise) or a level set's tree at second order.  ``compile_field``
+writes a field's own function, the tree walk written out, which returns
+the value, the gradient and the Hessian as one ``Dual`` record, with zero
+derivatives for an expression without variables.  Both take a point's
+three floats, compute with ``math`` and use the formulas and operation
+order of the second-order forward-mode ``Dual`` arithmetic that the
+tests keep as the reference (``tests/formlang_reference.py``), so their
+results equal a walk of the tree on those numbers, a field's bit for bit:
 
-* Derivative entries that are zero at every point are folded away.  A
-  folded term ``0 * m`` is exactly zero only for finite ``m``, so the
-  function sums every such ``m``; when the sum is not finite, it
-  evaluates again with nothing folded, term for term as the walk does,
-  through a twin written from the tree on the first such evaluation.
-  Otherwise only the sign of a zero derivative entry can differ.
+* A jet alone folds away the derivative entries that are zero at every
+  point.  A folded term ``0 * m`` is exactly zero only for finite ``m``,
+  so the jet sums every such ``m``; when the sum is not finite, it
+  evaluates again through its unfolded twin, the same trees written with
+  nothing folded, compiled at the first such point.  Otherwise only the
+  sign of a zero derivative entry can differ.
 * Everything that can raise (division, ``**``, ``math`` calls and the
   domain checks) runs in the tree's order, folded or not, with the
   reference's messages.
 * The source holds only names the generator makes; finite literals are
   written with ``repr`` and non-finite ones (``1e999``) read from a
   constants tuple.
-* A tree without a chart variable is evaluated once, when it is
-  compiled, and its function returns that one record at every point.
-  If that evaluation raises, the straight-line function is kept, and
-  it raises at every point as before.
+* A field's function is compiled on its first call, except for a tree
+  without a chart variable: that is evaluated once, at parse, and its
+  function returns that one record at every point.  If that evaluation
+  raises, the straight-line function is kept, and it raises at every
+  point as before.
 
 The tree's nodes (``formlang``) call the ``_Code`` method of their
 operation from ``emit``; this module knows no node class.
@@ -104,12 +103,12 @@ class _Term:
 class _Code:
     """Straight-line statements for one expression."""
 
-    def __init__(self, variables, fold, constants, second=True):
+    def __init__(self, variables, fold, second=True):
         self.variables = variables
         self.zero = None if fold else "0.0"  # an entry that no point makes nonzero
         self.second = second  # write Hessian entries; at first order every ``hess`` is None
         self.zeros = [self.zero] * 9 if second else None  # a constant's Hessian
-        self.constants = constants  # non-finite literals, read from _K
+        self.constants = []  # non-finite literals, read from _K
         self.lines = []
         self.checked = {}  # m of each folded term 0 * m, in order
         self.count = 0
@@ -334,41 +333,34 @@ _NAMESPACE = {
 }
 
 
-def field_source(node, variables, fold=True):
-    """Source of ``field(x0, x1, x2)`` for ``node``, its constants tuple,
-    and whether the tree holds a chart variable.
-
-    With ``fold`` the function ends in a finiteness check of the summed
-    multipliers of folded zero terms and calls ``_exact``, the function
-    built without ``fold``, when it fails.
-    """
-    constants = []
-    code = _Code(variables, fold, constants)
-    term = node.emit(code)
-    varies = term.grad is not None
-    term = code.lift(term)  # no variables: zero derivatives
-    grad = ", ".join(g or "0.0" for g in term.grad)
-    hess = ", ".join(h or "0.0" for h in term.hess)
-    body = code.lines + _fallback(code, "x0, x1, x2")
-    body.append(f"return _Dual({term.value}, ({grad}), ({hess}))")
-    return "\n".join(["def field(x0, x1, x2):"] + _indent(body)), tuple(constants), varies
+def field_source(node, variables):
+    """Source of ``field(x0, x1, x2)`` for ``node``, the walk of the tree at
+    second order with nothing folded, and its constants tuple."""
+    code = _Code(variables, False)
+    term = code.lift(node.emit(code))  # no variables: zero derivatives
+    body = code.lines + [f"return _Dual({term.value}, ({', '.join(term.grad)}), "
+                         f"({', '.join(term.hess)}))"]
+    return "\n".join(["def field(x0, x1, x2):"] + _indent(body)), tuple(code.constants)
 
 
-def jet_source(fields, gradient=False, trees=True):
+def jet_source(fields, gradient=False, fold=True):
     """Source of ``field(p)``, the ``flat_jet`` of the one-form of 3 ``fields``
     (values, then J[i][j] = d_i theta_j, at first order) or of the one
     field's ``gradient`` form (gradient, then Hessian, at second order, its
     value checked too), and its constants tuple.
 
     The trees are written in turn, one counter naming all their locals; a
-    field without one, or each field without ``trees``, is called as
-    ``_F[k].fn``.  Errors are raised and floats checked as ``calculus``'s
-    ``_domain_error`` and ``_check_finite`` do.
+    field without one is called as ``_F[k].fn``.  With ``fold`` the zero
+    entries are folded away, and the function sums the multipliers of the
+    folded zero terms and returns ``_exact(p)``, the function written
+    without ``fold``, when that sum is not finite.  Errors are raised and
+    floats checked as ``calculus``'s ``_domain_error`` and ``_check_finite``
+    do.
     """
-    code = _Code(None, True, [], gradient)
+    code = _Code(None, fold, gradient)
     jets = []
     for k, field in enumerate(fields):
-        if trees and field.node is not None:
+        if field.node is not None:
             code.variables = CHARTS[field.chart]
             jets.append(code.lift(field.node.emit(code)))
         else:
@@ -381,7 +373,9 @@ def jet_source(fields, gradient=False, trees=True):
     else:
         out = read = [t.value for t in jets] + [t.grad[i] for i in range(3) for t in jets]
     read = [e for e in read if e is not None and not _is_literal(e)]
-    body = ["x0, x1, x2 = p"] + code.lines + _fallback(code, "p")
+    body = ["x0, x1, x2 = p"] + code.lines
+    if code.checked:
+        body += [f"if not _isfinite({_total(code.checked)}):", "    return _exact(p)"]
     if read:
         body += [f"if not _isfinite({' + '.join(read)}):",
                  f"    _check_finite(p, {', '.join(read)})"]
@@ -389,13 +383,6 @@ def jet_source(fields, gradient=False, trees=True):
     lines = ["def field(p):", "    try:", *_indent(_indent(body)),
              "    except _arith as err:", "        raise _domain_error(err, p) from err"]
     return "\n".join(lines), tuple(code.constants)
-
-
-def _fallback(code, args):
-    """Lines that return ``_exact(args)`` where the folded terms' multipliers are not finite."""
-    if not code.checked:
-        return []
-    return [f"if not _isfinite({_total(code.checked)}):", f"    return _exact({args})"]
 
 
 def _total(terms):
@@ -427,20 +414,20 @@ def _on_first_call(build):
 def compile_field(node, variables):
     """The function ``field(x0, x1, x2)`` for ``node`` over the chart's ``variables``.
 
-    Its unfolded twin is written and compiled on the first evaluation
-    that calls it, which only a point where the folded multipliers are
-    not finite does; most fields never call it.
+    A tree with a chart variable is written and compiled on the
+    function's first call, so a parse compiles nothing for it: the
+    commands evaluate the forms' jets, which are written from the tree.
 
-    A tree without a chart variable is evaluated once, here, and the
-    function returns that one ``Dual`` at every point.  If that
-    evaluation raises, the straight-line function is returned instead,
-    so every evaluation raises as it would have, with its point.
+    A tree without one is compiled and evaluated once, here, and the
+    function returns that one ``Dual`` at every point; these records are
+    the only ``Dual`` a command builds, and ``perfbench/test_perfbench.py``
+    pins their count above 0 for a classify.  If that evaluation raises, the
+    straight-line function is returned instead, so every evaluation raises
+    as it would have, with its point.
     """
-    exact = _on_first_call(lambda: _function(*field_source(node, variables, fold=False)[:2]))
-    source, constants, varies = field_source(node, variables)
-    field = _function(source, constants, exact)
-    if varies:
-        return field
+    if node.varies:
+        return _on_first_call(lambda: _function(*field_source(node, variables)))
+    field = _function(*field_source(node, variables))
     try:
         record = field(0.0, 0.0, 0.0)  # reads no coordinate
     except Exception:  # whatever it is, each evaluation raises it again
@@ -451,8 +438,9 @@ def compile_field(node, variables):
 def compile_jet(fields, gradient=False):
     """The ``flat_jet`` of ``jet_source`` as a function of a point's 3 floats.
 
-    Where its folded multipliers are not finite, it calls each field's
-    ``fn`` instead, through a jet compiled on the first such point.
+    Where its folded multipliers are not finite, it evaluates the same
+    trees with nothing folded, through a jet compiled on the first such
+    point.
     """
     exact = _on_first_call(lambda: _function(*jet_source(fields, gradient, False), None, fields))
     return _function(*jet_source(fields, gradient), exact, fields)

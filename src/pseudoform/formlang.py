@@ -1,4 +1,4 @@
-"""Tiny text DSL for scalar fields and one-form components, compiled at parse time.
+"""Tiny text DSL for scalar fields and one-form components.
 
 A token is an operator ``+ - * / ^ ( )``, a number (decimal digits and
 dots, then an optional exponent such as ``e-3``) or a word that starts with
@@ -15,10 +15,11 @@ cos, tan, exp, ln, sqrt, abs.  Angles are in radians.  Domain errors
 (ln/sqrt of a negative, division by zero) surface at evaluation time, not
 parse time.
 
-``expression_field`` compiles a parsed tree, once, into one
-straight-line Python function for its value, gradient and Hessian
-(``formcode``) and wraps it, with the tree, as a ``ScalarField``; a
-one-form built on such fields writes its flat jet from their trees.
+``expression_field`` wraps a parsed tree as a ``ScalarField`` whose
+function, the tree's value, gradient and Hessian in straight-line Python
+(``formcode``), is compiled on its first call; a one-form built on such
+fields compiles its flat jet from their trees when it is built.  Only a
+tree without a chart variable is compiled, and evaluated, at parse time.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def chart_variables(chart):
 
 class Num:
     depth = 1  # levels of the tree below and including this node
+    varies = False  # whether the tree holds a chart variable
 
     def __init__(self, value):
         self.value = value
@@ -60,6 +62,7 @@ class Num:
 
 class Var:
     depth = 1
+    varies = True
 
     def __init__(self, name):
         self.name = name
@@ -72,6 +75,7 @@ class Neg:
     def __init__(self, operand):
         self.operand = operand
         self.depth = operand.depth + 1
+        self.varies = operand.varies
 
     def emit(self, code):
         return code.negate(self.operand.emit(code))
@@ -83,6 +87,7 @@ class BinOp:
         self.left = left
         self.right = right
         self.depth = max(left.depth, right.depth) + 1
+        self.varies = left.varies or right.varies
 
     def emit(self, code):
         return code.binop(self.op, self.left.emit(code), self.right.emit(code))
@@ -93,6 +98,7 @@ class Call:
         self.name = name
         self.argument = argument
         self.depth = argument.depth + 1
+        self.varies = argument.varies
 
     def emit(self, code):
         return code.call(self.name, self.argument.emit(code))
@@ -243,7 +249,8 @@ def parse_expression(text, chart="spatial"):
 
 
 def expression_field(node, chart="spatial"):
-    """Compile a parsed AST into a ScalarField on the chart."""
+    """A parsed AST as a ScalarField on the chart, its function compiled on
+    its first call (a constant tree's at once, and evaluated once)."""
     # imported on first use, so a CLI call that parses no expression never loads it
     from .formcode import compile_field
 

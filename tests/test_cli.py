@@ -124,7 +124,7 @@ def test_geodesic_output_matches_the_stacked_arrays(tmp_path, capsys):
     code, out, _ = _run(tmp_path, capsys, ["--format", "json", "geodesic"], config)
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["s"] == curve.s.tolist()
+    assert np.array(result["s"]).tobytes() == np.array(curve.s).tobytes()
     assert result["points"] == points.tolist()
     assert result["velocities"] == velocities.tolist()
 

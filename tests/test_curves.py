@@ -287,14 +287,15 @@ def test_float_geodesic_matches_array_reference(case):
 
 
 def test_sampled_curve_arrays_equal_the_stacked_states():
-    # the parameters, built from the float states when read, are
-    # np.arange(n) * ds bit for bit
+    # the parameters, floats k * ds built when read, are np.arange(n) * ds
+    # bit for bit
     surface = PseudoSurface.from_pfaffian(parse_oneform(["0", "x", "1"]))
     ds = 2e-3
     curve = integrate_geodesic(surface, (0.1, -0.2, 0.3), (0.6, -0.8), ds, 300)
     stacked = np.array(curve.states)
     assert stacked.shape == (301, 6)
-    assert curve.s.tobytes() == (np.arange(301) * ds).tobytes()
+    assert type(curve.s) is tuple
+    assert np.array(curve.s).tobytes() == (np.arange(301) * ds).tobytes()
     assert curve.closure_error() == pytest.approx(np.linalg.norm(stacked[-1, :3] - stacked[0, :3]))
 
 

@@ -1,7 +1,9 @@
 """Compiled formlang fields against the tree walk on Dual numbers.
 
 For every input, either both routes raise the same error type with the
-same message, or their results compare equal with ``==``.
+same message, or their results compare equal with ``==``; a field's own
+routes (``fn``, ``value`` and ``differentiate``) equal the walk's IEEE
+bits, with every NaN counted as one pattern.
 """
 
 import math
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from pseudoform import autodiff, formcode, formlang
 from pseudoform.calculus import OneForm, _check_finite, _domain_error, gradient_oneform
-from pseudoform.errors import FormSyntaxError
+from pseudoform.errors import EvaluationDomainError, FormSyntaxError
 from pseudoform.formcode import field_source
 from pseudoform.formlang import expression_field, parse_expression
 
@@ -48,6 +50,17 @@ def _same(a, b):
     if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
         return math.isnan(b)
     return a == b
+
+
+def _bits(result):
+    """A plain result's floats as their IEEE bytes, so -0.0 differs from 0.0;
+    every NaN packs as one pattern."""
+    if isinstance(result, list):
+        return b"".join(map(_bits, result))
+    return struct.pack("<d", math.nan if math.isnan(result) else result)
+
+
+_FIELD_ROUTES = ("fn", "value", "differentiate")  # the walk written out, bit for bit
 
 
 def _outcome(call):
@@ -105,6 +118,8 @@ def assert_equivalent(node, p):
         got, want = _outcome(compiled[route]), _outcome(walked[route])
         assert got[0] == want[0] and _same(list(got[1:]), list(want[1:])), (
             pretty(node), p, route, got, want)
+        if route in _FIELD_ROUTES and got[0] == "ok":
+            assert _bits(got[1]) == _bits(want[1]), (pretty(node), p, route, got, want)
 
 
 @pytest.mark.parametrize("text", ORDER_EXPRESSIONS)
@@ -126,7 +141,7 @@ def test_non_finite_literals_and_constant_errors_match_the_walk(text):
 
 
 def test_a_non_finite_literal_stays_out_of_the_source():
-    source, constants, _ = field_source(parse_expression("1e999*x"), ("x", "y", "z"))
+    source, constants = field_source(parse_expression("1e999*x"), ("x", "y", "z"))
     assert "inf" not in source and constants == (math.inf,)
     with pytest.raises(Exception, match="non-finite field value"):
         formlang.parse_scalar("1e999*x").value((1.0, 0.0, 0.0))
@@ -156,8 +171,6 @@ def test_dense_hessians_keep_the_dual_association():
 def test_no_tree_node_evaluates_and_evaluation_walks_no_tree(monkeypatch):
     nodes = (formlang.Num, formlang.Var, formlang.Neg, formlang.BinOp, formlang.Call)
     assert not any(hasattr(cls, "eval") for cls in nodes)
-    plain = [formlang.parse_scalar(text) for text in ["x^2 + sin(y*z)", "ln(x)"]]
-    twinned = formlang.parse_scalar("1e999*x")  # its folded multiplier is infinite
     walked = []
 
     def counted(emit):
@@ -169,6 +182,8 @@ def test_no_tree_node_evaluates_and_evaluation_walks_no_tree(monkeypatch):
 
     for cls in nodes:
         monkeypatch.setattr(cls, "emit", counted(cls.emit))
+    fields = [formlang.parse_scalar(text) for text in ["x^2 + sin(y*z)", "ln(x)", "1e999*x"]]
+    assert walked == []  # a parse writes no source for a tree with a variable
 
     def walks(field):
         before = len(walked)
@@ -178,31 +193,39 @@ def test_no_tree_node_evaluates_and_evaluation_walks_no_tree(monkeypatch):
             pass
         return len(walked) - before
 
-    for field in plain:
-        assert [walks(field), walks(field)] == [0, 0]
-    # the unfolded twin is written from the tree at the first evaluation that takes it
-    first, *later = [walks(twinned) for _ in range(3)]
-    assert first > 0 and later == [0, 0]
+    # the tree is written out once, at the first evaluation
+    for field in fields:
+        first, *later = [walks(field) for _ in range(3)]
+        assert first > 0 and later == [0, 0]
 
 
-def test_a_parse_writes_one_source_and_the_twin_waits_for_its_first_call(monkeypatch):
-    folds = []
-
-    def counted(node, variables, fold=True):
-        folds.append(fold)
-        return field_source(node, variables, fold)
-
-    monkeypatch.setattr(formcode, "field_source", counted)
+def test_a_parse_writes_no_source_and_the_first_call_writes_one(monkeypatch):
+    sources, function = [], formcode._function
+    monkeypatch.setattr(formcode, "_function",
+                        lambda source, *rest: sources.append(source) or function(source, *rest))
     field = formlang.parse_scalar("1e999*x + sin(y*z)")
-    assert folds == [True]
+    assert sources == []
     for _ in range(2):
         field.fn(0.5, 0.25, 2.0)
-    assert folds == [True, False]
+    assert sources == [field_source(field.node, ("x", "y", "z"))[0]]
+    assert "_exact" not in sources[0] and "(0.0 * _K[0])" in sources[0]  # nothing folded
 
 
-def _bits(result):
-    """A Dual's floats as their IEEE bytes, so -0.0 differs from 0.0."""
-    return b"".join(struct.pack("<d", v) for v in (result.v, *result.grad, *result.hess))
+def test_a_jet_evaluates_its_own_unfolded_twin_and_no_field_function(monkeypatch):
+    sources, function = [], formcode._function
+    monkeypatch.setattr(formcode, "_function",
+                        lambda source, *rest: sources.append(source) or function(source, *rest))
+    theta = formlang.parse_oneform(["1e999*x", "y", "1"])
+    assert len(sources) == 2  # the constant, evaluated at parse, and the folded jet
+    calls = []
+    for field in theta.components:
+        monkeypatch.setattr(field, "fn", lambda *p: calls.append(p))
+    # d/dy of 1e999*x is 0 * inf = NaN, which the folded jet reads as 0
+    for _ in range(2):
+        with pytest.raises(EvaluationDomainError, match="non-finite field value"):
+            theta.flat_jet((0.5, 0.25, 2.0))
+    assert len(sources) == 3 and "_exact" in sources[1] and "_exact" not in sources[2]
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", ["0", "pi/2", "sin(1)*e"])
@@ -218,7 +241,7 @@ def test_a_constant_runs_its_straight_line_code_once_per_parse(monkeypatch, text
     field, walked = expression_field(node), walked_field(node)
     assert len(runs) == 1
     for p in EXTRA_POINTS + ORDER_POINTS:
-        assert _bits(field.fn(*p)) == _bits(walked.fn(*p)), p
+        assert _bits(_plain(field.fn(*p))) == _bits(_plain(walked.fn(*p))), p
     assert len(runs) == 1
     for p in EXTRA_POINTS:
         assert_equivalent(node, p)
